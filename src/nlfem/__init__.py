@@ -5,9 +5,8 @@ weights on a regular grid over the full interaction ball, so assembly never
 computes element-ball intersections.
 """
 
-from .assembly import (DiscreteSystem, FESpace, Field, OuterRule,
-                       assemble_rhs, assemble_stiffness, assemble_system,
-                       outer_rule, reconstruct, solve_system)
+from .assembly import (DiscreteSystem, Field, assemble_system, outer_rules,
+                       reconstruct, solve_system, truncated_weights)
 from .convergence import (ConvergenceReport, ErrorRecord, RateFit,
                           boundary_error_profile, exact_bilinear_form,
                           fit_rate, guarded_fit_rate, h1_error, l2_error,
@@ -16,18 +15,15 @@ from .exceptions import (AssemblyError, ConfigError, KernelError, MeshError,
                          NlfemError, OutsideDomainError, QuadratureError,
                          SolverError)
 from .geometry import (BallNorm, BoxDomain, Mesh, PerturbationSpec,
-                       build_uniform_mesh, build_uniform_mesh_1d,
-                       build_uniform_mesh_2d, locate_point, locate_points,
-                       perturb_mesh)
+                       build_uniform_mesh, locate_points, perturb_mesh)
 from .kernels import (Kernel, KernelKind, default_scaling, evaluate,
                       exact_moment_integrals, second_moment_indices)
 from .problems import (ManufacturedCase, case_linear_1d, case_sin_1d,
                        case_sin_2d, get_case)
-from .quadrature import (InnerGridSpec, InnerQuadratureRule, OffsetSet,
-                         RuleCache, closed_form_weights_1d_constant,
-                         constraint_matrix, default_cache, filter_to_ball,
-                         full_ball_rule, generate_offsets, solve_weights,
-                         truncated_ball_rule)
+from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,
+                         closed_form_weights_1d_constant, constraint_matrix,
+                         default_cache, filter_to_ball, full_ball_rule,
+                         generate_offsets, solve_weights)
 
 __version__ = "0.1.0"
 

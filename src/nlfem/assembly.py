@@ -19,44 +19,13 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .exceptions import AssemblyError, OutsideDomainError, SolverError
-from .geometry import Mesh, locate_points
+from .geometry import BoxDomain, Mesh, locate_points
 from .kernels import Kernel
-from .quadrature import (InnerGridSpec, RuleCache, default_cache,
-                         full_ball_rule, solve_weights_on_subset)
+from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,
+                         default_cache, full_ball_rule, solve_weights_on_subset)
 
 _DENSE_NODE_LIMIT = 3000  # accumulate into a dense J x J scratch below this
 _PAIR_CHUNK = 200_000
-
-
-@dataclass
-class FESpace:
-    """Continuous piecewise-linear nodal space on a mesh."""
-
-    mesh: Mesh
-
-    @property
-    def num_nodes(self) -> int:
-        return self.mesh.num_nodes
-
-    @property
-    def num_interior(self) -> int:
-        return self.mesh.num_interior
-
-    def dof_of_node(self) -> np.ndarray:
-        return self.mesh.dof_of_node()
-
-    def basis_at(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Element ids and the element's nodal basis values at each point."""
-        elems, bary = locate_points(self.mesh, points)
-        return elems, bary
-
-
-@dataclass
-class OuterRule:
-    """Gauss points and weights for one element."""
-
-    points: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass
@@ -102,22 +71,12 @@ def _reference_rule(dim: int, n_points: int):
     return np.stack([u, v], axis=1), bary, w
 
 
-def outer_rule(mesh: Mesh, element: int, n_points: int) -> OuterRule:
-    """Gauss rule on one element, exact for the rule's polynomial degree."""
-    ref, _, w = _reference_rule(mesh.dim, n_points)
-    verts = mesh.nodes[mesh.elements[element]]
-    if mesh.dim == 1:
-        a, b = verts[0, 0], verts[1, 0]
-        return OuterRule(points=(a + ref[:, 0] * (b - a)).reshape(-1, 1),
-                         weights=w * (b - a))
-    p0, e1, e2 = verts[0], verts[1] - verts[0], verts[2] - verts[0]
-    pts = p0 + np.outer(ref[:, 0], e1) + np.outer(ref[:, 1], e2)
-    area2 = e1[0] * e2[1] - e1[1] * e2[0]
-    return OuterRule(points=pts, weights=w * area2)
+def outer_rules(mesh: Mesh, element_ids: np.ndarray, n_points: int):
+    """Gauss rules on the given elements, exact for the rule's polynomial degree.
 
-
-def _element_rule_arrays(mesh: Mesh, element_ids: np.ndarray, n_points: int):
-    """Vectorized outer rules: points (n_el, n_q, d) and weights (n_el, n_q)."""
+    Returns points (n_el, n_q, d), weights (n_el, n_q), and the reference
+    barycentric values (n_q, d + 1) shared by every element.
+    """
     ref, bary, w = _reference_rule(mesh.dim, n_points)
     verts = mesh.nodes[mesh.elements[element_ids]]
     if mesh.dim == 1:
@@ -187,10 +146,9 @@ def _scatter_pairs(acc: _OperatorAccumulator, outer_nodes, outer_bary,
     acc.add(rows, cols, data)
 
 
-def _assemble_operator(space: FESpace, kernel: Kernel, spec: InnerGridSpec,
+def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
                        n_q: int, cache: RuleCache):
     """Full node-by-node discrete operator matrix (both blocks via slicing)."""
-    mesh = space.mesh
     if kernel.dim != mesh.dim or spec.dim != mesh.dim:
         raise AssemblyError("kernel / grid spec / mesh dimensions do not match")
     full = full_ball_rule(kernel, spec, cache)
@@ -206,40 +164,46 @@ def _assemble_operator(space: FESpace, kernel: Kernel, spec: InnerGridSpec,
             ids = part_ids[lo:lo + chunk_elems]
             if len(ids) == 0:
                 continue
-            pts, wq, ref_bary = _element_rule_arrays(mesh, ids, n_q)
+            pts, wq, ref_bary = outer_rules(mesh, ids, n_q)
             n_el, nq = wq.shape
             centers = pts.reshape(n_el * nq, mesh.dim)
             wq_flat = wq.reshape(-1)
             out_nodes = np.repeat(mesh.elements[ids], nq, axis=0)
             out_bary = np.tile(ref_bary, (n_el, 1))
             if truncate:
-                _scatter_truncated(acc, space, kernel, spec, cache, centers,
+                _scatter_truncated(acc, mesh, kernel, spec, cache, centers,
                                    wq_flat, out_nodes, out_bary, full)
             else:
                 inner_pts = (centers[:, None, :] + full.offsets[None, :, :])
                 coef = (full.strengths * full.weights)[None, :] * wq_flat[:, None]
-                _scatter_inner(acc, space, inner_pts.reshape(-1, mesh.dim),
+                _scatter_inner(acc, mesh, inner_pts.reshape(-1, mesh.dim),
                                coef.reshape(-1),
                                np.repeat(out_nodes, n_off, axis=0),
                                np.repeat(out_bary, n_off, axis=0))
     return acc
 
 
-def _scatter_inner(acc, space, inner_pts, coef, out_nodes, out_bary) -> None:
+def _scatter_inner(acc, mesh, inner_pts, coef, out_nodes, out_bary) -> None:
     try:
-        in_elems, in_bary = locate_points(space.mesh, inner_pts)
+        in_elems, in_bary = locate_points(mesh, inner_pts)
     except OutsideDomainError as exc:
         raise AssemblyError(f"inner quadrature point left the meshed region: {exc}") from exc
-    in_nodes = space.mesh.elements[in_elems]
+    in_nodes = mesh.elements[in_elems]
     _scatter_pairs(acc, out_nodes, out_bary, in_nodes, in_bary, coef)
 
 
-def _scatter_truncated(acc, space, kernel, spec, cache, centers, wq_flat,
-                       out_nodes, out_bary, full) -> None:
-    """Outer points in the constraint layer; per-point clipped rules."""
-    domain = space.mesh.domain
-    pts_all = centers[:, None, :] + full.offsets[None, :, :]
-    flat = pts_all.reshape(-1, space.mesh.dim)
+def truncated_weights(kernel: Kernel, spec: InnerGridSpec, domain: BoxDomain,
+                      centers: np.ndarray, full: InnerQuadratureRule,
+                      cache: RuleCache) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of balls clipped by the meshed region, for a batch of centers.
+
+    Grid points are kept if they fall in the region extended by
+    ``domain.extension``; weights are solved on that set against the
+    full-ball moments (one cached solve per distinct mask); points outside
+    the meshed region are then dropped.  Returns the weights over the full
+    grid, shape (n_centers, full.size), and the mask of retained points.
+    """
+    flat = (centers[:, None, :] + full.offsets[None, :, :]).reshape(-1, domain.dim)
     in_ext = domain.contains_extended(flat).reshape(len(centers), full.size)
     in_mesh = domain.contains_meshed(flat).reshape(len(centers), full.size)
     retained = in_ext & in_mesh
@@ -260,25 +224,34 @@ def _scatter_truncated(acc, space, kernel, spec, cache, centers, wq_flat,
             per_mask[k, mask] = sub_w
         weights = per_mask[inverse]
 
-    counts = retained.sum(axis=1)
-    if not (counts > 0).all():
+    if not retained.any(axis=1).all():
         raise AssemblyError("a constraint-layer ball retained no quadrature points")
+    return weights, retained
+
+
+def _scatter_truncated(acc, mesh, kernel, spec, cache, centers, wq_flat,
+                       out_nodes, out_bary, full) -> None:
+    """Outer points in the constraint layer; per-point clipped rules."""
+    weights, retained = truncated_weights(kernel, spec, mesh.domain, centers, full, cache)
     coef = (full.strengths[None, :] * weights * wq_flat[:, None])[retained]
-    inner_pts = pts_all[retained]
+    inner_pts = (centers[:, None, :] + full.offsets[None, :, :])[retained]
+    counts = retained.sum(axis=1)
     rep_nodes = np.repeat(out_nodes, counts, axis=0)
     rep_bary = np.repeat(out_bary, counts, axis=0)
-    _scatter_inner(acc, space, inner_pts, coef, rep_nodes, rep_bary)
+    _scatter_inner(acc, mesh, inner_pts, coef, rep_nodes, rep_bary)
 
 
-def assemble_system(space: FESpace, kernel: Kernel, spec: InnerGridSpec,
+def assemble_system(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
                     n_q: int, n_b: int | None = None,
                     source=None, boundary=None,
                     cache: RuleCache | None = None) -> DiscreteSystem:
-    """Assemble stiffness and load in one operator pass."""
+    """Assemble stiffness and load in one operator pass.
+
+    The load is the body force over the box minus the layer-data correction.
+    """
     cache = cache or default_cache()
     n_b = n_b if n_b is not None else n_q
-    mesh = space.mesh
-    acc = _assemble_operator(space, kernel, spec, n_q, cache)
+    acc = _assemble_operator(mesh, kernel, spec, n_q, cache)
     interior = mesh.interior_nodes
     constraint = mesh.constraint_nodes
     a, coupling = acc.interior_blocks(interior, constraint)
@@ -288,34 +261,16 @@ def assemble_system(space: FESpace, kernel: Kernel, spec: InnerGridSpec,
         g_vals = np.asarray(boundary(mesh.nodes[constraint]), dtype=float)
     f = np.zeros(len(interior))
     if source is not None:
-        f += _body_load(space, source, n_b)
+        f += _body_load(mesh, source, n_b)
     f -= coupling @ g_vals
 
     return DiscreteSystem(matrix=a, rhs=f, interior_nodes=interior,
                           constraint_values=g_vals, mesh=mesh)
 
 
-def assemble_stiffness(space: FESpace, kernel: Kernel, spec: InnerGridSpec,
-                       n_q: int, cache: RuleCache | None = None) -> sparse.csr_matrix:
-    """Stiffness block on the unknown nodes."""
-    cache = cache or default_cache()
-    acc = _assemble_operator(space, kernel, spec, n_q, cache)
-    a, _ = acc.interior_blocks(space.mesh.interior_nodes, space.mesh.constraint_nodes)
-    return a
-
-
-def assemble_rhs(space: FESpace, kernel: Kernel, spec: InnerGridSpec,
-                 n_q: int, n_b: int, source, boundary,
-                 cache: RuleCache | None = None) -> np.ndarray:
-    """Load vector: body force over the box minus the layer-data correction."""
-    system = assemble_system(space, kernel, spec, n_q, n_b, source, boundary, cache)
-    return system.rhs
-
-
-def _body_load(space: FESpace, source, n_b: int) -> np.ndarray:
-    mesh = space.mesh
+def _body_load(mesh: Mesh, source, n_b: int) -> np.ndarray:
     ids = np.flatnonzero(mesh.element_in_box)
-    pts, wb, ref_bary = _element_rule_arrays(mesh, ids, n_b)
+    pts, wb, ref_bary = outer_rules(mesh, ids, n_b)
     n_el, nq = wb.shape
     values = np.asarray(source(pts.reshape(-1, mesh.dim)), dtype=float).reshape(n_el, nq)
     # f_i += sum_b basis_i(x_b) * source(x_b) * w_b, per element node
@@ -378,9 +333,8 @@ class Field:
         return np.stack([gx, gy], axis=1)
 
 
-def reconstruct(space: FESpace, interior_values: np.ndarray, boundary=None) -> Field:
+def reconstruct(mesh: Mesh, interior_values: np.ndarray, boundary=None) -> Field:
     """Assemble the full nodal field: unknowns plus layer data."""
-    mesh = space.mesh
     vals = np.zeros(mesh.num_nodes)
     vals[mesh.interior_nodes] = interior_values
     if boundary is not None:

@@ -16,8 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .assembly import (FESpace, assemble_system, dump_matrix_market,
-                       dump_solution_csv, reconstruct, solve_system)
+from .assembly import (assemble_system, dump_matrix_market, dump_solution_csv,
+                       reconstruct, solve_system)
 from .convergence import (ConvergenceReport, ErrorRecord, h1_error, l2_error)
 from .exceptions import ConfigError, MeshError, NlfemError
 from .geometry import (BallNorm, BoxDomain, PerturbationSpec,
@@ -185,16 +185,15 @@ def _execute(config: RunConfig, h: float) -> SingleResult:
     kernel = Kernel.make(config.kernel_kind, config.dimension, delta,
                          config.scaling, config.ball_norm)
     spec = InnerGridSpec(config.points_per_radius, config.dimension)
-    space = FESpace(mesh)
 
     t0 = time.perf_counter()
-    system = assemble_system(space, kernel, spec, config.outer_points,
+    system = assemble_system(mesh, kernel, spec, config.outer_points,
                              config.load_points, case.source, case.boundary)
     t1 = time.perf_counter()
     u = solve_system(system)
     t2 = time.perf_counter()
 
-    field_ = reconstruct(space, u, case.boundary)
+    field_ = reconstruct(mesh, u, case.boundary)
     record = ErrorRecord(
         h=h, delta=delta, m=config.m, dofs=mesh.num_interior,
         l2=l2_error(field_, case, mesh, config.error_points),

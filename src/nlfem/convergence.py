@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FESpace, Field, _element_rule_arrays, assemble_stiffness
+from .assembly import Field, assemble_system, outer_rules
 from .exceptions import NlfemError
 from .geometry import Mesh
 from .kernels import Kernel, KernelKind
@@ -82,7 +82,7 @@ class ConvergenceReport:
 
 def _error_quadrature(mesh: Mesh, field_: Field, case: ManufacturedCase, n_gs: int):
     ids = np.flatnonzero(mesh.element_in_box)
-    pts, w, ref_bary = _element_rule_arrays(mesh, ids, n_gs)
+    pts, w, ref_bary = outer_rules(mesh, ids, n_gs)
     nodal = field_.node_values[mesh.elements[ids]]
     uh = np.einsum("qk,ek->eq", ref_bary, nodal)
     u0 = case.solution(pts.reshape(-1, mesh.dim)).reshape(uh.shape)
@@ -273,8 +273,7 @@ def strang_gap(v_values: np.ndarray, w_values: np.ndarray, kernel: Kernel,
     if np.any(v[cn] != 0.0) or np.any(w[cn] != 0.0):
         raise NlfemError("strang_gap requires fields that vanish on the constraint layer")
     exact = exact_bilinear_form(v, w, kernel, mesh, n_q)
-    space = FESpace(mesh)
-    a = assemble_stiffness(space, kernel, spec, n_q, cache)
+    a = assemble_system(mesh, kernel, spec, n_q, cache=cache).matrix
     ids = mesh.interior_nodes
     discrete = float(v[ids] @ (a @ w[ids]))
     return abs(exact - discrete)

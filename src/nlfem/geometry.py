@@ -80,10 +80,6 @@ class BoxDomain:
     def layer_hi(self, pad: float) -> np.ndarray:
         return np.array([b + pad for b in self.hi])
 
-    def contains_box(self, points: np.ndarray) -> np.ndarray:
-        """True for points in the closed box itself."""
-        return self._contains(points, 0.0)
-
     def contains_meshed(self, points: np.ndarray) -> np.ndarray:
         """True for points in the closed box plus constraint layer."""
         return self._contains(points, self.horizon)
@@ -274,7 +270,8 @@ def _mesh_from_breaks(domain: BoxDomain, breaks: tuple[np.ndarray, ...], m: int,
     )
 
 
-def _build_uniform(h: float, domain: BoxDomain) -> Mesh:
+def build_uniform_mesh(h: float, domain: BoxDomain) -> Mesh:
+    """Uniform mesh of the box plus layer; 2D rectangles split into triangles."""
     if not h > 0:
         raise MeshError(f"element size must be positive, got {h}")
     m = _axis_cell_count(domain.horizon, h, "horizon / h")
@@ -289,24 +286,6 @@ def _build_uniform(h: float, domain: BoxDomain) -> Mesh:
         for k in range(domain.dim)
     )
     return _mesh_from_breaks(domain, breaks, m, inner, h, uniform=True)
-
-
-def build_uniform_mesh_1d(h: float, domain: BoxDomain) -> Mesh:
-    """Uniform segment mesh of the interval plus its constraint layer."""
-    if domain.dim != 1:
-        raise MeshError("build_uniform_mesh_1d requires a 1D domain")
-    return _build_uniform(h, domain)
-
-
-def build_uniform_mesh_2d(h: float, domain: BoxDomain) -> Mesh:
-    """Uniform tensor mesh of the box plus layer, rectangles split into triangles."""
-    if domain.dim != 2:
-        raise MeshError("build_uniform_mesh_2d requires a 2D domain")
-    return _build_uniform(h, domain)
-
-
-def build_uniform_mesh(h: float, domain: BoxDomain) -> Mesh:
-    return build_uniform_mesh_1d(h, domain) if domain.dim == 1 else build_uniform_mesh_2d(h, domain)
 
 
 def perturb_mesh(mesh: Mesh, spec: PerturbationSpec) -> Mesh:
@@ -344,7 +323,8 @@ def _axis_cells(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
 def locate_points(mesh: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized point location: element ids and barycentric coordinates.
 
-    Raises OutsideDomainError if any point lies outside the meshed region.
+    Ties on shared facets resolve to the lowest element id.  Raises
+    OutsideDomainError if any point lies outside the meshed region.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     for k in range(mesh.dim):
@@ -380,8 +360,3 @@ def locate_points(mesh: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
     bary[up, 2] = eta[up] - xi[up]
     return elem, bary
 
-
-def locate_point(mesh: Mesh, x) -> tuple[int, np.ndarray]:
-    """Locate one point; ties on shared facets resolve to the lowest element id."""
-    elem, bary = locate_points(mesh, np.asarray(x, dtype=float).reshape(1, -1))
-    return int(elem[0]), bary[0]

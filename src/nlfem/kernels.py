@@ -97,8 +97,7 @@ def second_moment_indices(dim: int) -> list[tuple[int, ...]]:
 def exact_moment_integrals(kernel: Kernel) -> np.ndarray:
     """Integrals of kernel * (y-x)^beta over the full ball, |beta| = 2.
 
-    Independent of the center.  Euclidean balls use closed forms; max-norm
-    balls fall back to numerical quadrature.
+    Independent of the center; closed forms for both ball norms.
     """
     return _moment_integrals_cached(kernel).copy()
 
@@ -106,36 +105,14 @@ def exact_moment_integrals(kernel: Kernel) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _moment_integrals_cached(kernel: Kernel) -> np.ndarray:
     z = kernel.scaling
-    if kernel.ball_norm is BallNorm.EUCLIDEAN:
-        if kernel.dim == 1:
-            g = 2.0 * z / 3.0 if kernel.kind is KernelKind.CONSTANT else z
-            return np.array([g])
-        diag = z * math.pi / 4.0 if kernel.kind is KernelKind.CONSTANT else z * math.pi / 3.0
-        return np.array([diag, 0.0, diag])
+    constant = kernel.kind is KernelKind.CONSTANT
     if kernel.dim == 1:
-        # 1D max-norm ball coincides with the Euclidean one.
-        g = 2.0 * z / 3.0 if kernel.kind is KernelKind.CONSTANT else z
-        return np.array([g])
-    return _square_moments_numeric(kernel)
-
-
-def _square_moments_numeric(kernel: Kernel) -> np.ndarray:
-    from scipy import integrate
-
-    d = kernel.horizon
-
-    def integrand(beta):
-        def f(s2, s1):
-            r = max(abs(s1), abs(s2))
-            if r == 0.0:
-                return 0.0
-            return float(kernel.strength(r)) * s1 ** beta[0] * s2 ** beta[1]
-
-        return f
-
-    out = []
-    for beta in second_moment_indices(2):
-        val, _ = integrate.dblquad(integrand(beta), -d, d, -d, d,
-                                   epsabs=1e-12, epsrel=1e-12)
-        out.append(val)
-    return np.array(out)
+        # The 1D max-norm ball coincides with the Euclidean one.
+        return np.array([2.0 * z / 3.0 if constant else z])
+    if kernel.ball_norm is BallNorm.EUCLIDEAN:
+        diag = z * math.pi / 4.0 if constant else z * math.pi / 3.0
+    else:
+        # Square [-d, d]^2: the rational kernel's 1/max(|s1|, |s2|) splits
+        # along the diagonals into two polynomial pieces.
+        diag = 4.0 * z / 3.0 if constant else 16.0 * z / 9.0
+    return np.array([diag, 0.0, diag])

@@ -13,7 +13,9 @@ extension, weights are solved on that extended set against the full-ball
 moments, and points falling outside the meshed region are then discarded
 together with their weights.  Solving before restricting is deliberate:
 with extension equal to the horizon every near-boundary point keeps its
-full-ball weight, which is what restores second-order accuracy.
+full-ball weight, which is what restores second-order accuracy.  That
+construction runs batched in ``assembly.truncated_weights``; this module
+supplies its cached masked solve, ``solve_weights_on_subset``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import QuadratureError
-from .geometry import BallNorm, BoxDomain
+from .geometry import BallNorm
 from .kernels import Kernel, exact_moment_integrals
 
 _RANK_CUTOFF = 1e-12
@@ -53,31 +55,17 @@ class InnerGridSpec:
 
 
 @dataclass
-class OffsetSet:
-    """Grid offsets relative to the ball center plus an inclusion mask."""
-
-    offsets: np.ndarray  # (n, d), the full symmetric grid
-    included: np.ndarray  # (n,) bool
-
-    @property
-    def active(self) -> np.ndarray:
-        return self.offsets[self.included]
-
-
-@dataclass
 class InnerQuadratureRule:
     """Inner rule: offsets relative to the center, weights, and diagnostics.
 
     ``strengths`` caches the kernel value at each offset.  ``residual`` is the
-    constraint defect of the solve that produced the weights (for truncated
-    rules: of the extended-set solve, before the final discard).
+    constraint defect of the solve that produced the weights.
     """
 
     offsets: np.ndarray
     weights: np.ndarray
     strengths: np.ndarray
     residual: float
-    truncated: bool = False
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.weights)):
@@ -95,7 +83,7 @@ class InnerQuadratureRule:
                 fh.write(",".join(repr(float(c)) for c in off) + f",{float(w)!r}\n")
 
 
-def generate_offsets(spec: InnerGridSpec, horizon: float) -> OffsetSet:
+def generate_offsets(spec: InnerGridSpec, horizon: float) -> np.ndarray:
     """Symmetric grid of (2n)^d offsets, components at odd multiples of spacing/2."""
     n = spec.points_per_radius
     half = 0.5 * spec.spacing(horizon)
@@ -106,16 +94,15 @@ def generate_offsets(spec: InnerGridSpec, horizon: float) -> OffsetSet:
     else:
         a, b = np.meshgrid(axis, axis, indexing="ij")
         offs = np.stack([a.ravel(), b.ravel()], axis=1)
-    return OffsetSet(offsets=offs, included=np.ones(len(offs), dtype=bool))
+    return offs
 
 
-def filter_to_ball(offsets: OffsetSet, horizon: float, ball_norm: BallNorm) -> OffsetSet:
-    """Restrict the inclusion mask to the closed ball of radius horizon."""
-    dist = ball_norm.length(offsets.offsets)
-    included = offsets.included & (dist <= horizon)
+def filter_to_ball(offsets: np.ndarray, horizon: float, ball_norm: BallNorm) -> np.ndarray:
+    """Mask of the offsets inside the closed ball of radius horizon."""
+    included = ball_norm.length(offsets) <= horizon
     if not included.any():
         raise QuadratureError("no quadrature points fall inside the ball")
-    return OffsetSet(offsets=offsets.offsets, included=included)
+    return included
 
 
 def _monomials(offsets: np.ndarray, dim: int) -> np.ndarray:
@@ -220,8 +207,8 @@ def full_ball_rule(kernel: Kernel, spec: InnerGridSpec,
 
 
 def _build_full_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule:
-    offs = filter_to_ball(generate_offsets(spec, kernel.horizon),
-                          kernel.horizon, kernel.ball_norm).active
+    offs = generate_offsets(spec, kernel.horizon)
+    offs = offs[filter_to_ball(offs, kernel.horizon, kernel.ball_norm)]
     B = _constraint_matrix_from_offsets(kernel, offs)
     g = exact_moment_integrals(kernel)
     w, residual = solve_weights(B, g)
@@ -229,49 +216,7 @@ def _build_full_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule
     return InnerQuadratureRule(
         offsets=offs, weights=w,
         strengths=kernel.strength(kernel.ball_norm.length(offs)),
-        residual=residual, truncated=False,
-    )
-
-
-def truncated_ball_rule(kernel: Kernel, center, domain: BoxDomain,
-                        spec: InnerGridSpec,
-                        cache: RuleCache | None = None) -> InnerQuadratureRule:
-    """Rule for a ball clipped by the meshed region boundary.
-
-    Grid points are kept if they fall in the region extended by
-    ``domain.extension``; weights are solved on that set against the
-    full-ball moments; points outside the meshed region are then dropped
-    along with their weights.  Centers inside the box get the shared
-    full-ball rule unchanged.
-    """
-    cache = cache or _default_cache
-    center = np.asarray(center, dtype=float)
-    if domain.contains_box(center):
-        return full_ball_rule(kernel, spec, cache)
-    full = full_ball_rule(kernel, spec, cache)
-    pts = center + full.offsets
-    in_extended = domain.contains_extended(pts)
-    if not in_extended.any():
-        raise QuadratureError("no inner quadrature points inside the extended region")
-    in_meshed = domain.contains_meshed(pts)
-    retained = in_extended & in_meshed
-    if not retained.any():
-        raise QuadratureError("no inner quadrature points retained inside the meshed region")
-
-    if in_extended.all():
-        weights, residual = full.weights, full.residual
-    else:
-        sub_weights, residual = solve_weights_on_subset(
-            kernel, spec, full.offsets, in_extended, cache)
-        weights = np.zeros(full.size)
-        weights[in_extended] = sub_weights
-
-    return InnerQuadratureRule(
-        offsets=full.offsets[retained],
-        weights=weights[retained],
-        strengths=full.strengths[retained],
         residual=residual,
-        truncated=True,
     )
 
 

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from nlfem import (BoxDomain, FESpace, InnerGridSpec, Kernel, KernelKind,
-                   assemble_stiffness, assemble_system, build_uniform_mesh,
+from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
+                   assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, case_sin_2d,
                    closed_form_weights_1d_constant, constraint_matrix,
                    exact_bilinear_form, exact_moment_integrals, fit_rate,
@@ -42,11 +42,10 @@ def _solve_case(dim, kind, case, h, m, ext_ratio, nbar, nq, mesh_mode="uniform",
     if mesh_mode == "perturbed":
         mesh = perturb_mesh(mesh, PerturbationSpec(eps, seed))
     kernel = Kernel.make(kind, dim, delta)
-    space = FESpace(mesh)
-    system = assemble_system(space, kernel, InnerGridSpec(nbar, dim), nq, nq,
+    system = assemble_system(mesh, kernel, InnerGridSpec(nbar, dim), nq, nq,
                              case.source, case.boundary)
     u = solve_system(system)
-    field = reconstruct(space, u, case.boundary)
+    field = reconstruct(mesh, u, case.boundary)
     return mesh, field
 
 
@@ -222,7 +221,7 @@ def test_criterion_10_assembly_oracle_equivalence():
             delta = h  # h = delta per the criterion
             mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
             kernel = Kernel.make(kind, 1, delta)
-            system = assemble_system(FESpace(mesh), kernel, InnerGridSpec(2, 1),
+            system = assemble_system(mesh, kernel, InnerGridSpec(2, 1),
                                      8, 8, case.source, case.boundary,
                                      cache=RuleCache())
             A = system.matrix.toarray()
@@ -233,8 +232,8 @@ def test_criterion_10_assembly_oracle_equivalence():
     # symmetry also on a 2D assembly
     mesh = build_uniform_mesh(1 / 8, BoxDomain.unit(2, 1 / 4, 1 / 4))
     kernel = Kernel.make(KernelKind.RATIONAL, 2, 1 / 4)
-    A2 = assemble_stiffness(FESpace(mesh), kernel, InnerGridSpec(4, 2), 16,
-                            cache=RuleCache()).toarray()
+    A2 = assemble_system(mesh, kernel, InnerGridSpec(4, 2), 16,
+                         cache=RuleCache()).matrix.toarray()
     assert np.abs(A2 - A2.T).max() <= 1e-12 * np.abs(A2).max()
     _report(10, "assembly oracle equivalence", time.perf_counter() - t0, 10)
 
@@ -246,7 +245,7 @@ def test_criterion_11_coercivity_surrogate():
     for h in (1 / 16, 1 / 32, 1 / 64):
         mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
         kernel = Kernel.make(KernelKind.CONSTANT, 1, h)
-        A = assemble_stiffness(FESpace(mesh), kernel, InnerGridSpec(10, 1), 40)
+        A = assemble_system(mesh, kernel, InnerGridSpec(10, 1), 40).matrix
         lengths = np.diff(mesh.axis_breaks[0])
         ratios = []
         for _ in range(100):

@@ -1,66 +1,58 @@
 import numpy as np
 import pytest
 
-from nlfem import (AssemblyError, BoxDomain, FESpace, InnerGridSpec, Kernel,
-                   KernelKind, assemble_rhs, assemble_stiffness,
-                   assemble_system, build_uniform_mesh_1d,
-                   build_uniform_mesh_2d, case_linear_1d, case_sin_1d,
-                   outer_rule, reconstruct, solve_system)
+import nlfem.assembly
+from nlfem import (AssemblyError, BoxDomain, InnerGridSpec, Kernel, KernelKind,
+                   PerturbationSpec, assemble_system, build_uniform_mesh,
+                   case_linear_1d, case_sin_1d, outer_rules, perturb_mesh,
+                   reconstruct, solve_system)
 from nlfem.quadrature import RuleCache
 
 
 def _mesh_1d(h, m, extension_ratio=1.0):
     delta = m * h
-    return build_uniform_mesh_1d(h, BoxDomain.unit(1, delta, extension_ratio * delta))
+    return build_uniform_mesh(h, BoxDomain.unit(1, delta, extension_ratio * delta))
 
 
 # ---------------------------------------------------------------- outer rules
 
 def test_outer_rule_1d_two_points():
     mesh = _mesh_1d(0.25, 1)
-    rule = outer_rule(mesh, 0, 2)
+    pts, w, _ = outer_rules(mesh, [0], 2)
     a = mesh.nodes[mesh.elements[0, 0], 0]
     h = 0.25
     expected = a + h * np.array([0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)])
-    assert np.allclose(sorted(rule.points[:, 0]), expected)
-    assert np.allclose(rule.weights, h / 2)
+    assert np.allclose(sorted(pts[0, :, 0]), expected)
+    assert np.allclose(w, h / 2)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 3), (1, 40), (2, 4), (2, 16)])
 def test_outer_rule_integrates_one(dim, n):
     dom = BoxDomain.unit(dim, 0.25)
-    mesh = (build_uniform_mesh_1d if dim == 1 else build_uniform_mesh_2d)(0.25, dom)
-    for e in (0, mesh.num_elements - 1):
-        rule = outer_rule(mesh, e, n)
-        assert np.all(rule.weights > 0)
-        assert rule.weights.sum() == pytest.approx(mesh.element_measures()[e], rel=1e-14)
+    mesh = build_uniform_mesh(0.25, dom)
+    ids = np.array([0, mesh.num_elements - 1])
+    _, w, _ = outer_rules(mesh, ids, n)
+    assert np.all(w > 0)
+    assert np.allclose(w.sum(axis=1), mesh.element_measures()[ids], rtol=1e-14, atol=0)
 
 
 def test_outer_rule_exact_for_polynomials():
-    mesh = build_uniform_mesh_1d(0.5, BoxDomain.unit(1, 0.5))
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(1, 0.5))
     # element covering [0, 0.5] then [0.5, 1]: integrate x^2 over [0,1]
-    total = 0.0
-    for e in range(mesh.num_elements):
-        if mesh.element_in_box[e]:
-            rule = outer_rule(mesh, e, 40)
-            total += np.sum(rule.points[:, 0] ** 2 * rule.weights)
-    assert total == pytest.approx(1 / 3, abs=1e-14)
+    pts, w, _ = outer_rules(mesh, np.flatnonzero(mesh.element_in_box), 40)
+    assert np.sum(pts[..., 0] ** 2 * w) == pytest.approx(1 / 3, abs=1e-14)
 
 
 def test_outer_rule_2d_quadratic():
-    mesh = build_uniform_mesh_2d(0.5, BoxDomain.unit(2, 0.5))
-    total = 0.0
-    for e in range(mesh.num_elements):
-        if mesh.element_in_box[e]:
-            rule = outer_rule(mesh, e, 16)
-            total += np.sum(rule.points[:, 0] * rule.points[:, 1] * rule.weights)
-    assert total == pytest.approx(0.25, abs=1e-13)
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
+    pts, w, _ = outer_rules(mesh, np.flatnonzero(mesh.element_in_box), 16)
+    assert np.sum(pts[..., 0] * pts[..., 1] * w) == pytest.approx(0.25, abs=1e-13)
 
 
 def test_outer_rule_2d_requires_square_count():
-    mesh = build_uniform_mesh_2d(0.5, BoxDomain.unit(2, 0.5))
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
     with pytest.raises(AssemblyError, match="square"):
-        outer_rule(mesh, 0, 10)
+        outer_rules(mesh, [0], 10)
 
 
 # ---------------------------------------------------------- naive dense oracle
@@ -75,7 +67,7 @@ def test_assembly_matches_naive_oracle(h, kind, extension_ratio):
     mesh = _mesh_1d(h, m, extension_ratio)
     kernel = Kernel.make(kind, 1, m * h)
     case = case_sin_1d()
-    system = assemble_system(FESpace(mesh), kernel, InnerGridSpec(nbar, 1), nq,
+    system = assemble_system(mesh, kernel, InnerGridSpec(nbar, 1), nq,
                              nq, case.source, case.boundary, cache=RuleCache())
     A = system.matrix.toarray()
     A_ref, f_ref = naive_system(h, m, kind, extension_ratio, nbar, nq,
@@ -170,10 +162,10 @@ def test_assembly_matches_naive_oracle_2d():
                                 A_ref[col[i], col[j]] += (dpsi[i] * gam0
                                                           * dpsi[j] * wp * wq)
 
-    mesh = build_uniform_mesh_2d(h, BoxDomain.unit(2, delta, delta))
+    mesh = build_uniform_mesh(h, BoxDomain.unit(2, delta, delta))
     kernel = Kernel.make(KernelKind.CONSTANT, 2, delta)
-    A = assemble_stiffness(FESpace(mesh), kernel, InnerGridSpec(nbar, 2),
-                           nq_side**2, cache=RuleCache()).toarray()
+    A = assemble_system(mesh, kernel, InnerGridSpec(nbar, 2),
+                        nq_side**2, cache=RuleCache()).matrix.toarray()
     # reference uses the same interior ordering (lexicographic node ids)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
 
@@ -181,12 +173,11 @@ def test_assembly_matches_naive_oracle_2d():
 # ------------------------------------------------------------------ properties
 
 def test_stiffness_symmetric():
-    for dim, build, h in ((1, build_uniform_mesh_1d, 1 / 16),
-                          (2, build_uniform_mesh_2d, 1 / 4)):
-        mesh = build(h, BoxDomain.unit(dim, 2 * h, 2 * h))
+    for dim, h in ((1, 1 / 16), (2, 1 / 4)):
+        mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h, 2 * h))
         k = Kernel.make(KernelKind.CONSTANT, dim, 2 * h)
-        A = assemble_stiffness(FESpace(mesh), k, InnerGridSpec(2, dim),
-                               4 if dim == 1 else 4, cache=RuleCache())
+        A = assemble_system(mesh, k, InnerGridSpec(2, dim), 4,
+                            cache=RuleCache()).matrix
         diff = (A - A.T).toarray()
         assert np.abs(diff).max() <= 1e-12 * np.abs(A.toarray()).max()
 
@@ -194,8 +185,8 @@ def test_stiffness_symmetric():
 def test_stiffness_positive_definite_probe():
     mesh = _mesh_1d(1 / 16, 2)
     k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 16)
-    A = assemble_stiffness(FESpace(mesh), k, InnerGridSpec(4, 1), 10,
-                           cache=RuleCache())
+    A = assemble_system(mesh, k, InnerGridSpec(4, 1), 10,
+                        cache=RuleCache()).matrix
     rng = np.random.default_rng(7)
     n = A.shape[0]
     quad_forms = [u @ (A @ u) for u in rng.standard_normal((1000, n))]
@@ -207,8 +198,8 @@ def test_stiffness_bandwidth():
     mesh = _mesh_1d(h, m)
     delta = m * h
     k = Kernel.make(KernelKind.CONSTANT, 1, delta)
-    A = assemble_stiffness(FESpace(mesh), k, InnerGridSpec(4, 1), 10,
-                           cache=RuleCache()).toarray()
+    A = assemble_system(mesh, k, InnerGridSpec(4, 1), 10,
+                        cache=RuleCache()).matrix.toarray()
     xs = mesh.nodes[mesh.interior_nodes, 0]
     for i in range(len(xs)):
         for j in range(len(xs)):
@@ -246,11 +237,36 @@ def test_assembly_deterministic():
     case = case_sin_1d()
     runs = []
     for _ in range(2):
-        system = assemble_system(FESpace(mesh), k, InnerGridSpec(5, 1), 10, 10,
+        system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10, 10,
                                  case.source, case.boundary, cache=RuleCache())
         runs.append((system.matrix.toarray().copy(), system.rhs.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
+
+
+def test_sparse_accumulator_symmetric_above_dense_limit():
+    h, m = 1 / 4096, 2
+    mesh = _mesh_1d(h, m)
+    assert mesh.num_nodes > nlfem.assembly._DENSE_NODE_LIMIT
+    k = Kernel.make(KernelKind.RATIONAL, 1, m * h)
+    A = assemble_system(mesh, k, InnerGridSpec(1, 1), 1, cache=RuleCache()).matrix
+    assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
+
+
+def test_sparse_accumulator_matches_dense(monkeypatch):
+    mesh = _mesh_1d(1 / 1024, 2, 0.0)
+    k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 1024)
+    case = case_sin_1d()
+
+    def assemble():
+        return assemble_system(mesh, k, InnerGridSpec(2, 1), 2, 2, case.source,
+                               case.boundary, cache=RuleCache())
+
+    dense = assemble()
+    monkeypatch.setattr(nlfem.assembly, "_DENSE_NODE_LIMIT", 0)
+    sparse = assemble()
+    assert abs(sparse.matrix - dense.matrix).max() <= 1e-13 * abs(dense.matrix).max()
+    assert np.abs(sparse.rhs - dense.rhs).max() <= 1e-13 * np.abs(dense.rhs).max()
 
 
 # ------------------------------------------------------------------ rhs pieces
@@ -260,8 +276,8 @@ def test_rhs_zero_boundary_is_body_term_only():
     k = Kernel.make(KernelKind.CONSTANT, 1, 1 / 8)
     case = case_sin_1d()
     zero = lambda p: np.zeros(p.shape[0])
-    f = assemble_rhs(FESpace(mesh), k, InnerGridSpec(2, 1), 8, 8,
-                     case.source, zero, cache=RuleCache())
+    f = assemble_system(mesh, k, InnerGridSpec(2, 1), 8, 8,
+                        case.source, zero, cache=RuleCache()).rhs
     # pure body load: integral of basis * source, independently via fine Gauss
     gp, gw = np.polynomial.legendre.leggauss(40)
     gp, gw = (gp + 1) / 2, gw / 2
@@ -282,11 +298,29 @@ def test_rhs_linear_boundary_matches_coupling_identity():
     mesh = _mesh_1d(1 / 16, 2)
     k = Kernel.make(KernelKind.CONSTANT, 1, 2 / 16)
     case = case_linear_1d()
-    system = assemble_system(FESpace(mesh), k, InnerGridSpec(4, 1), 10, 10,
+    system = assemble_system(mesh, k, InnerGridSpec(4, 1), 10, 10,
                              case.source, case.boundary, cache=RuleCache())
     u_lin = mesh.nodes[mesh.interior_nodes, 0]
     residual = system.matrix @ u_lin - system.rhs
     assert np.abs(residual).max() <= 1e-10
+
+
+@pytest.mark.parametrize("extension_ratio", [0.0, 1.0])
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_constant_field_in_operator_kernel(dim, perturbed, extension_ratio):
+    # hat differences of a constant vanish, so the full node-by-node operator
+    # maps ones to zero: interior block times ones equals minus the coupling
+    h = 1 / 16 if dim == 1 else 1 / 8
+    delta = 2 * h
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, delta, extension_ratio * delta))
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=1))
+    k = Kernel.make(KernelKind.RATIONAL, dim, delta)
+    system = assemble_system(mesh, k, InnerGridSpec(2, dim), 2 if dim == 1 else 4,
+                             boundary=lambda p: np.ones(len(p)), cache=RuleCache())
+    defect = system.matrix @ np.ones(mesh.num_interior) - system.rhs
+    assert np.abs(defect).max() <= 1e-12 * abs(system.matrix).max()
 
 
 # ----------------------------------------------------------------- solve/field
@@ -295,7 +329,7 @@ def test_solver_residual_contract():
     mesh = _mesh_1d(1 / 32, 2)
     k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 32)
     case = case_sin_1d()
-    system = assemble_system(FESpace(mesh), k, InnerGridSpec(5, 1), 10, 10,
+    system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10, 10,
                              case.source, case.boundary, cache=RuleCache())
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
@@ -306,7 +340,7 @@ def test_solve_smallest_grid():
     mesh = _mesh_1d(0.5, 1)
     k = Kernel.make(KernelKind.CONSTANT, 1, 0.5)
     case = case_sin_1d()
-    system = assemble_system(FESpace(mesh), k, InnerGridSpec(2, 1), 8, 8,
+    system = assemble_system(mesh, k, InnerGridSpec(2, 1), 8, 8,
                              case.source, case.boundary, cache=RuleCache())
     assert system.matrix.shape == (1, 1)
     u = solve_system(system)
@@ -315,10 +349,9 @@ def test_solve_smallest_grid():
 
 def test_reconstruct_nodal_and_midpoint_values():
     mesh = _mesh_1d(0.25, 1)
-    space = FESpace(mesh)
     vals = np.arange(mesh.num_interior, dtype=float) + 1.0
     g = lambda p: 10.0 + p[:, 0]
-    field = reconstruct(space, vals, g)
+    field = reconstruct(mesh, vals, g)
     for row, node in enumerate(mesh.interior_nodes):
         assert field.evaluate(mesh.nodes[node]) == pytest.approx(vals[row])
     for node in mesh.constraint_nodes:
@@ -332,10 +365,9 @@ def test_reconstruct_nodal_and_midpoint_values():
 
 
 def test_field_gradients_2d():
-    mesh = build_uniform_mesh_2d(0.5, BoxDomain.unit(2, 0.5))
-    space = FESpace(mesh)
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
     lin = lambda p: 2.0 * p[:, 0] - 3.0 * p[:, 1] + 1.0
-    field = reconstruct(space, lin(mesh.nodes[mesh.interior_nodes]), lin)
+    field = reconstruct(mesh, lin(mesh.nodes[mesh.interior_nodes]), lin)
     grads = field.element_gradients()
     assert np.allclose(grads[:, 0], 2.0) and np.allclose(grads[:, 1], -3.0)
 
@@ -344,4 +376,4 @@ def test_dimension_mismatch_rejected():
     mesh = _mesh_1d(0.25, 1)
     k = Kernel.make(KernelKind.CONSTANT, 2, 0.25)
     with pytest.raises(AssemblyError):
-        assemble_stiffness(FESpace(mesh), k, InnerGridSpec(2, 2), 4)
+        assemble_system(mesh, k, InnerGridSpec(2, 2), 4)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nlfem import (BoxDomain, FESpace, InnerGridSpec, Kernel, KernelKind,
-                   boundary_error_profile, build_uniform_mesh_1d,
-                   build_uniform_mesh_2d, case_linear_1d, case_sin_1d,
-                   exact_bilinear_form, fit_rate, full_ball_rule,
+from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
+                   boundary_error_profile, build_uniform_mesh, case_linear_1d,
+                   case_sin_1d, exact_bilinear_form, fit_rate, full_ball_rule,
                    guarded_fit_rate, h1_error, l2_error,
                    near_boundary_error_ratio, reconstruct, strang_gap)
 from nlfem.convergence import ConvergenceReport, ErrorRecord
@@ -15,23 +14,22 @@ from nlfem.quadrature import RuleCache
 
 
 def _interpolant(mesh, func):
-    space = FESpace(mesh)
     vals = func(mesh.nodes[mesh.interior_nodes])
-    return reconstruct(space, vals, func), space
+    return reconstruct(mesh, vals, func)
 
 
 # ------------------------------------------------------------------ L2/H1
 
 def test_interpolant_of_linear_has_zero_errors():
     case = case_linear_1d()
-    mesh = build_uniform_mesh_1d(0.125, BoxDomain.unit(1, 0.25))
-    field, _ = _interpolant(mesh, case.solution)
+    mesh = build_uniform_mesh(0.125, BoxDomain.unit(1, 0.25))
+    field = _interpolant(mesh, case.solution)
     assert l2_error(field, case, mesh) <= 1e-14
     assert h1_error(field, case, mesh) <= 1e-13
 
 
 def test_interpolant_of_linear_2d():
-    mesh = build_uniform_mesh_2d(0.25, BoxDomain.unit(2, 0.25))
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
     case = type(case_linear_1d())(
         name="lin2d", dim=2,
         solution=lambda p: p[..., 0] - 2 * p[..., 1],
@@ -39,7 +37,7 @@ def test_interpolant_of_linear_2d():
         boundary=lambda p: p[..., 0] - 2 * p[..., 1],
         gradient=lambda p: np.broadcast_to(np.array([1.0, -2.0]), p.shape).copy(),
     )
-    field, _ = _interpolant(mesh, case.solution)
+    field = _interpolant(mesh, case.solution)
     assert l2_error(field, case, mesh) <= 1e-14
     assert h1_error(field, case, mesh) <= 1e-13
 
@@ -51,11 +49,11 @@ def test_halving_h_quarters_l2_error():
     errs = []
     for h in (1 / 32, 1 / 64):
         delta = 2 * h
-        mesh = build_uniform_mesh_1d(h, BoxDomain.unit(1, delta, delta))
+        mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
         kernel = Kernel.make(KernelKind.RATIONAL, 1, delta)
-        system = assemble_system(FESpace(mesh), kernel, InnerGridSpec(10, 1),
+        system = assemble_system(mesh, kernel, InnerGridSpec(10, 1),
                                  40, 40, case.source, case.boundary)
-        field = reconstruct(FESpace(mesh), solve_system(system), case.boundary)
+        field = reconstruct(mesh, solve_system(system), case.boundary)
         errs.append(l2_error(field, case, mesh))
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0  # second order: ratio about 4
@@ -63,15 +61,15 @@ def test_halving_h_quarters_l2_error():
 
 def test_h1_dominates_l2():
     case = case_sin_1d()
-    mesh = build_uniform_mesh_1d(1 / 32, BoxDomain.unit(1, 1 / 16))
-    field, _ = _interpolant(mesh, case.solution)
+    mesh = build_uniform_mesh(1 / 32, BoxDomain.unit(1, 1 / 16))
+    field = _interpolant(mesh, case.solution)
     assert h1_error(field, case, mesh) >= l2_error(field, case, mesh)
 
 
 def test_errors_invariant_under_element_relabeling():
     case = case_sin_1d()
-    mesh = build_uniform_mesh_1d(1 / 16, BoxDomain.unit(1, 1 / 8))
-    field, _ = _interpolant(mesh, case.solution)
+    mesh = build_uniform_mesh(1 / 16, BoxDomain.unit(1, 1 / 8))
+    field = _interpolant(mesh, case.solution)
     perm = np.random.default_rng(3).permutation(mesh.num_elements)
     shuffled = Mesh(
         domain=mesh.domain, nodes=mesh.nodes, elements=mesh.elements[perm],
@@ -171,7 +169,7 @@ def _brute_force_D(v_nodal, w_nodal, kernel, mesh):
 @pytest.mark.parametrize("kind", [KernelKind.CONSTANT, KernelKind.RATIONAL])
 def test_exact_form_matches_adaptive_double_integral(kind):
     h = 0.5
-    mesh = build_uniform_mesh_1d(h, BoxDomain.unit(1, h, h))
+    mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
     kernel = Kernel.make(kind, 1, h)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(mesh.num_nodes)
@@ -200,7 +198,7 @@ def test_single_ball_rule_exact_for_linear_fields():
 
 
 def test_strang_gap_requires_zero_constraint_values():
-    mesh = build_uniform_mesh_1d(0.25, BoxDomain.unit(1, 0.25, 0.25))
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25, 0.25))
     kernel = Kernel.make(KernelKind.CONSTANT, 1, 0.25)
     bad = np.ones(mesh.num_nodes)
     with pytest.raises(NlfemError, match="vanish"):
@@ -208,7 +206,7 @@ def test_strang_gap_requires_zero_constraint_values():
 
 
 def test_strang_gap_rejects_2d():
-    mesh = build_uniform_mesh_2d(0.5, BoxDomain.unit(2, 0.5))
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
     kernel = Kernel.make(KernelKind.CONSTANT, 2, 0.5)
     z = np.zeros(mesh.num_nodes)
     with pytest.raises(NlfemError, match="1D"):
@@ -216,7 +214,7 @@ def test_strang_gap_rejects_2d():
 
 
 def _sin_gap(h, cache=None):
-    mesh = build_uniform_mesh_1d(h, BoxDomain.unit(1, h, h))
+    mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
     kernel = Kernel.make(KernelKind.CONSTANT, 1, h)
     v = np.where(mesh.node_is_interior, np.sin(2 * np.pi * mesh.nodes[:, 0]), 0.0)
     gap = strang_gap(v, v, kernel, mesh, InnerGridSpec(5, 1), n_q=40,
@@ -234,7 +232,7 @@ def test_strang_gap_decreases_linearly():
 
 def test_strang_gap_mirror_symmetric():
     h = 1 / 16
-    mesh = build_uniform_mesh_1d(h, BoxDomain.unit(1, h, h))
+    mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
     kernel = Kernel.make(KernelKind.CONSTANT, 1, h)
     x = mesh.nodes[:, 0]
     v = np.where(mesh.node_is_interior, np.sin(2 * np.pi * x) + 0.2 * x * (1 - x), 0.0)
@@ -249,8 +247,8 @@ def test_strang_gap_mirror_symmetric():
 
 def test_boundary_profile_zero_for_exact_interpolant():
     case = case_linear_1d()
-    mesh = build_uniform_mesh_1d(0.0625, BoxDomain.unit(1, 0.125))
-    field, _ = _interpolant(mesh, case.solution)
+    mesh = build_uniform_mesh(0.0625, BoxDomain.unit(1, 0.125))
+    field = _interpolant(mesh, case.solution)
     profile = boundary_error_profile(field, case, mesh, bins=5)
     assert len(profile) == 5
     assert sum(n for _, _, n, _ in profile) == mesh.num_interior
@@ -259,9 +257,9 @@ def test_boundary_profile_zero_for_exact_interpolant():
 
 def test_near_boundary_ratio_flags_boundary_spike():
     case = case_sin_1d()
-    mesh = build_uniform_mesh_1d(1 / 32, BoxDomain.unit(1, 1 / 16))
+    mesh = build_uniform_mesh(1 / 32, BoxDomain.unit(1, 1 / 16))
     vals = case.solution(mesh.nodes[mesh.interior_nodes])
     vals[0] += 0.5  # inject a near-boundary defect
-    field = reconstruct(FESpace(mesh), vals, case.boundary)
+    field = reconstruct(mesh, vals, case.boundary)
     near, deep = near_boundary_error_ratio(field, case, mesh, 2 / 16)
     assert near > 2 * deep

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from nlfem import (BoxDomain, MeshError, OutsideDomainError, PerturbationSpec,
-                   build_uniform_mesh_1d, build_uniform_mesh_2d, locate_point,
-                   locate_points, perturb_mesh)
+                   build_uniform_mesh, locate_points, perturb_mesh)
 
 
 def test_counts_1d_baseline():
-    mesh = build_uniform_mesh_1d(0.01, BoxDomain.unit(1, 0.02))
+    mesh = build_uniform_mesh(0.01, BoxDomain.unit(1, 0.02))
     assert mesh.num_elements == 104
     assert mesh.num_nodes == 105
     assert mesh.num_interior == 99
 
 
 def test_counts_1d_smallest():
-    mesh = build_uniform_mesh_1d(0.5, BoxDomain.unit(1, 0.5))
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(1, 0.5))
     assert mesh.num_elements == 4
     assert np.allclose(mesh.nodes[:, 0], [-0.5, 0.0, 0.5, 1.0, 1.5])
     assert mesh.num_interior == 1
@@ -22,24 +21,24 @@ def test_counts_1d_smallest():
 
 def test_noninteger_ratio_rejected():
     with pytest.raises(MeshError, match="integer"):
-        build_uniform_mesh_1d(0.01, BoxDomain.unit(1, 0.015))
+        build_uniform_mesh(0.01, BoxDomain.unit(1, 0.015))
 
 
 def test_counts_2d():
-    mesh = build_uniform_mesh_2d(0.1, BoxDomain.unit(2, 0.2))
+    mesh = build_uniform_mesh(0.1, BoxDomain.unit(2, 0.2))
     assert mesh.num_elements == 392  # 14^2 rectangles, two triangles each
     assert mesh.num_nodes == 225
     assert mesh.num_interior == 81
 
 
 def test_counts_2d_smallest():
-    mesh = build_uniform_mesh_2d(0.5, BoxDomain.unit(2, 0.5))
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
     assert mesh.num_elements == 32
     assert mesh.num_interior == 1
 
 
 def test_2d_origin_is_constraint_node():
-    mesh = build_uniform_mesh_2d(0.25, BoxDomain.unit(2, 0.5))
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.5))
     at_origin = np.flatnonzero(np.all(np.abs(mesh.nodes) < 1e-12, axis=1))
     assert len(at_origin) == 1
     assert not mesh.node_is_interior[at_origin[0]]
@@ -48,7 +47,7 @@ def test_2d_origin_is_constraint_node():
 @pytest.mark.parametrize("dim,h,delta", [(1, 0.01, 0.02), (2, 0.1, 0.2), (1, 0.125, 0.25)])
 def test_measures_sum(dim, h, delta):
     dom = BoxDomain.unit(dim, delta)
-    mesh = build_uniform_mesh_1d(h, dom) if dim == 1 else build_uniform_mesh_2d(h, dom)
+    mesh = build_uniform_mesh(h, dom)
     meas = mesh.element_measures()
     assert np.all(meas > 0)
     total = (1 + 2 * delta) ** dim
@@ -58,7 +57,7 @@ def test_measures_sum(dim, h, delta):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_node_classification_coordinates(dim):
     dom = BoxDomain.unit(dim, 0.25)
-    mesh = (build_uniform_mesh_1d if dim == 1 else build_uniform_mesh_2d)(0.125, dom)
+    mesh = build_uniform_mesh(0.125, dom)
     inner = mesh.nodes[mesh.interior_nodes]
     assert np.all((inner > 0.0) & (inner < 1.0))
     outer = mesh.nodes[mesh.constraint_nodes]
@@ -68,13 +67,13 @@ def test_node_classification_coordinates(dim):
 
 
 def test_perturb_zero_factor_is_identity():
-    mesh = build_uniform_mesh_1d(0.1, BoxDomain.unit(1, 0.2))
+    mesh = build_uniform_mesh(0.1, BoxDomain.unit(1, 0.2))
     pert = perturb_mesh(mesh, PerturbationSpec(0.0, seed=5))
     assert np.array_equal(pert.nodes, mesh.nodes)
 
 
 def test_perturb_deterministic():
-    mesh = build_uniform_mesh_2d(0.125, BoxDomain.unit(2, 0.25))
+    mesh = build_uniform_mesh(0.125, BoxDomain.unit(2, 0.25))
     a = perturb_mesh(mesh, PerturbationSpec(0.1, seed=99))
     b = perturb_mesh(mesh, PerturbationSpec(0.1, seed=99))
     assert np.array_equal(a.nodes, b.nodes)
@@ -84,7 +83,7 @@ def test_perturb_deterministic():
 
 def test_perturb_bound_and_ordering():
     h = 0.01
-    mesh = build_uniform_mesh_1d(h, BoxDomain.unit(1, 0.02))
+    mesh = build_uniform_mesh(h, BoxDomain.unit(1, 0.02))
     pert = perturb_mesh(mesh, PerturbationSpec(0.1, seed=3))
     assert np.abs(pert.nodes - mesh.nodes).max() <= 0.1 * h + 1e-15
     assert np.all(np.diff(pert.nodes[:, 0]) > 0)
@@ -93,7 +92,7 @@ def test_perturb_bound_and_ordering():
 
 def test_perturb_anchors_fixed():
     delta = 0.25
-    mesh = build_uniform_mesh_1d(0.125, BoxDomain.unit(1, delta))
+    mesh = build_uniform_mesh(0.125, BoxDomain.unit(1, delta))
     pert = perturb_mesh(mesh, PerturbationSpec(0.3, seed=11))
     x = pert.nodes[:, 0]
     for anchor in (-delta, 0.0, 1.0, 1 + delta):
@@ -101,7 +100,7 @@ def test_perturb_anchors_fixed():
 
 
 def test_perturb_requires_uniform():
-    mesh = build_uniform_mesh_1d(0.125, BoxDomain.unit(1, 0.25))
+    mesh = build_uniform_mesh(0.125, BoxDomain.unit(1, 0.25))
     pert = perturb_mesh(mesh, PerturbationSpec(0.1, seed=0))
     with pytest.raises(MeshError):
         perturb_mesh(pert, PerturbationSpec(0.1, seed=0))
@@ -113,23 +112,24 @@ def test_invalid_perturbation_factor():
 
 
 def test_locate_1d_arithmetic():
-    mesh = build_uniform_mesh_1d(0.25, BoxDomain.unit(1, 0.25))
-    elem, bary = locate_point(mesh, [0.3])
-    verts = mesh.nodes[mesh.elements[elem], 0]
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
+    elem, bary = locate_points(mesh, [[0.3]])
+    verts = mesh.nodes[mesh.elements[elem[0]], 0]
     assert verts[0] == pytest.approx(0.25) and verts[1] == pytest.approx(0.5)
-    assert bary[1] == pytest.approx(0.2, abs=1e-12)
+    assert bary[0, 1] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_locate_outside():
-    mesh = build_uniform_mesh_1d(0.25, BoxDomain.unit(1, 0.25))
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
     with pytest.raises(OutsideDomainError):
-        locate_point(mesh, [1.25 + 1e-3])
+        locate_points(mesh, [[1.25 + 1e-3]])
 
 
 def test_locate_node_reproduces_nodal_basis():
-    mesh = build_uniform_mesh_2d(0.25, BoxDomain.unit(2, 0.25))
-    for node in [0, 7, mesh.num_nodes // 2, mesh.num_nodes - 1]:
-        elem, bary = locate_point(mesh, mesh.nodes[node])
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
+    nodes = [0, 7, mesh.num_nodes // 2, mesh.num_nodes - 1]
+    elems, barys = locate_points(mesh, mesh.nodes[nodes])
+    for node, elem, bary in zip(nodes, elems, barys):
         conn = mesh.elements[elem]
         assert node in conn
         k = list(conn).index(node)
@@ -138,30 +138,28 @@ def test_locate_node_reproduces_nodal_basis():
 
 
 def test_locate_facet_tie_break_lowest_id():
-    mesh = build_uniform_mesh_2d(0.5, BoxDomain.unit(2, 0.5))
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
     # diagonal point: both triangles of the rectangle contain it
-    elem, _ = locate_point(mesh, [0.25, 0.25])
-    assert elem % 2 == 0  # lower triangle has the smaller id
+    elems, _ = locate_points(mesh, [[0.25, 0.25], [0.5, 0.3], [0.5 - 1e-13, 0.3]])
+    assert elems[0] % 2 == 0  # lower triangle has the smaller id
     # point on an interior vertical grid line
-    elem_a, _ = locate_point(mesh, [0.5, 0.3])
-    elem_b, _ = locate_point(mesh, [0.5 - 1e-13, 0.3])
-    assert elem_a == elem_b
+    assert elems[1] == elems[2]
 
 
 def test_locate_points_vectorized_matches_scalar():
-    mesh = build_uniform_mesh_2d(0.25, BoxDomain.unit(2, 0.25))
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.25, 1.25, size=(200, 2))
     elems, bary = locate_points(mesh, pts)
     for i in (0, 17, 93, 199):
-        e, b = locate_point(mesh, pts[i])
-        assert e == elems[i]
-        assert np.allclose(b, bary[i])
+        e, b = locate_points(mesh, pts[i])
+        assert e[0] == elems[i]
+        assert np.allclose(b[0], bary[i])
     assert np.all(bary >= -1e-14) and np.allclose(bary.sum(axis=1), 1.0)
 
 
 def test_mesh_dump_csv(tmp_path):
-    mesh = build_uniform_mesh_1d(0.5, BoxDomain.unit(1, 0.5))
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(1, 0.5))
     path = tmp_path / "mesh.csv"
     mesh.dump_csv(path)
     text = path.read_text().splitlines()

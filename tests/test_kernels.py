@@ -102,12 +102,14 @@ def test_moments_independent_of_horizon():
 
 
 def test_max_norm_moments_numeric():
-    k = Kernel.make(KernelKind.CONSTANT, 2, 0.1, ball_norm=BallNorm.MAX)
-    g = exact_moment_integrals(k)
-    # square support: diagonal moment is scaling * 4/3, off-diagonal vanishes
-    assert g[0] == pytest.approx(4 * (4 / math.pi) / 3, rel=1e-8)
-    assert g[2] == pytest.approx(g[0], rel=1e-8)
-    assert abs(g[1]) < 1e-10
+    # square support: diagonal moments are scaling * 4/3 (constant) and
+    # scaling * 16/9 (rational); the off-diagonal one vanishes
+    for kind, diag in ((KernelKind.CONSTANT, 4 / 3), (KernelKind.RATIONAL, 16 / 9)):
+        k = Kernel.make(kind, 2, 0.1, ball_norm=BallNorm.MAX)
+        g = exact_moment_integrals(k)
+        assert g[0] == pytest.approx(diag * k.scaling, rel=1e-14)
+        assert g[2] == g[0]
+        assert g[1] == 0.0
 
 
 def test_invalid_kernel_parameters():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nlfem import (BoxDomain, ConfigError, build_uniform_mesh_1d,
-                   build_uniform_mesh_2d, case_linear_1d, case_sin_1d,
-                   case_sin_2d, get_case)
+from nlfem import (BoxDomain, ConfigError, build_uniform_mesh, case_linear_1d,
+                   case_sin_1d, case_sin_2d, get_case)
 
 
 def test_sin_1d_values():
@@ -50,13 +49,13 @@ def test_source_is_negative_laplacian(name):
     assert np.abs(-lap - case.source(pts)).max() <= 1e-5 * max(scale, 1.0)
 
 
-@pytest.mark.parametrize("name,builder,h,delta", [
-    ("sin1d", build_uniform_mesh_1d, 0.125, 0.25),
-    ("sin2d", build_uniform_mesh_2d, 0.25, 0.25),
+@pytest.mark.parametrize("name,h,delta", [
+    ("sin1d", 0.125, 0.25),
+    ("sin2d", 0.25, 0.25),
 ])
-def test_boundary_data_equals_solution_on_constraint_nodes(name, builder, h, delta):
+def test_boundary_data_equals_solution_on_constraint_nodes(name, h, delta):
     case = get_case(name)
-    mesh = builder(h, BoxDomain.unit(case.dim, delta))
+    mesh = build_uniform_mesh(h, BoxDomain.unit(case.dim, delta))
     pts = mesh.nodes[mesh.constraint_nodes]
     assert np.array_equal(case.boundary(pts), case.solution(pts))
 

@@ -7,50 +7,47 @@ from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    QuadratureError, RuleCache, closed_form_weights_1d_constant,
                    constraint_matrix, exact_moment_integrals, filter_to_ball,
                    full_ball_rule, generate_offsets, solve_weights,
-                   truncated_ball_rule)
+                   truncated_weights)
 
 
 def test_offsets_1d_single_ring():
     offs = generate_offsets(InnerGridSpec(1, 1), 0.02)
-    assert np.allclose(sorted(offs.active[:, 0]), [-0.01, 0.01])
+    assert np.allclose(sorted(offs[:, 0]), [-0.01, 0.01])
 
 
 def test_offsets_1d_two_rings():
     d = 0.4
     offs = generate_offsets(InnerGridSpec(2, 1), d)
-    assert np.allclose(sorted(offs.active[:, 0]),
+    assert np.allclose(sorted(offs[:, 0]),
                        [-3 * d / 4, -d / 4, d / 4, 3 * d / 4])
 
 
 def test_offsets_2d_count():
     offs = generate_offsets(InnerGridSpec(4, 2), 1.0)
-    assert offs.active.shape == (64, 2)
-    assert not np.any(np.all(offs.active == 0.0, axis=1))
+    assert offs.shape == (64, 2)
+    assert not np.any(np.all(offs == 0.0, axis=1))
 
 
 def test_offsets_reflection_symmetric():
-    offs = generate_offsets(InnerGridSpec(3, 2), 0.5).active
+    offs = generate_offsets(InnerGridSpec(3, 2), 0.5)
     as_set = {tuple(np.round(o, 15)) for o in offs}
     assert as_set == {tuple(np.round(-o, 15)) for o in offs}
 
 
 def test_filter_euclidean_2d():
     offs = generate_offsets(InnerGridSpec(4, 2), 1.0)
-    kept = filter_to_ball(offs, 1.0, BallNorm.EUCLIDEAN)
-    assert kept.included.sum() == 52
+    assert filter_to_ball(offs, 1.0, BallNorm.EUCLIDEAN).sum() == 52
 
 
 def test_filter_max_norm_keeps_all():
     offs = generate_offsets(InnerGridSpec(4, 2), 1.0)
-    kept = filter_to_ball(offs, 1.0, BallNorm.MAX)
-    assert kept.included.all()
+    assert filter_to_ball(offs, 1.0, BallNorm.MAX).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_filter_1d_keeps_all(n):
     offs = generate_offsets(InnerGridSpec(n, 1), 0.3)
-    kept = filter_to_ball(offs, 0.3, BallNorm.EUCLIDEAN)
-    assert kept.included.all()
+    assert filter_to_ball(offs, 0.3, BallNorm.EUCLIDEAN).all()
 
 
 def test_constraint_matrix_1d():
@@ -187,64 +184,57 @@ def test_min_weight_lower_bound():
         assert w.min() > 0
 
 
-def _domain_1d(delta, extension):
-    return BoxDomain.unit(1, delta, extension)
+def _truncated_1d(kernel, spec, center, extension, cache):
+    """Weights and retained offsets of the clipped ball around one 1D center."""
+    domain = BoxDomain.unit(1, kernel.horizon, extension)
+    full = full_ball_rule(kernel, spec, cache=cache)
+    weights, retained = truncated_weights(kernel, spec, domain, np.array([[center]]),
+                                          full, cache)
+    return weights[0], retained[0], full
 
 
 def test_truncated_full_extension_reuses_full_ball_weights():
     d = 0.2
     k = Kernel.make(KernelKind.RATIONAL, 1, d)
-    spec = InnerGridSpec(4, 1)
-    cache = RuleCache()
-    full = full_ball_rule(k, spec, cache=cache)
-    rule = truncated_ball_rule(k, [-0.1], _domain_1d(d, d), spec, cache=cache)
-    assert rule.truncated
-    assert rule.size < full.size  # outside points dropped
-    kept = {tuple(o) for o in rule.offsets}
-    for o, w_full in zip(full.offsets, full.weights):
-        if tuple(o) in kept:
-            i = np.flatnonzero(np.all(rule.offsets == o, axis=1))[0]
-            assert rule.weights[i] == w_full
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(4, 1), -0.1, d, RuleCache())
+    assert not retained.all()  # outside points dropped
+    assert np.array_equal(weights, full.weights)
 
 
 def test_truncated_zero_extension_resolves_weights():
     d = 0.2
     k = Kernel.make(KernelKind.CONSTANT, 1, d)
-    spec = InnerGridSpec(4, 1)
-    cache = RuleCache()
-    center = [-d / 2]  # half the ball sticks out on the left
-    rule = truncated_ball_rule(k, center, _domain_1d(d, 0.0), spec, cache=cache)
-    full = full_ball_rule(k, spec, cache=cache)
-    assert rule.size < full.size
+    center = -d / 2  # half the ball sticks out on the left
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(4, 1), center, 0.0,
+                                            RuleCache())
+    assert not retained.all()
+    assert np.all(weights[~retained] == 0.0)
+    offs, w = full.offsets[retained], weights[retained]
     # exactness against full-ball moments still holds on the reduced set
-    B = constraint_matrix(k, [0.0], rule.offsets)
+    B = constraint_matrix(k, [0.0], offs)
     g = exact_moment_integrals(k)
-    assert np.linalg.norm(B @ rule.weights - g) <= 1e-12 * np.linalg.norm(g)
+    assert np.linalg.norm(B @ w - g) <= 1e-12 * np.linalg.norm(g)
     # and the kept weights differ from the full-ball ones
-    kept = {tuple(o): w for o, w in zip(rule.offsets, rule.weights)}
-    diffs = [abs(kept[tuple(o)] - w) for o, w in zip(full.offsets, full.weights)
-             if tuple(o) in kept]
-    assert max(diffs) > 1e-6
+    assert np.abs(w - full.weights[retained]).max() > 1e-6
 
     # brute-force KKT oracle on the same reduced point set
-    pts = np.asarray(center) + rule.offsets
-    in_dom = (pts[:, 0] >= -d) & (pts[:, 0] <= 1 + d)
-    assert in_dom.all()
-    Bk = constraint_matrix(k, center, pts)
+    pts = center + offs
+    assert np.all((pts[:, 0] >= -d) & (pts[:, 0] <= 1 + d))
+    Bk = constraint_matrix(k, [center], pts)
     n = Bk.shape[1]
     kkt = np.block([[np.eye(n), Bk.T], [Bk, np.zeros((1, 1))]])
     sol = np.linalg.solve(kkt, np.concatenate([np.zeros(n), g]))
-    assert np.allclose(rule.weights, sol[:n], atol=1e-12)
+    assert np.allclose(w, sol[:n], atol=1e-12)
 
 
 def test_truncated_center_inside_box_returns_full_rule():
     d = 0.2
     k = Kernel.make(KernelKind.CONSTANT, 1, d)
-    spec = InnerGridSpec(3, 1)
     cache = RuleCache()
-    full = full_ball_rule(k, spec, cache=cache)
-    rule = truncated_ball_rule(k, [0.5], _domain_1d(d, 0.0), spec, cache=cache)
-    assert rule is full
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(3, 1), 0.5, 0.0, cache)
+    assert retained.all()
+    assert np.array_equal(weights, full.weights)
+    assert cache.misses == 1  # only the full-ball solve
 
 
 def test_truncated_cache_reuse():
@@ -252,11 +242,12 @@ def test_truncated_cache_reuse():
     k = Kernel.make(KernelKind.CONSTANT, 1, d)
     spec = InnerGridSpec(4, 1)
     cache = RuleCache()
-    r1 = truncated_ball_rule(k, [-d / 2], _domain_1d(d, 0.0), spec, cache=cache)
+    w1, _, full = _truncated_1d(k, spec, -d / 2, 0.0, cache)
     misses = cache.misses
-    r2 = truncated_ball_rule(k, [-d / 2], _domain_1d(d, 0.0), spec, cache=cache)
+    centers = np.array([[-d / 2], [-d / 2]])
+    batch, _ = truncated_weights(k, spec, BoxDomain.unit(1, d, 0.0), centers, full, cache)
     assert cache.misses == misses
-    assert np.array_equal(r1.weights, r2.weights)
+    assert np.array_equal(batch[0], w1) and np.array_equal(batch[1], w1)
 
 
 def test_cache_concurrent_access():
