@@ -1,4 +1,4 @@
-"""Batch driver: single solves and refinement studies from a JSON config.
+"""Batch driver: a refinement study of one or more levels from a JSON config.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 for numerical
 failures.  Re-running a config with the same seed reproduces all CSV
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,7 +68,7 @@ class RunConfig:
                 raise ConfigError(f"missing required config key {key!r}")
             return raw[key]
 
-        dimension = require("dimension")
+        dimension = _integer("dimension", require("dimension"))
         if dimension not in (1, 2):
             raise ConfigError(f"dimension must be 1 or 2, got {dimension!r}")
         try:
@@ -75,9 +76,9 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"kernel must be 'constant' or 'rational', got {raw['kernel']!r}") from None
         case = require("case")
-        m = require("m")
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise ConfigError(f"m must be a positive integer (horizon = m * h), got {m!r}")
+        if not isinstance(case, str):
+            raise ConfigError(f"case must be a string, got {case!r}")
+        m = _integer("m", require("m"), positive=True)
 
         if "h" in raw and ("h0" in raw or "levels" in raw):
             raise ConfigError("give either 'h' or 'h0'/'levels', not both")
@@ -85,55 +86,49 @@ class RunConfig:
             hs = raw["h"]
             if not isinstance(hs, list) or not hs:
                 raise ConfigError("'h' must be a non-empty list of element sizes")
-            hs = [float(v) for v in hs]
+            hs = [_finite("'h' entries", v) for v in hs]
             if any(v <= 0 for v in hs):
                 raise ConfigError("element sizes must be positive")
             if any(a <= b for a, b in zip(hs, hs[1:])):
                 raise ConfigError("'h' must be sorted in strictly descending order")
         elif "h0" in raw:
-            h0 = float(raw["h0"])
+            h0 = _finite("'h0'", raw["h0"])
             if h0 <= 0:
                 raise ConfigError("'h0' must be positive")
-            levels = raw.get("levels", _DEFAULT_LEVELS)
-            if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
-                raise ConfigError(f"'levels' must be a positive integer, got {levels!r}")
-            hs = [h0 / 2**k for k in range(levels)]
+            levels = _integer("'levels'", raw.get("levels", _DEFAULT_LEVELS), positive=True)
+            if math.ldexp(h0, 1 - levels) == 0.0:
+                raise ConfigError(f"'h0' halved {levels - 1} times underflows to zero")
+            hs = [math.ldexp(h0, -k) for k in range(levels)]
         else:
             raise ConfigError("config needs 'h' (list) or 'h0' (+ optional 'levels')")
 
         ext = raw.get("extension", "delta")
         if ext not in ("zero", "delta"):
             raise ConfigError(f"extension must be 'zero' or 'delta', got {ext!r}")
-        n_q = raw.get("outer_points", 40 if dimension == 1 else 16)
-        n_b = raw.get("load_points", n_q)
-        n_bar = raw.get("points_per_radius", 10 if dimension == 1 else 4)
-        for name, val in (("outer_points", n_q), ("load_points", n_b),
-                          ("points_per_radius", n_bar)):
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-                raise ConfigError(f"{name!r} must be a positive integer, got {val!r}")
+        n_q = _integer("'outer_points'", raw.get("outer_points", 40 if dimension == 1 else 16),
+                       positive=True)
+        n_b = _integer("'load_points'", raw.get("load_points", n_q), positive=True)
+        n_bar = _integer("'points_per_radius'",
+                         raw.get("points_per_radius", 10 if dimension == 1 else 4), positive=True)
 
         mesh_mode = raw.get("mesh", "uniform")
         if mesh_mode not in ("uniform", "perturbed"):
             raise ConfigError(f"mesh must be 'uniform' or 'perturbed', got {mesh_mode!r}")
-        epsilon = float(raw.get("epsilon", 0.1))
+        epsilon = _finite("epsilon", raw.get("epsilon", 0.1))
         if mesh_mode == "perturbed" and not 0.0 <= epsilon < 0.5:
             raise ConfigError(f"epsilon must lie in [0, 0.5), got {epsilon}")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        seed = _integer("seed", raw.get("seed", 0))
 
         error_points = raw.get("error_points")
-        if error_points is not None and (not isinstance(error_points, int)
-                                         or isinstance(error_points, bool)
-                                         or error_points < 1):
-            raise ConfigError(f"error_points must be a positive integer, got {error_points!r}")
+        if error_points is not None:
+            error_points = _integer("error_points", error_points, positive=True)
         try:
             ball_norm = BallNorm(raw.get("ball_norm", "euclidean"))
         except ValueError:
             raise ConfigError(f"ball_norm must be 'euclidean' or 'max', got {raw['ball_norm']!r}") from None
         scaling = raw.get("scaling")
         if scaling is not None:
-            scaling = float(scaling)
+            scaling = _finite("scaling", scaling)
             if scaling <= 0:
                 raise ConfigError("scaling must be positive")
         record_timings = raw.get("record_timings", False)
@@ -149,6 +144,23 @@ class RunConfig:
                    record_timings)
 
 
+def _integer(name: str, value, positive: bool = False) -> int:
+    """A JSON integer (booleans excluded), at least 1 if ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _finite(name: str, value) -> float:
+    """A JSON number (booleans excluded) that is finite as a float."""
+    # the comparison is False for NaN and exact for integers beyond the float range
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
@@ -160,12 +172,8 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _solution_name(h: float) -> str:
-    return f"solution_h{h!r}.csv"
-
-
 @dataclass
-class SingleResult:
+class LevelResult:
     record: ErrorRecord
     field: "object"  # assembly.Field
     system: "object"  # assembly.DiscreteSystem
@@ -173,7 +181,7 @@ class SingleResult:
     spec: InnerGridSpec
 
 
-def _execute(config: RunConfig, h: float) -> SingleResult:
+def _execute(config: RunConfig, h: float) -> LevelResult:
     """Mesh, assemble, solve, and measure errors for one element size."""
     delta = config.m * h
     extension = delta if config.extension_mode == "delta" else 0.0
@@ -200,32 +208,7 @@ def _execute(config: RunConfig, h: float) -> SingleResult:
         h1=h1_error(field_, case, mesh, config.error_points),
         assembly_ms=1e3 * (t1 - t0), solve_ms=1e3 * (t2 - t1),
     )
-    return SingleResult(record, field_, system, kernel, spec)
-
-
-def _dump_result(result: SingleResult, out_dir: Path | None,
-                 dump_matrix: Path | None, dump_inner_rule: Path | None) -> None:
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        dump_solution_csv(result.field, out_dir / _solution_name(result.record.h))
-    if dump_matrix is not None:
-        dump_matrix_market(result.system, dump_matrix)
-    if dump_inner_rule is not None:
-        full_ball_rule(result.kernel, result.spec).dump_csv(dump_inner_rule)
-
-
-def run_single(config: RunConfig, h: float, out_dir: Path | None = None,
-               dump_matrix: Path | None = None,
-               dump_inner_rule: Path | None = None) -> ErrorRecord:
-    """One solve: build -> assemble -> solve -> errors (+ optional dumps)."""
-    result = _execute(config, h)
-    _dump_result(result, out_dir, dump_matrix, dump_inner_rule)
-    return result.record
-
-
-def _run_level(args) -> SingleResult:
-    config, h = args
-    return _execute(config, h)
+    return LevelResult(record, field_, system, kernel, spec)
 
 
 def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
@@ -240,7 +223,7 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
     levels = config.h_values
     if threads > 1 and len(levels) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_level, [(config, h) for h in levels]))
+            results = list(pool.map(_execute, [config] * len(levels), levels))
     else:
         results = [_execute(config, h) for h in levels]
 
@@ -262,15 +245,19 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
                           title=f"{config.case} ({config.mesh_mode})")
     multi = len(levels) > 1
     for result in results:
-        suffix = f"_h{result.record.h!r}" if multi else ""
-        _dump_result(result, out_dir,
-                     _with_suffix(dump_matrix, suffix),
-                     _with_suffix(dump_inner_rule, suffix))
+        tag = f"_h{result.record.h!r}"
+        dump_solution_csv(result.field, out_dir / f"solution{tag}.csv")
+        suffix = tag if multi else ""
+        if dump_matrix is not None:
+            dump_matrix_market(result.system, _with_suffix(dump_matrix, suffix))
+        if dump_inner_rule is not None:
+            full_ball_rule(result.kernel, result.spec).dump_csv(
+                _with_suffix(dump_inner_rule, suffix))
     return report
 
 
-def _with_suffix(path: Path | None, suffix: str) -> Path | None:
-    if path is None or not suffix:
+def _with_suffix(path: Path, suffix: str) -> Path:
+    if not suffix:
         return path
     return path.with_name(path.stem + suffix + path.suffix)
 
@@ -298,23 +285,14 @@ def main(argv=None) -> int:
         print(f"[config] {exc}", file=sys.stderr)
         return 2
     try:
-        if len(config.h_values) == 1:
-            record = run_single(config, config.h_values[0], out_dir=args.out,
-                                dump_matrix=args.dump_matrix,
-                                dump_inner_rule=args.dump_inner_rule)
-            report = ConvergenceReport.from_records([record])
-            report.write_csv(args.out / "report.csv",
-                             include_timings=config.record_timings)
-            print(f"h={record.h!r} dofs={record.dofs} l2={record.l2:.6e} h1={record.h1:.6e}")
-        else:
-            report = run_study(config, args.out, threads=args.threads,
-                               dump_matrix=args.dump_matrix,
-                               dump_inner_rule=args.dump_inner_rule)
-            for r in report.records:
-                print(f"h={r.h!r} dofs={r.dofs} l2={r.l2:.6e} h1={r.h1:.6e}")
-            if report.l2_fit is not None:
-                print(f"l2 slope {report.l2_fit.slope:.3f}, "
-                      f"h1 slope {report.h1_fit.slope:.3f}")
+        report = run_study(config, args.out, threads=args.threads,
+                           dump_matrix=args.dump_matrix,
+                           dump_inner_rule=args.dump_inner_rule)
+        for r in report.records:
+            print(f"h={r.h!r} dofs={r.dofs} l2={r.l2:.6e} h1={r.h1:.6e}")
+        if report.l2_fit is not None:
+            print(f"l2 slope {report.l2_fit.slope:.3f}, "
+                  f"h1 slope {report.h1_fit.slope:.3f}")
     except (ConfigError, MeshError) as exc:
         print(f"[config] {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nlfem import (AssemblyError, BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    PerturbationSpec, assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, outer_rules, perturb_mesh,
                    reconstruct, solve_system)
+from nlfem.exceptions import SolverError
 from nlfem.quadrature import RuleCache
 
 
@@ -334,6 +337,23 @@ def test_solver_residual_contract():
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
     assert res <= 1e-12
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda u: u * (1 + 1e-6), r"relative residual=1\.000e-06"),
+    (lambda u: np.full_like(u, np.nan), "linear solve failed"),
+])
+def test_solver_contract_miss_raises(monkeypatch, spoil, message):
+    mesh = _mesh_1d(1 / 64, 2)
+    k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 64)
+    case = case_sin_1d()
+    system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10, 10,
+                             case.source, case.boundary, cache=RuleCache())
+    direct = nlfem.assembly.sparse_linalg.spsolve
+    stub = SimpleNamespace(spsolve=lambda a, f: spoil(direct(a, f)))
+    monkeypatch.setattr(nlfem.assembly, "sparse_linalg", stub)
+    with pytest.raises(SolverError, match=message):
+        solve_system(system)
 
 
 def test_solve_smallest_grid():

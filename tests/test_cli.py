@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlfem.cli import RunConfig, load_config, main, run_single, run_study
+from nlfem.cli import _KEYS, RunConfig, load_config, main, run_study
 from nlfem.exceptions import ConfigError
 
 
@@ -60,6 +63,49 @@ def test_halving_ladder_default_levels():
     assert config.h_values == [0.25, 0.125, 0.0625, 0.03125]
 
 
+@pytest.mark.parametrize("overrides", [
+    {"h0": "abc"}, {"scaling": "x"}, {"h": [math.inf]}, {"dimension": True},
+    {"case": ["a"]}, {"scaling": math.nan}, {"h0": 0.25, "levels": 2000},
+])
+def test_main_rejects_bad_config_value(tmp_path, capsys, overrides):
+    raw = _base_config(**overrides)
+    if "h0" in overrides:
+        del raw["h"]
+    path = _write(tmp_path, raw)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and "Traceback" not in err
+
+
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=8),
+    st.sampled_from([1, 2, 4, 0.25, 0.1, [0.25, 0.125], "rational", "constant", "sin1d",
+                     "linear1d", "sin2d", "delta", "zero", "uniform", "perturbed",
+                     "euclidean", "max"]),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+# from_dict only, never main: a fuzzed m or levels can ask for an arbitrarily large mesh
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(overrides=st.dictionaries(st.sampled_from(sorted(_KEYS)), _ANY_VALUE, max_size=3),
+       dropped=st.sampled_from([None, "h", "case", "m", "dimension", "kernel"]))
+def test_from_dict_fuzz(overrides, dropped):
+    """Any mix of real keys and JSON-like values: a finite config or ConfigError."""
+    raw = _base_config(**overrides)
+    raw.pop(dropped, None)
+    try:
+        config = RunConfig.from_dict(raw)
+    except ConfigError:
+        return
+    floats = [*config.h_values, config.epsilon]
+    if config.scaling is not None:
+        floats.append(config.scaling)
+    assert all(isinstance(v, float) and math.isfinite(v) for v in floats)
+
+
 def test_case_dimension_mismatch():
     with pytest.raises(ConfigError, match="1D"):
         RunConfig.from_dict(_base_config(dimension=2, case="sin1d",
@@ -68,9 +114,11 @@ def test_case_dimension_mismatch():
 
 def test_run_single_writes_solution(tmp_path):
     config = RunConfig.from_dict(_base_config(h=[0.0625]))
-    record = run_single(config, 0.0625, out_dir=tmp_path)
+    record = run_study(config, tmp_path).records[0]
     assert record.dofs == 15
     assert record.l2 > 0
+    assert (tmp_path / "report.csv").exists()
+    assert (tmp_path / "convergence.svg").exists()
     files = list(tmp_path.glob("solution_h*.csv"))
     assert len(files) == 1
     header = files[0].read_text().splitlines()[0]
@@ -149,7 +197,7 @@ def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise SolverError("synthetic breakdown")
 
-    monkeypatch.setattr(cli, "run_single", boom)
+    monkeypatch.setattr(cli, "_execute", boom)
     cfg = _write(tmp_path, _base_config(h=[0.0625]))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "numerical" in capsys.readouterr().err
@@ -165,5 +213,5 @@ def test_load_config_bad_json(tmp_path):
 def test_max_norm_configuration_runs(tmp_path):
     raw = _base_config(h=[0.0625], ball_norm="max", kernel="constant")
     config = RunConfig.from_dict(raw)
-    record = run_single(config, 0.0625)
+    record = run_study(config, tmp_path).records[0]
     assert np.isfinite(record.l2)
