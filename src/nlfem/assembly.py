@@ -282,11 +282,17 @@ def _body_load(mesh: Mesh, source, n_b: int) -> np.ndarray:
 
 
 def solve_system(system: DiscreteSystem) -> np.ndarray:
-    """Direct sparse solve; contract is a relative residual below 1e-12."""
+    """Direct sparse solve; contract is a relative residual below 1e-12.
+
+    The matrix is symmetric, so SuperLU is given a minimum-degree ordering
+    of the pattern of A^T + A; its default (COLAMD) targets unsymmetric LU
+    and, on the 2D delta-neighbourhood patterns, fills in nearly twice as
+    much.
+    """
     a, f = system.matrix, system.rhs
     if a.shape[0] == 0:
         return np.zeros(0)
-    u = sparse_linalg.spsolve(a.tocsc(), f)
+    u = sparse_linalg.spsolve(a.tocsc(), f, permc_spec="MMD_AT_PLUS_A")
     norm_f = np.linalg.norm(f)
     residual = np.linalg.norm(a @ u - f) / (norm_f if norm_f > 0 else 1.0)
     if not np.all(np.isfinite(u)) or residual > 1e-12:

@@ -49,10 +49,6 @@ class InnerGridSpec:
     def spacing(self, horizon: float) -> float:
         return horizon / self.points_per_radius
 
-    @property
-    def grid_size(self) -> int:
-        return (2 * self.points_per_radius) ** self.dim
-
 
 @dataclass
 class InnerQuadratureRule:
@@ -198,7 +194,11 @@ def default_cache() -> RuleCache:
 
 def full_ball_rule(kernel: Kernel, spec: InnerGridSpec,
                    cache: RuleCache | None = None) -> InnerQuadratureRule:
-    """Rule for a ball entirely inside the region; computed once and reused."""
+    """Rule for a ball entirely inside the region; computed once and reused.
+
+    Every weight of this rule must be positive; a solve that gives a weight
+    at or below zero raises ``QuadratureError``.
+    """
     if spec.dim != kernel.dim:
         raise QuadratureError("grid spec dimension does not match kernel dimension")
     cache = cache or _default_cache
@@ -213,6 +213,9 @@ def _build_full_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule
     g = exact_moment_integrals(kernel)
     w, residual = solve_weights(B, g)
     _check_residual(residual, g)
+    if np.any(w <= 0):
+        raise QuadratureError(
+            f"full-ball rule has a non-positive weight (min {float(w.min()):.3e})")
     return InnerQuadratureRule(
         offsets=offs, weights=w,
         strengths=kernel.strength(kernel.ball_norm.length(offs)),

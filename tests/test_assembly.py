@@ -2,12 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import nlfem.assembly
 from nlfem import (AssemblyError, BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    PerturbationSpec, assemble_system, build_uniform_mesh,
-                   case_linear_1d, case_sin_1d, outer_rules, perturb_mesh,
-                   reconstruct, solve_system)
+                   case_linear_1d, case_sin_1d, case_sin_2d, outer_rules,
+                   perturb_mesh, reconstruct, solve_system)
 from nlfem.exceptions import SolverError
 from nlfem.quadrature import RuleCache
 
@@ -339,6 +340,26 @@ def test_solver_residual_contract():
     assert res <= 1e-12
 
 
+@pytest.mark.parametrize("perturbation, extension_ratio", [
+    (None, 1.0), (PerturbationSpec(0.1, seed=3), 0.0),
+], ids=["uniform", "perturbed"])
+def test_solver_contract_2d(perturbation, extension_ratio):
+    h, m = 1 / 16, 2
+    mesh = build_uniform_mesh(h, BoxDomain.unit(2, m * h, extension_ratio * m * h))
+    if perturbation is not None:
+        mesh = perturb_mesh(mesh, perturbation)
+    k = Kernel.make(KernelKind.RATIONAL, 2, m * h)
+    case = case_sin_2d()
+    system = assemble_system(mesh, k, InnerGridSpec(4, 2), 16, 16,
+                             case.source, case.boundary, cache=RuleCache())
+    u = solve_system(system)
+    res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
+    assert res <= 1e-12
+    # same solution as SuperLU under its default column ordering
+    reference = scipy.sparse.linalg.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.linalg.norm(u - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
 @pytest.mark.parametrize("spoil, message", [
     (lambda u: u * (1 + 1e-6), r"relative residual=1\.000e-06"),
     (lambda u: np.full_like(u, np.nan), "linear solve failed"),
@@ -350,7 +371,7 @@ def test_solver_contract_miss_raises(monkeypatch, spoil, message):
     system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10, 10,
                              case.source, case.boundary, cache=RuleCache())
     direct = nlfem.assembly.sparse_linalg.spsolve
-    stub = SimpleNamespace(spsolve=lambda a, f: spoil(direct(a, f)))
+    stub = SimpleNamespace(spsolve=lambda a, f, **kw: spoil(direct(a, f, **kw)))
     monkeypatch.setattr(nlfem.assembly, "sparse_linalg", stub)
     with pytest.raises(SolverError, match=message):
         solve_system(system)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import nlfem.quadrature
 from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    QuadratureError, RuleCache, closed_form_weights_1d_constant,
                    constraint_matrix, exact_moment_integrals, filter_to_ball,
@@ -125,6 +126,22 @@ def test_full_rule_positive_weights(kind, dim):
     for n in range(1, 11):
         rule = full_ball_rule(k, InnerGridSpec(n, dim), cache=RuleCache())
         assert np.all(rule.weights > 0)
+
+
+@pytest.mark.parametrize("bad_weight", [-1e-3, 0.0])
+def test_full_rule_non_positive_weight_raises(monkeypatch, bad_weight):
+    solve = nlfem.quadrature.solve_weights
+
+    def spoiled(B, g):
+        w, residual = solve(B, g)
+        w = w.copy()
+        w[0] = bad_weight
+        return w, residual
+
+    monkeypatch.setattr(nlfem.quadrature, "solve_weights", spoiled)
+    k = Kernel.make(KernelKind.RATIONAL, 2, 0.2)
+    with pytest.raises(QuadratureError, match="non-positive weight"):
+        full_ball_rule(k, InnerGridSpec(4, 2), cache=RuleCache())
 
 
 def test_full_rule_dihedral_symmetry_2d():
