@@ -35,7 +35,6 @@ class DiscreteSystem:
     matrix: sparse.csr_matrix  # num_interior x num_interior, symmetric
     rhs: np.ndarray
     interior_nodes: np.ndarray  # dof index -> node id
-    constraint_values: np.ndarray  # per constraint node, in node order
     mesh: Mesh
 
 
@@ -242,15 +241,14 @@ def _scatter_truncated(acc, mesh, kernel, spec, cache, centers, wq_flat,
 
 
 def assemble_system(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
-                    n_q: int, n_b: int | None = None,
-                    source=None, boundary=None,
+                    n_q: int, source=None, boundary=None,
                     cache: RuleCache | None = None) -> DiscreteSystem:
     """Assemble stiffness and load in one operator pass.
 
-    The load is the body force over the box minus the layer-data correction.
+    The load is the body force over the box, integrated with the same
+    ``n_q``-point outer rule, minus the layer-data correction.
     """
     cache = cache or default_cache()
-    n_b = n_b if n_b is not None else n_q
     acc = _assemble_operator(mesh, kernel, spec, n_q, cache)
     interior = mesh.interior_nodes
     constraint = mesh.constraint_nodes
@@ -261,16 +259,15 @@ def assemble_system(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
         g_vals = np.asarray(boundary(mesh.nodes[constraint]), dtype=float)
     f = np.zeros(len(interior))
     if source is not None:
-        f += _body_load(mesh, source, n_b)
+        f += _body_load(mesh, source, n_q)
     f -= coupling @ g_vals
 
-    return DiscreteSystem(matrix=a, rhs=f, interior_nodes=interior,
-                          constraint_values=g_vals, mesh=mesh)
+    return DiscreteSystem(matrix=a, rhs=f, interior_nodes=interior, mesh=mesh)
 
 
-def _body_load(mesh: Mesh, source, n_b: int) -> np.ndarray:
+def _body_load(mesh: Mesh, source, n_q: int) -> np.ndarray:
     ids = np.flatnonzero(mesh.element_in_box)
-    pts, wb, ref_bary = outer_rules(mesh, ids, n_b)
+    pts, wb, ref_bary = outer_rules(mesh, ids, n_q)
     n_el, nq = wb.shape
     values = np.asarray(source(pts.reshape(-1, mesh.dim)), dtype=float).reshape(n_el, nq)
     # f_i += sum_b basis_i(x_b) * source(x_b) * w_b, per element node

@@ -29,9 +29,9 @@ from .quadrature import InnerGridSpec, full_ball_rule
 from .svgplot import write_convergence_svg
 
 _KEYS = {
-    "dimension", "kernel", "scaling", "case", "m", "h", "h0", "levels",
-    "extension", "outer_points", "load_points", "points_per_radius",
-    "mesh", "epsilon", "seed", "error_points", "ball_norm", "record_timings",
+    "dimension", "kernel", "case", "m", "h", "h0", "levels", "extension",
+    "outer_points", "points_per_radius", "mesh", "epsilon", "seed",
+    "ball_norm", "record_timings",
 }
 _DEFAULT_LEVELS = 4
 
@@ -40,18 +40,15 @@ _DEFAULT_LEVELS = 4
 class RunConfig:
     dimension: int
     kernel_kind: KernelKind
-    scaling: float | None
     case: str
     m: int
     h_values: list[float]
     extension_mode: str  # "zero" | "delta"
     outer_points: int
-    load_points: int
     points_per_radius: int
     mesh_mode: str  # "uniform" | "perturbed"
     epsilon: float
     seed: int
-    error_points: int | None
     ball_norm: BallNorm
     record_timings: bool
 
@@ -107,7 +104,6 @@ class RunConfig:
             raise ConfigError(f"extension must be 'zero' or 'delta', got {ext!r}")
         n_q = _integer("'outer_points'", raw.get("outer_points", 40 if dimension == 1 else 16),
                        positive=True)
-        n_b = _integer("'load_points'", raw.get("load_points", n_q), positive=True)
         n_bar = _integer("'points_per_radius'",
                          raw.get("points_per_radius", 10 if dimension == 1 else 4), positive=True)
 
@@ -119,18 +115,10 @@ class RunConfig:
             raise ConfigError(f"epsilon must lie in [0, 0.5), got {epsilon}")
         seed = _integer("seed", raw.get("seed", 0))
 
-        error_points = raw.get("error_points")
-        if error_points is not None:
-            error_points = _integer("error_points", error_points, positive=True)
         try:
             ball_norm = BallNorm(raw.get("ball_norm", "euclidean"))
         except ValueError:
             raise ConfigError(f"ball_norm must be 'euclidean' or 'max', got {raw['ball_norm']!r}") from None
-        scaling = raw.get("scaling")
-        if scaling is not None:
-            scaling = _finite("scaling", scaling)
-            if scaling <= 0:
-                raise ConfigError("scaling must be positive")
         record_timings = raw.get("record_timings", False)
         if not isinstance(record_timings, bool):
             raise ConfigError("record_timings must be a boolean")
@@ -139,9 +127,8 @@ class RunConfig:
         if case_obj.dim != dimension:
             raise ConfigError(
                 f"case {case!r} is {case_obj.dim}D but dimension is {dimension}")
-        return cls(dimension, kind, scaling, case, m, hs, ext, n_q, n_b,
-                   n_bar, mesh_mode, epsilon, seed, error_points, ball_norm,
-                   record_timings)
+        return cls(dimension, kind, case, m, hs, ext, n_q, n_bar, mesh_mode,
+                   epsilon, seed, ball_norm, record_timings)
 
 
 def _integer(name: str, value, positive: bool = False) -> int:
@@ -191,12 +178,12 @@ def _execute(config: RunConfig, h: float) -> LevelResult:
         mesh = perturb_mesh(mesh, PerturbationSpec(config.epsilon, config.seed))
     case = get_case(config.case)
     kernel = Kernel.make(config.kernel_kind, config.dimension, delta,
-                         config.scaling, config.ball_norm)
+                         ball_norm=config.ball_norm)
     spec = InnerGridSpec(config.points_per_radius, config.dimension)
 
     t0 = time.perf_counter()
     system = assemble_system(mesh, kernel, spec, config.outer_points,
-                             config.load_points, case.source, case.boundary)
+                             case.source, case.boundary)
     t1 = time.perf_counter()
     u = solve_system(system)
     t2 = time.perf_counter()
@@ -204,8 +191,8 @@ def _execute(config: RunConfig, h: float) -> LevelResult:
     field_ = reconstruct(mesh, u, case.boundary)
     record = ErrorRecord(
         h=h, delta=delta, m=config.m, dofs=mesh.num_interior,
-        l2=l2_error(field_, case, mesh, config.error_points),
-        h1=h1_error(field_, case, mesh, config.error_points),
+        l2=l2_error(field_, case, mesh),
+        h1=h1_error(field_, case, mesh),
         assembly_ms=1e3 * (t1 - t0), solve_ms=1e3 * (t2 - t1),
     )
     return LevelResult(record, field_, system, kernel, spec)
@@ -216,13 +203,15 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
               dump_inner_rule: Path | None = None) -> ConvergenceReport:
     """Run every level of the refinement ladder and write report + plot.
 
-    Levels may run in parallel; all files are written afterwards, in level
-    order, so outputs are identical regardless of the worker count.
+    Levels may run in parallel, one worker per level at most; all files are
+    written afterwards, in level order, so outputs are identical regardless
+    of the worker count.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     levels = config.h_values
-    if threads > 1 and len(levels) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(levels))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute, [config] * len(levels), levels))
     else:
         results = [_execute(config, h) for h in levels]
@@ -276,8 +265,10 @@ def main(argv=None) -> int:
     run_p.add_argument("--dump-inner-rule", type=Path, default=None,
                        help="write the full-ball inner quadrature rule as CSV")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers for study levels")
+                       help="parallel workers for study levels (at most one per level)")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        run_p.error(f"argument --threads: must be at least 1, got {args.threads}")
 
     try:
         config = load_config(args.config)

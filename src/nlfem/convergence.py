@@ -2,7 +2,7 @@
 
 L2/H1 errors are measured against the local exact solution over the box
 only (the constraint layer shrinks with the horizon and is excluded), by
-Gauss quadrature per element with 8^d points by default.
+Gauss quadrature per element with 8^d points.
 
 Two diagnostics probe the scheme itself: the quadrature consistency gap
 between the exactly integrated bilinear form and its inner-rule
@@ -80,26 +80,22 @@ class ConvergenceReport:
                     fh.write(f"# {tag}_residual,{fit.residual!r}\n")
 
 
-def _error_quadrature(mesh: Mesh, field_: Field, case: ManufacturedCase, n_gs: int):
+def _error_quadrature(mesh: Mesh, field_: Field, case: ManufacturedCase):
     ids = np.flatnonzero(mesh.element_in_box)
-    pts, w, ref_bary = outer_rules(mesh, ids, n_gs)
+    pts, w, ref_bary = outer_rules(mesh, ids, 8 ** mesh.dim)
     nodal = field_.node_values[mesh.elements[ids]]
     uh = np.einsum("qk,ek->eq", ref_bary, nodal)
     u0 = case.solution(pts.reshape(-1, mesh.dim)).reshape(uh.shape)
     return ids, pts, w, uh, u0
 
 
-def l2_error(field_: Field, case: ManufacturedCase, mesh: Mesh,
-             n_gs: int | None = None) -> float:
-    n_gs = n_gs if n_gs is not None else 8 ** mesh.dim
-    _, _, w, uh, u0 = _error_quadrature(mesh, field_, case, n_gs)
+def l2_error(field_: Field, case: ManufacturedCase, mesh: Mesh) -> float:
+    _, _, w, uh, u0 = _error_quadrature(mesh, field_, case)
     return math.sqrt(float(np.sum((uh - u0) ** 2 * w)))
 
 
-def h1_error(field_: Field, case: ManufacturedCase, mesh: Mesh,
-             n_gs: int | None = None) -> float:
-    n_gs = n_gs if n_gs is not None else 8 ** mesh.dim
-    ids, pts, w, uh, u0 = _error_quadrature(mesh, field_, case, n_gs)
+def h1_error(field_: Field, case: ManufacturedCase, mesh: Mesh) -> float:
+    ids, pts, w, uh, u0 = _error_quadrature(mesh, field_, case)
     grad_h = field_.element_gradients()[ids]  # constant per element
     grad_0 = case.gradient(pts.reshape(-1, mesh.dim)).reshape(*uh.shape, mesh.dim)
     gdiff = np.sum((grad_h[:, None, :] - grad_0) ** 2, axis=-1)

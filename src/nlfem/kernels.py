@@ -3,8 +3,9 @@
 Two kernel families are supported on balls of radius ``horizon``: a constant
 profile scaling/horizon^(d+2) and a rational profile scaling/(horizon^(d+1) r).
 With the default scaling constants the diagonal second moments over a full
-Euclidean ball equal one, which is exactly the normalization that makes the
-nonlocal operator converge to the classical Laplacian as the horizon shrinks.
+ball of either norm equal one, which is exactly the normalization that makes
+the nonlocal operator converge to the classical Laplacian as the horizon
+shrinks.
 """
 
 from __future__ import annotations
@@ -25,20 +26,26 @@ class KernelKind(enum.Enum):
     RATIONAL = "rational"
 
 
+# Inverse diagonal moments at unit scaling; in 1D both balls are one interval.
 _DEFAULT_SCALING = {
-    (KernelKind.CONSTANT, 1): 1.5,
-    (KernelKind.RATIONAL, 1): 1.0,
-    (KernelKind.CONSTANT, 2): 4.0 / math.pi,
-    (KernelKind.RATIONAL, 2): 3.0 / math.pi,
+    (KernelKind.CONSTANT, 1, BallNorm.EUCLIDEAN): 1.5,
+    (KernelKind.RATIONAL, 1, BallNorm.EUCLIDEAN): 1.0,
+    (KernelKind.CONSTANT, 1, BallNorm.MAX): 1.5,
+    (KernelKind.RATIONAL, 1, BallNorm.MAX): 1.0,
+    (KernelKind.CONSTANT, 2, BallNorm.EUCLIDEAN): 4.0 / math.pi,
+    (KernelKind.RATIONAL, 2, BallNorm.EUCLIDEAN): 3.0 / math.pi,
+    (KernelKind.CONSTANT, 2, BallNorm.MAX): 3.0 / 4.0,
+    (KernelKind.RATIONAL, 2, BallNorm.MAX): 9.0 / 16.0,
 }
 
 
-def default_scaling(kind: KernelKind, dim: int) -> float:
+def default_scaling(kind: KernelKind, dim: int,
+                    ball_norm: BallNorm = BallNorm.EUCLIDEAN) -> float:
     """Scaling constant that normalizes the diagonal second moments to one."""
     try:
-        return _DEFAULT_SCALING[(kind, dim)]
+        return _DEFAULT_SCALING[(kind, dim, ball_norm)]
     except KeyError:
-        raise KernelError(f"no default scaling for kind={kind}, dim={dim}") from None
+        raise KernelError(f"no default scaling for {kind}, dim={dim}, {ball_norm}") from None
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class Kernel:
              scaling: float | None = None,
              ball_norm: BallNorm = BallNorm.EUCLIDEAN) -> "Kernel":
         if scaling is None:
-            scaling = default_scaling(kind, dim)
+            scaling = default_scaling(kind, dim, ball_norm)
         return cls(kind, dim, horizon, scaling, ball_norm)
 
     def strength(self, r: np.ndarray) -> np.ndarray:

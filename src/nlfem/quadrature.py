@@ -146,11 +146,20 @@ def solve_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     return w, residual
 
 
-def _check_residual(residual: float, g: np.ndarray) -> None:
+def _moment_weights(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimal-norm weights on ``offs`` that reproduce the full-ball moments.
+
+    Raises ``QuadratureError`` when the constraint residual exceeds
+    1e-12 relative to the moments.
+    """
+    B = _constraint_matrix_from_offsets(kernel, offs)
+    g = exact_moment_integrals(kernel)
+    w, residual = solve_weights(B, g)
     if residual > _RESIDUAL_TOL * max(float(np.linalg.norm(g)), 1e-300):
         raise QuadratureError(
             f"inner rule constraint residual {residual:.3e} exceeds tolerance"
         )
+    return w, residual
 
 
 class RuleCache:
@@ -209,10 +218,7 @@ def full_ball_rule(kernel: Kernel, spec: InnerGridSpec,
 def _build_full_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule:
     offs = generate_offsets(spec, kernel.horizon)
     offs = offs[filter_to_ball(offs, kernel.horizon, kernel.ball_norm)]
-    B = _constraint_matrix_from_offsets(kernel, offs)
-    g = exact_moment_integrals(kernel)
-    w, residual = solve_weights(B, g)
-    _check_residual(residual, g)
+    w, residual = _moment_weights(kernel, offs)
     if np.any(w <= 0):
         raise QuadratureError(
             f"full-ball rule has a non-positive weight (min {float(w.min()):.3e})")
@@ -234,15 +240,7 @@ def solve_weights_on_subset(kernel: Kernel, spec: InnerGridSpec,
     """
     cache = cache or _default_cache
     key = ("trunc", kernel, spec.points_per_radius, mask.tobytes())
-
-    def build():
-        B = _constraint_matrix_from_offsets(kernel, offsets[mask])
-        g = exact_moment_integrals(kernel)
-        w, residual = solve_weights(B, g)
-        _check_residual(residual, g)
-        return w, residual
-
-    return cache.get_or_build(key, build)
+    return cache.get_or_build(key, lambda: _moment_weights(kernel, offsets[mask]))
 
 
 def closed_form_weights_1d_constant(points_per_radius: int, horizon: float) -> np.ndarray:

@@ -42,7 +42,7 @@ def _solve_case(dim, kind, case, h, m, ext_ratio, nbar, nq, mesh_mode="uniform",
     if mesh_mode == "perturbed":
         mesh = perturb_mesh(mesh, PerturbationSpec(eps, seed))
     kernel = Kernel.make(kind, dim, delta)
-    system = assemble_system(mesh, kernel, InnerGridSpec(nbar, dim), nq, nq,
+    system = assemble_system(mesh, kernel, InnerGridSpec(nbar, dim), nq,
                              case.source, case.boundary)
     u = solve_system(system)
     field = reconstruct(mesh, u, case.boundary)
@@ -222,7 +222,7 @@ def test_criterion_10_assembly_oracle_equivalence():
             mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
             kernel = Kernel.make(kind, 1, delta)
             system = assemble_system(mesh, kernel, InnerGridSpec(2, 1),
-                                     8, 8, case.source, case.boundary,
+                                     8, case.source, case.boundary,
                                      cache=RuleCache())
             A = system.matrix.toarray()
             A_ref, _ = naive_system(h, 1, kind, 1.0, 2, 8, case.source,

@@ -72,7 +72,7 @@ def test_assembly_matches_naive_oracle(h, kind, extension_ratio):
     kernel = Kernel.make(kind, 1, m * h)
     case = case_sin_1d()
     system = assemble_system(mesh, kernel, InnerGridSpec(nbar, 1), nq,
-                             nq, case.source, case.boundary, cache=RuleCache())
+                             case.source, case.boundary, cache=RuleCache())
     A = system.matrix.toarray()
     A_ref, f_ref = naive_system(h, m, kind, extension_ratio, nbar, nq,
                                 case.source, case.boundary)
@@ -241,7 +241,7 @@ def test_assembly_deterministic():
     case = case_sin_1d()
     runs = []
     for _ in range(2):
-        system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10, 10,
+        system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
                                  case.source, case.boundary, cache=RuleCache())
         runs.append((system.matrix.toarray().copy(), system.rhs.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -263,7 +263,7 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
     case = case_sin_1d()
 
     def assemble():
-        return assemble_system(mesh, k, InnerGridSpec(2, 1), 2, 2, case.source,
+        return assemble_system(mesh, k, InnerGridSpec(2, 1), 2, case.source,
                                case.boundary, cache=RuleCache())
 
     dense = assemble()
@@ -280,7 +280,7 @@ def test_rhs_zero_boundary_is_body_term_only():
     k = Kernel.make(KernelKind.CONSTANT, 1, 1 / 8)
     case = case_sin_1d()
     zero = lambda p: np.zeros(p.shape[0])
-    f = assemble_system(mesh, k, InnerGridSpec(2, 1), 8, 8,
+    f = assemble_system(mesh, k, InnerGridSpec(2, 1), 8,
                         case.source, zero, cache=RuleCache()).rhs
     # pure body load: integral of basis * source, independently via fine Gauss
     gp, gw = np.polynomial.legendre.leggauss(40)
@@ -302,7 +302,7 @@ def test_rhs_linear_boundary_matches_coupling_identity():
     mesh = _mesh_1d(1 / 16, 2)
     k = Kernel.make(KernelKind.CONSTANT, 1, 2 / 16)
     case = case_linear_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(4, 1), 10, 10,
+    system = assemble_system(mesh, k, InnerGridSpec(4, 1), 10,
                              case.source, case.boundary, cache=RuleCache())
     u_lin = mesh.nodes[mesh.interior_nodes, 0]
     residual = system.matrix @ u_lin - system.rhs
@@ -333,7 +333,7 @@ def test_solver_residual_contract():
     mesh = _mesh_1d(1 / 32, 2)
     k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 32)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10, 10,
+    system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
                              case.source, case.boundary, cache=RuleCache())
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
@@ -350,7 +350,7 @@ def test_solver_contract_2d(perturbation, extension_ratio):
         mesh = perturb_mesh(mesh, perturbation)
     k = Kernel.make(KernelKind.RATIONAL, 2, m * h)
     case = case_sin_2d()
-    system = assemble_system(mesh, k, InnerGridSpec(4, 2), 16, 16,
+    system = assemble_system(mesh, k, InnerGridSpec(4, 2), 16,
                              case.source, case.boundary, cache=RuleCache())
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
@@ -368,7 +368,7 @@ def test_solver_contract_miss_raises(monkeypatch, spoil, message):
     mesh = _mesh_1d(1 / 64, 2)
     k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 64)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10, 10,
+    system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
                              case.source, case.boundary, cache=RuleCache())
     direct = nlfem.assembly.sparse_linalg.spsolve
     stub = SimpleNamespace(spsolve=lambda a, f, **kw: spoil(direct(a, f, **kw)))
@@ -381,7 +381,7 @@ def test_solve_smallest_grid():
     mesh = _mesh_1d(0.5, 1)
     k = Kernel.make(KernelKind.CONSTANT, 1, 0.5)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(2, 1), 8, 8,
+    system = assemble_system(mesh, k, InnerGridSpec(2, 1), 8,
                              case.source, case.boundary, cache=RuleCache())
     assert system.matrix.shape == (1, 1)
     u = solve_system(system)

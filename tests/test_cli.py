@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,8 +103,6 @@ def test_from_dict_fuzz(overrides, dropped):
     except ConfigError:
         return
     floats = [*config.h_values, config.epsilon]
-    if config.scaling is not None:
-        floats.append(config.scaling)
     assert all(isinstance(v, float) and math.isfinite(v) for v in floats)
 
 
@@ -215,3 +215,82 @@ def test_max_norm_configuration_runs(tmp_path):
     config = RunConfig.from_dict(raw)
     record = run_study(config, tmp_path).records[0]
     assert np.isfinite(record.l2)
+
+
+def test_max_norm_2d_study_converges(tmp_path):
+    # the default scaling must normalize the square's moments, not the disc's
+    raw = _base_config(dimension=2, kernel="constant", case="sin2d", ball_norm="max",
+                       h=[0.125, 0.0625], outer_points=16, points_per_radius=4)
+    records = run_study(RunConfig.from_dict(raw), tmp_path).records
+    assert records[1].l2 < records[0].l2 / 3
+
+
+@pytest.mark.parametrize("threads,levels,workers", [
+    (6, 2, [2]), (2, 3, [2]), (4, 1, []), (1, 3, []),
+])
+def test_study_pool_has_at_most_one_worker_per_level(tmp_path, monkeypatch,
+                                                     threads, levels, workers):
+    from nlfem import cli
+
+    created = []
+
+    class InlinePool:
+        """ProcessPoolExecutor stand-in: records ``max_workers``, maps in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    raw = _base_config(h=[0.125, 0.0625, 0.03125][:levels])
+    report = run_study(RunConfig.from_dict(raw), tmp_path, threads=threads)
+    assert len(report.records) == levels
+    assert created == workers
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_main_rejects_bad_thread_count(tmp_path, capsys, value):
+    cfg = _write(tmp_path, _base_config(h=[0.0625]))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", value])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("scaling", 2.0), ("load_points", 10), ("error_points", 64),
+])
+def test_main_rejects_removed_key(tmp_path, capsys, key, value):
+    path = _write(tmp_path, _base_config(**{key: value}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config] unknown config keys") and key in err
+    assert "Traceback" not in err
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_schema_lists_every_key():
+    text = _README.read_text()
+    section = text.split("### Config schema", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert documented == _KEYS
+
+
+def test_readme_library_example_runs(capsys):
+    text = _README.read_text()
+    code = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    l2 = float(capsys.readouterr().out)
+    assert 0.0 < l2 < 1e-3

@@ -52,7 +52,7 @@ def test_halving_h_quarters_l2_error():
         mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
         kernel = Kernel.make(KernelKind.RATIONAL, 1, delta)
         system = assemble_system(mesh, kernel, InnerGridSpec(10, 1),
-                                 40, 40, case.source, case.boundary)
+                                 40, case.source, case.boundary)
         field = reconstruct(mesh, solve_system(system), case.boundary)
         errs.append(l2_error(field, case, mesh))
     ratio = errs[0] / errs[1]

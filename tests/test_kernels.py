@@ -85,6 +85,17 @@ def test_default_scaling_normalizes_diagonal_moments(kind, dim):
     assert np.allclose(diag, 1.0, rtol=1e-13)
 
 
+@pytest.mark.parametrize("kind,dim", ALL_KINDS)
+def test_max_norm_default_scaling_normalizes_diagonal_moments(kind, dim):
+    kernel = Kernel.make(kind, dim, 0.3, ball_norm=BallNorm.MAX)
+    g = exact_moment_integrals(kernel)
+    diag = [g[0]] if dim == 1 else [g[0], g[2]]
+    assert np.allclose(diag, 1.0, rtol=1e-15, atol=0.0)
+    # the 1D max-norm ball is the Euclidean one, so is its scaling
+    if dim == 1:
+        assert kernel.scaling == default_scaling(kind, 1)
+
+
 def test_moment_closed_forms():
     z = 1.5
     k = Kernel(KernelKind.CONSTANT, 1, 0.02, z)
