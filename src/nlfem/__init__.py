@@ -8,9 +8,10 @@ computes element-ball intersections.
 from .assembly import (DiscreteSystem, Field, assemble_system, outer_rules,
                        reconstruct, solve_system, truncated_weights)
 from .convergence import (ConvergenceReport, ErrorRecord, RateFit,
-                          boundary_error_profile, exact_bilinear_form,
-                          fit_rate, guarded_fit_rate, h1_error, l2_error,
-                          near_boundary_error_ratio, strang_gap)
+                          boundary_error_profile, error_norms,
+                          exact_bilinear_form, fit_rate, guarded_fit_rate,
+                          h1_error, l2_error, near_boundary_error_ratio,
+                          strang_gap)
 from .exceptions import (AssemblyError, ConfigError, KernelError, MeshError,
                          NlfemError, OutsideDomainError, QuadratureError,
                          SolverError)

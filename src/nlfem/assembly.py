@@ -7,7 +7,10 @@ restricted to unknowns afterwards), because the same pass also yields the
 coupling block that turns Dirichlet layer data into the load correction.
 
 Everything is vectorized over (outer point, inner point) pairs in fixed
-element chunks, so results are reproducible run to run.
+element chunks, so results are reproducible run to run.  ``_PAIR_CHUNK`` and
+``_DENSE_NODE_LIMIT`` are constants because they decide which contributions
+are summed together (per chunk, and by a dense bincount or by sparse
+duplicate summation), so any other value moves the entries by roundoff.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def outer_rules(mesh: Mesh, element_ids: np.ndarray, n_points: int):
 
 
 class _OperatorAccumulator:
-    """Accumulates scattered (node, node, value) triples into a J x J matrix."""
+    """Accumulates per-pair (2k)^2 contribution blocks into a J x J matrix."""
 
     def __init__(self, num_nodes: int):
         self.n = num_nodes
@@ -103,16 +106,26 @@ class _OperatorAccumulator:
         else:
             self._dense = None
             self._sparse = sparse.csr_matrix((num_nodes, num_nodes))
+            self._index_dtype = sparse.get_index_dtype(maxval=num_nodes)
 
-    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-        flat = rows.astype(np.int64) * self.n + cols
+    def add(self, nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray) -> None:
+        """Add coef[p] * vals[p, i] * vals[p, j] at (nodes[p, i], nodes[p, j]).
+
+        Indices are built once in the layout each store takes (flat int64,
+        or COO rows and columns in scipy's index dtype), never copied.
+        """
+        data = (vals * coef[:, None])[:, :, None] * vals[:, None, :]
         if self._dense is not None:
-            self._dense += np.bincount(flat.ravel(), weights=vals.ravel(),
+            flat = (nodes * self.n)[:, :, None] + nodes[:, None, :]
+            self._dense += np.bincount(flat.ravel(), weights=data.ravel(),
                                        minlength=self.n * self.n)
         else:
-            chunk = sparse.coo_matrix(
-                (vals.ravel(), (rows.ravel(), cols.ravel())),
-                shape=(self.n, self.n))
+            idx = nodes.astype(self._index_dtype)
+            width = idx.shape[1]
+            rows = np.repeat(idx, width, axis=1).ravel()
+            cols = np.tile(idx, width).ravel()
+            chunk = sparse.coo_matrix((data.ravel(), (rows, cols)),
+                                      shape=(self.n, self.n))
             self._sparse = (self._sparse + chunk.tocsr())
 
     def interior_blocks(self, interior: np.ndarray, constraint: np.ndarray):
@@ -137,12 +150,8 @@ def _scatter_pairs(acc: _OperatorAccumulator, outer_nodes, outer_bary,
     gives a (2k)^2 block of contributions per pair.
     """
     nodes = np.concatenate([outer_nodes, inner_nodes], axis=1)
-    vals = np.concatenate([-outer_bary, inner_bary], axis=1) * coef[:, None]
-    vals_plain = np.concatenate([-outer_bary, inner_bary], axis=1)
-    rows = np.broadcast_to(nodes[:, :, None], (*nodes.shape, nodes.shape[1]))
-    cols = np.broadcast_to(nodes[:, None, :], rows.shape)
-    data = vals[:, :, None] * vals_plain[:, None, :]
-    acc.add(rows, cols, data)
+    vals = np.concatenate([-outer_bary, inner_bary], axis=1)
+    acc.add(nodes, vals, coef)
 
 
 def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
@@ -305,7 +314,7 @@ class Field:
     node_values: np.ndarray
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        elems, bary = locate_points(self.mesh, np.atleast_2d(points))
+        elems, bary = locate_points(self.mesh, points)
         vals = np.einsum("pk,pk->p", bary, self.node_values[self.mesh.elements[elems]])
         return vals if np.asarray(points).ndim > 1 else float(vals[0])
 

@@ -18,7 +18,7 @@ class MeshError(NlfemError):
 
 
 class OutsideDomainError(NlfemError):
-    """Point location requested outside the meshed region."""
+    """Point location requested outside the meshed region, or in another dimension."""
 
 
 class KernelError(NlfemError):

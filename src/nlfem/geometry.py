@@ -324,9 +324,14 @@ def locate_points(mesh: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Vectorized point location: element ids and barycentric coordinates.
 
     Ties on shared facets resolve to the lowest element id.  Raises
-    OutsideDomainError if any point lies outside the meshed region.
+    OutsideDomainError if any point lies outside the meshed region, or if
+    the points do not have one coordinate per mesh dimension.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != mesh.dim:
+        raise OutsideDomainError(
+            f"points of shape {np.shape(points)} cannot be located on a "
+            f"{mesh.dim}D mesh, which needs shape (n, {mesh.dim})")
     for k in range(mesh.dim):
         b = mesh.axis_breaks[k]
         bad = (pts[:, k] < b[0]) | (pts[:, k] > b[-1])

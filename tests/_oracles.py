@@ -1,14 +1,18 @@
-"""Independent reference implementations used only by the tests.
+"""Reference implementations used only by the tests.
 
-Nothing here shares code with the production package: hat functions are
-evaluated from their closed form, inner-rule weights come from numpy's
+``naive_system`` shares no code with the production package: hat functions
+are evaluated from their closed form, inner-rule weights come from numpy's
 lstsq (minimal-norm solution), and the assembly is a plain dense triple
-loop.
+loop.  The two parity oracles below keep earlier, simpler forms of
+production code whose replacements must give bitwise-equal results.
 """
 
-import numpy as np
+import math
 
-from nlfem import KernelKind
+import numpy as np
+from scipy import sparse
+
+from nlfem import KernelKind, outer_rules
 
 
 def naive_system(h, m, kind, extension_ratio, nbar, nq, source, boundary):
@@ -80,3 +84,41 @@ def naive_system(h, m, kind, extension_ratio, nbar, nq, source, boundary):
                         if dj != 0.0:
                             A[col[i], col[j]] += di * gam * dj * wp * wq
     return A, f
+
+
+def two_pass_error_norms(field, case, mesh):
+    """L2 and H1 errors, each from its own pass over all box elements at once."""
+    ids = np.flatnonzero(mesh.element_in_box)
+    pts, w, ref_bary = outer_rules(mesh, ids, 8 ** mesh.dim)
+    nodal = field.node_values[mesh.elements[ids]]
+    uh = np.einsum("qk,ek->eq", ref_bary, nodal)
+    u0 = case.solution(pts.reshape(-1, mesh.dim)).reshape(uh.shape)
+    l2 = math.sqrt(float(np.sum((uh - u0) ** 2 * w)))
+    grad_h = field.element_gradients()[ids]
+    grad_0 = case.gradient(pts.reshape(-1, mesh.dim)).reshape(*uh.shape, mesh.dim)
+    gdiff = np.sum((grad_h[:, None, :] - grad_0) ** 2, axis=-1)
+    h1 = math.sqrt(float(np.sum(((uh - u0) ** 2 + gdiff) * w)))
+    return l2, h1
+
+
+def broadcast_scatter_pairs(acc, outer_nodes, outer_bary, inner_nodes, inner_bary, coef):
+    """Pair scatter through broadcast (row, column) index blocks.
+
+    Drop-in for ``nlfem.assembly._scatter_pairs``: it writes the same
+    per-pair blocks into the accumulator's dense or sparse store, with the
+    row and column indices materialised at full (pairs, 2k, 2k) size.
+    """
+    nodes = np.concatenate([outer_nodes, inner_nodes], axis=1)
+    vals = np.concatenate([-outer_bary, inner_bary], axis=1) * coef[:, None]
+    vals_plain = np.concatenate([-outer_bary, inner_bary], axis=1)
+    rows = np.broadcast_to(nodes[:, :, None], (*nodes.shape, nodes.shape[1]))
+    cols = np.broadcast_to(nodes[:, None, :], rows.shape)
+    data = vals[:, :, None] * vals_plain[:, None, :]
+    if acc._dense is not None:
+        flat = rows.astype(np.int64) * acc.n + cols
+        acc._dense += np.bincount(flat.ravel(), weights=data.ravel(),
+                                  minlength=acc.n * acc.n)
+    else:
+        chunk = sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                                  shape=(acc.n, acc.n))
+        acc._sparse = acc._sparse + chunk.tocsr()

@@ -273,6 +273,33 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
     assert np.abs(sparse.rhs - dense.rhs).max() <= 1e-13 * np.abs(dense.rhs).max()
 
 
+@pytest.mark.parametrize("dim, h, spec, n_q, dense_limit", [
+    (2, 1 / 8, InnerGridSpec(4, 2), 16, None),
+    (2, 1 / 8, InnerGridSpec(4, 2), 16, 0),
+    (1, 1 / 4096, InnerGridSpec(1, 1), 1, None),
+], ids=["dense-2d", "sparse-2d", "sparse-1d"])
+def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, dense_limit):
+    """Both accumulator paths give bitwise the matrix of the broadcast-index scatter."""
+    from _oracles import broadcast_scatter_pairs
+
+    if dense_limit is not None:
+        monkeypatch.setattr(nlfem.assembly, "_DENSE_NODE_LIMIT", dense_limit)
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))  # extension zero: truncated balls
+    kernel = Kernel.make(KernelKind.RATIONAL, dim, 2 * h)
+    case = case_sin_1d() if dim == 1 else case_sin_2d()
+
+    def assemble():
+        return assemble_system(mesh, kernel, spec, n_q, case.source, case.boundary,
+                               cache=RuleCache())
+
+    system = assemble()
+    monkeypatch.setattr(nlfem.assembly, "_scatter_pairs", broadcast_scatter_pairs)
+    oracle = assemble()
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(system.matrix, part), getattr(oracle.matrix, part))
+    assert np.array_equal(system.rhs, oracle.rhs)
+
+
 # ------------------------------------------------------------------ rhs pieces
 
 def test_rhs_zero_boundary_is_body_term_only():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import nlfem.convergence
 from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
-                   boundary_error_profile, build_uniform_mesh, case_linear_1d,
-                   case_sin_1d, exact_bilinear_form, fit_rate, full_ball_rule,
+                   PerturbationSpec, boundary_error_profile, build_uniform_mesh,
+                   case_linear_1d, case_sin_1d, case_sin_2d, error_norms,
+                   exact_bilinear_form, fit_rate, full_ball_rule,
                    guarded_fit_rate, h1_error, l2_error,
-                   near_boundary_error_ratio, reconstruct, strang_gap)
+                   near_boundary_error_ratio, perturb_mesh, reconstruct,
+                   strang_gap)
 from nlfem.convergence import ConvergenceReport, ErrorRecord
 from nlfem.exceptions import NlfemError
 from nlfem.geometry import Mesh
@@ -82,6 +85,26 @@ def test_errors_invariant_under_element_relabeling():
         l2_error(field, case, mesh), rel=1e-13)
     assert h1_error(field2, case, shuffled) == pytest.approx(
         h1_error(field, case, mesh), rel=1e-13)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("dim, perturbed", [(1, False), (1, True), (2, False), (2, True)])
+def test_error_norms_equal_two_pass_oracle(monkeypatch, dim, perturbed, chunk):
+    """The chunked one-pass norms are bitwise the two separate full-size passes."""
+    from _oracles import two_pass_error_norms
+
+    h, case = (1 / 64, case_sin_1d()) if dim == 1 else (1 / 16, case_sin_2d())
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=3))
+    noise = np.random.default_rng(5).normal(scale=1e-2, size=mesh.num_interior)
+    field = reconstruct(mesh, case.solution(mesh.nodes[mesh.interior_nodes]) + noise,
+                        case.boundary)
+    if chunk is not None:
+        monkeypatch.setattr(nlfem.convergence, "_ERROR_CHUNK", chunk)
+    l2, h1 = error_norms(field, case, mesh)
+    assert (l2, h1) == two_pass_error_norms(field, case, mesh)
+    assert (l2_error(field, case, mesh), h1_error(field, case, mesh)) == (l2, h1)
 
 
 # ------------------------------------------------------------------ rate fits

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlfem import (BoxDomain, MeshError, OutsideDomainError, PerturbationSpec,
-                   build_uniform_mesh, locate_points, perturb_mesh)
+                   build_uniform_mesh, locate_points, perturb_mesh, reconstruct)
 
 
 def test_counts_1d_baseline():
@@ -123,6 +123,17 @@ def test_locate_outside():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
     with pytest.raises(OutsideDomainError):
         locate_points(mesh, [[1.25 + 1e-3]])
+
+
+def test_locate_rejects_points_of_another_dimension():
+    mesh_1d = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
+    field = reconstruct(mesh_1d, np.zeros(mesh_1d.num_interior))
+    # two 1D points given as one flat vector, not as a (2, 1) array
+    with pytest.raises(OutsideDomainError, match=r"shape \(2,\).*1D.*\(n, 1\)"):
+        field.evaluate(np.array([0.1, 0.6]))
+    mesh_2d = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
+    with pytest.raises(OutsideDomainError, match=r"shape \(3, 1\).*2D.*\(n, 2\)"):
+        locate_points(mesh_2d, np.full((3, 1), 0.5))
 
 
 def test_locate_node_reproduces_nodal_basis():
