@@ -7,10 +7,18 @@ restricted to unknowns afterwards), because the same pass also yields the
 coupling block that turns Dirichlet layer data into the load correction.
 
 Everything is vectorized over (outer point, inner point) pairs in fixed
-element chunks, so results are reproducible run to run.  ``_PAIR_CHUNK`` and
-``_DENSE_NODE_LIMIT`` are constants because they decide which contributions
-are summed together (per chunk, and by a dense bincount or by sparse
-duplicate summation), so any other value moves the entries by roundoff.
+element chunks, so results are reproducible run to run.  Each pair adds one
+rank-one block, so a chunk's sum is (c o G)^T G for the pairs-by-nodes hat
+difference matrix G, and the operator is the running CSR sum of the chunks.
+scipy's CSR transpose is stable and its product adds (v_a c) v_b into each
+entry in (pair, a, b) order, the order in which a dense bincount over the
+pair blocks sums (``tests/_oracles.py`` keeps one), so both give bitwise the
+same matrix.  Above ``_COO_NODE_LIMIT`` nodes a chunk is summed as COO
+duplicates instead: that order cancels some roundoff residues to exact
+zeros that the product keeps as entries, and the benchmark's exact-nnz
+reference for its h=1/128 level counts them.  ``_PAIR_CHUNK`` and
+``_COO_NODE_LIMIT`` are constants because they decide which contributions
+are summed together, so any other value moves the entries by roundoff.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .kernels import Kernel
 from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,
                          default_cache, full_ball_rule, solve_weights_on_subset)
 
-_DENSE_NODE_LIMIT = 3000  # accumulate into a dense J x J scratch below this
+_COO_NODE_LIMIT = 3000  # above this many nodes a chunk is summed as COO duplicates
 _PAIR_CHUNK = 200_000
 
 
@@ -95,109 +103,73 @@ def outer_rules(mesh: Mesh, element_ids: np.ndarray, n_points: int):
     return pts, w[None, :] * area2, bary
 
 
-class _OperatorAccumulator:
-    """Accumulates per-pair (2k)^2 contribution blocks into a J x J matrix."""
+def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
+                   n: int) -> sparse.csr_matrix:
+    """One chunk's n x n sum of coef[p] vals[p, i] vals[p, j] at (nodes[p, i], nodes[p, j]).
 
-    def __init__(self, num_nodes: int):
-        self.n = num_nodes
-        if num_nodes <= _DENSE_NODE_LIMIT:
-            self._dense = np.zeros(num_nodes * num_nodes)
-            self._sparse = None
-        else:
-            self._dense = None
-            self._sparse = sparse.csr_matrix((num_nodes, num_nodes))
-            self._index_dtype = sparse.get_index_dtype(maxval=num_nodes)
-
-    def add(self, nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray) -> None:
-        """Add coef[p] * vals[p, i] * vals[p, j] at (nodes[p, i], nodes[p, j]).
-
-        Indices are built once in the layout each store takes (flat int64,
-        or COO rows and columns in scipy's index dtype), never copied.
-        """
-        data = (vals * coef[:, None])[:, :, None] * vals[:, None, :]
-        if self._dense is not None:
-            flat = (nodes * self.n)[:, :, None] + nodes[:, None, :]
-            self._dense += np.bincount(flat.ravel(), weights=data.ravel(),
-                                       minlength=self.n * self.n)
-        else:
-            idx = nodes.astype(self._index_dtype)
-            width = idx.shape[1]
-            rows = np.repeat(idx, width, axis=1).ravel()
-            cols = np.tile(idx, width).ravel()
-            chunk = sparse.coo_matrix((data.ravel(), (rows, cols)),
-                                      shape=(self.n, self.n))
-            self._sparse = (self._sparse + chunk.tocsr())
-
-    def interior_blocks(self, interior: np.ndarray, constraint: np.ndarray):
-        """Unknown-by-unknown block and unknown-by-constraint coupling block."""
-        if self._dense is not None:
-            full = self._dense.reshape(self.n, self.n)
-            a = sparse.csr_matrix(full[np.ix_(interior, interior)])
-            coupling = full[np.ix_(interior, constraint)]
-            return a, sparse.csr_matrix(coupling)
-        full = self._sparse
-        a = full[interior][:, interior].tocsr()
-        coupling = full[interior][:, constraint].tocsr()
-        return a, coupling
-
-
-def _scatter_pairs(acc: _OperatorAccumulator, outer_nodes, outer_bary,
-                   inner_nodes, inner_bary, coef) -> None:
-    """Scatter one batch of (outer, inner) point pairs into the operator.
-
-    The hat-difference factor at a pair is sum of +basis at the inner point
-    and -basis at the outer point; expanding the product of two such sums
-    gives a (2k)^2 block of contributions per pair.
+    At or below ``_COO_NODE_LIMIT`` nodes it is the product (c o G)^T G,
+    where row p of the pairs-by-nodes G holds ``vals[p]`` at ``nodes[p]``
+    with repeated nodes left as separate entries.  Above the limit the
+    (2k)^2 blocks are summed as COO duplicates.
     """
-    nodes = np.concatenate([outer_nodes, inner_nodes], axis=1)
-    vals = np.concatenate([-outer_bary, inner_bary], axis=1)
-    acc.add(nodes, vals, coef)
+    if n <= _COO_NODE_LIMIT:
+        indptr = np.arange(0, nodes.size + 1, nodes.shape[1])
+        g = sparse.csr_matrix((vals.ravel(), nodes.ravel(), indptr), shape=(len(nodes), n))
+        cg = sparse.csr_matrix(((vals * coef[:, None]).ravel(), nodes.ravel(), indptr),
+                               shape=g.shape)
+        return cg.T.tocsr() @ g
+    data = (vals * coef[:, None])[:, :, None] * vals[:, None, :]
+    idx = nodes.astype(sparse.get_index_dtype(maxval=n))
+    width = idx.shape[1]
+    rows = np.repeat(idx, width, axis=1).ravel()
+    cols = np.tile(idx, width).ravel()
+    return sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
-                       n_q: int, cache: RuleCache):
-    """Full node-by-node discrete operator matrix (both blocks via slicing)."""
+                       n_q: int, cache: RuleCache) -> sparse.csr_matrix:
+    """Full node-by-node operator: a running sum of one product per element chunk.
+
+    The hat-difference factor at an (outer, inner) point pair is +basis at
+    the inner point minus basis at the outer point, so each pair adds one
+    rank-one block.  Box elements keep every full-ball point; layer elements
+    take per-point clipped rules.
+    """
     if kernel.dim != mesh.dim or spec.dim != mesh.dim:
         raise AssemblyError("kernel / grid spec / mesh dimensions do not match")
     full = full_ball_rule(kernel, spec, cache)
-    acc = _OperatorAccumulator(mesh.num_nodes)
+    n = mesh.num_nodes
+    total = sparse.csr_matrix((n, n))
 
     elem_ids = np.arange(mesh.num_elements)
     in_box = mesh.element_in_box
-    n_off = full.size
-    chunk_elems = max(1, _PAIR_CHUNK // max(1, n_q * n_off))
+    chunk_elems = max(1, _PAIR_CHUNK // max(1, n_q * full.size))
 
     for part_ids, truncate in ((elem_ids[in_box], False), (elem_ids[~in_box], True)):
         for lo in range(0, len(part_ids), chunk_elems):
             ids = part_ids[lo:lo + chunk_elems]
-            if len(ids) == 0:
-                continue
             pts, wq, ref_bary = outer_rules(mesh, ids, n_q)
-            n_el, nq = wq.shape
-            centers = pts.reshape(n_el * nq, mesh.dim)
-            wq_flat = wq.reshape(-1)
-            out_nodes = np.repeat(mesh.elements[ids], nq, axis=0)
-            out_bary = np.tile(ref_bary, (n_el, 1))
+            centers = pts.reshape(-1, mesh.dim)
+            wq = wq.reshape(-1)
             if truncate:
-                _scatter_truncated(acc, mesh, kernel, spec, cache, centers,
-                                   wq_flat, out_nodes, out_bary, full)
+                weights, keep = truncated_weights(kernel, spec, mesh.domain, centers,
+                                                  full, cache)
             else:
-                inner_pts = (centers[:, None, :] + full.offsets[None, :, :])
-                coef = (full.strengths * full.weights)[None, :] * wq_flat[:, None]
-                _scatter_inner(acc, mesh, inner_pts.reshape(-1, mesh.dim),
-                               coef.reshape(-1),
-                               np.repeat(out_nodes, n_off, axis=0),
-                               np.repeat(out_bary, n_off, axis=0))
-    return acc
-
-
-def _scatter_inner(acc, mesh, inner_pts, coef, out_nodes, out_bary) -> None:
-    try:
-        in_elems, in_bary = locate_points(mesh, inner_pts)
-    except OutsideDomainError as exc:
-        raise AssemblyError(f"inner quadrature point left the meshed region: {exc}") from exc
-    in_nodes = mesh.elements[in_elems]
-    _scatter_pairs(acc, out_nodes, out_bary, in_nodes, in_bary, coef)
+                weights = full.weights[None, :]
+                keep = np.ones((len(centers), full.size), dtype=bool)
+            coef = (full.strengths[None, :] * weights * wq[:, None])[keep]
+            point, off = np.nonzero(keep)  # the pairs, in the order of coef
+            inner_pts = centers[point] + full.offsets[off]
+            try:
+                in_elems, in_bary = locate_points(mesh, inner_pts)
+            except OutsideDomainError as exc:
+                raise AssemblyError(
+                    f"inner quadrature point left the meshed region: {exc}") from exc
+            nodes = np.concatenate([mesh.elements[ids[point // n_q]], mesh.elements[in_elems]],
+                                   axis=1)
+            vals = np.concatenate([-ref_bary[point % n_q], in_bary], axis=1)
+            total = total + _pair_products(nodes, vals, coef, n)
+    return total
 
 
 def truncated_weights(kernel: Kernel, spec: InnerGridSpec, domain: BoxDomain,
@@ -237,18 +209,6 @@ def truncated_weights(kernel: Kernel, spec: InnerGridSpec, domain: BoxDomain,
     return weights, retained
 
 
-def _scatter_truncated(acc, mesh, kernel, spec, cache, centers, wq_flat,
-                       out_nodes, out_bary, full) -> None:
-    """Outer points in the constraint layer; per-point clipped rules."""
-    weights, retained = truncated_weights(kernel, spec, mesh.domain, centers, full, cache)
-    coef = (full.strengths[None, :] * weights * wq_flat[:, None])[retained]
-    inner_pts = (centers[:, None, :] + full.offsets[None, :, :])[retained]
-    counts = retained.sum(axis=1)
-    rep_nodes = np.repeat(out_nodes, counts, axis=0)
-    rep_bary = np.repeat(out_bary, counts, axis=0)
-    _scatter_inner(acc, mesh, inner_pts, coef, rep_nodes, rep_bary)
-
-
 def assemble_system(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
                     n_q: int, source=None, boundary=None,
                     cache: RuleCache | None = None) -> DiscreteSystem:
@@ -258,10 +218,13 @@ def assemble_system(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     ``n_q``-point outer rule, minus the layer-data correction.
     """
     cache = cache or default_cache()
-    acc = _assemble_operator(mesh, kernel, spec, n_q, cache)
+    operator = _assemble_operator(mesh, kernel, spec, n_q, cache)
     interior = mesh.interior_nodes
     constraint = mesh.constraint_nodes
-    a, coupling = acc.interior_blocks(interior, constraint)
+    rows = operator[interior]
+    a, coupling = rows[:, interior], rows[:, constraint]
+    a.sort_indices()  # sorted rows fix the order coupling @ g_vals sums in
+    coupling.sort_indices()
 
     g_vals = np.zeros(len(constraint))
     if boundary is not None:

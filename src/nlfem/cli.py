@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError(f"extension must be 'zero' or 'delta', got {ext!r}")
         n_q = _integer("'outer_points'", raw.get("outer_points", 40 if dimension == 1 else 16),
                        positive=True)
+        if dimension == 2 and math.isqrt(n_q) ** 2 != n_q:
+            raise ConfigError(f"'outer_points' must be a square number in 2D, got {n_q}")
         n_bar = _integer("'points_per_radius'",
                          raw.get("points_per_radius", 10 if dimension == 1 else 4), positive=True)
 
@@ -116,6 +118,8 @@ class RunConfig:
         if mesh_mode == "perturbed" and not 0.0 <= epsilon < 0.5:
             raise ConfigError(f"epsilon must lie in [0, 0.5), got {epsilon}")
         seed = _integer("seed", raw.get("seed", 0))
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
 
         try:
             ball_norm = BallNorm(raw.get("ball_norm", "euclidean"))

@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy import sparse
 
+import nlfem.assembly
 from nlfem import KernelKind, outer_rules
 
 
@@ -101,24 +102,20 @@ def two_pass_error_norms(field, case, mesh):
     return l2, h1
 
 
-def broadcast_scatter_pairs(acc, outer_nodes, outer_bary, inner_nodes, inner_bary, coef):
-    """Pair scatter through broadcast (row, column) index blocks.
+def broadcast_pair_products(nodes, vals, coef, n):
+    """One chunk's operator sum through broadcast (row, column) index blocks.
 
-    Drop-in for ``nlfem.assembly._scatter_pairs``: it writes the same
-    per-pair blocks into the accumulator's dense or sparse store, with the
-    row and column indices materialised at full (pairs, 2k, 2k) size.
+    Drop-in for ``nlfem.assembly._pair_products``, with the row and column
+    indices materialised at full (pairs, 2k, 2k) size.  At or below
+    ``_COO_NODE_LIMIT`` nodes the blocks are summed by a dense J x J
+    bincount, above it as COO duplicates.
     """
-    nodes = np.concatenate([outer_nodes, inner_nodes], axis=1)
-    vals = np.concatenate([-outer_bary, inner_bary], axis=1) * coef[:, None]
-    vals_plain = np.concatenate([-outer_bary, inner_bary], axis=1)
     rows = np.broadcast_to(nodes[:, :, None], (*nodes.shape, nodes.shape[1]))
     cols = np.broadcast_to(nodes[:, None, :], rows.shape)
-    data = vals[:, :, None] * vals_plain[:, None, :]
-    if acc._dense is not None:
-        flat = rows.astype(np.int64) * acc.n + cols
-        acc._dense += np.bincount(flat.ravel(), weights=data.ravel(),
-                                  minlength=acc.n * acc.n)
-    else:
-        chunk = sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
-                                  shape=(acc.n, acc.n))
-        acc._sparse = acc._sparse + chunk.tocsr()
+    data = (vals * coef[:, None])[:, :, None] * vals[:, None, :]
+    if n <= nlfem.assembly._COO_NODE_LIMIT:
+        flat = rows.astype(np.int64) * n + cols
+        dense = np.bincount(flat.ravel(), weights=data.ravel(), minlength=n * n)
+        return sparse.csr_matrix(dense.reshape(n, n))
+    return sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(n, n)).tocsr()

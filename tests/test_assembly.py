@@ -10,7 +10,7 @@ from nlfem import (AssemblyError, BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    case_linear_1d, case_sin_1d, case_sin_2d, outer_rules,
                    perturb_mesh, reconstruct, solve_system)
 from nlfem.exceptions import SolverError
-from nlfem.quadrature import RuleCache
+from nlfem.quadrature import RuleCache, full_ball_rule
 
 
 def _mesh_1d(h, m, extension_ratio=1.0):
@@ -251,7 +251,7 @@ def test_assembly_deterministic():
 def test_sparse_accumulator_symmetric_above_dense_limit():
     h, m = 1 / 4096, 2
     mesh = _mesh_1d(h, m)
-    assert mesh.num_nodes > nlfem.assembly._DENSE_NODE_LIMIT
+    assert mesh.num_nodes > nlfem.assembly._COO_NODE_LIMIT
     k = Kernel.make(KernelKind.RATIONAL, 1, m * h)
     A = assemble_system(mesh, k, InnerGridSpec(1, 1), 1, cache=RuleCache()).matrix
     assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
@@ -267,24 +267,37 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
                                case.boundary, cache=RuleCache())
 
     dense = assemble()
-    monkeypatch.setattr(nlfem.assembly, "_DENSE_NODE_LIMIT", 0)
+    monkeypatch.setattr(nlfem.assembly, "_COO_NODE_LIMIT", 0)
     sparse = assemble()
     assert abs(sparse.matrix - dense.matrix).max() <= 1e-13 * abs(dense.matrix).max()
     assert np.abs(sparse.rhs - dense.rhs).max() <= 1e-13 * np.abs(dense.rhs).max()
 
 
-@pytest.mark.parametrize("dim, h, spec, n_q, dense_limit", [
-    (2, 1 / 8, InnerGridSpec(4, 2), 16, None),
-    (2, 1 / 8, InnerGridSpec(4, 2), 16, 0),
-    (1, 1 / 4096, InnerGridSpec(1, 1), 1, None),
-], ids=["dense-2d", "sparse-2d", "sparse-1d"])
-def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, dense_limit):
-    """Both accumulator paths give bitwise the matrix of the broadcast-index scatter."""
-    from _oracles import broadcast_scatter_pairs
+@pytest.mark.parametrize("dim, h, spec, n_q, coo_limit, pair_chunk, perturbed", [
+    (2, 1 / 8, InnerGridSpec(4, 2), 16, None, None, False),
+    (2, 1 / 8, InnerGridSpec(4, 2), 16, 0, None, False),
+    (1, 1 / 4096, InnerGridSpec(1, 1), 1, None, None, False),
+    (2, 1 / 8, InnerGridSpec(4, 2), 16, None, 37, True),
+    (2, 1 / 8, InnerGridSpec(4, 2), 16, 0, 37, True),
+], ids=["dense-2d", "sparse-2d", "sparse-1d", "dense-2d-perturbed-chunk37",
+        "sparse-2d-perturbed-chunk37"])
+def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_limit,
+                                          pair_chunk, perturbed):
+    """Both chunk sums give bitwise the matrix of the broadcast-index oracle.
 
-    if dense_limit is not None:
-        monkeypatch.setattr(nlfem.assembly, "_DENSE_NODE_LIMIT", dense_limit)
+    "dense" ids take the product path (at most ``_COO_NODE_LIMIT`` nodes),
+    "sparse" ids the COO path.  The call count pins one sum per chunk of
+    elements, so a loop that regroups the pairs fails here.
+    """
+    from _oracles import broadcast_pair_products
+
+    if coo_limit is not None:
+        monkeypatch.setattr(nlfem.assembly, "_COO_NODE_LIMIT", coo_limit)
+    if pair_chunk is not None:
+        monkeypatch.setattr(nlfem.assembly, "_PAIR_CHUNK", pair_chunk)
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))  # extension zero: truncated balls
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.1, 3))
     kernel = Kernel.make(KernelKind.RATIONAL, dim, 2 * h)
     case = case_sin_1d() if dim == 1 else case_sin_2d()
 
@@ -293,11 +306,23 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, dense_
                                cache=RuleCache())
 
     system = assemble()
-    monkeypatch.setattr(nlfem.assembly, "_scatter_pairs", broadcast_scatter_pairs)
-    oracle = assemble()
+    calls = []
+
+    def oracle(nodes, vals, coef, n):
+        calls.append(len(nodes))
+        return broadcast_pair_products(nodes, vals, coef, n)
+
+    monkeypatch.setattr(nlfem.assembly, "_pair_products", oracle)
+    oracle_system = assemble()
     for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(system.matrix, part), getattr(oracle.matrix, part))
-    assert np.array_equal(system.rhs, oracle.rhs)
+        assert np.array_equal(getattr(system.matrix, part), getattr(oracle_system.matrix, part))
+    assert np.array_equal(system.rhs, oracle_system.rhs)
+
+    n_off = full_ball_rule(kernel, spec, RuleCache()).size
+    chunk_elems = max(1, nlfem.assembly._PAIR_CHUNK // (n_q * n_off))
+    n_box = int(mesh.element_in_box.sum())
+    parts = (n_box, mesh.num_elements - n_box)
+    assert len(calls) == sum(-(-k // chunk_elems) for k in parts)
 
 
 # ------------------------------------------------------------------ rhs pieces

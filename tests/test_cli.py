@@ -68,6 +68,7 @@ def test_halving_ladder_default_levels():
 @pytest.mark.parametrize("overrides", [
     {"h0": "abc"}, {"scaling": "x"}, {"h": [math.inf]}, {"dimension": True},
     {"case": ["a"]}, {"scaling": math.nan}, {"h0": 0.25, "levels": 2000},
+    {"dimension": 2, "case": "sin2d", "outer_points": 10}, {"seed": -1}, {"seed": 2**64},
 ])
 def test_main_rejects_bad_config_value(tmp_path, capsys, overrides):
     raw = _base_config(**overrides)
@@ -77,6 +78,11 @@ def test_main_rejects_bad_config_value(tmp_path, capsys, overrides):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config]") and "Traceback" not in err
+
+
+def test_seed_range_is_64_bit():
+    for seed in (0, 2**64 - 1):
+        assert RunConfig.from_dict(_base_config(seed=seed)).seed == seed
 
 
 _ANY_VALUE = st.one_of(
