@@ -88,19 +88,11 @@ def outer_rules(mesh: Mesh, element_ids: np.ndarray, n_points: int):
     barycentric values (n_q, d + 1) shared by every element.
     """
     ref, bary, w = _reference_rule(mesh.dim, n_points)
-    verts = mesh.nodes[mesh.elements[element_ids]]
-    if mesh.dim == 1:
-        a = verts[:, 0, 0][:, None]
-        b = verts[:, 1, 0][:, None]
-        pts = (a + ref[:, 0][None, :] * (b - a))[..., None]
-        wq = w[None, :] * (b - a)
-        return pts, wq, bary
-    p0 = verts[:, 0][:, None, :]
-    e1 = (verts[:, 1] - verts[:, 0])[:, None, :]
-    e2 = (verts[:, 2] - verts[:, 0])[:, None, :]
-    pts = p0 + ref[:, 0][None, :, None] * e1 + ref[:, 1][None, :, None] * e2
-    area2 = (e1[:, 0, 0] * e2[:, 0, 1] - e1[:, 0, 1] * e2[:, 0, 0])[:, None]
-    return pts, w[None, :] * area2, bary
+    p0, edges, det = mesh.affine_maps(element_ids)
+    pts = p0[:, None, :]
+    for k in range(mesh.dim):
+        pts = pts + ref[:, k][None, :, None] * edges[:, None, k, :]
+    return pts, w[None, :] * det[:, None], bary
 
 
 def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
@@ -284,17 +276,13 @@ class Field:
     def element_gradients(self) -> np.ndarray:
         """Constant gradient per element, shape (n_el, dim)."""
         mesh = self.mesh
-        verts = mesh.nodes[mesh.elements]
+        _, e, det = mesh.affine_maps()
         uv = self.node_values[mesh.elements]
+        du = uv[:, 1:] - uv[:, :1]
         if mesh.dim == 1:
-            return ((uv[:, 1] - uv[:, 0]) / (verts[:, 1, 0] - verts[:, 0, 0]))[:, None]
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        du1 = uv[:, 1] - uv[:, 0]
-        du2 = uv[:, 2] - uv[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        gx = (du1 * e2[:, 1] - du2 * e1[:, 1]) / det
-        gy = (-du1 * e2[:, 0] + du2 * e1[:, 0]) / det
+            return du / det[:, None]
+        gx = (du[:, 0] * e[:, 1, 1] - du[:, 1] * e[:, 0, 1]) / det
+        gy = (-du[:, 0] * e[:, 1, 0] + du[:, 1] * e[:, 0, 0]) / det
         return np.stack([gx, gy], axis=1)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import Field, assemble_system, outer_rules
+from .assembly import Field, assemble_system, gauss_legendre_01, outer_rules
 from .exceptions import NlfemError
 from .geometry import Mesh
 from .kernels import Kernel, KernelKind
@@ -207,8 +207,7 @@ def exact_bilinear_form(v_values: np.ndarray, w_values: np.ndarray,
     v, w = np.asarray(v_values, float), np.asarray(w_values, float)
     slopes_v = np.diff(v) / np.diff(breaks)
     slopes_w = np.diff(w) / np.diff(breaks)
-    x01, w01 = np.polynomial.legendre.leggauss(n_q)
-    x01, w01 = 0.5 * (x01 + 1.0), 0.5 * w01
+    x01, w01 = gauss_legendre_01(n_q)
     rational = kernel.kind is KernelKind.RATIONAL
     c_k = (kernel.scaling / delta**3 if not rational else kernel.scaling / delta**2)
 

@@ -16,7 +16,8 @@ boundary, carry constraint data.  Elements never straddle the box boundary.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,30 +82,27 @@ class BoxDomain:
         return np.array([b + pad for b in self.hi])
 
     def contains_meshed(self, points: np.ndarray) -> np.ndarray:
-        """True for points in the closed box plus constraint layer."""
+        """True for (n, d) points in the closed box plus constraint layer."""
         return self._contains(points, self.horizon)
 
     def contains_extended(self, points: np.ndarray) -> np.ndarray:
-        """True for points in the box plus constraint layer plus extension."""
+        """True for (n, d) points in the box plus constraint layer plus extension."""
         return self._contains(points, self.horizon + self.extension)
 
     def _contains(self, points: np.ndarray, pad: float) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        lo, hi = self.layer_lo(pad), self.layer_hi(pad)
-        ok = np.all((p >= lo) & (p <= hi), axis=-1)
-        return ok if np.asarray(points).ndim > 1 else ok[0]
+        return np.all((points >= self.layer_lo(pad)) & (points <= self.layer_hi(pad)), axis=-1)
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        """Distance from points inside the box to the nearest box face."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        lo, hi = np.array(self.lo), np.array(self.hi)
-        d = np.minimum(p - lo, hi - p).min(axis=-1)
-        return d if np.asarray(points).ndim > 1 else d[0]
+        """Distance from (n, d) points inside the box to the nearest box face."""
+        return np.minimum(points - np.array(self.lo), np.array(self.hi) - points).min(axis=-1)
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Random node displacement: factor times spacing, uniform in [-1, 1]."""
+    """Random node displacement: factor times spacing, uniform in [-1, 1].
+
+    ``seed`` is the generator's 64-bit seed, an integer in [0, 2^64).
+    """
 
     factor: float
     seed: int = 0
@@ -114,6 +112,9 @@ class PerturbationSpec:
             raise MeshError(
                 f"perturbation factor must lie in [0, 0.5) to keep elements valid, got {self.factor}"
             )
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise MeshError(f"perturbation seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 @dataclass
@@ -137,8 +138,6 @@ class Mesh:
     is_uniform: bool
     layer_cells: int  # cells across the constraint layer per side (= horizon / spacing)
     inner_cells: tuple[int, ...]  # cells across the box per axis
-
-    _measures: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -170,17 +169,24 @@ class Mesh:
         dof[self.interior_nodes] = np.arange(self.num_interior)
         return dof
 
+    def affine_maps(self, element_ids=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Affine maps x = p0 + sum_k t_k e_k from the reference simplex.
+
+        Returns vertex 0 (n, d), the edges e_k from it to vertex k + 1
+        (n, d, d), and the Jacobian determinant (n,), positive for the
+        counter-clockwise elements the mesh builds.
+        """
+        verts = self.nodes[self.elements[element_ids]]
+        p0 = verts[:, 0]
+        edges = verts[:, 1:] - p0[:, None, :]
+        if self.dim == 1:
+            det = edges[:, 0, 0]
+        else:
+            det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
+        return p0, edges, det
+
     def element_measures(self) -> np.ndarray:
-        if self._measures is None:
-            verts = self.nodes[self.elements]
-            if self.dim == 1:
-                meas = verts[:, 1, 0] - verts[:, 0, 0]
-            else:
-                e1 = verts[:, 1] - verts[:, 0]
-                e2 = verts[:, 2] - verts[:, 0]
-                meas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-            self._measures = meas
-        return self._measures
+        return self.affine_maps()[2] / math.factorial(self.dim)
 
     def dump_csv(self, path) -> None:
         """Debug dump: node table then element table in one CSV file."""
@@ -332,36 +338,25 @@ def locate_points(mesh: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise OutsideDomainError(
             f"points of shape {np.shape(points)} cannot be located on a "
             f"{mesh.dim}D mesh, which needs shape (n, {mesh.dim})")
-    for k in range(mesh.dim):
-        b = mesh.axis_breaks[k]
-        bad = (pts[:, k] < b[0]) | (pts[:, k] > b[-1])
+    cells, local = [], []
+    for k, b in enumerate(mesh.axis_breaks):
+        x = pts[:, k]
+        bad = (x < b[0]) | (x > b[-1])
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
             raise OutsideDomainError(
                 f"{int(bad.sum())} point(s) outside the meshed region; first is {pts[j]}"
             )
+        i = _axis_cells(b, x)
+        cells.append(i)
+        local.append((x - b[i]) / (b[i + 1] - b[i]))
     if mesh.dim == 1:
-        bx = mesh.axis_breaks[0]
-        ix = _axis_cells(bx, pts[:, 0])
-        t = (pts[:, 0] - bx[ix]) / (bx[ix + 1] - bx[ix])
-        bary = np.stack([1.0 - t, t], axis=1)
-        return ix, bary
+        return cells[0], np.stack([1.0 - local[0], local[0]], axis=1)
 
-    bx, by = mesh.axis_breaks
-    ix = _axis_cells(bx, pts[:, 0])
-    iy = _axis_cells(by, pts[:, 1])
-    xi = (pts[:, 0] - bx[ix]) / (bx[ix + 1] - bx[ix])
-    eta = (pts[:, 1] - by[iy]) / (by[iy + 1] - by[iy])
-    rect = iy * (len(bx) - 1) + ix
+    (ix, iy), (xi, eta) = cells, local
     lower = xi >= eta  # diagonal itself goes to the lower triangle (smaller id)
-    elem = 2 * rect + (~lower).astype(np.int64)
-    bary = np.empty((len(pts), 3))
-    bary[lower, 0] = 1.0 - xi[lower]
-    bary[lower, 1] = xi[lower] - eta[lower]
-    bary[lower, 2] = eta[lower]
-    up = ~lower
-    bary[up, 0] = 1.0 - eta[up]
-    bary[up, 1] = xi[up]
-    bary[up, 2] = eta[up] - xi[up]
+    elem = 2 * (iy * (len(mesh.axis_breaks[0]) - 1) + ix) + (~lower).astype(np.int64)
+    bary = np.stack([1.0 - np.where(lower, xi, eta),
+                     np.where(lower, xi - eta, xi),
+                     np.where(lower, eta, eta - xi)], axis=1)
     return elem, bary
-

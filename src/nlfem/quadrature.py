@@ -85,12 +85,8 @@ def generate_offsets(spec: InnerGridSpec, horizon: float) -> np.ndarray:
     half = 0.5 * spec.spacing(horizon)
     ks = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
     axis = (2 * ks - np.sign(ks)) * half
-    if spec.dim == 1:
-        offs = axis.reshape(-1, 1)
-    else:
-        a, b = np.meshgrid(axis, axis, indexing="ij")
-        offs = np.stack([a.ravel(), b.ravel()], axis=1)
-    return offs
+    grids = np.meshgrid(*[axis] * spec.dim, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def filter_to_ball(offsets: np.ndarray, horizon: float, ball_norm: BallNorm) -> np.ndarray:

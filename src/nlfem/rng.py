@@ -13,7 +13,7 @@ def _rotl(x: int, k: int) -> int:
 
 
 def _splitmix64_stream(seed: int):
-    state = seed & _MASK64
+    state = seed
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = state
@@ -26,6 +26,8 @@ class Xoshiro256pp:
     """xoshiro256++ generator; state initialized from splitmix64(seed)."""
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         sm = _splitmix64_stream(seed)
         self._s = [next(sm) for _ in range(4)]
 

@@ -3,8 +3,8 @@
 ``naive_system`` shares no code with the production package: hat functions
 are evaluated from their closed form, inner-rule weights come from numpy's
 lstsq (minimal-norm solution), and the assembly is a plain dense triple
-loop.  The two parity oracles below keep earlier, simpler forms of
-production code whose replacements must give bitwise-equal results.
+loop.  The parity oracles below keep earlier forms of production code
+whose replacements must give bitwise-equal results.
 """
 
 import math
@@ -14,6 +14,8 @@ from scipy import sparse
 
 import nlfem.assembly
 from nlfem import KernelKind, outer_rules
+from nlfem.assembly import _reference_rule
+from nlfem.geometry import _axis_cells
 
 
 def naive_system(h, m, kind, extension_ratio, nbar, nq, source, boundary):
@@ -119,3 +121,76 @@ def broadcast_pair_products(nodes, vals, coef, n):
         return sparse.csr_matrix(dense.reshape(n, n))
     return sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
                              shape=(n, n)).tocsr()
+
+
+def forked_outer_rules(mesh, element_ids, n_points):
+    """``outer_rules`` with its own affine map and determinant per dimension."""
+    ref, bary, w = _reference_rule(mesh.dim, n_points)
+    verts = mesh.nodes[mesh.elements[element_ids]]
+    if mesh.dim == 1:
+        a = verts[:, 0, 0][:, None]
+        b = verts[:, 1, 0][:, None]
+        pts = (a + ref[:, 0][None, :] * (b - a))[..., None]
+        wq = w[None, :] * (b - a)
+        return pts, wq, bary
+    p0 = verts[:, 0][:, None, :]
+    e1 = (verts[:, 1] - verts[:, 0])[:, None, :]
+    e2 = (verts[:, 2] - verts[:, 0])[:, None, :]
+    pts = p0 + ref[:, 0][None, :, None] * e1 + ref[:, 1][None, :, None] * e2
+    area2 = (e1[:, 0, 0] * e2[:, 0, 1] - e1[:, 0, 1] * e2[:, 0, 0])[:, None]
+    return pts, w[None, :] * area2, bary
+
+
+def forked_element_measures(mesh):
+    """``Mesh.element_measures`` with its own length and area formulas."""
+    verts = mesh.nodes[mesh.elements]
+    if mesh.dim == 1:
+        return verts[:, 1, 0] - verts[:, 0, 0]
+    e1 = verts[:, 1] - verts[:, 0]
+    e2 = verts[:, 2] - verts[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def forked_element_gradients(field):
+    """``Field.element_gradients`` with its own edges and determinant."""
+    mesh = field.mesh
+    verts = mesh.nodes[mesh.elements]
+    uv = field.node_values[mesh.elements]
+    if mesh.dim == 1:
+        return ((uv[:, 1] - uv[:, 0]) / (verts[:, 1, 0] - verts[:, 0, 0]))[:, None]
+    e1 = verts[:, 1] - verts[:, 0]
+    e2 = verts[:, 2] - verts[:, 0]
+    du1 = uv[:, 1] - uv[:, 0]
+    du2 = uv[:, 2] - uv[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    gx = (du1 * e2[:, 1] - du2 * e1[:, 1]) / det
+    gy = (-du1 * e2[:, 0] + du2 * e1[:, 0]) / det
+    return np.stack([gx, gy], axis=1)
+
+
+def masked_locate_points(mesh, points):
+    """``locate_points`` for (n, d) points inside the mesh, 2D barycentrics
+    filled by boolean-mask assignments per triangle."""
+    pts = np.asarray(points, dtype=float)
+    if mesh.dim == 1:
+        bx = mesh.axis_breaks[0]
+        ix = _axis_cells(bx, pts[:, 0])
+        t = (pts[:, 0] - bx[ix]) / (bx[ix + 1] - bx[ix])
+        return ix, np.stack([1.0 - t, t], axis=1)
+    bx, by = mesh.axis_breaks
+    ix = _axis_cells(bx, pts[:, 0])
+    iy = _axis_cells(by, pts[:, 1])
+    xi = (pts[:, 0] - bx[ix]) / (bx[ix + 1] - bx[ix])
+    eta = (pts[:, 1] - by[iy]) / (by[iy + 1] - by[iy])
+    rect = iy * (len(bx) - 1) + ix
+    lower = xi >= eta
+    elem = 2 * rect + (~lower).astype(np.int64)
+    bary = np.empty((len(pts), 3))
+    bary[lower, 0] = 1.0 - xi[lower]
+    bary[lower, 1] = xi[lower] - eta[lower]
+    bary[lower, 2] = eta[lower]
+    up = ~lower
+    bary[up, 0] = 1.0 - eta[up]
+    bary[up, 1] = xi[up]
+    bary[up, 2] = eta[up] - xi[up]
+    return elem, bary

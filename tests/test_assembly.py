@@ -59,6 +59,12 @@ def test_outer_rule_2d_requires_square_count():
         outer_rules(mesh, [0], 10)
 
 
+def test_outer_rule_needs_a_point():
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(1, 0.5))
+    with pytest.raises(AssemblyError, match="at least one"):
+        outer_rules(mesh, [0], 0)
+
+
 # ---------------------------------------------------------- naive dense oracle
 
 @pytest.mark.parametrize("h", [1 / 4, 1 / 8])
@@ -438,6 +444,14 @@ def test_solve_smallest_grid():
     assert system.matrix.shape == (1, 1)
     u = solve_system(system)
     assert u[0] == pytest.approx(system.rhs[0] / system.matrix[0, 0])
+
+
+def test_solve_without_unknowns():
+    mesh = _mesh_1d(1.0, 1)  # one box cell: both of its nodes lie on the box boundary
+    k = Kernel.make(KernelKind.CONSTANT, 1, 1.0)
+    system = assemble_system(mesh, k, InnerGridSpec(2, 1), 2, cache=RuleCache())
+    assert system.matrix.shape == (0, 0)
+    assert solve_system(system).shape == (0,)
 
 
 def test_reconstruct_nodal_and_midpoint_values():

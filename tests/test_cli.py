@@ -69,6 +69,8 @@ def test_halving_ladder_default_levels():
     {"h0": "abc"}, {"scaling": "x"}, {"h": [math.inf]}, {"dimension": True},
     {"case": ["a"]}, {"scaling": math.nan}, {"h0": 0.25, "levels": 2000},
     {"dimension": 2, "case": "sin2d", "outer_points": 10}, {"seed": -1}, {"seed": 2**64},
+    {"h": [0.0625, 0.0]}, {"h0": 0.0}, {"mesh": "curved"},
+    {"mesh": "perturbed", "epsilon": 0.5}, {"mesh": "perturbed", "epsilon": -0.1},
 ])
 def test_main_rejects_bad_config_value(tmp_path, capsys, overrides):
     raw = _base_config(**overrides)
@@ -185,6 +187,18 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("not_a_config, message", [
+    ("[0.25, 0.125]", "must be a JSON object"), (None, "cannot read config file"),
+])
+def test_main_rejects_unreadable_config(tmp_path, capsys, not_a_config, message):
+    path = tmp_path / "config.json"  # not written when None: the path does not exist
+    if not_a_config is not None:
+        path.write_text(not_a_config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and message in err and "Traceback" not in err
+
+
 def test_main_dump_flags(tmp_path):
     cfg = _write(tmp_path, _base_config(h=[0.0625]))
     mtx = tmp_path / "A.mtx"
@@ -194,6 +208,21 @@ def test_main_dump_flags(tmp_path):
     assert code == 0
     assert mtx.exists() and mtx.read_text().startswith("%%MatrixMarket")
     assert rule.exists() and rule.read_text().startswith("offset_x,weight")
+
+
+def test_main_study_dumps_one_file_per_level_and_prints_slopes(tmp_path, capsys):
+    cfg = _write(tmp_path, _base_config(h=[0.25, 0.125, 0.0625]))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--dump-matrix", str(tmp_path / "A.mtx"),
+                 "--dump-inner-rule", str(tmp_path / "rule.csv")])
+    assert code == 0
+    suffixes = ["_h0.25", "_h0.125", "_h0.0625"]
+    assert sorted(p.name for p in tmp_path.glob("A*")) == sorted(f"A{s}.mtx" for s in suffixes)
+    for suffix in suffixes:
+        assert (tmp_path / f"A{suffix}.mtx").read_text().startswith("%%MatrixMarket")
+        assert (tmp_path / f"rule{suffix}.csv").read_text().startswith("offset_x,weight")
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4 and re.fullmatch(r"l2 slope \d\.\d{3}, h1 slope \d\.\d{3}", out[-1])
 
 
 def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

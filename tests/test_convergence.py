@@ -14,6 +14,7 @@ from nlfem.convergence import ConvergenceReport, ErrorRecord
 from nlfem.exceptions import NlfemError
 from nlfem.geometry import Mesh
 from nlfem.quadrature import RuleCache
+from nlfem.svgplot import write_convergence_svg
 
 
 def _interpolant(mesh, func):
@@ -120,6 +121,17 @@ def test_fit_rate_exact_powers():
 def test_fit_rate_needs_positive_errors():
     with pytest.raises(NlfemError):
         fit_rate(np.array([0.1, 0.05]), np.array([1.0, 0.0]))
+
+
+def test_fit_rate_needs_two_levels():
+    with pytest.raises(NlfemError, match="two"):
+        fit_rate(np.array([0.1]), np.array([1.0]))
+
+
+def test_convergence_svg_needs_points(tmp_path):
+    with pytest.raises(ValueError, match="nothing to plot"):
+        write_convergence_svg(tmp_path / "empty.svg", [{"label": "L2", "h": [], "error": []}])
+    assert not (tmp_path / "empty.svg").exists()
 
 
 def test_guarded_fit_drops_pre_asymptotic_level():
@@ -234,6 +246,13 @@ def test_strang_gap_rejects_2d():
     z = np.zeros(mesh.num_nodes)
     with pytest.raises(NlfemError, match="1D"):
         strang_gap(z, z, kernel, mesh, InnerGridSpec(2, 2))
+
+
+def test_exact_form_rejects_2d():
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
+    z = np.zeros(mesh.num_nodes)
+    with pytest.raises(NlfemError, match="1D"):
+        exact_bilinear_form(z, z, Kernel.make(KernelKind.CONSTANT, 2, 0.5), mesh)
 
 
 def _sin_gap(h, cache=None):

@@ -179,6 +179,34 @@ def test_mesh_dump_csv(tmp_path):
     assert any(line.startswith("# elements") for line in text)
 
 
+@pytest.mark.parametrize("dim, lo, hi, message", [
+    (3, (0.0,) * 3, (1.0,) * 3, "dimension"), (2, (0.0,), (1.0, 1.0), "corner"),
+    (2, (0.0, 0.0), (1.0, 0.0), "degenerate"),
+])
+def test_box_domain_validation(dim, lo, hi, message):
+    with pytest.raises(MeshError, match=message):
+        BoxDomain(dim, lo, hi, 0.25)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.25])
+def test_element_size_must_be_positive(h):
+    with pytest.raises(MeshError, match="positive"):
+        build_uniform_mesh(h, BoxDomain.unit(1, 0.25))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+def test_perturbation_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(MeshError, match="seed"):
+        PerturbationSpec(0.1, seed)
+
+
+def test_perturbation_seed_range_ends_accepted():
+    mesh = build_uniform_mesh(0.125, BoxDomain.unit(1, 0.25))
+    first = perturb_mesh(mesh, PerturbationSpec(0.1, 0))
+    last = perturb_mesh(mesh, PerturbationSpec(0.1, 2**64 - 1))
+    assert not np.array_equal(first.nodes, last.nodes)
+
+
 def test_extension_validation():
     with pytest.raises(MeshError):
         BoxDomain.unit(1, 0.1, extension=0.2)

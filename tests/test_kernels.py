@@ -123,6 +123,16 @@ def test_max_norm_moments_numeric():
         assert g[1] == 0.0
 
 
+def test_second_moment_indices():
+    assert second_moment_indices(1) == [(2,)]
+    assert second_moment_indices(2) == [(2, 0), (1, 1), (0, 2)]
+
+
+def test_no_default_scaling_in_3d():
+    with pytest.raises(KernelError, match="no default scaling"):
+        default_scaling(KernelKind.CONSTANT, 3)
+
+
 def test_invalid_kernel_parameters():
     with pytest.raises(KernelError):
         Kernel(KernelKind.CONSTANT, 3, 0.1, 1.0)

@@ -51,6 +51,17 @@ def test_filter_1d_keeps_all(n):
     assert filter_to_ball(offs, 0.3, BallNorm.EUCLIDEAN).all()
 
 
+def test_filter_rejects_ball_without_points():
+    with pytest.raises(QuadratureError, match="no quadrature points"):
+        filter_to_ball(np.array([[2.0], [-2.0]]), 1.0, BallNorm.EUCLIDEAN)
+
+
+def test_rule_rejects_non_finite_weights():
+    offs = np.array([[-0.5], [0.5]])
+    with pytest.raises(QuadratureError, match="non-finite"):
+        nlfem.quadrature.InnerQuadratureRule(offs, np.array([1.0, np.nan]), np.ones(2), 0.0)
+
+
 def test_constraint_matrix_1d():
     d = 0.3
     k = Kernel.make(KernelKind.CONSTANT, 1, d)
@@ -144,6 +155,27 @@ def test_full_rule_non_positive_weight_raises(monkeypatch, bad_weight):
         full_ball_rule(k, InnerGridSpec(4, 2), cache=RuleCache())
 
 
+def test_moment_residual_above_tolerance_raises(monkeypatch):
+    solve = nlfem.quadrature.solve_weights
+    monkeypatch.setattr(nlfem.quadrature, "solve_weights",
+                        lambda B, g: (solve(B, g)[0], 1e-9 * np.linalg.norm(g)))
+    k = Kernel.make(KernelKind.RATIONAL, 1, 0.2)
+    with pytest.raises(QuadratureError, match="constraint residual"):
+        full_ball_rule(k, InnerGridSpec(3, 1), cache=RuleCache())
+
+
+@pytest.mark.parametrize("points_per_radius, dim", [(0, 1), (1, 3)])
+def test_inner_grid_spec_validation(points_per_radius, dim):
+    with pytest.raises(QuadratureError):
+        InnerGridSpec(points_per_radius, dim)
+
+
+def test_full_rule_rejects_mismatched_dimensions():
+    k = Kernel.make(KernelKind.CONSTANT, 1, 0.2)
+    with pytest.raises(QuadratureError, match="dimension"):
+        full_ball_rule(k, InnerGridSpec(2, 2), cache=RuleCache())
+
+
 def test_full_rule_dihedral_symmetry_2d():
     k = Kernel.make(KernelKind.RATIONAL, 2, 0.5)
     rule = full_ball_rule(k, InnerGridSpec(4, 2), cache=RuleCache())
@@ -173,6 +205,10 @@ def test_full_rule_cached_and_shared():
     for _ in range(n_extra):
         full_ball_rule(k, spec, cache=cache)
     assert cache.hits == 1 + n_extra
+    cache.clear()
+    assert (cache.hits, cache.misses) == (0, 0)
+    assert full_ball_rule(k, spec, cache=cache) is not r1
+    assert cache.misses == 1
 
 
 def test_closed_form_matches_solver():
@@ -189,6 +225,8 @@ def test_closed_form_values():
     assert np.allclose(closed_form_weights_1d_constant(1, 0.02), 4 * 0.02 / 3)
     w = closed_form_weights_1d_constant(2, 1.0)
     assert np.allclose(sorted(w), [8 / 123, 8 / 123, 72 / 123, 72 / 123])
+    with pytest.raises(QuadratureError, match="at least 1"):
+        closed_form_weights_1d_constant(0, 1.0)
 
 
 def test_min_weight_lower_bound():

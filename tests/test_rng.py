@@ -1,3 +1,5 @@
+import pytest
+
 from nlfem.rng import Xoshiro256pp
 
 
@@ -21,3 +23,14 @@ def test_uniform_ranges():
     ss = [gen.symmetric() for _ in range(2000)]
     assert all(-1.0 <= s < 1.0 for s in ss)
     assert min(ss) < -0.9 and max(ss) > 0.9
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        Xoshiro256pp(seed)
+
+
+def test_seed_range_ends_accepted():
+    first, last = Xoshiro256pp(0), Xoshiro256pp(2**64 - 1)
+    assert [first.next_uint64() for _ in range(4)] != [last.next_uint64() for _ in range(4)]
