@@ -10,15 +10,20 @@ Everything is vectorized over (outer point, inner point) pairs in fixed
 element chunks, so results are reproducible run to run.  Each pair adds one
 rank-one block, so a chunk's sum is (c o G)^T G for the pairs-by-nodes hat
 difference matrix G, and the operator is the running CSR sum of the chunks.
-scipy's CSR transpose is stable and its product adds (v_a c) v_b into each
-entry in (pair, a, b) order, the order in which a dense bincount over the
-pair blocks sums (``tests/_oracles.py`` keeps one), so both give bitwise the
-same matrix.  Above ``_COO_NODE_LIMIT`` nodes a chunk is summed as COO
-duplicates instead: that order cancels some roundoff residues to exact
-zeros that the product keeps as entries, and the benchmark's exact-nnz
-reference for its h=1/128 level counts them.  ``_PAIR_CHUNK`` and
-``_COO_NODE_LIMIT`` are constants because they decide which contributions
-are summed together, so any other value moves the entries by roundoff.
+A chunk lists its pairs in (element, outer point, offset) order, and that
+order is what fixes the order in which each entry sums its terms.  scipy's
+CSR transpose is stable and its product adds (v_a c) v_b into each entry in
+(pair, a, b) order, the order in which a dense bincount over the pair blocks
+sums (``tests/_oracles.py`` keeps one), so both give bitwise the same
+matrix.  The pair node indices are built in scipy's index dtype for the node
+count, from a connectivity cast once per level in ``_assemble_operator``,
+so no sparse constructor copies them.  Above ``_COO_NODE_LIMIT`` nodes a
+chunk is summed as COO duplicates instead: that order cancels some roundoff
+residues to exact zeros that the product keeps as entries, and the
+benchmark's exact-nnz reference for its h=1/128 level counts them.
+``_PAIR_CHUNK`` and ``_COO_NODE_LIMIT`` are constants because they decide
+which contributions are summed together, so any other value moves the
+entries by roundoff.
 """
 
 from __future__ import annotations
@@ -102,19 +107,23 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
     At or below ``_COO_NODE_LIMIT`` nodes it is the product (c o G)^T G,
     where row p of the pairs-by-nodes G holds ``vals[p]`` at ``nodes[p]``
     with repeated nodes left as separate entries.  Above the limit the
-    (2k)^2 blocks are summed as COO duplicates.
+    (2k)^2 blocks are summed as COO duplicates.  Either way each entry sums
+    its terms in pair order, so the order of the rows of ``nodes`` fixes the
+    result bit for bit.  ``nodes`` comes in scipy's index dtype for n
+    (``_assemble_operator`` casts the connectivity once per level) and is
+    used as given, so neither constructor copies or converts it.
     """
+    width = nodes.shape[1]
     if n <= _COO_NODE_LIMIT:
-        indptr = np.arange(0, nodes.size + 1, nodes.shape[1])
+        indptr = np.arange(0, nodes.size + 1, width,
+                           dtype=sparse.get_index_dtype(maxval=nodes.size))
         g = sparse.csr_matrix((vals.ravel(), nodes.ravel(), indptr), shape=(len(nodes), n))
         cg = sparse.csr_matrix(((vals * coef[:, None]).ravel(), nodes.ravel(), indptr),
                                shape=g.shape)
         return cg.T.tocsr() @ g
     data = (vals * coef[:, None])[:, :, None] * vals[:, None, :]
-    idx = nodes.astype(sparse.get_index_dtype(maxval=n))
-    width = idx.shape[1]
-    rows = np.repeat(idx, width, axis=1).ravel()
-    cols = np.tile(idx, width).ravel()
+    rows = np.repeat(nodes, width, axis=1).ravel()
+    cols = np.tile(nodes, width).ravel()
     return sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -133,6 +142,8 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     n = mesh.num_nodes
     total = sparse.csr_matrix((n, n))
 
+    elements = mesh.elements.astype(sparse.get_index_dtype(maxval=n), copy=False)
+    k = mesh.dim + 1
     elem_ids = np.arange(mesh.num_elements)
     in_box = mesh.element_in_box
     chunk_elems = max(1, _PAIR_CHUNK // max(1, n_q * full.size))
@@ -143,23 +154,30 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
             pts, wq, ref_bary = outer_rules(mesh, ids, n_q)
             centers = pts.reshape(-1, mesh.dim)
             wq = wq.reshape(-1)
+            # pairs run in (element, outer point, offset) order
             if truncate:
                 weights, keep = truncated_weights(kernel, spec, mesh.domain, centers,
                                                   full, cache)
+                coef = (full.strengths[None, :] * weights * wq[:, None])[keep]
+                point, off = np.nonzero(keep)
+                inner_pts = centers[point] + full.offsets[off]
+                per_point = keep.sum(axis=1)
+                per_elem = per_point.reshape(len(ids), n_q).sum(axis=1)
             else:
-                weights = full.weights[None, :]
-                keep = np.ones((len(centers), full.size), dtype=bool)
-            coef = (full.strengths[None, :] * weights * wq[:, None])[keep]
-            point, off = np.nonzero(keep)  # the pairs, in the order of coef
-            inner_pts = centers[point] + full.offsets[off]
+                coef = (full.strengths * full.weights * wq[:, None]).ravel()
+                inner_pts = (centers[:, None, :] + full.offsets).reshape(-1, mesh.dim)
+                per_point, per_elem = full.size, n_q * full.size
             try:
                 in_elems, in_bary = locate_points(mesh, inner_pts)
             except OutsideDomainError as exc:
                 raise AssemblyError(
                     f"inner quadrature point left the meshed region: {exc}") from exc
-            nodes = np.concatenate([mesh.elements[ids[point // n_q]], mesh.elements[in_elems]],
-                                   axis=1)
-            vals = np.concatenate([-ref_bary[point % n_q], in_bary], axis=1)
+            nodes = np.empty((len(coef), 2 * k), dtype=elements.dtype)
+            nodes[:, :k] = np.repeat(elements[ids], per_elem, axis=0)
+            nodes[:, k:] = elements[in_elems]
+            vals = np.empty(nodes.shape)
+            vals[:, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
+            vals[:, k:] = in_bary
             total = total + _pair_products(nodes, vals, coef, n)
     return total
 
@@ -299,7 +317,9 @@ def reconstruct(mesh: Mesh, interior_values: np.ndarray, boundary=None) -> Field
 def dump_matrix_market(system: DiscreteSystem, path) -> None:
     from scipy import io as scipy_io
 
-    scipy_io.mmwrite(str(path), system.matrix.tocoo())
+    # mmwrite given a path name reports no error when it cannot open it
+    with open(path, "wb") as fh:
+        scipy_io.mmwrite(fh, system.matrix.tocoo())
 
 
 def dump_solution_csv(field: Field, path) -> None:

@@ -1,9 +1,10 @@
 """Batch driver: a refinement study of one or more levels from a JSON config.
 
-Exit codes: 0 on success, 2 for configuration errors, 3 for numerical
-failures.  Re-running a config with the same seed reproduces all CSV
-outputs byte for byte (timing columns are written as zero unless
-``record_timings`` is set, since wall-clock times are not reproducible).
+Exit codes: 0 on success, 2 for configuration errors and output paths that
+cannot be written, 3 for numerical failures.  Re-running a config with the
+same seed reproduces all CSV outputs byte for byte (timing columns are
+written as zero unless ``record_timings`` is set, since wall-clock times are
+not reproducible).
 """
 
 from __future__ import annotations
@@ -291,6 +292,11 @@ def main(argv=None) -> int:
                   f"h1 slope {report.h1_fit.slope:.3f}")
     except (ConfigError, MeshError) as exc:
         print(f"[config] {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:  # not about a file the run writes
+            raise
+        print(f"[output] cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except NlfemError as exc:
         print(f"[numerical] {exc}", file=sys.stderr)

@@ -130,13 +130,15 @@ def solve_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     g = np.asarray(g, dtype=float).ravel()
-    S = B @ B.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = B @ B.T
+    # S is finite only if B is and no product overflowed
+    if not (np.isfinite(S).all() and np.isfinite(g).all()):
+        raise QuadratureError("non-finite constraints: B, g or B B^T has an inf or NaN")
     U, s, Vt = np.linalg.svd(S)
     if s[0] <= 0.0:
         raise QuadratureError("degenerate constraints: zero constraint matrix")
-    keep = s > _RANK_CUTOFF * s[0]
-    if not keep.any():
-        raise QuadratureError("degenerate constraints: all singular values below cutoff")
+    keep = s > _RANK_CUTOFF * s[0]  # always holds s[0], which is finite and positive
     w = B.T @ (Vt.T[:, keep] @ ((U[:, keep].T @ g) / s[keep]))
     residual = float(np.linalg.norm(B @ w - g))
     return w, residual

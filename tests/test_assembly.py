@@ -285,8 +285,9 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
     (1, 1 / 4096, InnerGridSpec(1, 1), 1, None, None, False),
     (2, 1 / 8, InnerGridSpec(4, 2), 16, None, 37, True),
     (2, 1 / 8, InnerGridSpec(4, 2), 16, 0, 37, True),
+    (1, 1 / 64, InnerGridSpec(3, 1), 4, None, 37, False),
 ], ids=["dense-2d", "sparse-2d", "sparse-1d", "dense-2d-perturbed-chunk37",
-        "sparse-2d-perturbed-chunk37"])
+        "sparse-2d-perturbed-chunk37", "dense-1d-chunk37"])
 def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_limit,
                                           pair_chunk, perturbed):
     """Both chunk sums give bitwise the matrix of the broadcast-index oracle.

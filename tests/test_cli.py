@@ -210,6 +210,21 @@ def test_main_dump_flags(tmp_path):
     assert rule.exists() and rule.read_text().startswith("offset_x,weight")
 
 
+@pytest.mark.parametrize("flag, target", [
+    ("--dump-matrix", "missing_dir/A.mtx"),
+    ("--dump-inner-rule", "missing_dir/rule.csv"),
+    ("--out", "a_file"),
+])
+def test_main_rejects_unwritable_output_path(tmp_path, capsys, flag, target):
+    cfg = _write(tmp_path, _base_config(h=[0.0625]))
+    (tmp_path / "a_file").write_text("")
+    path = str(tmp_path / target)
+    # a repeated --out replaces the first one
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("[output] cannot write") and path in err
+
+
 def test_main_study_dumps_one_file_per_level_and_prints_slopes(tmp_path, capsys):
     cfg = _write(tmp_path, _base_config(h=[0.25, 0.125, 0.0625]))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),

@@ -119,6 +119,17 @@ def test_solve_weights_degenerate():
         solve_weights(np.zeros((1, 4)), np.array([1.0]))
 
 
+@pytest.mark.parametrize("B, g", [
+    ([[np.nan, 1.0]], [1.0]),
+    ([[np.inf, 1.0]], [1.0]),
+    ([[1e200, 1.0]], [1.0]),  # finite, but B B^T overflows
+    ([[1.0, 1.0]], [np.nan]),
+], ids=["nan", "inf", "overflow", "nan-moment"])
+def test_solve_weights_non_finite(B, g):
+    with pytest.raises(QuadratureError, match="non-finite"):
+        solve_weights(np.array(B), np.array(g))
+
+
 def test_full_rule_exactness_all_kernels():
     for kind, dim in itertools.product(
             (KernelKind.CONSTANT, KernelKind.RATIONAL), (1, 2)):
