@@ -18,7 +18,10 @@ sums (``tests/_oracles.py`` keeps one), so both give bitwise the same
 matrix.  The pair node indices are built in scipy's index dtype for the node
 count, from a connectivity cast once per level in ``_assemble_operator``,
 so no sparse constructor copies them.  Above ``_COO_NODE_LIMIT`` nodes a
-chunk is summed as COO duplicates instead: that order cancels some roundoff
+chunk is summed as COO duplicates instead.  That branch does not sum in
+pair order: scipy sorts each CSR row's columns with an unstable sort before
+adding duplicates, so each entry's order is a fixed function of the pair
+order, which keeps reruns bitwise equal.  Its order cancels some roundoff
 residues to exact zeros that the product keeps as entries, and the
 benchmark's exact-nnz reference for its h=1/128 level counts them.
 ``_PAIR_CHUNK`` and ``_COO_NODE_LIMIT`` are constants because they decide
@@ -106,10 +109,11 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
 
     At or below ``_COO_NODE_LIMIT`` nodes it is the product (c o G)^T G,
     where row p of the pairs-by-nodes G holds ``vals[p]`` at ``nodes[p]``
-    with repeated nodes left as separate entries.  Above the limit the
-    (2k)^2 blocks are summed as COO duplicates.  Either way each entry sums
-    its terms in pair order, so the order of the rows of ``nodes`` fixes the
-    result bit for bit.  ``nodes`` comes in scipy's index dtype for n
+    with repeated nodes left as separate entries, and each entry sums its
+    terms in pair order.  Above the limit the (2k)^2 blocks are summed as
+    COO duplicates, in the order of scipy's unstable per-row column sort,
+    not in pair order.  Either way the order of the rows of ``nodes`` fixes
+    the result bit for bit.  ``nodes`` comes in scipy's index dtype for n
     (``_assemble_operator`` casts the connectivity once per level) and is
     used as given, so neither constructor copies or converts it.
     """
@@ -133,8 +137,9 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
 
     The hat-difference factor at an (outer, inner) point pair is +basis at
     the inner point minus basis at the outer point, so each pair adds one
-    rank-one block.  Box elements keep every full-ball point; layer elements
-    take per-point clipped rules.
+    rank-one block.  Box elements keep every full-ball point, located from
+    the centers and the shared offsets; layer elements take per-point
+    clipped rules.
     """
     if kernel.dim != mesh.dim or spec.dim != mesh.dim:
         raise AssemblyError("kernel / grid spec / mesh dimensions do not match")
@@ -160,23 +165,26 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
                                                   full, cache)
                 coef = (full.strengths[None, :] * weights * wq[:, None])[keep]
                 point, off = np.nonzero(keep)
-                inner_pts = centers[point] + full.offsets[off]
-                per_point = keep.sum(axis=1)
-                per_elem = per_point.reshape(len(ids), n_q).sum(axis=1)
+                inner, offsets = centers[point] + full.offsets[off], None
             else:
                 coef = (full.strengths * full.weights * wq[:, None]).ravel()
-                inner_pts = (centers[:, None, :] + full.offsets).reshape(-1, mesh.dim)
-                per_point, per_elem = full.size, n_q * full.size
+                inner, offsets = centers, full.offsets
             try:
-                in_elems, in_bary = locate_points(mesh, inner_pts)
+                in_elems, in_bary = locate_points(mesh, inner, offsets)
             except OutsideDomainError as exc:
                 raise AssemblyError(
                     f"inner quadrature point left the meshed region: {exc}") from exc
             nodes = np.empty((len(coef), 2 * k), dtype=elements.dtype)
-            nodes[:, :k] = np.repeat(elements[ids], per_elem, axis=0)
-            nodes[:, k:] = elements[in_elems]
             vals = np.empty(nodes.shape)
-            vals[:, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
+            if truncate:
+                per_point = keep.sum(axis=1)
+                per_elem = per_point.reshape(len(ids), n_q).sum(axis=1)
+                nodes[:, :k] = np.repeat(elements[ids], per_elem, axis=0)
+                vals[:, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
+            else:  # every outer point pairs with all full.size offsets
+                nodes.reshape(len(ids), -1, 2 * k)[:, :, :k] = elements[ids, None]
+                vals.reshape(len(ids), n_q, -1, 2 * k)[..., :k] = -ref_bary[:, None]
+            nodes[:, k:] = elements[in_elems]
             vals[:, k:] = in_bary
             total = total + _pair_products(nodes, vals, coef, n)
     return total
@@ -204,8 +212,7 @@ def truncated_weights(kernel: Kernel, spec: InnerGridSpec, domain: BoxDomain,
         # all points keep their full-ball weights.
         weights[:] = full.weights[None, :]
     else:
-        masks, inverse = np.unique(in_ext, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)  # numpy 2.1 keeps dims here
+        masks, inverse = _distinct_masks(in_ext)
         per_mask = np.zeros((len(masks), full.size))
         for k, mask in enumerate(masks):
             if not mask.any():
@@ -217,6 +224,20 @@ def truncated_weights(kernel: Kernel, spec: InnerGridSpec, domain: BoxDomain,
     if not retained.any(axis=1).all():
         raise AssemblyError("a constraint-layer ball retained no quadrature points")
     return weights, retained
+
+
+def _distinct_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for a boolean matrix.
+
+    Each row is packed to bytes and compared as one opaque key.  Bytes
+    compare in the same lexicographic order as the rows (False before
+    True, padding bits all zero), so the distinct rows come in the same
+    order, and so do the solves and cache lookups made from them.
+    """
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 def assemble_system(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,

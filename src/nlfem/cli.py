@@ -10,6 +10,7 @@ not reproducible).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import sys
@@ -214,6 +215,10 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
     of the worker count.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
+    for path in (dump_matrix, dump_inner_rule):
+        # fail before the levels run, not after they are solved
+        if path is not None and not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", str(path))
     levels = config.h_values
     workers = min(threads, len(levels))
     if workers > 1:

@@ -326,30 +326,41 @@ def _axis_cells(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(breaks) - 2)
 
 
-def locate_points(mesh: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def locate_points(mesh: Mesh, points: np.ndarray,
+                  offsets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized point location: element ids and barycentric coordinates.
 
-    Ties on shared facets resolve to the lowest element id.  Raises
-    OutsideDomainError if any point lies outside the meshed region, or if
-    the points do not have one coordinate per mesh dimension.
+    Ties on shared facets resolve to the lowest element id.  Given (n_off, d)
+    ``offsets``, it locates every point plus every offset, in (point, offset)
+    order.  Each axis is then searched once per point and distinct offset
+    coordinate, on the same float sums as ``points[:, None] + offsets``, so
+    the result equals the plain call on those sums.  Raises
+    OutsideDomainError, naming the first such point, if any point lies
+    outside the meshed region, or if the points or offsets do not have one
+    coordinate per mesh dimension.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != mesh.dim:
-        raise OutsideDomainError(
-            f"points of shape {np.shape(points)} cannot be located on a "
-            f"{mesh.dim}D mesh, which needs shape (n, {mesh.dim})")
-    cells, local = [], []
+    pts = _coordinate_rows(mesh, points)
+    offs = None if offsets is None else _coordinate_rows(mesh, offsets)
+    cells, local, outside = [], [], []
     for k, b in enumerate(mesh.axis_breaks):
-        x = pts[:, k]
+        x, col = pts[:, k], None
+        if offs is not None:
+            # distinct by bit pattern, so that -0.0 and 0.0 give their own sums
+            bits, col = np.unique(offs[:, k].view(np.int64), return_inverse=True)
+            x = x[:, None] + bits.view(float)
         bad = (x < b[0]) | (x > b[-1])
         if bad.any():
-            j = int(np.flatnonzero(bad)[0])
-            raise OutsideDomainError(
-                f"{int(bad.sum())} point(s) outside the meshed region; first is {pts[j]}"
-            )
+            outside.append(_per_pair(bad, col))
         i = _axis_cells(b, x)
-        cells.append(i)
-        local.append((x - b[i]) / (b[i + 1] - b[i]))
+        cells.append(_per_pair(i, col))
+        local.append(_per_pair((x - b[i]) / (b[i + 1] - b[i]), col))
+    if outside:
+        bad = np.logical_or.reduce(outside)
+        j = int(np.flatnonzero(bad)[0])
+        first = pts[j] if offs is None else pts[j // len(offs)] + offs[j % len(offs)]
+        raise OutsideDomainError(
+            f"{int(bad.sum())} point(s) outside the meshed region; first is {first}"
+        )
     if mesh.dim == 1:
         return cells[0], np.stack([1.0 - local[0], local[0]], axis=1)
 
@@ -360,3 +371,18 @@ def locate_points(mesh: Mesh, points: np.ndarray) -> tuple[np.ndarray, np.ndarra
                      np.where(lower, xi - eta, xi),
                      np.where(lower, eta, eta - xi)], axis=1)
     return elem, bary
+
+
+def _coordinate_rows(mesh: Mesh, points) -> np.ndarray:
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != mesh.dim:
+        raise OutsideDomainError(
+            f"points of shape {np.shape(points)} cannot be located on a "
+            f"{mesh.dim}D mesh, which needs shape (n, {mesh.dim})")
+    return pts
+
+
+def _per_pair(values: np.ndarray, col: np.ndarray | None) -> np.ndarray:
+    """Per-point values as given, or (point, distinct coordinate) values
+    gathered to (point, offset) order through the offsets' column index."""
+    return values if col is None else values[:, col].ravel()

@@ -223,6 +223,7 @@ def test_main_rejects_unwritable_output_path(tmp_path, capsys, flag, target):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("[output] cannot write") and path in err
+    assert not (tmp_path / "out" / "report.csv").exists()  # refused before any level ran
 
 
 def test_main_study_dumps_one_file_per_level_and_prints_slopes(tmp_path, capsys):

@@ -3,7 +3,8 @@
 ``Mesh.affine_maps`` writes the affine map of the reference simplex and its
 Jacobian determinant once for 1D and 2D; ``locate_points`` builds the 2D
 barycentrics column by column.  The oracles in ``_oracles.py`` keep the
-earlier per-dimension and masked forms.
+earlier per-dimension and masked forms.  ``locate_points``' offsets form is
+checked against its plain form on the same sums.
 """
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 
 from _oracles import (forked_element_gradients, forked_element_measures,
                       forked_outer_rules, masked_locate_points)
-from nlfem import (BoxDomain, Field, PerturbationSpec, build_uniform_mesh, locate_points,
-                   outer_rules, perturb_mesh)
+from nlfem import (BoxDomain, Field, InnerGridSpec, OutsideDomainError, PerturbationSpec,
+                   build_uniform_mesh, generate_offsets, locate_points, outer_rules,
+                   perturb_mesh)
 
 MESHES = pytest.mark.parametrize("dim, perturbed", [(1, False), (1, True), (2, False), (2, True)])
 
@@ -56,6 +58,70 @@ def test_locate_points_equals_masked_oracle(dim, perturbed):
         lower = ref_elem % 2 == 0
         ties = lower & (ref_bary[:, 1] == 0.0) & (ref_bary[:, 0] > 0.0) & (ref_bary[:, 2] > 0.0)
         assert ties.sum() >= 20
+
+
+def _same_bits(a, b):
+    """Equal arrays down to the sign of each zero."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@MESHES
+def test_locate_points_offsets_form_equals_plain_form(dim, perturbed):
+    mesh = _mesh(dim, perturbed)
+    pts = _probe_points(mesh)
+    # probes in the box, so every offset below keeps them in the mesh
+    centers = pts[np.all((pts >= 0.0) & (pts <= 1.0), axis=1)]
+    # a ball grid (each coordinate repeated across its rows), zero, and whole
+    # multiples of the spacing, which carry vertices onto vertices, points on
+    # grid lines onto grid lines and diagonal points along diagonals
+    steps = np.meshgrid(*[0.125 * np.arange(-2, 3)] * dim, indexing="ij")
+    offsets = np.concatenate([generate_offsets(InnerGridSpec(3, dim), 0.25),
+                              np.stack([g.ravel() for g in steps], axis=1)])
+    elem, bary = locate_points(mesh, centers, offsets)
+    ref_elem, ref_bary = locate_points(mesh, (centers[:, None] + offsets).reshape(-1, dim))
+    assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
+    on_breaks = sum(np.isin(bary[:, k], [0.0, 1.0]).sum() for k in range(dim + 1))
+    assert on_breaks >= 100
+    if dim == 2 and not perturbed:
+        ties = (elem % 2 == 0) & (bary[:, 1] == 0.0) & (bary[:, 0] > 0.0) & (bary[:, 2] > 0.0)
+        assert ties.sum() >= 100
+
+
+def test_locate_points_offsets_form_keeps_signed_zeros():
+    # the mesh starts at 0.0, so -0.0 + -0.0 and -0.0 + 0.0 give barycentrics
+    # that differ only in the sign of a zero
+    mesh = build_uniform_mesh(0.25, BoxDomain(1, (0.25,), (1.25,), 0.25))
+    assert mesh.axis_breaks[0][0] == 0.0
+    centers = np.array([[-0.0], [0.5]])
+    offsets = np.array([[0.0], [-0.0], [0.25]])
+    elem, bary = locate_points(mesh, centers, offsets)
+    ref_elem, ref_bary = locate_points(mesh, (centers[:, None] + offsets).reshape(-1, 1))
+    assert np.signbit(bary[:2, 1]).tolist() == [False, True]
+    assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
+
+
+@pytest.mark.parametrize("centers, offsets, first", [
+    ([[0.5], [1.2], [1.2]], [[-0.1], [0.1], [0.2]], [1.2 + 0.1]),
+    # the first outside pair leaves along y; a later one along x only
+    ([[0.5, 0.5], [0.5, 1.2], [1.2, 0.5]], [[-0.1, -0.1], [0.1, 0.1]], [0.6, 1.3]),
+    ([[0.5, 0.5]], [[0.0, 0.0], [-0.8, 0.0], [0.0, 0.8]], [-0.3, 0.5]),
+])
+def test_locate_points_offsets_form_names_first_outside_point(centers, offsets, first):
+    dim = len(first)
+    mesh = build_uniform_mesh(0.125, BoxDomain.unit(dim, 0.25))
+    centers, offsets = np.array(centers), np.array(offsets)
+    with pytest.raises(OutsideDomainError) as plain:
+        locate_points(mesh, (centers[:, None] + offsets).reshape(-1, dim))
+    with pytest.raises(OutsideDomainError) as paired:
+        locate_points(mesh, centers, offsets)
+    assert str(paired.value) == str(plain.value)
+    assert str(paired.value).endswith(f"first is {np.array(first)}")
+
+
+def test_locate_points_rejects_offsets_of_another_dimension():
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
+    with pytest.raises(OutsideDomainError, match=r"shape \(3,\).*2D"):
+        locate_points(mesh, [[0.5, 0.5]], np.zeros(3))
 
 
 @MESHES

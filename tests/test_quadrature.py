@@ -5,9 +5,10 @@ import pytest
 
 import nlfem.quadrature
 from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelKind,
-                   QuadratureError, RuleCache, closed_form_weights_1d_constant,
-                   constraint_matrix, exact_moment_integrals, filter_to_ball,
-                   full_ball_rule, generate_offsets, solve_weights,
+                   PerturbationSpec, QuadratureError, RuleCache, build_uniform_mesh,
+                   closed_form_weights_1d_constant, constraint_matrix,
+                   exact_moment_integrals, filter_to_ball, full_ball_rule,
+                   generate_offsets, outer_rules, perturb_mesh, solve_weights,
                    truncated_weights)
 
 
@@ -345,3 +346,22 @@ def test_rule_dump_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "offset_x,offset_y,weight"
     assert len(lines) == 1 + rule.size
+
+
+@pytest.mark.parametrize("n_bar", [4, 10])  # 52 and 316 grid points: keys of 7 and 40 bytes
+def test_distinct_masks_match_row_unique(n_bar):
+    from nlfem.assembly import _distinct_masks
+
+    h, d = 1 / 16, 2 / 16
+    domain = BoxDomain.unit(2, d, 0.0)
+    mesh = perturb_mesh(build_uniform_mesh(h, domain), PerturbationSpec(0.3, seed=2))
+    full = full_ball_rule(Kernel.make(KernelKind.RATIONAL, 2, d), InnerGridSpec(n_bar, 2),
+                          cache=RuleCache())
+    pts, _, _ = outer_rules(mesh, np.flatnonzero(~mesh.element_in_box), 4)
+    centers = pts.reshape(-1, 2)
+    in_ext = domain.contains_extended(centers[:, None] + full.offsets)
+    masks, inverse = _distinct_masks(in_ext)
+    ref_masks, ref_inverse = np.unique(in_ext, axis=0, return_inverse=True)
+    assert len(ref_masks) > 20
+    assert np.array_equal(masks, ref_masks)
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))
