@@ -7,9 +7,11 @@ restricted to unknowns afterwards), because the same pass also yields the
 coupling block that turns Dirichlet layer data into the load correction.
 
 Everything is vectorized over (outer point, inner point) pairs in fixed
-element chunks, so results are reproducible run to run.  Each pair adds one
-rank-one block, so a chunk's sum is (c o G)^T G for the pairs-by-nodes hat
-difference matrix G, and the operator is the running CSR sum of the chunks.
+element chunks, so results are reproducible run to run.  One
+``locate_points`` call per chunk gives the inner points and, for the layer,
+each ball's masks.  Each pair adds one rank-one block, so a chunk's sum is
+(c o G)^T G for the pairs-by-nodes hat difference matrix G, and the
+operator is the running CSR sum of the chunks.
 A chunk lists its pairs in (element, outer point, offset) order, and that
 order is what fixes the order in which each entry sums its terms.  scipy's
 CSR transpose is stable and its product adds (v_a c) v_b into each entry in
@@ -37,8 +39,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from .exceptions import AssemblyError, OutsideDomainError, SolverError
-from .geometry import BoxDomain, Mesh, locate_points
+from .exceptions import AssemblyError, SolverError
+from .geometry import Mesh, locate_points
 from .kernels import Kernel
 from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,
                          default_cache, full_ball_rule, solve_weights_on_subset)
@@ -137,9 +139,9 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
 
     The hat-difference factor at an (outer, inner) point pair is +basis at
     the inner point minus basis at the outer point, so each pair adds one
-    rank-one block.  Box elements keep every full-ball point, located from
-    the centers and the shared offsets; layer elements take per-point
-    clipped rules.
+    rank-one block.  Each chunk locates its balls in one ``locate_points``
+    call on the centers and the shared offsets.  Box balls keep every point;
+    layer balls are weighted on their ``in_ext`` mask and keep ``in_mesh``.
     """
     if kernel.dim != mesh.dim or spec.dim != mesh.dim:
         raise AssemblyError("kernel / grid spec / mesh dimensions do not match")
@@ -160,24 +162,20 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
             centers = pts.reshape(-1, mesh.dim)
             wq = wq.reshape(-1)
             # pairs run in (element, outer point, offset) order
+            in_elems, in_bary, in_mesh, in_ext = locate_points(mesh, centers, full.offsets)
             if truncate:
-                weights, keep = truncated_weights(kernel, spec, mesh.domain, centers,
-                                                  full, cache)
-                coef = (full.strengths[None, :] * weights * wq[:, None])[keep]
-                point, off = np.nonzero(keep)
-                inner, offsets = centers[point] + full.offsets[off], None
+                if not in_mesh.any(axis=1).all():
+                    raise AssemblyError("a constraint-layer ball retained no quadrature points")
+                weights = truncated_weights(kernel, spec, in_ext, full, cache)
+                coef = (full.strengths[None, :] * weights * wq[:, None])[in_mesh]
+            elif len(in_elems) < in_mesh.size:
+                raise AssemblyError("a box ball left the meshed region")
             else:
                 coef = (full.strengths * full.weights * wq[:, None]).ravel()
-                inner, offsets = centers, full.offsets
-            try:
-                in_elems, in_bary = locate_points(mesh, inner, offsets)
-            except OutsideDomainError as exc:
-                raise AssemblyError(
-                    f"inner quadrature point left the meshed region: {exc}") from exc
             nodes = np.empty((len(coef), 2 * k), dtype=elements.dtype)
             vals = np.empty(nodes.shape)
             if truncate:
-                per_point = keep.sum(axis=1)
+                per_point = in_mesh.sum(axis=1)
                 per_elem = per_point.reshape(len(ids), n_q).sum(axis=1)
                 nodes[:, :k] = np.repeat(elements[ids], per_elem, axis=0)
                 vals[:, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
@@ -190,40 +188,24 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     return total
 
 
-def truncated_weights(kernel: Kernel, spec: InnerGridSpec, domain: BoxDomain,
-                      centers: np.ndarray, full: InnerQuadratureRule,
-                      cache: RuleCache) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of balls clipped by the meshed region, for a batch of centers.
+def truncated_weights(kernel: Kernel, spec: InnerGridSpec, in_ext: np.ndarray,
+                      full: InnerQuadratureRule, cache: RuleCache) -> np.ndarray:
+    """Weights of balls clipped by the meshed region, shape (n_balls, full.size).
 
-    Grid points are kept if they fall in the region extended by
-    ``domain.extension``; weights are solved on that set against the
-    full-ball moments (one cached solve per distinct mask); points outside
-    the meshed region are then dropped.  Returns the weights over the full
-    grid, shape (n_centers, full.size), and the mask of retained points.
+    ``locate_points``' ``in_ext`` marks each ball's grid points in the region
+    grown by the extension.  Weights are solved on that set against the
+    full-ball moments (one cached solve per distinct mask), zero elsewhere;
+    the caller then drops the points outside the meshed region.
     """
-    flat = (centers[:, None, :] + full.offsets[None, :, :]).reshape(-1, domain.dim)
-    in_ext = domain.contains_extended(flat).reshape(len(centers), full.size)
-    in_mesh = domain.contains_meshed(flat).reshape(len(centers), full.size)
-    retained = in_ext & in_mesh
-
-    weights = np.empty((len(centers), full.size))
     if in_ext.all():
         # Extension covers every ball here (the extension == horizon case):
         # all points keep their full-ball weights.
-        weights[:] = full.weights[None, :]
-    else:
-        masks, inverse = _distinct_masks(in_ext)
-        per_mask = np.zeros((len(masks), full.size))
-        for k, mask in enumerate(masks):
-            if not mask.any():
-                raise AssemblyError("a constraint-layer ball lost all quadrature points")
-            sub_w, _ = solve_weights_on_subset(kernel, spec, full.offsets, mask, cache)
-            per_mask[k, mask] = sub_w
-        weights = per_mask[inverse]
-
-    if not retained.any(axis=1).all():
-        raise AssemblyError("a constraint-layer ball retained no quadrature points")
-    return weights, retained
+        return np.tile(full.weights, (len(in_ext), 1))
+    masks, inverse = _distinct_masks(in_ext)
+    per_mask = np.zeros((len(masks), full.size))
+    for k, mask in enumerate(masks):
+        per_mask[k, mask], _ = solve_weights_on_subset(kernel, spec, full.offsets, mask, cache)
+    return per_mask[inverse]
 
 
 def _distinct_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,6 +59,8 @@ class BoxDomain:
             raise MeshError(f"unsupported dimension {self.dim}; only 1 and 2 are implemented")
         if len(self.lo) != self.dim or len(self.hi) != self.dim:
             raise MeshError("corner coordinate count does not match dimension")
+        if not all(math.isfinite(c) for c in (*self.lo, *self.hi, self.horizon)):
+            raise MeshError("box corners and horizon must be finite")
         if any(b <= a for a, b in zip(self.lo, self.hi)):
             raise MeshError("degenerate box: upper corner must exceed lower corner")
         if not self.horizon > 0.0:
@@ -72,25 +74,14 @@ class BoxDomain:
     def unit(cls, dim: int, horizon: float, extension: float = 0.0) -> "BoxDomain":
         return cls(dim, (0.0,) * dim, (1.0,) * dim, horizon, extension)
 
-    # The layered box bounds below are the single source of truth for all
-    # membership tests; mesh breakpoints reuse exactly these floats so that
-    # comparisons stay consistent.
+    # The layered box bounds below are the single source of truth: mesh
+    # breakpoints end at exactly these floats for pad = horizon, and
+    # locate_points compares against them for pad = horizon + extension.
     def layer_lo(self, pad: float) -> np.ndarray:
         return np.array([a - pad for a in self.lo])
 
     def layer_hi(self, pad: float) -> np.ndarray:
         return np.array([b + pad for b in self.hi])
-
-    def contains_meshed(self, points: np.ndarray) -> np.ndarray:
-        """True for (n, d) points in the closed box plus constraint layer."""
-        return self._contains(points, self.horizon)
-
-    def contains_extended(self, points: np.ndarray) -> np.ndarray:
-        """True for (n, d) points in the box plus constraint layer plus extension."""
-        return self._contains(points, self.horizon + self.extension)
-
-    def _contains(self, points: np.ndarray, pad: float) -> np.ndarray:
-        return np.all((points >= self.layer_lo(pad)) & (points <= self.layer_hi(pad)), axis=-1)
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance from (n, d) points inside the box to the nearest box face."""
@@ -326,51 +317,62 @@ def _axis_cells(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(breaks) - 2)
 
 
-def locate_points(mesh: Mesh, points: np.ndarray,
-                  offsets: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray | None = None):
     """Vectorized point location: element ids and barycentric coordinates.
 
-    Ties on shared facets resolve to the lowest element id.  Given (n_off, d)
-    ``offsets``, it locates every point plus every offset, in (point, offset)
-    order.  Each axis is then searched once per point and distinct offset
-    coordinate, on the same float sums as ``points[:, None] + offsets``, so
-    the result equals the plain call on those sums.  Raises
-    OutsideDomainError, naming the first such point, if any point lies
-    outside the meshed region, or if the points or offsets do not have one
-    coordinate per mesh dimension.
+    Ties on shared facets resolve to the lowest element id.  The plain form
+    returns ``(elem, bary)`` of (n, d) ``points`` and raises
+    OutsideDomainError, naming the first, if any lies outside the meshed
+    region (as a NaN coordinate does).  Given (n_off, d) ``offsets``, it
+    takes every point plus every offset and returns ``(elem, bary, in_mesh,
+    in_ext)``: (n, n_off) masks of the sums in the meshed region and in that
+    region grown by ``domain.extension`` (a read-only broadcast True where
+    all are), and ``elem``/``bary`` of the ``in_mesh`` sums in (point,
+    offset) order.  Each axis is searched and compared once per point and
+    distinct offset coordinate, on the same float sums as
+    ``points[:, None] + offsets``, so they equal the plain call on those
+    sums.  Points or offsets without one coordinate per mesh dimension raise
+    OutsideDomainError.
     """
     pts = _coordinate_rows(mesh, points)
     offs = None if offsets is None else _coordinate_rows(mesh, offsets)
-    cells, local, outside = [], [], []
+    pad = mesh.domain.horizon + mesh.domain.extension
+    ext_lo, ext_hi = mesh.domain.layer_lo(pad), mesh.domain.layer_hi(pad)
+    in_mesh = in_ext = None  # None while every pair so far lies inside
+    cells, local = [], []
     for k, b in enumerate(mesh.axis_breaks):
         x, col = pts[:, k], None
         if offs is not None:
             # distinct by bit pattern, so that -0.0 and 0.0 give their own sums
             bits, col = np.unique(offs[:, k].view(np.int64), return_inverse=True)
             x = x[:, None] + bits.view(float)
-        bad = (x < b[0]) | (x > b[-1])
-        if bad.any():
-            outside.append(_per_pair(bad, col))
+        # comparisons that a NaN coordinate fails
+        in_mesh = _narrow(in_mesh, (x >= b[0]) & (x <= b[-1]), col)
+        in_ext = _narrow(in_ext, (x >= ext_lo[k]) & (x <= ext_hi[k]), col)
         i = _axis_cells(b, x)
         cells.append(_per_pair(i, col))
         local.append(_per_pair((x - b[i]) / (b[i + 1] - b[i]), col))
-    if outside:
-        bad = np.logical_or.reduce(outside)
-        j = int(np.flatnonzero(bad)[0])
-        first = pts[j] if offs is None else pts[j // len(offs)] + offs[j % len(offs)]
-        raise OutsideDomainError(
-            f"{int(bad.sum())} point(s) outside the meshed region; first is {first}"
-        )
-    if mesh.dim == 1:
-        return cells[0], np.stack([1.0 - local[0], local[0]], axis=1)
+    if in_mesh is not None:
+        if offs is None:
+            outside = np.flatnonzero(~in_mesh)
+            raise OutsideDomainError(f"{len(outside)} point(s) outside the meshed region; "
+                                     f"first is {pts[outside[0]]}")
+        cells, local = [c[in_mesh] for c in cells], [t[in_mesh] for t in local]
 
-    (ix, iy), (xi, eta) = cells, local
-    lower = xi >= eta  # diagonal itself goes to the lower triangle (smaller id)
-    elem = 2 * (iy * (len(mesh.axis_breaks[0]) - 1) + ix) + (~lower).astype(np.int64)
-    bary = np.stack([1.0 - np.where(lower, xi, eta),
-                     np.where(lower, xi - eta, xi),
-                     np.where(lower, eta, eta - xi)], axis=1)
-    return elem, bary
+    if mesh.dim == 1:
+        elem, bary = cells[0], np.stack([1.0 - local[0], local[0]], axis=1)
+    else:
+        (ix, iy), (xi, eta) = cells, local
+        lower = xi >= eta  # diagonal itself goes to the lower triangle (smaller id)
+        elem = 2 * (iy * (len(mesh.axis_breaks[0]) - 1) + ix) + (~lower).astype(np.int64)
+        bary = np.stack([1.0 - np.where(lower, xi, eta),
+                         np.where(lower, xi - eta, xi),
+                         np.where(lower, eta, eta - xi)], axis=1)
+    if offs is None:
+        return elem, bary
+    shape = (len(pts), len(offs))
+    return elem, bary, *(np.broadcast_to(True, shape) if mask is None else mask.reshape(shape)
+                         for mask in (in_mesh, in_ext))
 
 
 def _coordinate_rows(mesh: Mesh, points) -> np.ndarray:
@@ -380,6 +382,15 @@ def _coordinate_rows(mesh: Mesh, points) -> np.ndarray:
             f"points of shape {np.shape(points)} cannot be located on a "
             f"{mesh.dim}D mesh, which needs shape (n, {mesh.dim})")
     return pts
+
+
+def _narrow(mask: np.ndarray | None, inside: np.ndarray, col) -> np.ndarray | None:
+    """``mask`` and the per-pair ``inside``, gathered only when some sum
+    lies outside; None stands for a mask that holds everywhere."""
+    if inside.all():
+        return mask
+    inside = _per_pair(inside, col)
+    return inside if mask is None else mask & inside
 
 
 def _per_pair(values: np.ndarray, col: np.ndarray | None) -> np.ndarray:

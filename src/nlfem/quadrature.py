@@ -14,8 +14,8 @@ moments, and points falling outside the meshed region are then discarded
 together with their weights.  Solving before restricting is deliberate:
 with extension equal to the horizon every near-boundary point keeps its
 full-ball weight, which is what restores second-order accuracy.  That
-construction runs batched in ``assembly.truncated_weights``; this module
-supplies its cached masked solve, ``solve_weights_on_subset``.
+construction runs batched in ``assembly.truncated_weights`` on masks from
+``locate_points``; this module supplies its cached masked solve.
 """
 
 from __future__ import annotations

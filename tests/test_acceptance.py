@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
-                   assemble_system, build_uniform_mesh,
+                   ManufacturedCase, assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, case_sin_2d,
                    closed_form_weights_1d_constant, constraint_matrix,
                    exact_bilinear_form, exact_moment_integrals, fit_rate,
@@ -90,6 +90,18 @@ def test_criterion_02_closed_form_oracle():
     _report(2, "analytic weight formula", time.perf_counter() - t0, 1)
 
 
+def _linear_2d():
+    """u = 0.3 + x + 2y with zero source, which the basis represents exactly."""
+
+    def u(p):
+        return 0.3 + p[..., 0] + 2.0 * p[..., 1]
+
+    def grad(p):
+        return np.broadcast_to([1.0, 2.0], p.shape).copy()
+
+    return ManufacturedCase("linear2d", 2, u, lambda p: np.zeros(p.shape[:-1]), u, grad)
+
+
 def test_criterion_03_patch_test():
     t0 = time.perf_counter()
     case = case_linear_1d()
@@ -98,6 +110,19 @@ def test_criterion_03_patch_test():
         mesh, field = _solve_case(1, kind, case, 0.01, 2, 1.0, 10, 40)
         results[kind.value] = l2_error(field, case, mesh)
         assert results[kind.value] <= 1e-10
+    # 2D: extension delta reproduces the linear solution at the nodes on
+    # uniform meshes; extension zero does not, so the check is not vacuous
+    case = _linear_2d()
+    runs = itertools.chain(itertools.product(BOTH_KINDS, (1 / 8, 1 / 16), (1.0,)),
+                           itertools.product(BOTH_KINDS, (1 / 8,), (0.0,)))
+    for kind, h, ext_ratio in runs:
+        mesh, field = _solve_case(2, kind, case, h, 2, ext_ratio, 4, 16)
+        err = np.abs(field.node_values - case.solution(mesh.nodes)).max()
+        results[f"2d-{kind.value}-h={h}-ext={ext_ratio:g}"] = err
+        if ext_ratio == 1.0:
+            assert err <= 1e-11
+        else:
+            assert err > 1e-3
     _report(3, "patch test", time.perf_counter() - t0, 10,
             detail=" ".join(f"{k}={v:.2e}" for k, v in results.items()))
 

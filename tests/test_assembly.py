@@ -485,3 +485,19 @@ def test_dimension_mismatch_rejected():
     k = Kernel.make(KernelKind.CONSTANT, 2, 0.25)
     with pytest.raises(AssemblyError):
         assemble_system(mesh, k, InnerGridSpec(2, 2), 4)
+
+
+@pytest.mark.parametrize("offsets, message", [
+    ([[-0.375], [0.375]], "box ball left the meshed region"),
+    # box balls stay inside; layer balls left of x = -0.05 lose their one point
+    ([[-0.2]], "retained no quadrature points"),
+])
+def test_assembly_rejects_balls_that_leave_the_mesh(monkeypatch, offsets, message):
+    offsets = np.array(offsets)
+    rule = nlfem.assembly.InnerQuadratureRule(offsets, np.ones(len(offsets)),
+                                              np.ones(len(offsets)), 0.0)
+    monkeypatch.setattr(nlfem.assembly, "full_ball_rule", lambda *args: rule)
+    mesh = _mesh_1d(0.125, 2, 0.0)
+    k = Kernel.make(KernelKind.CONSTANT, 1, 0.25)
+    with pytest.raises(AssemblyError, match=message):
+        assemble_system(mesh, k, InnerGridSpec(2, 1), 2, cache=RuleCache())

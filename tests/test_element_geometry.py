@@ -4,7 +4,8 @@
 Jacobian determinant once for 1D and 2D; ``locate_points`` builds the 2D
 barycentrics column by column.  The oracles in ``_oracles.py`` keep the
 earlier per-dimension and masked forms.  ``locate_points``' offsets form is
-checked against its plain form on the same sums.
+checked against its plain form on the same sums, and its two masks against
+a brute-force range test.
 """
 
 import numpy as np
@@ -77,7 +78,8 @@ def test_locate_points_offsets_form_equals_plain_form(dim, perturbed):
     steps = np.meshgrid(*[0.125 * np.arange(-2, 3)] * dim, indexing="ij")
     offsets = np.concatenate([generate_offsets(InnerGridSpec(3, dim), 0.25),
                               np.stack([g.ravel() for g in steps], axis=1)])
-    elem, bary = locate_points(mesh, centers, offsets)
+    elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
+    assert in_mesh.all() and in_ext.all()
     ref_elem, ref_bary = locate_points(mesh, (centers[:, None] + offsets).reshape(-1, dim))
     assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
     on_breaks = sum(np.isin(bary[:, k], [0.0, 1.0]).sum() for k in range(dim + 1))
@@ -94,7 +96,7 @@ def test_locate_points_offsets_form_keeps_signed_zeros():
     assert mesh.axis_breaks[0][0] == 0.0
     centers = np.array([[-0.0], [0.5]])
     offsets = np.array([[0.0], [-0.0], [0.25]])
-    elem, bary = locate_points(mesh, centers, offsets)
+    elem, bary, _, _ = locate_points(mesh, centers, offsets)
     ref_elem, ref_bary = locate_points(mesh, (centers[:, None] + offsets).reshape(-1, 1))
     assert np.signbit(bary[:2, 1]).tolist() == [False, True]
     assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
@@ -110,12 +112,63 @@ def test_locate_points_offsets_form_names_first_outside_point(centers, offsets, 
     dim = len(first)
     mesh = build_uniform_mesh(0.125, BoxDomain.unit(dim, 0.25))
     centers, offsets = np.array(centers), np.array(offsets)
+    sums = (centers[:, None] + offsets).reshape(-1, dim)
+    elem, bary, in_mesh, _ = locate_points(mesh, centers, offsets)
     with pytest.raises(OutsideDomainError) as plain:
-        locate_points(mesh, (centers[:, None] + offsets).reshape(-1, dim))
-    with pytest.raises(OutsideDomainError) as paired:
-        locate_points(mesh, centers, offsets)
-    assert str(paired.value) == str(plain.value)
-    assert str(paired.value).endswith(f"first is {np.array(first)}")
+        locate_points(mesh, sums)
+    assert str(plain.value) == (f"{(~in_mesh).sum()} point(s) outside the meshed region; "
+                                f"first is {np.array(first)}")
+    # the offsets form does not raise: its False pairs are the points the plain form rejects
+    for point, kept in zip(sums, in_mesh.ravel()):
+        if kept:
+            locate_points(mesh, [point])
+        else:
+            with pytest.raises(OutsideDomainError):
+                locate_points(mesh, [point])
+    ref_elem, ref_bary = locate_points(mesh, sums[in_mesh.ravel()])
+    assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
+
+
+@pytest.mark.parametrize("dim, with_offsets", [(1, False), (2, False), (2, True)])
+def test_locate_points_rejects_nan(dim, with_offsets):
+    mesh = build_uniform_mesh(0.125, BoxDomain.unit(dim, 0.25))
+    centers = np.full((3, dim), 0.5)
+    centers[1, -1] = np.nan
+    if not with_offsets:
+        field = Field(mesh, np.zeros(mesh.num_nodes))
+        with pytest.raises(OutsideDomainError, match=r"^1 point\(s\) .*first is \[.*nan\]$"):
+            field.evaluate(centers)
+        return
+    offsets = generate_offsets(InnerGridSpec(2, dim), 0.25)
+    elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
+    expected = np.repeat([[True], [False], [True]], len(offsets), axis=1)
+    assert np.array_equal(in_mesh, expected) and np.array_equal(in_ext, expected)
+    assert len(elem) == 2 * len(offsets) and np.isfinite(bary).all()
+
+
+@MESHES
+@pytest.mark.parametrize("extension", [0.0, 0.125])
+def test_locate_points_masks_equal_brute_force(dim, perturbed, extension):
+    domain = BoxDomain.unit(dim, 0.25, extension)
+    mesh = build_uniform_mesh(0.125, domain)
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.3, seed=5))
+    centers = _probe_points(mesh)
+    # whole spacings carry the layer-end vertices onto the mesh ends and the
+    # extended ends exactly
+    steps = np.meshgrid(*[0.125 * np.arange(-3, 4)] * dim, indexing="ij")
+    offsets = np.concatenate([generate_offsets(InnerGridSpec(3, dim), 0.25),
+                              np.stack([g.ravel() for g in steps], axis=1)])
+    elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
+    sums = centers[:, None] + offsets
+    for mask, pad in ((in_mesh, 0.25), (in_ext, 0.25 + extension)):
+        lo, hi = domain.layer_lo(pad), domain.layer_hi(pad)
+        assert np.array_equal(mask, np.all((sums >= lo) & (sums <= hi), -1))
+        assert (sums == lo).any() and (sums == hi).any()
+        assert not mask.all()
+    assert not (in_mesh & ~in_ext).any()
+    ref_elem, ref_bary = locate_points(mesh, sums[in_mesh])
+    assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
 
 
 def test_locate_points_rejects_offsets_of_another_dimension():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,8 @@ def test_mesh_dump_csv(tmp_path):
 @pytest.mark.parametrize("dim, lo, hi, message", [
     (3, (0.0,) * 3, (1.0,) * 3, "dimension"), (2, (0.0,), (1.0, 1.0), "corner"),
     (2, (0.0, 0.0), (1.0, 0.0), "degenerate"),
+    (1, (math.nan,), (1.0,), "finite"), (2, (0.0, 0.0), (math.nan, 1.0), "finite"),
+    (1, (-math.inf,), (1.0,), "finite"), (2, (0.0, 0.0), (1.0, math.inf), "finite"),
 ])
 def test_box_domain_validation(dim, lo, hi, message):
     with pytest.raises(MeshError, match=message):
@@ -212,3 +216,5 @@ def test_extension_validation():
         BoxDomain.unit(1, 0.1, extension=0.2)
     with pytest.raises(MeshError):
         BoxDomain.unit(1, -0.1)
+    with pytest.raises(MeshError, match="finite"):
+        BoxDomain.unit(1, math.inf)

@@ -8,8 +8,8 @@ from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    PerturbationSpec, QuadratureError, RuleCache, build_uniform_mesh,
                    closed_form_weights_1d_constant, constraint_matrix,
                    exact_moment_integrals, filter_to_ball, full_ball_rule,
-                   generate_offsets, outer_rules, perturb_mesh, solve_weights,
-                   truncated_weights)
+                   generate_offsets, locate_points, outer_rules, perturb_mesh,
+                   solve_weights, truncated_weights)
 
 
 def test_offsets_1d_single_ring():
@@ -251,13 +251,18 @@ def test_min_weight_lower_bound():
         assert w.min() > 0
 
 
+def _ball_masks(kernel, extension, centers, full):
+    """``locate_points``' (in_mesh, in_ext) masks of 1D balls, mesh size = horizon."""
+    mesh = build_uniform_mesh(kernel.horizon, BoxDomain.unit(1, kernel.horizon, extension))
+    return locate_points(mesh, centers, full.offsets)[2:]
+
+
 def _truncated_1d(kernel, spec, center, extension, cache):
     """Weights and retained offsets of the clipped ball around one 1D center."""
-    domain = BoxDomain.unit(1, kernel.horizon, extension)
     full = full_ball_rule(kernel, spec, cache=cache)
-    weights, retained = truncated_weights(kernel, spec, domain, np.array([[center]]),
-                                          full, cache)
-    return weights[0], retained[0], full
+    in_mesh, in_ext = _ball_masks(kernel, extension, [[center]], full)
+    weights = truncated_weights(kernel, spec, in_ext, full, cache)
+    return weights[0], in_mesh[0], full
 
 
 def test_truncated_full_extension_reuses_full_ball_weights():
@@ -312,7 +317,7 @@ def test_truncated_cache_reuse():
     w1, _, full = _truncated_1d(k, spec, -d / 2, 0.0, cache)
     misses = cache.misses
     centers = np.array([[-d / 2], [-d / 2]])
-    batch, _ = truncated_weights(k, spec, BoxDomain.unit(1, d, 0.0), centers, full, cache)
+    batch = truncated_weights(k, spec, _ball_masks(k, 0.0, centers, full)[1], full, cache)
     assert cache.misses == misses
     assert np.array_equal(batch[0], w1) and np.array_equal(batch[1], w1)
 
@@ -359,7 +364,7 @@ def test_distinct_masks_match_row_unique(n_bar):
                           cache=RuleCache())
     pts, _, _ = outer_rules(mesh, np.flatnonzero(~mesh.element_in_box), 4)
     centers = pts.reshape(-1, 2)
-    in_ext = domain.contains_extended(centers[:, None] + full.offsets)
+    in_ext = locate_points(mesh, centers, full.offsets)[3]
     masks, inverse = _distinct_masks(in_ext)
     ref_masks, ref_inverse = np.unique(in_ext, axis=0, return_inverse=True)
     assert len(ref_masks) > 20

@@ -1,10 +1,13 @@
-"""Smoke test of ``tools/system_hashes.py`` on one small config level."""
+"""Smoke tests of ``tools/system_hashes.py`` on small config levels."""
 
 import hashlib
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nlfem.cli
 from nlfem.cli import _execute, load_config
@@ -44,3 +47,31 @@ def test_level_hashes_fingerprint_the_level(monkeypatch):
     # a level that fails after assembly keeps the hashes of its system
     assert tool.level_hashes(config, h) == dict(system, error="[numerical] synthetic breakdown")
     assert nlfem.cli.assemble_system is assemble
+
+
+def test_level_shifts_of_a_tree_against_itself_read_zero(monkeypatch):
+    tool = _load_tool()
+    against = tool.import_against(Path(nlfem.cli.__file__).resolve().parents[1])
+    try:
+        against_cli = importlib.import_module(f"{tool.AGAINST}.cli")
+        assert against is not nlfem and against_cli is not nlfem.cli
+        for name in ("single_1d_baseline.json", "study_2d_perturbed.json"):
+            path = _ROOT / "configs" / name
+            config, other = load_config(path), against_cli.load_config(path)
+            shifts = tool.level_shifts(config, config.h_values[0], other)
+            assert shifts == {"matrix": 0.0, "l2": 0.0, "h1": 0.0}
+        # the two sides are separate packages: scaling one side's matrices shows
+        assemble = against_cli.assemble_system
+
+        def scaled(*args, **kwargs):
+            system = assemble(*args, **kwargs)
+            system.matrix = system.matrix * (1 + 1e-9)
+            return system
+
+        monkeypatch.setattr(against_cli, "assemble_system", scaled)
+        shifts = tool.level_shifts(config, config.h_values[0], other)
+        assert shifts["matrix"] == pytest.approx(1e-9, rel=1e-6)
+        assert shifts["l2"] > 0.0 and shifts["h1"] > 0.0
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == tool.AGAINST]:
+            del sys.modules[name]
