@@ -19,13 +19,19 @@ CSR transpose is stable and its product adds (v_a c) v_b into each entry in
 sums (``tests/_oracles.py`` keeps one), so both give bitwise the same
 matrix.  The pair node indices are built in scipy's index dtype for the node
 count, from a connectivity cast once per level in ``_assemble_operator``,
-so no sparse constructor copies them.  Above ``_COO_NODE_LIMIT`` nodes a
-chunk is summed as COO duplicates instead.  That branch does not sum in
-pair order: scipy sorts each CSR row's columns with an unstable sort before
-adding duplicates, so each entry's order is a fixed function of the pair
-order, which keeps reruns bitwise equal.  Its order cancels some roundoff
-residues to exact zeros that the product keeps as entries, and the
-benchmark's exact-nnz reference for its h=1/128 level counts them.
+so no sparse constructor copies them.  Above ``_COO_NODE_LIMIT`` nodes
+no product is formed: each (pair, a) term c v_a of the node-major matrix
+(c o G)^T is expanded across its pair's 2k columns, and scipy's
+``sum_duplicates`` sorts each row's columns and adds the duplicates.  Those
+are bitwise the sums of the (pair, a, b)-ordered COO triplets that
+``tests/_oracles.py`` keeps: COO-to-CSR conversion buckets the triplets by
+row stably, the transpose lists each node's terms in the same order, so
+every row reaches the same sort with the same sequence, and each term is
+the same product c v_a v_b.  This branch does not sum in pair order: the
+column sort is unstable, so each entry's order is a fixed function of the
+pair order, which keeps reruns bitwise equal.  Its order cancels some
+roundoff residues to exact zeros that the product keeps as entries, and
+the benchmark's exact-nnz reference for its h=1/128 level counts them.
 ``_PAIR_CHUNK`` and ``_COO_NODE_LIMIT`` are constants because they decide
 which contributions are summed together, so any other value moves the
 entries by roundoff.
@@ -45,7 +51,7 @@ from .kernels import Kernel
 from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,
                          default_cache, full_ball_rule, solve_weights_on_subset)
 
-_COO_NODE_LIMIT = 3000  # above this many nodes a chunk is summed as COO duplicates
+_COO_NODE_LIMIT = 3000  # above this many nodes a chunk's terms are expanded, not multiplied
 _PAIR_CHUNK = 200_000
 
 
@@ -109,28 +115,32 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
                    n: int) -> sparse.csr_matrix:
     """One chunk's n x n sum of coef[p] vals[p, i] vals[p, j] at (nodes[p, i], nodes[p, j]).
 
-    At or below ``_COO_NODE_LIMIT`` nodes it is the product (c o G)^T G,
-    where row p of the pairs-by-nodes G holds ``vals[p]`` at ``nodes[p]``
-    with repeated nodes left as separate entries, and each entry sums its
-    terms in pair order.  Above the limit the (2k)^2 blocks are summed as
-    COO duplicates, in the order of scipy's unstable per-row column sort,
-    not in pair order.  Either way the order of the rows of ``nodes`` fixes
+    Row p of the pairs-by-nodes G holds ``vals[p]`` at ``nodes[p]``, with
+    repeated nodes left as separate entries.  At or below
+    ``_COO_NODE_LIMIT`` nodes the sum is (c o G)^T G, and each entry sums
+    its terms in pair order.  Above it the terms of (c o G)^T are expanded
+    across their pairs' columns and added by ``sum_duplicates`` (see the
+    module docstring).  Either way the order of the rows of ``nodes`` fixes
     the result bit for bit.  ``nodes`` comes in scipy's index dtype for n
     (``_assemble_operator`` casts the connectivity once per level) and is
-    used as given, so neither constructor copies or converts it.
+    used as given, so no constructor copies or converts it.
     """
     width = nodes.shape[1]
+    indptr = np.arange(0, nodes.size + 1, width,
+                       dtype=sparse.get_index_dtype(maxval=nodes.size))
+    shape = (len(nodes), n)
+    # node-major: row i lists the (pair, slot) terms at node i in pair order
+    ct = sparse.csr_matrix(((vals * coef[:, None]).ravel(), nodes.ravel(), indptr),
+                           shape=shape).T.tocsr()
     if n <= _COO_NODE_LIMIT:
-        indptr = np.arange(0, nodes.size + 1, width,
-                           dtype=sparse.get_index_dtype(maxval=nodes.size))
-        g = sparse.csr_matrix((vals.ravel(), nodes.ravel(), indptr), shape=(len(nodes), n))
-        cg = sparse.csr_matrix(((vals * coef[:, None]).ravel(), nodes.ravel(), indptr),
-                               shape=g.shape)
-        return cg.T.tocsr() @ g
-    data = (vals * coef[:, None])[:, :, None] * vals[:, None, :]
-    rows = np.repeat(nodes, width, axis=1).ravel()
-    cols = np.tile(nodes, width).ravel()
-    return sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return ct @ sparse.csr_matrix((vals.ravel(), nodes.ravel(), indptr), shape=shape)
+    terms = np.take(vals, ct.indices, axis=0)
+    terms *= ct.data[:, None]
+    cols = np.take(nodes, ct.indices, axis=0)
+    row_ptr = ct.indptr.astype(np.int64) * width  # int32 pointers times width can overflow
+    expanded = sparse.csr_matrix((terms.ravel(), cols.ravel(), row_ptr), shape=(n, n))
+    expanded.sum_duplicates()
+    return expanded
 
 
 def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,

@@ -198,6 +198,8 @@ class Mesh:
 
 def _axis_cell_count(length: float, h: float, what: str) -> int:
     n = length / h
+    if not math.isfinite(n):
+        raise MeshError(f"{what} must be finite: got ratio {n!r}")
     n_int = int(round(n))
     if n_int < 1 or abs(n - n_int) > 1e-9 * max(1.0, abs(n)):
         raise MeshError(
@@ -276,6 +278,9 @@ def build_uniform_mesh(h: float, domain: BoxDomain) -> Mesh:
         _axis_cell_count(b - a, h, f"box extent along axis {k} / h")
         for k, (a, b) in enumerate(zip(domain.lo, domain.hi))
     )
+    # checked before anything is allocated: 2**31 nodes need 16 GiB per coordinate
+    if math.prod(n + 2 * m + 1 for n in inner) >= 2**31:
+        raise MeshError(f"element size {h!r} gives a mesh of 2**31 or more nodes")
     mesh_lo = domain.layer_lo(domain.horizon)
     mesh_hi = domain.layer_hi(domain.horizon)
     breaks = tuple(

@@ -293,8 +293,9 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
     """Both chunk sums give bitwise the matrix of the broadcast-index oracle.
 
     "dense" ids take the product path (at most ``_COO_NODE_LIMIT`` nodes),
-    "sparse" ids the COO path.  The call count pins one sum per chunk of
-    elements, so a loop that regroups the pairs fails here.
+    "sparse" ids the expanded path, which the oracle sums as COO duplicates.
+    The call count pins one sum per chunk of elements, so a loop that
+    regroups the pairs fails here.
     """
     from _oracles import broadcast_pair_products
 
@@ -330,6 +331,48 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
     n_box = int(mesh.element_in_box.sum())
     parts = (n_box, mesh.num_elements - n_box)
     assert len(calls) == sum(-(-k // chunk_elems) for k in parts)
+
+
+class _ChunkCaptured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dim, h, spec, n_q", [
+    (1, 1 / 4096, InnerGridSpec(4, 1), 4),
+    (2, 1 / 64, InnerGridSpec(2, 2), 4),
+], ids=["1d", "2d"])
+def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, spec, n_q):
+    """One above-limit chunk sum peaks at 22 traced bytes per term or less.
+
+    A chunk has pairs * (2k)^2 terms.  Expanding the node-major pair matrix
+    holds 12 bytes per term (value and int32 column) plus that matrix;
+    summing the same terms as COO triplets peaks at 28-29.
+    """
+    import tracemalloc
+
+    pair_products = nlfem.assembly._pair_products
+    monkeypatch.setattr(nlfem.assembly, "_PAIR_CHUNK", 20_000)
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h, 2 * h))
+    assert mesh.num_nodes > nlfem.assembly._COO_NODE_LIMIT
+    chunk = []
+
+    def capture(*args):
+        chunk.extend(args)
+        raise _ChunkCaptured
+
+    monkeypatch.setattr(nlfem.assembly, "_pair_products", capture)
+    with pytest.raises(_ChunkCaptured):
+        assemble_system(mesh, Kernel.make(KernelKind.RATIONAL, dim, 2 * h), spec, n_q,
+                        cache=RuleCache())
+    nodes, vals, coef, n = chunk
+    tracemalloc.start()
+    try:
+        total = pair_products(nodes, vals, coef, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.shape == (n, n) and total.has_canonical_format
+    assert peak <= 22 * len(nodes) * nodes.shape[1] ** 2
 
 
 # ------------------------------------------------------------------ rhs pieces

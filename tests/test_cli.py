@@ -187,6 +187,22 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("dimension, h, message", [
+    (1, 1e-320, "must be finite: got ratio inf"), (1, 1e-300, "2**31 or more nodes"),
+    (1, 1e-10, "2**31 or more nodes"), (2, 1e-5, "2**31 or more nodes"),
+    (1, 1 / (2**31 - 5), "2**31 or more nodes"),  # 2**31 - 5 box cells + 4 layer + 1
+], ids=["1e-320", "1e-300", "1d-1e-10", "2d-1e-5", "1d-2**31-nodes"])
+def test_main_rejects_mesh_too_large_to_build(tmp_path, capsys, dimension, h, message):
+    """Rejected before any allocation, as a config error instead of a traceback."""
+    overrides = {"h": [h]}
+    if dimension == 2:
+        overrides.update(dimension=2, case="sin2d", outer_points=4, points_per_radius=2)
+    path = _write(tmp_path, _base_config(**overrides))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("not_a_config, message", [
     ("[0.25, 0.125]", "must be a JSON object"), (None, "cannot read config file"),
 ])
