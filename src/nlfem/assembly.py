@@ -101,14 +101,19 @@ def outer_rules(mesh: Mesh, element_ids: np.ndarray, n_points: int):
     """Gauss rules on the given elements, exact for the rule's polynomial degree.
 
     Returns points (n_el, n_q, d), weights (n_el, n_q), and the reference
-    barycentric values (n_q, d + 1) shared by every element.
+    barycentric values (n_q, d + 1) shared by every element.  Points are
+    stored axis-major, each coordinate one contiguous block summed as
+    p0 + t_0 e_0 (+ t_1 e_1), so ``pts.reshape(-1, d)`` is a view, not a
+    copy, and each of its columns is contiguous.
     """
     ref, bary, w = _reference_rule(mesh.dim, n_points)
     p0, edges, det = mesh.affine_maps(element_ids)
-    pts = p0[:, None, :]
-    for k in range(mesh.dim):
-        pts = pts + ref[:, k][None, :, None] * edges[:, None, k, :]
-    return pts, w[None, :] * det[:, None], bary
+    pts = np.empty((mesh.dim, len(det), len(w)))
+    for c, coord in enumerate(pts):
+        coord[:] = p0[:, c, None]
+        for k in range(mesh.dim):
+            coord += ref[:, k] * edges[:, k, c, None]
+    return np.moveaxis(pts, 0, -1), w[None, :] * det[:, None], bary
 
 
 def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,

@@ -3,8 +3,11 @@
 ``naive_system`` shares no code with the production package: hat functions
 are evaluated from their closed form, inner-rule weights come from numpy's
 lstsq (minimal-norm solution), and the assembly is a plain dense triple
-loop.  The parity oracles below keep earlier forms of production code
-whose replacements must give bitwise-equal results.
+loop.  ``correctly_summed_entries`` sums every operator entry's terms in
+long double (or by ``math.fsum``), so that assembly is checked against
+roundoff bounds rather than the bits of one summing order.  The parity
+oracles below keep earlier forms of production code whose replacements
+must give bitwise-equal results.
 """
 
 import math
@@ -13,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 import nlfem.assembly
-from nlfem import KernelKind, outer_rules
+from nlfem import KernelKind
 from nlfem.assembly import _reference_rule
 from nlfem.geometry import _axis_cells
 
@@ -92,7 +95,7 @@ def naive_system(h, m, kind, extension_ratio, nbar, nq, source, boundary):
 def two_pass_error_norms(field, case, mesh):
     """L2 and H1 errors, each from its own pass over all box elements at once."""
     ids = np.flatnonzero(mesh.element_in_box)
-    pts, w, ref_bary = outer_rules(mesh, ids, 8 ** mesh.dim)
+    pts, w, ref_bary = forked_outer_rules(mesh, ids, 8 ** mesh.dim)
     nodal = field.node_values[mesh.elements[ids]]
     uh = np.einsum("qk,ek->eq", ref_bary, nodal)
     u0 = case.solution(pts.reshape(-1, mesh.dim)).reshape(uh.shape)
@@ -121,6 +124,34 @@ def broadcast_pair_products(nodes, vals, coef, n):
         return sparse.csr_matrix(dense.reshape(n, n))
     return sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
                              shape=(n, n)).tocsr()
+
+
+def correctly_summed_entries(chunks, n, use_fsum=None):
+    """Every operator entry's terms, summed with at most long-double roundoff.
+
+    ``chunks`` lists the ``(nodes, vals, coef)`` of each ``_pair_products``
+    call.  A term is the float64 product (coef[p] vals[p, a]) vals[p, b] that
+    both chunk sums form, at (nodes[p, a], nodes[p, b]).  Each entry adds its
+    terms in ``np.longdouble``, or by ``math.fsum`` (exactly rounded) where
+    ``longdouble`` is no wider than float64 or ``use_fsum`` asks for it.
+    Returns the flat keys row * n + col in ascending order, and per key the
+    sum, the term count and the sum of |term|.
+    """
+    keys = np.concatenate([(nodes.astype(np.int64)[:, :, None] * n + nodes[:, None, :]).ravel()
+                           for nodes, _, _ in chunks])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    terms = np.concatenate([((vals * coef[:, None])[:, :, None] * vals[:, None, :]).ravel()
+                            for _, vals, coef in chunks])[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    if use_fsum is None:
+        use_fsum = np.finfo(np.longdouble).eps >= np.finfo(float).eps
+    if use_fsum:
+        sums = np.array([math.fsum(t) for t in np.split(terms, starts[1:])])
+    else:
+        sums = np.add.reduceat(terms, starts, dtype=np.longdouble)
+    counts = np.diff(np.r_[starts, len(keys)])
+    return keys[starts], sums, counts, np.add.reduceat(np.abs(terms), starts)
 
 
 def forked_outer_rules(mesh, element_ids, n_points):

@@ -333,6 +333,90 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
     assert len(calls) == sum(-(-k // chunk_elems) for k in parts)
 
 
+# ------------------------------------------------ correctly summed reference
+
+_SUMMED_LEVELS = {  # dim, h, inner grid, outer points, perturbed; extension zero
+    "1d": (1, 1 / 16, InnerGridSpec(10, 1), 40, False),
+    "2d": (2, 1 / 8, InnerGridSpec(4, 2), 16, False),
+    "2d-perturbed": (2, 1 / 8, InnerGridSpec(4, 2), 16, True),
+    "1d-above-limit": (1, 1 / 4096, InnerGridSpec(2, 1), 2, False),
+}
+
+
+def _operator_and_chunks(monkeypatch, level, mutant=None):
+    """A level's full node-by-node operator and each chunk's (nodes, vals, coef).
+
+    A ``mutant`` alters the first chunk's sum only: "scaled-chunk" scales it
+    by 1 + 1e-9, "dropped-pair" leaves out its first pair.
+    """
+    dim, h, spec, n_q, perturbed = _SUMMED_LEVELS[level]
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))  # extension zero: truncated balls
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.1, 3))
+    pair_products = nlfem.assembly._pair_products
+    chunks = []
+
+    def capture(nodes, vals, coef, n):
+        chunks.append((nodes, vals, coef))
+        if mutant is None or len(chunks) > 1:
+            return pair_products(nodes, vals, coef, n)
+        if mutant == "dropped-pair":
+            return pair_products(nodes[1:], vals[1:], coef[1:], n)
+        return pair_products(nodes, vals, coef, n) * (1 + 1e-9)
+
+    monkeypatch.setattr(nlfem.assembly, "_pair_products", capture)
+    kernel = Kernel.make(KernelKind.RATIONAL, dim, 2 * h)
+    operator = nlfem.assembly._assemble_operator(mesh, kernel, spec, n_q, RuleCache())
+    return operator, chunks
+
+
+def _assert_correctly_summed(operator, chunks, use_fsum=None):
+    """Each entry lies within the recursive-summation bound of its correct sum.
+
+    Adding k terms t in any order is off by at most (k - 1) (eps / 2) sum |t|
+    to first order; the check allows (k - 1) eps sum |t|, which also covers
+    the rounding of the reference.
+    """
+    from _oracles import correctly_summed_entries
+
+    n = operator.shape[0]
+    keys, ref, counts, abs_sums = correctly_summed_entries(chunks, n, use_fsum)
+    coo = operator.tocoo()
+    entry_keys = coo.row.astype(np.int64) * n + coo.col
+    pos = np.searchsorted(keys, entry_keys)
+    # every stored entry has terms
+    assert np.array_equal(keys[np.minimum(pos, len(keys) - 1)], entry_keys)
+    got = np.zeros(len(keys))
+    got[pos] = coo.data
+    err = np.abs(got - ref)
+    assert np.all(err <= (counts - 1) * np.finfo(float).eps * abs_sums)
+    scale = np.abs(got).max()
+    assert err.max() <= 1e-13 * scale
+    assert (np.abs(got) > 1e-12 * scale).sum() == (np.abs(ref) > 1e-12 * scale).sum()
+
+
+@pytest.mark.parametrize("level", list(_SUMMED_LEVELS))
+def test_operator_matches_correctly_summed_reference(monkeypatch, level):
+    """Both chunk sums stay within roundoff bounds of the correctly summed operator."""
+    operator, chunks = _operator_and_chunks(monkeypatch, level)
+    if level == "1d-above-limit":
+        assert operator.shape[0] > nlfem.assembly._COO_NODE_LIMIT
+    _assert_correctly_summed(operator, chunks)
+
+
+def test_correctly_summed_reference_by_fsum(monkeypatch):
+    """The reference where ``longdouble`` is float64: exactly rounded ``math.fsum``."""
+    _assert_correctly_summed(*_operator_and_chunks(monkeypatch, "1d"), use_fsum=True)
+
+
+@pytest.mark.parametrize("level", ["1d", "1d-above-limit"])
+@pytest.mark.parametrize("mutant", ["scaled-chunk", "dropped-pair"])
+def test_correctly_summed_reference_rejects_mutants(monkeypatch, level, mutant):
+    operator, chunks = _operator_and_chunks(monkeypatch, level, mutant)
+    with pytest.raises(AssertionError):
+        _assert_correctly_summed(operator, chunks)
+
+
 class _ChunkCaptured(Exception):
     pass
 

@@ -305,3 +305,20 @@ def test_near_boundary_ratio_flags_boundary_spike():
     field = reconstruct(mesh, vals, case.boundary)
     near, deep = near_boundary_error_ratio(field, case, mesh, 2 / 16)
     assert near > 2 * deep
+
+
+def _field_without_unknowns():
+    mesh = build_uniform_mesh(1.0, BoxDomain.unit(1, 1.0))
+    assert mesh.num_interior == 0
+    case = case_sin_1d()
+    return reconstruct(mesh, np.zeros(0), case.boundary), case, mesh
+
+
+def test_boundary_profile_without_unknowns_has_empty_bins():
+    field, case, mesh = _field_without_unknowns()
+    assert boundary_error_profile(field, case, mesh, bins=3) == [(0.0, 0.0, 0, 0.0)] * 3
+
+
+def test_near_boundary_ratio_without_unknowns_reads_zero():
+    field, case, mesh = _field_without_unknowns()
+    assert near_boundary_error_ratio(field, case, mesh, 0.5) == (0.0, 0.0)

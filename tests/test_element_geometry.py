@@ -5,7 +5,8 @@ Jacobian determinant once for 1D and 2D; ``locate_points`` builds the 2D
 barycentrics column by column.  The oracles in ``_oracles.py`` keep the
 earlier per-dimension and masked forms.  ``locate_points``' offsets form is
 checked against its plain form on the same sums, and its two masks against
-a brute-force range test.
+a brute-force range test.  ``outer_rules`` stores its points axis-major,
+so their flat (n, d) form is a view with contiguous columns.
 """
 
 import numpy as np
@@ -197,3 +198,13 @@ def test_element_gradients_equal_forked_oracle(dim, perturbed):
     mesh = _mesh(dim, perturbed)
     field = Field(mesh, np.random.default_rng(4).standard_normal(mesh.num_nodes))
     assert np.array_equal(field.element_gradients(), forked_element_gradients(field))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_outer_rules_points_are_axis_major(dim):
+    mesh = _mesh(dim, perturbed=True)
+    pts, _, _ = outer_rules(mesh, np.flatnonzero(mesh.element_in_box), 4)
+    flat = pts.reshape(-1, dim)
+    assert np.shares_memory(flat, pts)
+    for k in range(dim):
+        assert flat[:, k].flags.c_contiguous
