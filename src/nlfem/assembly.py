@@ -7,11 +7,13 @@ restricted to unknowns afterwards), because the same pass also yields the
 coupling block that turns Dirichlet layer data into the load correction.
 
 Everything is vectorized over (outer point, inner point) pairs in fixed
-element chunks, so results are reproducible run to run.  One
-``locate_points`` call per chunk gives the inner points and, for the layer,
-each ball's masks.  Each pair adds one rank-one block, so a chunk's sum is
-(c o G)^T G for the pairs-by-nodes hat difference matrix G, and the
-operator is the running CSR sum of the chunks.
+element chunks, so results are reproducible run to run.  Box and layer
+balls take one path: one ``locate_points`` call per chunk gives their points
+and masks, each ball is weighted on its extension mask and keeps its in-mesh
+points, and box balls are where both masks hold everywhere.  Each pair adds
+one rank-one block, so a chunk's sum is (c o G)^T G for the pairs-by-nodes
+hat difference matrix G, and the operator is the running CSR sum of the
+chunks.
 A chunk lists its pairs in (element, outer point, offset) order, and that
 order is what fixes the order in which each entry sums its terms.  scipy's
 CSR transpose is stable and its product adds (v_a c) v_b into each entry in
@@ -78,8 +80,8 @@ def _reference_rule(dim: int, n_points: int):
     triangle, so ``n_points`` must be a perfect square there.  Weights sum to
     the reference measure (1, respectively 1/2).
     """
-    if n_points < 1:
-        raise AssemblyError("outer rule needs at least one point")
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 1:
+        raise AssemblyError(f"outer rule needs an integer n_points, at least one, got {n_points!r}")
     if dim == 1:
         t, w = gauss_legendre_01(n_points)
         bary = np.stack([1.0 - t, t], axis=1)
@@ -155,8 +157,8 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     The hat-difference factor at an (outer, inner) point pair is +basis at
     the inner point minus basis at the outer point, so each pair adds one
     rank-one block.  Each chunk locates its balls in one ``locate_points``
-    call on the centers and the shared offsets.  Box balls keep every point;
-    layer balls are weighted on their ``in_ext`` mask and keep ``in_mesh``.
+    call on the centers and the shared offsets.  Every ball, box or layer, is
+    weighted on its ``in_ext`` mask and keeps its ``in_mesh`` points.
     """
     if kernel.dim != mesh.dim or spec.dim != mesh.dim:
         raise AssemblyError("kernel / grid spec / mesh dimensions do not match")
@@ -170,33 +172,25 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     in_box = mesh.element_in_box
     chunk_elems = max(1, _PAIR_CHUNK // max(1, n_q * full.size))
 
-    for part_ids, truncate in ((elem_ids[in_box], False), (elem_ids[~in_box], True)):
+    for part_ids, box in ((elem_ids[in_box], True), (elem_ids[~in_box], False)):
         for lo in range(0, len(part_ids), chunk_elems):
             ids = part_ids[lo:lo + chunk_elems]
             pts, wq, ref_bary = outer_rules(mesh, ids, n_q)
             centers = pts.reshape(-1, mesh.dim)
-            wq = wq.reshape(-1)
             # pairs run in (element, outer point, offset) order
             in_elems, in_bary, in_mesh, in_ext = locate_points(mesh, centers, full.offsets)
-            if truncate:
-                if not in_mesh.any(axis=1).all():
-                    raise AssemblyError("a constraint-layer ball retained no quadrature points")
-                weights = truncated_weights(kernel, spec, in_ext, full, cache)
-                coef = (full.strengths[None, :] * weights * wq[:, None])[in_mesh]
-            elif len(in_elems) < in_mesh.size:
+            if box and len(in_elems) < in_mesh.size:
                 raise AssemblyError("a box ball left the meshed region")
-            else:
-                coef = (full.strengths * full.weights * wq[:, None]).ravel()
+            per_point = in_mesh.sum(axis=1)
+            if not per_point.all():
+                raise AssemblyError("a constraint-layer ball retained no quadrature points")
+            weights = truncated_weights(kernel, spec, in_ext, full, cache)
+            coef = (full.strengths[None, :] * weights * wq.reshape(-1, 1))[in_mesh]
             nodes = np.empty((len(coef), 2 * k), dtype=elements.dtype)
             vals = np.empty(nodes.shape)
-            if truncate:
-                per_point = in_mesh.sum(axis=1)
-                per_elem = per_point.reshape(len(ids), n_q).sum(axis=1)
-                nodes[:, :k] = np.repeat(elements[ids], per_elem, axis=0)
-                vals[:, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
-            else:  # every outer point pairs with all full.size offsets
-                nodes.reshape(len(ids), -1, 2 * k)[:, :, :k] = elements[ids, None]
-                vals.reshape(len(ids), n_q, -1, 2 * k)[..., :k] = -ref_bary[:, None]
+            per_elem = per_point.reshape(len(ids), n_q).sum(axis=1)
+            nodes[:, :k] = np.repeat(elements[ids], per_elem, axis=0)
+            vals[:, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
             nodes[:, k:] = elements[in_elems]
             vals[:, k:] = in_bary
             total = total + _pair_products(nodes, vals, coef, n)
@@ -205,17 +199,16 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
 
 def truncated_weights(kernel: Kernel, spec: InnerGridSpec, in_ext: np.ndarray,
                       full: InnerQuadratureRule, cache: RuleCache) -> np.ndarray:
-    """Weights of balls clipped by the meshed region, shape (n_balls, full.size).
+    """Weights of every ball on its extension mask, shape (n_balls, full.size).
 
     ``locate_points``' ``in_ext`` marks each ball's grid points in the region
     grown by the extension.  Weights are solved on that set against the
     full-ball moments (one cached solve per distinct mask), zero elsewhere;
-    the caller then drops the points outside the meshed region.
+    the caller then drops the points outside the meshed region.  When every
+    mask holds everywhere, it is one full-ball row (1, full.size) instead.
     """
     if in_ext.all():
-        # Extension covers every ball here (the extension == horizon case):
-        # all points keep their full-ball weights.
-        return np.tile(full.weights, (len(in_ext), 1))
+        return full.weights[None, :].copy()
     masks, inverse = _distinct_masks(in_ext)
     per_mask = np.zeros((len(masks), full.size))
     for k, mask in enumerate(masks):

@@ -41,6 +41,9 @@ class InnerGridSpec:
     dim: int
 
     def __post_init__(self):
+        for name, value in (("points_per_radius", self.points_per_radius), ("dim", self.dim)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise QuadratureError(f"{name} must be an integer, got {value!r}")
         if self.points_per_radius < 1:
             raise QuadratureError("points_per_radius must be at least 1")
         if self.dim not in (1, 2):

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +64,14 @@ def test_outer_rule_needs_a_point():
     mesh = build_uniform_mesh(0.5, BoxDomain.unit(1, 0.5))
     with pytest.raises(AssemblyError, match="at least one"):
         outer_rules(mesh, [0], 0)
+
+
+@pytest.mark.parametrize("n_points", [True, 2.0, 2.5, "3", None])
+def test_outer_rule_rejects_non_integer_counts(n_points):
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(1, 0.5))
+    with pytest.raises(AssemblyError, match=re.escape(f"got {n_points!r}")):
+        outer_rules(mesh, [0], n_points)
+    assert np.array_equal(outer_rules(mesh, [0], np.int64(2))[0], outer_rules(mesh, [0], 2)[0])
 
 
 # ---------------------------------------------------------- naive dense oracle
@@ -628,3 +637,30 @@ def test_assembly_rejects_balls_that_leave_the_mesh(monkeypatch, offsets, messag
     k = Kernel.make(KernelKind.CONSTANT, 1, 0.25)
     with pytest.raises(AssemblyError, match=message):
         assemble_system(mesh, k, InnerGridSpec(2, 1), 2, cache=RuleCache())
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_only_clipped_extension_masks_solve(monkeypatch, perturbed):
+    """Extension delta on a uniform mesh clips no ball's extension mask, so every
+    chunk takes the full-ball row and the one cache miss is the full-ball solve;
+    extension zero on a perturbed mesh solves its clipped masks."""
+    delta = 1 / 4
+    mesh = build_uniform_mesh(1 / 8, BoxDomain.unit(2, delta, 0.0 if perturbed else delta))
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.1, 3))
+    weights, all_kept = nlfem.assembly.truncated_weights, []
+
+    def record(kernel, spec, in_ext, full, cache):
+        out = weights(kernel, spec, in_ext, full, cache)
+        if in_ext.all():
+            all_kept.append((out, full))
+        return out
+
+    monkeypatch.setattr(nlfem.assembly, "truncated_weights", record)
+    cache = RuleCache()
+    nlfem.assembly._assemble_operator(mesh, Kernel.make(KernelKind.RATIONAL, 2, delta),
+                                      InnerGridSpec(4, 2), 16, cache)
+    assert cache.misses > 1 if perturbed else cache.misses == 1
+    assert all_kept  # the box chunk, and with extension delta every chunk
+    for out, full in all_kept:
+        assert out.shape == (1, full.size) and out.tobytes() == full.weights.tobytes()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ def test_offsets_2d_count():
     offs = generate_offsets(InnerGridSpec(4, 2), 1.0)
     assert offs.shape == (64, 2)
     assert not np.any(np.all(offs == 0.0, axis=1))
+
+
+@pytest.mark.parametrize("points_per_radius, dim, bad", [
+    (2.5, 1, "points_per_radius"), ("3", 1, "points_per_radius"),
+    (True, 1, "points_per_radius"), (2, True, "dim"), (2, 1.0, "dim"),
+])
+def test_inner_grid_spec_rejects_non_integers(points_per_radius, dim, bad):
+    value = points_per_radius if bad == "points_per_radius" else dim
+    with pytest.raises(QuadratureError, match=re.escape(f"{bad} must be an integer, got {value!r}")):
+        InnerGridSpec(points_per_radius, dim)
+    assert np.array_equal(generate_offsets(InnerGridSpec(np.int64(2), np.int32(2)), 1.0),
+                          generate_offsets(InnerGridSpec(2, 2), 1.0))
 
 
 def test_offsets_reflection_symmetric():
