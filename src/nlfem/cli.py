@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 for configuration errors and output paths that
 cannot be written, 3 for numerical failures.  Re-running a config with the
-same seed reproduces all CSV outputs byte for byte (timing columns are
-written as zero unless ``record_timings`` is set, since wall-clock times are
-not reproducible).
+same seed reproduces every output except ``run.json`` byte for byte;
+``run.json`` holds each level's wall-clock phase times, which are not
+reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .svgplot import write_convergence_svg
 _KEYS = {
     "dimension", "kernel", "case", "m", "h", "h0", "levels", "extension",
     "outer_points", "points_per_radius", "mesh", "epsilon", "seed",
-    "ball_norm", "record_timings",
+    "ball_norm",
 }
 _DEFAULT_LEVELS = 4
 
@@ -54,7 +55,6 @@ class RunConfig:
     epsilon: float
     seed: int
     ball_norm: BallNorm
-    record_timings: bool
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -127,16 +127,13 @@ class RunConfig:
             ball_norm = BallNorm(raw.get("ball_norm", "euclidean"))
         except ValueError:
             raise ConfigError(f"ball_norm must be 'euclidean' or 'max', got {raw['ball_norm']!r}") from None
-        record_timings = raw.get("record_timings", False)
-        if not isinstance(record_timings, bool):
-            raise ConfigError("record_timings must be a boolean")
 
         case_obj = get_case(case)  # also validates the name
         if case_obj.dim != dimension:
             raise ConfigError(
                 f"case {case!r} is {case_obj.dim}D but dimension is {dimension}")
         return cls(dimension, kind, case, m, hs, ext, n_q, n_bar, mesh_mode,
-                   epsilon, seed, ball_norm, record_timings)
+                   epsilon, seed, ball_norm)
 
 
 def _integer(name: str, value, positive: bool = False) -> int:
@@ -174,6 +171,9 @@ class LevelResult:
     system: "object"  # assembly.DiscreteSystem
     kernel: Kernel
     spec: InnerGridSpec
+    assembly_s: float  # wall-clock seconds, for run.json only
+    solve_s: float
+    error_norms_s: float  # nodal reconstruction and error norms
 
 
 def _execute(config: RunConfig, h: float) -> LevelResult:
@@ -198,11 +198,20 @@ def _execute(config: RunConfig, h: float) -> LevelResult:
 
     field_ = reconstruct(mesh, u, case.boundary)
     l2, h1 = error_norms(field_, case, mesh)
-    record = ErrorRecord(
-        h=h, delta=delta, m=config.m, dofs=mesh.num_interior, l2=l2, h1=h1,
-        assembly_ms=1e3 * (t1 - t0), solve_ms=1e3 * (t2 - t1),
-    )
-    return LevelResult(record, field_, system, kernel, spec)
+    t3 = time.perf_counter()
+    record = ErrorRecord(h=h, delta=delta, m=config.m, dofs=mesh.num_interior, l2=l2, h1=h1)
+    return LevelResult(record, field_, system, kernel, spec, t1 - t0, t2 - t1, t3 - t2)
+
+
+@contextmanager
+def _writing(path: Path):
+    """Name ``path`` in an OSError raised while it is written, for ``main``'s report."""
+    try:
+        yield path
+    except OSError as exc:
+        if exc.filename is None:  # a failed write or close carries no file name
+            exc.filename = str(path)
+        raise
 
 
 def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
@@ -211,8 +220,8 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
     """Run every level of the refinement ladder and write report + plot.
 
     Levels may run in parallel, one worker per level at most; all files are
-    written afterwards, in level order, so outputs are identical regardless
-    of the worker count.
+    written afterwards, in level order, so every output but ``run.json``, the
+    wall-clock phase times, is identical regardless of the worker count.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in (dump_matrix, dump_inner_rule):
@@ -228,7 +237,12 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
         results = [_execute(config, h) for h in levels]
 
     report = ConvergenceReport.from_records([r.record for r in results])
-    report.write_csv(out_dir / "report.csv", include_timings=config.record_timings)
+    with _writing(out_dir / "report.csv") as path:
+        report.write_csv(path)
+    times = [{"h": r.record.h, "assembly_s": r.assembly_s, "solve_s": r.solve_s,
+              "error_norms_s": r.error_norms_s} for r in results]
+    with _writing(out_dir / "run.json") as path:
+        path.write_text(json.dumps({"levels": times}, indent=1) + "\n")
     label = f"{config.kernel_kind.value}, {config.case}, m={config.m}, t_e={config.extension_mode}"
     series = [{
         "label": "L2, " + label,
@@ -241,18 +255,20 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
         "error": [r.h1 for r in report.records],
         "slope": report.h1_fit.slope if report.h1_fit else None,
     }]
-    write_convergence_svg(out_dir / "convergence.svg", series,
-                          title=f"{config.case} ({config.mesh_mode})")
+    with _writing(out_dir / "convergence.svg") as path:
+        write_convergence_svg(path, series, title=f"{config.case} ({config.mesh_mode})")
     multi = len(levels) > 1
     for result in results:
         tag = f"_h{result.record.h!r}"
-        dump_solution_csv(result.field, out_dir / f"solution{tag}.csv")
+        with _writing(out_dir / f"solution{tag}.csv") as path:
+            dump_solution_csv(result.field, path)
         suffix = tag if multi else ""
         if dump_matrix is not None:
-            dump_matrix_market(result.system, _with_suffix(dump_matrix, suffix))
+            with _writing(_with_suffix(dump_matrix, suffix)) as path:
+                dump_matrix_market(result.system, path)
         if dump_inner_rule is not None:
-            full_ball_rule(result.kernel, result.spec).dump_csv(
-                _with_suffix(dump_inner_rule, suffix))
+            with _writing(_with_suffix(dump_inner_rule, suffix)) as path:
+                full_ball_rule(result.kernel, result.spec).dump_csv(path)
     return report
 
 
@@ -299,9 +315,9 @@ def main(argv=None) -> int:
         print(f"[config] {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if exc.filename is None:  # not about a file the run writes
+        if exc.filename is None:  # not raised while writing an output
             raise
-        print(f"[output] cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"[output] cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except NlfemError as exc:
         print(f"[numerical] {exc}", file=sys.stderr)

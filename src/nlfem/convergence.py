@@ -34,8 +34,6 @@ class ErrorRecord:
     dofs: int
     l2: float
     h1: float
-    assembly_ms: float = 0.0
-    solve_ms: float = 0.0
 
 
 @dataclass
@@ -63,15 +61,12 @@ class ConvergenceReport:
             report.h1_fit_guarded = guarded_fit_rate(hs, np.array([r.h1 for r in records]))
         return report
 
-    def write_csv(self, path, include_timings: bool = False) -> None:
+    def write_csv(self, path) -> None:
         """One row per refinement; fitted slopes appended as # comment lines."""
         with open(path, "w", newline="") as fh:
-            fh.write("h,delta,m,dofs,l2,h1,assembly_ms,solve_ms\n")
+            fh.write("h,delta,m,dofs,l2,h1\n")
             for r in self.records:
-                t_a = r.assembly_ms if include_timings else 0.0
-                t_s = r.solve_ms if include_timings else 0.0
-                fh.write(f"{r.h!r},{r.delta!r},{r.m},{r.dofs},"
-                         f"{r.l2!r},{r.h1!r},{t_a!r},{t_s!r}\n")
+                fh.write(f"{r.h!r},{r.delta!r},{r.m},{r.dofs},{r.l2!r},{r.h1!r}\n")
             for tag, fit in (("l2_slope", self.l2_fit), ("h1_slope", self.h1_fit),
                              ("l2_slope_guarded", self.l2_fit_guarded),
                              ("h1_slope_guarded", self.h1_fit_guarded)):

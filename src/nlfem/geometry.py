@@ -55,8 +55,9 @@ class BoxDomain:
     extension: float = 0.0
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise MeshError(f"unsupported dimension {self.dim}; only 1 and 2 are implemented")
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
+                or self.dim not in (1, 2)):
+            raise MeshError(f"unsupported dimension {self.dim!r}; only 1 and 2 are implemented")
         if len(self.lo) != self.dim or len(self.hi) != self.dim:
             raise MeshError("corner coordinate count does not match dimension")
         if not all(math.isfinite(c) for c in (*self.lo, *self.hi, self.horizon)):

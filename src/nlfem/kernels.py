@@ -57,12 +57,12 @@ class Kernel:
     ball_norm: BallNorm = BallNorm.EUCLIDEAN
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise KernelError(f"unsupported dimension {self.dim}")
-        if not self.horizon > 0:
-            raise KernelError(f"horizon must be positive, got {self.horizon}")
-        if not self.scaling > 0:
-            raise KernelError(f"scaling must be positive, got {self.scaling}")
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
+                or self.dim not in (1, 2)):
+            raise KernelError(f"unsupported dimension {self.dim!r}")
+        for name, value in (("horizon", self.horizon), ("scaling", self.scaling)):
+            if not (value > 0 and math.isfinite(value)):
+                raise KernelError(f"{name} must be positive and finite, got {value!r}")
 
     @classmethod
     def make(cls, kind: KernelKind, dim: int, horizon: float,

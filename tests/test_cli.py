@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import re
@@ -142,7 +143,7 @@ def test_run_study_outputs(tmp_path):
     assert len(list(tmp_path.glob("solution_h*.csv"))) == 3
     assert report.l2_fit is not None
     text = (tmp_path / "report.csv").read_text()
-    assert text.startswith("h,delta,m,dofs,l2,h1,assembly_ms,solve_ms")
+    assert text.startswith("h,delta,m,dofs,l2,h1\n")
     svg = (tmp_path / "convergence.svg").read_text()
     # svg scatter points carry the same values the csv records
     for r in report.records:
@@ -168,6 +169,31 @@ def test_threaded_study_matches_sequential(tmp_path):
     run_study(config, tmp_path / "par", threads=2)
     assert ((tmp_path / "seq" / "report.csv").read_bytes()
             == (tmp_path / "par" / "report.csv").read_bytes())
+
+
+def test_run_json_holds_the_level_times_in_level_order(tmp_path):
+    hs = [0.125, 0.0625, 0.03125]
+    config = RunConfig.from_dict(_base_config(h=hs))
+    runs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        run_study(config, out, threads=threads)
+        runs[threads] = json.loads((out / "run.json").read_text())
+        levels = runs[threads]["levels"]
+        assert [level["h"] for level in levels] == hs
+        for level in levels:
+            assert list(level) == ["h", "assembly_s", "solve_s", "error_norms_s"]
+            times = list(level.values())[1:]
+            assert all(isinstance(t, float) and math.isfinite(t) and t >= 0 for t in times)
+    assert list(runs[1]) == list(runs[2]) == ["levels"]
+    # every other output is the same bytes whatever the worker count
+    names = sorted(p.name for p in (tmp_path / "t1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "t2").iterdir())
+    assert names == sorted(["report.csv", "run.json", "convergence.svg",
+                            *(f"solution_h{h!r}.csv" for h in hs)])
+    for name in names:
+        if name != "run.json":
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -257,6 +283,46 @@ def test_main_study_dumps_one_file_per_level_and_prints_slopes(tmp_path, capsys)
     assert len(out) == 4 and re.fullmatch(r"l2 slope \d\.\d{3}, h1 slope \d\.\d{3}", out[-1])
 
 
+_DEV_FULL = Path("/dev/full")
+
+
+@pytest.mark.skipif(not _DEV_FULL.exists(), reason="needs a /dev/full device")
+@pytest.mark.parametrize("flag", ["--dump-matrix", "--dump-inner-rule"])
+def test_main_reports_a_dump_that_fails_after_opening(tmp_path, capsys, flag):
+    """Opening /dev/full succeeds; the write fails with ENOSPC and no file name."""
+    cfg = _write(tmp_path, _base_config(h=[0.0625]))
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, str(_DEV_FULL)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"[output] cannot write {_DEV_FULL}: No space left on device\n"
+
+
+def test_main_reports_an_out_file_that_fails_after_opening(tmp_path, monkeypatch, capsys):
+    from nlfem import cli
+
+    def full(field, path):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "dump_solution_csv", full)
+    cfg = _write(tmp_path, _base_config(h=[0.0625]))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    path = tmp_path / "out" / "solution_h0.0625.csv"
+    assert capsys.readouterr().err == f"[output] cannot write {path}: No space left on device\n"
+
+
+def test_main_propagates_an_os_error_raised_outside_output_writing(tmp_path, monkeypatch):
+    from nlfem import cli
+
+    def broken(config, h):
+        raise OSError(errno.EIO, "synthetic read failure")
+
+    monkeypatch.setattr(cli, "_execute", broken)
+    cfg = _write(tmp_path, _base_config(h=[0.0625]))
+    with pytest.raises(OSError, match="synthetic read failure") as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.filename is None
+
+
 def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     from nlfem import cli
     from nlfem.exceptions import SolverError
@@ -334,7 +400,7 @@ def test_main_rejects_bad_thread_count(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("scaling", 2.0), ("load_points", 10), ("error_points", 64),
+    ("scaling", 2.0), ("load_points", 10), ("error_points", 64), ("record_timings", True),
 ])
 def test_main_rejects_removed_key(tmp_path, capsys, key, value):
     path = _write(tmp_path, _base_config(**{key: value}))

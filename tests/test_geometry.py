@@ -186,10 +186,21 @@ def test_mesh_dump_csv(tmp_path):
     (2, (0.0, 0.0), (1.0, 0.0), "degenerate"),
     (1, (math.nan,), (1.0,), "finite"), (2, (0.0, 0.0), (math.nan, 1.0), "finite"),
     (1, (-math.inf,), (1.0,), "finite"), (2, (0.0, 0.0), (1.0, math.inf), "finite"),
+    # non-integer dimensions, including the ones equal to 1 or 2
+    (True, (0.0,), (1.0,), "dimension True"), (1.0, (0.0,), (1.0,), "dimension 1.0"),
+    ("1", (0.0,), (1.0,), "dimension '1'"), (np.float64(2.0), (0.0,) * 2, (1.0,) * 2, "dimension"),
 ])
 def test_box_domain_validation(dim, lo, hi, message):
     with pytest.raises(MeshError, match=message):
         BoxDomain(dim, lo, hi, 0.25)
+
+
+@pytest.mark.parametrize("dim", [np.int64(1), np.int32(2)])
+def test_box_domain_accepts_numpy_integer_dimension(dim):
+    mesh = build_uniform_mesh(0.25, BoxDomain(dim, (0.0,) * dim, (1.0,) * dim, 0.25))
+    reference = build_uniform_mesh(0.25, BoxDomain.unit(int(dim), 0.25))
+    assert np.array_equal(mesh.nodes, reference.nodes)
+    assert np.array_equal(mesh.elements, reference.elements)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.25])

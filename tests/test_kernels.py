@@ -140,3 +140,25 @@ def test_invalid_kernel_parameters():
         Kernel(KernelKind.CONSTANT, 1, -0.1, 1.0)
     with pytest.raises(KernelError):
         Kernel(KernelKind.CONSTANT, 1, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("dim, horizon, scaling, message", [
+    (True, 0.25, None, "dimension True"), (1.0, 0.25, None, "dimension 1.0"),
+    ("1", 0.25, 1.0, "dimension '1'"), (np.float64(2.0), 0.25, None, "dimension"),
+    (1, math.inf, None, "horizon must be positive and finite, got inf"),
+    (2, math.nan, None, "horizon must be positive and finite, got nan"),
+    (1, 0.25, math.inf, "scaling must be positive and finite, got inf"),
+    (2, 0.25, math.nan, "scaling must be positive and finite, got nan"),
+], ids=["bool-dim", "float-dim", "str-dim", "numpy-float-dim", "inf-horizon",
+        "nan-horizon", "inf-scaling", "nan-scaling"])
+def test_kernel_rejects_non_integer_dimension_and_non_finite_parameters(
+        dim, horizon, scaling, message):
+    # True, 1.0 and 2.0 hash like 1 and 2, so the default-scaling lookup lets them through
+    with pytest.raises(KernelError, match=message):
+        Kernel.make(KernelKind.RATIONAL, dim, horizon, scaling)
+
+
+@pytest.mark.parametrize("dim", [np.int64(1), np.int32(2)])
+def test_kernel_accepts_numpy_integer_dimension(dim):
+    kernel = Kernel.make(KernelKind.RATIONAL, dim, 0.25)
+    assert kernel == Kernel.make(KernelKind.RATIONAL, int(dim), 0.25)

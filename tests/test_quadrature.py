@@ -356,6 +356,35 @@ def test_cache_concurrent_access():
     assert cache.hits + cache.misses >= 8
 
 
+def test_cache_first_writer_wins():
+    """A builder that finishes after another thread stored its key returns the stored value."""
+    import threading
+
+    cache = RuleCache()
+    started, release = threading.Event(), threading.Event()
+    stored, late = object(), object()
+    results = {}
+
+    def slow_builder():
+        started.set()
+        assert release.wait(timeout=30)
+        return late
+
+    def slow_caller():
+        results["slow"] = cache.get_or_build("key", slow_builder)
+
+    thread = threading.Thread(target=slow_caller)
+    thread.start()
+    assert started.wait(timeout=30)  # the slow caller has missed and is building
+    results["fast"] = cache.get_or_build("key", lambda: stored)
+    assert (cache.misses, cache.hits) == (1, 0)
+    release.set()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert results["slow"] is stored and results["fast"] is stored
+    assert (cache.misses, cache.hits) == (1, 1)
+
+
 def test_rule_dump_csv(tmp_path):
     k = Kernel.make(KernelKind.CONSTANT, 2, 0.1)
     rule = full_ball_rule(k, InnerGridSpec(2, 2), cache=RuleCache())

@@ -59,7 +59,7 @@ def test_level_shifts_of_a_tree_against_itself_read_zero(monkeypatch):
             path = _ROOT / "configs" / name
             config, other = load_config(path), against_cli.load_config(path)
             shifts = tool.level_shifts(config, config.h_values[0], other)
-            assert shifts == {"matrix": 0.0, "l2": 0.0, "h1": 0.0}
+            assert shifts == {"bitwise": True, "matrix": 0.0, "l2": 0.0, "h1": 0.0}
         # the two sides are separate packages: scaling one side's matrices shows
         assemble = against_cli.assemble_system
 
@@ -72,6 +72,7 @@ def test_level_shifts_of_a_tree_against_itself_read_zero(monkeypatch):
         shifts = tool.level_shifts(config, config.h_values[0], other)
         assert shifts["matrix"] == pytest.approx(1e-9, rel=1e-6)
         assert shifts["l2"] > 0.0 and shifts["h1"] > 0.0
+        assert shifts["bitwise"] is False
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] == tool.AGAINST]:
             del sys.modules[name]

@@ -18,9 +18,11 @@ With ``--against OTHER`` it also imports the package in OTHER (another
 checkout's ``src``) as ``nlfem_against``, runs every level on both trees,
 and prints per level how far OTHER lies from PATH instead: ``matrix``, the
 max relative matrix difference max|A' - A| / max|A|, and ``l2``/``h1``, the
-relative error shifts |e' - e| / e.  A level that fails on either tree gives
-its ``error``/``against_error`` message and leaves out what it lacks.  Two
-bitwise equal trees read 0 everywhere.
+relative error shifts |e' - e| / e, and ``bitwise``, true when both trees
+give the level the same hashes and errors, or the same failure message.  A
+level that fails on either tree gives its ``error``/``against_error``
+message and leaves out what it lacks.  Two bitwise equal trees read 0 and
+``bitwise`` true everywhere.
 """
 
 from __future__ import annotations
@@ -72,7 +74,11 @@ def run_level(config, h: float, package: str = "nlfem"):
 
 def level_hashes(config, h: float) -> dict:
     """Hashes and errors of one level of a ``nlfem.cli.RunConfig``."""
-    system, record, message = run_level(config, h)
+    return _fingerprint(*run_level(config, h))
+
+
+def _fingerprint(system, record, message) -> dict:
+    """``level_hashes`` of what ``run_level`` returned."""
     out = {"error": message} if record is None else {"l2": repr(record.l2),
                                                       "h1": repr(record.h1)}
     if system is not None:
@@ -88,9 +94,10 @@ def _relative(new: float, old: float) -> float:
 
 def level_shifts(config, h: float, against_config) -> dict:
     """How far one level on the ``nlfem_against`` tree lies from ``nlfem``'s."""
-    system, record, message = run_level(config, h)
-    other, other_record, other_message = run_level(against_config, h, AGAINST)
-    out = {}
+    mine, theirs = run_level(config, h), run_level(against_config, h, AGAINST)
+    system, record, message = mine
+    other, other_record, other_message = theirs
+    out = {"bitwise": _fingerprint(*mine) == _fingerprint(*theirs)}
     if message is not None:
         out["error"] = message
     if other_message is not None:
