@@ -191,12 +191,12 @@ def _execute(config: RunConfig, h: float) -> LevelResult:
 
     t0 = time.perf_counter()
     system = assemble_system(mesh, kernel, spec, config.outer_points,
-                             case.source, case.boundary)
+                             case.source, case.solution)
     t1 = time.perf_counter()
     u = solve_system(system)
     t2 = time.perf_counter()
 
-    field_ = reconstruct(mesh, u, case.boundary)
+    field_ = reconstruct(mesh, u, case.solution)
     l2, h1 = error_norms(field_, case, mesh)
     t3 = time.perf_counter()
     record = ErrorRecord(h=h, delta=delta, m=config.m, dofs=mesh.num_interior, l2=l2, h1=h1)
@@ -224,11 +224,15 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
     wall-clock phase times, is identical regardless of the worker count.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
+    levels = config.h_values
+    suffixes = [f"_h{h!r}" for h in levels] if len(levels) > 1 else [""]
     for path in (dump_matrix, dump_inner_rule):
         # fail before the levels run, not after they are solved
-        if path is not None and not path.parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, "no such directory", str(path))
-    levels = config.h_values
+        for target in () if path is None else (path, *(_with_suffix(path, s) for s in suffixes)):
+            if not target.parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, "no such directory", str(target))
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(target))
     workers = min(threads, len(levels))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -257,12 +261,9 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
     }]
     with _writing(out_dir / "convergence.svg") as path:
         write_convergence_svg(path, series, title=f"{config.case} ({config.mesh_mode})")
-    multi = len(levels) > 1
-    for result in results:
-        tag = f"_h{result.record.h!r}"
-        with _writing(out_dir / f"solution{tag}.csv") as path:
+    for result, suffix in zip(results, suffixes):
+        with _writing(out_dir / f"solution_h{result.record.h!r}.csv") as path:
             dump_solution_csv(result.field, path)
-        suffix = tag if multi else ""
         if dump_matrix is not None:
             with _writing(_with_suffix(dump_matrix, suffix)) as path:
                 dump_matrix_market(result.system, path)

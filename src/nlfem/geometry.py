@@ -4,19 +4,21 @@ The computational region is a box ``omega`` together with the surrounding
 constraint layer of thickness ``horizon`` (where Dirichlet volume data
 lives), optionally extended by a further layer of thickness ``extension``
 that is used only while constructing inner quadrature weights.  Meshes are
-uniform tensor grids over the layered box, perturbable node-by-node; in 2D
-every grid rectangle is split into two triangles along its lower-left to
-upper-right diagonal so the basis stays piecewise linear.
-
-Node numbering is lexicographic.  Nodes strictly inside the box are the
-unknowns ("interior"); all remaining nodes, including those on the box
-boundary, carry constraint data.  Elements never straddle the box boundary.
+uniform tensor grids over the layered box, perturbable node-by-node.  The
+table ``_CELL_SIMPLICES`` splits each grid cell into simplices (in 2D, two
+triangles along the lower-left to upper-right diagonal) so the basis stays
+piecewise linear; the mesh builder and ``locate_points`` number elements
+from it.  Node and cell numbering is lexicographic, x fastest.  Nodes
+strictly inside the box are the unknowns ("interior"); all remaining nodes,
+including those on the box boundary, carry constraint data.  Elements never
+straddle the box boundary.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,9 @@ class BoxDomain:
             raise MeshError(f"unsupported dimension {self.dim!r}; only 1 and 2 are implemented")
         if len(self.lo) != self.dim or len(self.hi) != self.dim:
             raise MeshError("corner coordinate count does not match dimension")
+        for value in (*self.lo, *self.hi, self.horizon, self.extension):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise MeshError(f"corners, horizon and extension must be real, got {value!r}")
         if not all(math.isfinite(c) for c in (*self.lo, *self.hi, self.horizon)):
             raise MeshError("box corners and horizon must be finite")
         if any(b <= a for a, b in zip(self.lo, self.hi)):
@@ -218,56 +223,45 @@ def _axis_breaks(lo: float, hi: float, mesh_lo: float, mesh_hi: float,
     return np.concatenate([left, mid[1:], right[1:]])
 
 
+# Corner offsets of each cell simplex in element node order (2D: lower, then
+# upper triangle, counter-clockwise).  With n simplices per cell, simplex s of
+# cell c is element n * c + s.
+_CELL_SIMPLICES = {
+    1: np.array([[[0], [1]]]),
+    2: np.array([[[0, 0], [1, 0], [1, 1]],
+                 [[0, 0], [1, 1], [0, 1]]]),
+}
+
+
+def _grid_indices(counts) -> np.ndarray:
+    """(d, prod(counts)) multi-indices of a grid in lexicographic order, x fastest."""
+    return np.indices(counts[::-1], dtype=np.int64).reshape(len(counts), -1)[::-1]
+
+
+def _linear_index(axes, counts):
+    """Linear index, x fastest, of per-axis indices into a grid of ``counts``."""
+    if len(axes) == 1:
+        return axes[0]
+    return axes[0] + counts[0] * _linear_index(axes[1:], counts[1:])
+
+
 def _mesh_from_breaks(domain: BoxDomain, breaks: tuple[np.ndarray, ...], m: int,
                       inner: tuple[int, ...], h: float, uniform: bool) -> Mesh:
-    dim = domain.dim
-    if dim == 1:
-        bx = breaks[0]
-        n_cells = len(bx) - 1
-        nodes = bx.reshape(-1, 1)
-        idx = np.arange(n_cells)
-        elements = np.stack([idx, idx + 1], axis=1)
-        in_box = (idx >= m) & (idx < m + inner[0])
-        node_idx = np.arange(len(bx))
-        interior = (node_idx > m) & (node_idx < m + inner[0])
-    else:
-        bx, by = breaks
-        ncx, ncy = len(bx) - 1, len(by) - 1
-        xx, yy = np.meshgrid(bx, by, indexing="xy")
-        nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        nnx = len(bx)
-
-        def nid(ix, iy):
-            return iy * nnx + ix
-
-        ix, iy = np.meshgrid(np.arange(ncx), np.arange(ncy), indexing="xy")
-        ix, iy = ix.ravel(), iy.ravel()  # rectangle (ix, iy), raster order
-        ll, lr = nid(ix, iy), nid(ix + 1, iy)
-        ur, ul = nid(ix + 1, iy + 1), nid(ix, iy + 1)
-        lower = np.stack([ll, lr, ur], axis=1)
-        upper = np.stack([ll, ur, ul], axis=1)
-        elements = np.empty((2 * ncx * ncy, 3), dtype=np.int64)
-        elements[0::2] = lower
-        elements[1::2] = upper
-        cell_in_box = ((ix >= m) & (ix < m + inner[0])
-                       & (iy >= m) & (iy < m + inner[1]))
-        in_box = np.repeat(cell_in_box, 2)
-        gx, gy = np.meshgrid(np.arange(len(bx)), np.arange(len(by)), indexing="xy")
-        interior = (((gx > m) & (gx < m + inner[0]))
-                    & ((gy > m) & (gy < m + inner[1]))).ravel()
-
-    return Mesh(
-        domain=domain,
-        nodes=np.ascontiguousarray(nodes),
-        elements=np.ascontiguousarray(elements, dtype=np.int64),
-        element_in_box=in_box,
-        node_is_interior=interior,
-        axis_breaks=tuple(np.ascontiguousarray(b) for b in breaks),
-        spacing=h,
-        is_uniform=uniform,
-        layer_cells=m,
-        inner_cells=inner,
-    )
+    simplices = _CELL_SIMPLICES[domain.dim]
+    node_counts = tuple(len(b) for b in breaks)
+    node_idx = _grid_indices(node_counts)
+    cell_idx = _grid_indices(tuple(n - 1 for n in node_counts))
+    nodes = np.stack([b[i] for b, i in zip(breaks, node_idx)], axis=1)
+    # node id of each (cell, simplex, vertex): (cell + corner offset) . node strides
+    elements = (_linear_index(cell_idx, node_counts)[:, None, None]
+                + _linear_index(np.moveaxis(simplices, -1, 0), node_counts)
+                ).reshape(-1, domain.dim + 1)
+    box_end = m + np.array(inner)[:, None]
+    in_box = np.repeat(((cell_idx >= m) & (cell_idx < box_end)).all(axis=0), len(simplices))
+    interior = ((node_idx > m) & (node_idx < box_end)).all(axis=0)
+    return Mesh(domain=domain, nodes=nodes, elements=elements, element_in_box=in_box,
+                node_is_interior=interior, axis_breaks=breaks, spacing=h, is_uniform=uniform,
+                layer_cells=m, inner_cells=inner)
 
 
 def build_uniform_mesh(h: float, domain: BoxDomain) -> Mesh:
@@ -366,14 +360,16 @@ def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray | None = N
         cells, local = [c[in_mesh] for c in cells], [t[in_mesh] for t in local]
 
     if mesh.dim == 1:
-        elem, bary = cells[0], np.stack([1.0 - local[0], local[0]], axis=1)
+        which, bary = 0, np.stack([1.0 - local[0], local[0]], axis=1)
     else:
-        (ix, iy), (xi, eta) = cells, local
+        xi, eta = local
         lower = xi >= eta  # diagonal itself goes to the lower triangle (smaller id)
-        elem = 2 * (iy * (len(mesh.axis_breaks[0]) - 1) + ix) + (~lower).astype(np.int64)
+        which = (~lower).astype(np.int64)
         bary = np.stack([1.0 - np.where(lower, xi, eta),
                          np.where(lower, xi - eta, xi),
                          np.where(lower, eta, eta - xi)], axis=1)
+    cell = _linear_index(cells, [len(b) - 1 for b in mesh.axis_breaks])
+    elem = len(_CELL_SIMPLICES[mesh.dim]) * cell + which
     if offs is None:
         return elem, bary
     shape = (len(pts), len(offs))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +62,8 @@ class Kernel:
                 or self.dim not in (1, 2)):
             raise KernelError(f"unsupported dimension {self.dim!r}")
         for name, value in (("horizon", self.horizon), ("scaling", self.scaling)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise KernelError(f"{name} must be a real number, got {value!r}")
             if not (value > 0 and math.isfinite(value)):
                 raise KernelError(f"{name} must be positive and finite, got {value!r}")
 

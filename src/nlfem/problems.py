@@ -1,7 +1,7 @@
 """Manufactured solutions for convergence studies.
 
-Each case bundles a closed-form local solution, the matching source term
-(minus its Laplacian), the Dirichlet layer data (the solution itself), and
+Each case bundles a closed-form local solution, which is also the
+Dirichlet layer data, the matching source term (minus its Laplacian), and
 the gradient used in H1 errors.  All callables take (n, d) point arrays.
 """
 
@@ -24,7 +24,6 @@ class ManufacturedCase:
     dim: int
     solution: Callable[[np.ndarray], np.ndarray]
     source: Callable[[np.ndarray], np.ndarray]
-    boundary: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
 
 
@@ -40,7 +39,7 @@ def case_sin_1d() -> ManufacturedCase:
     def grad(p):
         return (_TWO_PI * np.cos(_TWO_PI * p[..., 0]))[..., None]
 
-    return ManufacturedCase("sin1d", 1, u, b, u, grad)
+    return ManufacturedCase("sin1d", 1, u, b, grad)
 
 
 def case_linear_1d() -> ManufacturedCase:
@@ -55,7 +54,7 @@ def case_linear_1d() -> ManufacturedCase:
     def grad(p):
         return np.ones(p.shape[:-1])[..., None]
 
-    return ManufacturedCase("linear1d", 1, u, b, u, grad)
+    return ManufacturedCase("linear1d", 1, u, b, grad)
 
 
 def case_sin_2d() -> ManufacturedCase:
@@ -72,7 +71,7 @@ def case_sin_2d() -> ManufacturedCase:
         s2, c2 = np.sin(_TWO_PI * p[..., 1]), np.cos(_TWO_PI * p[..., 1])
         return np.stack([_TWO_PI * c1 * s2, _TWO_PI * s1 * c2], axis=-1)
 
-    return ManufacturedCase("sin2d", 2, u, b, u, grad)
+    return ManufacturedCase("sin2d", 2, u, b, grad)
 
 
 _CASES = {

@@ -20,6 +20,7 @@ construction runs batched in ``assembly.truncated_weights`` on masks from
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .exceptions import QuadratureError
 from .geometry import BallNorm
-from .kernels import Kernel, exact_moment_integrals
+from .kernels import Kernel, exact_moment_integrals, second_moment_indices
 
 _RANK_CUTOFF = 1e-12
 _RESIDUAL_TOL = 1e-12
@@ -101,11 +102,10 @@ def filter_to_ball(offsets: np.ndarray, horizon: float, ball_norm: BallNorm) -> 
 
 
 def _monomials(offsets: np.ndarray, dim: int) -> np.ndarray:
-    """(y-x)^beta for each |beta| = 2 row and each offset column."""
-    if dim == 1:
-        return (offsets[:, 0] ** 2)[None, :]
-    rows = [offsets[:, 0] ** 2, offsets[:, 0] * offsets[:, 1], offsets[:, 1] ** 2]
-    return np.stack(rows, axis=0)
+    """(y-x)^beta for each |beta| = 2 row, in ``second_moment_indices`` order,
+    and each offset column."""
+    return np.stack([math.prod(offsets[:, k] ** p for k, p in enumerate(beta) if p)
+                     for beta in second_moment_indices(dim)])
 
 
 def constraint_matrix(kernel: Kernel, center, points) -> np.ndarray:

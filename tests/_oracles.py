@@ -18,7 +18,7 @@ from scipy import sparse
 import nlfem.assembly
 from nlfem import KernelKind
 from nlfem.assembly import _reference_rule
-from nlfem.geometry import _axis_cells
+from nlfem.geometry import Mesh, _axis_cells
 
 
 def naive_system(h, m, kind, extension_ratio, nbar, nq, source, boundary):
@@ -225,3 +225,45 @@ def masked_locate_points(mesh, points):
     bary[up, 1] = xi[up]
     bary[up, 2] = eta[up] - xi[up]
     return elem, bary
+
+
+def forked_mesh_from_breaks(domain, breaks, m, inner, h, uniform):
+    """``geometry._mesh_from_breaks`` with its own 1D and 2D branches: 1D
+    pairs consecutive breakpoints, 2D numbers rectangle corners and splits
+    each rectangle into a lower and an upper triangle."""
+    if domain.dim == 1:
+        bx = breaks[0]
+        nodes = bx.reshape(-1, 1)
+        idx = np.arange(len(bx) - 1)
+        elements = np.stack([idx, idx + 1], axis=1)
+        in_box = (idx >= m) & (idx < m + inner[0])
+        node_idx = np.arange(len(bx))
+        interior = (node_idx > m) & (node_idx < m + inner[0])
+    else:
+        bx, by = breaks
+        ncx, ncy = len(bx) - 1, len(by) - 1
+        xx, yy = np.meshgrid(bx, by, indexing="xy")
+        nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
+        nnx = len(bx)
+
+        def nid(ix, iy):
+            return iy * nnx + ix
+
+        ix, iy = np.meshgrid(np.arange(ncx), np.arange(ncy), indexing="xy")
+        ix, iy = ix.ravel(), iy.ravel()
+        ll, lr = nid(ix, iy), nid(ix + 1, iy)
+        ur, ul = nid(ix + 1, iy + 1), nid(ix, iy + 1)
+        elements = np.empty((2 * ncx * ncy, 3), dtype=np.int64)
+        elements[0::2] = np.stack([ll, lr, ur], axis=1)
+        elements[1::2] = np.stack([ll, ur, ul], axis=1)
+        cell_in_box = ((ix >= m) & (ix < m + inner[0])
+                       & (iy >= m) & (iy < m + inner[1]))
+        in_box = np.repeat(cell_in_box, 2)
+        gx, gy = np.meshgrid(np.arange(len(bx)), np.arange(len(by)), indexing="xy")
+        interior = (((gx > m) & (gx < m + inner[0]))
+                    & ((gy > m) & (gy < m + inner[1]))).ravel()
+    return Mesh(domain=domain, nodes=np.ascontiguousarray(nodes),
+                elements=np.ascontiguousarray(elements, dtype=np.int64),
+                element_in_box=in_box, node_is_interior=interior,
+                axis_breaks=tuple(np.ascontiguousarray(b) for b in breaks),
+                spacing=h, is_uniform=uniform, layer_cells=m, inner_cells=inner)

@@ -43,9 +43,9 @@ def _solve_case(dim, kind, case, h, m, ext_ratio, nbar, nq, mesh_mode="uniform",
         mesh = perturb_mesh(mesh, PerturbationSpec(eps, seed))
     kernel = Kernel.make(kind, dim, delta)
     system = assemble_system(mesh, kernel, InnerGridSpec(nbar, dim), nq,
-                             case.source, case.boundary)
+                             case.source, case.solution)
     u = solve_system(system)
-    field = reconstruct(mesh, u, case.boundary)
+    field = reconstruct(mesh, u, case.solution)
     return mesh, field
 
 
@@ -99,7 +99,7 @@ def _linear_2d():
     def grad(p):
         return np.broadcast_to([1.0, 2.0], p.shape).copy()
 
-    return ManufacturedCase("linear2d", 2, u, lambda p: np.zeros(p.shape[:-1]), u, grad)
+    return ManufacturedCase("linear2d", 2, u, lambda p: np.zeros(p.shape[:-1]), grad)
 
 
 def test_criterion_03_patch_test():
@@ -247,11 +247,11 @@ def test_criterion_10_assembly_oracle_equivalence():
             mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
             kernel = Kernel.make(kind, 1, delta)
             system = assemble_system(mesh, kernel, InnerGridSpec(2, 1),
-                                     8, case.source, case.boundary,
+                                     8, case.source, case.solution,
                                      cache=RuleCache())
             A = system.matrix.toarray()
             A_ref, _ = naive_system(h, 1, kind, 1.0, 2, 8, case.source,
-                                    case.boundary)
+                                    case.solution)
             assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
             assert np.abs(A - A.T).max() <= 1e-12 * np.abs(A).max()
     # symmetry also on a 2D assembly

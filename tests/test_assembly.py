@@ -87,10 +87,10 @@ def test_assembly_matches_naive_oracle(h, kind, extension_ratio):
     kernel = Kernel.make(kind, 1, m * h)
     case = case_sin_1d()
     system = assemble_system(mesh, kernel, InnerGridSpec(nbar, 1), nq,
-                             case.source, case.boundary, cache=RuleCache())
+                             case.source, case.solution, cache=RuleCache())
     A = system.matrix.toarray()
     A_ref, f_ref = naive_system(h, m, kind, extension_ratio, nbar, nq,
-                                case.source, case.boundary)
+                                case.source, case.solution)
     scale = np.abs(A_ref).max()
     assert np.abs(A - A_ref).max() <= 1e-13 * scale
     assert np.abs(system.rhs - f_ref).max() <= 1e-13 * max(1.0, np.abs(f_ref).max())
@@ -257,7 +257,7 @@ def test_assembly_deterministic():
     runs = []
     for _ in range(2):
         system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
-                                 case.source, case.boundary, cache=RuleCache())
+                                 case.source, case.solution, cache=RuleCache())
         runs.append((system.matrix.toarray().copy(), system.rhs.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -279,7 +279,7 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
 
     def assemble():
         return assemble_system(mesh, k, InnerGridSpec(2, 1), 2, case.source,
-                               case.boundary, cache=RuleCache())
+                               case.solution, cache=RuleCache())
 
     dense = assemble()
     monkeypatch.setattr(nlfem.assembly, "_COO_NODE_LIMIT", 0)
@@ -319,7 +319,7 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
     case = case_sin_1d() if dim == 1 else case_sin_2d()
 
     def assemble():
-        return assemble_system(mesh, kernel, spec, n_q, case.source, case.boundary,
+        return assemble_system(mesh, kernel, spec, n_q, case.source, case.solution,
                                cache=RuleCache())
 
     system = assemble()
@@ -498,7 +498,7 @@ def test_rhs_linear_boundary_matches_coupling_identity():
     k = Kernel.make(KernelKind.CONSTANT, 1, 2 / 16)
     case = case_linear_1d()
     system = assemble_system(mesh, k, InnerGridSpec(4, 1), 10,
-                             case.source, case.boundary, cache=RuleCache())
+                             case.source, case.solution, cache=RuleCache())
     u_lin = mesh.nodes[mesh.interior_nodes, 0]
     residual = system.matrix @ u_lin - system.rhs
     assert np.abs(residual).max() <= 1e-10
@@ -529,7 +529,7 @@ def test_solver_residual_contract():
     k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 32)
     case = case_sin_1d()
     system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
-                             case.source, case.boundary, cache=RuleCache())
+                             case.source, case.solution, cache=RuleCache())
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
     assert res <= 1e-12
@@ -546,7 +546,7 @@ def test_solver_contract_2d(perturbation, extension_ratio):
     k = Kernel.make(KernelKind.RATIONAL, 2, m * h)
     case = case_sin_2d()
     system = assemble_system(mesh, k, InnerGridSpec(4, 2), 16,
-                             case.source, case.boundary, cache=RuleCache())
+                             case.source, case.solution, cache=RuleCache())
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
     assert res <= 1e-12
@@ -564,7 +564,7 @@ def test_solver_contract_miss_raises(monkeypatch, spoil, message):
     k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 64)
     case = case_sin_1d()
     system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
-                             case.source, case.boundary, cache=RuleCache())
+                             case.source, case.solution, cache=RuleCache())
     direct = nlfem.assembly.sparse_linalg.spsolve
     stub = SimpleNamespace(spsolve=lambda a, f, **kw: spoil(direct(a, f, **kw)))
     monkeypatch.setattr(nlfem.assembly, "sparse_linalg", stub)
@@ -577,7 +577,7 @@ def test_solve_smallest_grid():
     k = Kernel.make(KernelKind.CONSTANT, 1, 0.5)
     case = case_sin_1d()
     system = assemble_system(mesh, k, InnerGridSpec(2, 1), 8,
-                             case.source, case.boundary, cache=RuleCache())
+                             case.source, case.solution, cache=RuleCache())
     assert system.matrix.shape == (1, 1)
     u = solve_system(system)
     assert u[0] == pytest.approx(system.rhs[0] / system.matrix[0, 0])

@@ -268,6 +268,23 @@ def test_main_rejects_unwritable_output_path(tmp_path, capsys, flag, target):
     assert not (tmp_path / "out" / "report.csv").exists()  # refused before any level ran
 
 
+@pytest.mark.parametrize("flag", ["--dump-matrix", "--dump-inner-rule"])
+@pytest.mark.parametrize("h, directory", [
+    ([0.0625], "D"),  # single level: the path itself
+    ([0.125, 0.0625], "D"),  # several levels: the path as given
+    ([0.125, 0.0625], "D_h0.0625"),  # several levels: one level's path
+])
+def test_main_rejects_a_dump_path_that_is_a_directory(tmp_path, capsys, flag, h, directory):
+    cfg = _write(tmp_path, _base_config(h=h))
+    (tmp_path / directory).mkdir()
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, str(tmp_path / "D")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"[output] cannot write {tmp_path / directory}: Is a directory\n"
+    assert not (tmp_path / "out" / "report.csv").exists()  # refused before any level ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", "out", directory])
+
+
 def test_main_study_dumps_one_file_per_level_and_prints_slopes(tmp_path, capsys):
     cfg = _write(tmp_path, _base_config(h=[0.25, 0.125, 0.0625]))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),

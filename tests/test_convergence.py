@@ -38,7 +38,6 @@ def test_interpolant_of_linear_2d():
         name="lin2d", dim=2,
         solution=lambda p: p[..., 0] - 2 * p[..., 1],
         source=lambda p: np.zeros(p.shape[:-1]),
-        boundary=lambda p: p[..., 0] - 2 * p[..., 1],
         gradient=lambda p: np.broadcast_to(np.array([1.0, -2.0]), p.shape).copy(),
     )
     field = _interpolant(mesh, case.solution)
@@ -56,8 +55,8 @@ def test_halving_h_quarters_l2_error():
         mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
         kernel = Kernel.make(KernelKind.RATIONAL, 1, delta)
         system = assemble_system(mesh, kernel, InnerGridSpec(10, 1),
-                                 40, case.source, case.boundary)
-        field = reconstruct(mesh, solve_system(system), case.boundary)
+                                 40, case.source, case.solution)
+        field = reconstruct(mesh, solve_system(system), case.solution)
         errs.append(l2_error(field, case, mesh))
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0  # second order: ratio about 4
@@ -100,7 +99,7 @@ def test_error_norms_equal_two_pass_oracle(monkeypatch, dim, perturbed, chunk):
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=3))
     noise = np.random.default_rng(5).normal(scale=1e-2, size=mesh.num_interior)
     field = reconstruct(mesh, case.solution(mesh.nodes[mesh.interior_nodes]) + noise,
-                        case.boundary)
+                        case.solution)
     if chunk is not None:
         monkeypatch.setattr(nlfem.convergence, "_ERROR_CHUNK", chunk)
     l2, h1 = error_norms(field, case, mesh)
@@ -299,7 +298,7 @@ def test_near_boundary_ratio_flags_boundary_spike():
     mesh = build_uniform_mesh(1 / 32, BoxDomain.unit(1, 1 / 16))
     vals = case.solution(mesh.nodes[mesh.interior_nodes])
     vals[0] += 0.5  # inject a near-boundary defect
-    field = reconstruct(mesh, vals, case.boundary)
+    field = reconstruct(mesh, vals, case.solution)
     near, deep = near_boundary_error_ratio(field, case, mesh, 2 / 16)
     assert near > 2 * deep
 
@@ -308,7 +307,7 @@ def _field_without_unknowns():
     mesh = build_uniform_mesh(1.0, BoxDomain.unit(1, 1.0))
     assert mesh.num_interior == 0
     case = case_sin_1d()
-    return reconstruct(mesh, np.zeros(0), case.boundary), case, mesh
+    return reconstruct(mesh, np.zeros(0), case.solution), case, mesh
 
 
 def test_boundary_profile_without_unknowns_has_empty_bins():

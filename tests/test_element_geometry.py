@@ -1,5 +1,7 @@
 """The shared element geometry gives bitwise what each dimension's own formulas gave.
 
+``geometry._mesh_from_breaks`` builds 1D and 2D meshes from one table of
+cell simplices, and ``locate_points`` numbers elements from the same table.
 ``Mesh.affine_maps`` writes the affine map of the reference simplex and its
 Jacobian determinant once for 1D and 2D; ``locate_points`` builds the 2D
 barycentrics column by column.  The oracles in ``_oracles.py`` keep the
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from _oracles import (forked_element_gradients, forked_element_measures,
-                      forked_outer_rules, masked_locate_points)
+                      forked_mesh_from_breaks, forked_outer_rules, masked_locate_points)
 from nlfem import (BoxDomain, Field, InnerGridSpec, OutsideDomainError, PerturbationSpec,
                    build_uniform_mesh, generate_offsets, locate_points, outer_rules,
                    perturb_mesh)
@@ -45,6 +47,31 @@ def _probe_points(mesh):
         probes.append(np.stack([bx[i] + t * (bx[i + 1] - bx[i]),
                                 by[j] + t * (by[j + 1] - by[j])], axis=-1).reshape(-1, 2))
     return np.concatenate(probes)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("h, m", [(0.5, 1), (0.25, 1), (0.25, 3), (0.125, 2),
+                                  (0.0625, 1), (1 / 32, 4)])
+@pytest.mark.parametrize("extension", [0.0, 1.0])
+@pytest.mark.parametrize("seed", [None, 0, 7])
+def test_mesh_builder_equals_forked_oracle(dim, h, m, extension, seed):
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, m * h, extension * m * h))
+    if seed is not None:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.3, seed))
+    ref = forked_mesh_from_breaks(mesh.domain, mesh.axis_breaks, m, mesh.inner_cells,
+                                  h, mesh.is_uniform)
+    for name in ("nodes", "elements", "element_in_box", "node_is_interior"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert _same_bits(got, want) and got.flags.c_contiguous, name
+
+
+@MESHES
+def test_centroids_locate_to_their_own_element(dim, perturbed):
+    mesh = _mesh(dim, perturbed)
+    centroids = mesh.nodes[mesh.elements].mean(axis=1)
+    elem, bary = locate_points(mesh, centroids)
+    assert np.array_equal(elem, np.arange(mesh.num_elements))
+    assert np.all(bary > 0.0)
 
 
 @MESHES

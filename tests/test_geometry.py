@@ -195,6 +195,24 @@ def test_box_domain_validation(dim, lo, hi, message):
         BoxDomain(dim, lo, hi, 0.25)
 
 
+@pytest.mark.parametrize("lo, hi, horizon, extension", [
+    ((0.0,), (1.0,), "0.25", 0.0), ((0.0,), (1.0,), True, 0.0),
+    ((0.0,), (1.0,), 0.25, "0.1"), ((0.0,), (1.0,), 0.25, False),
+    (("0",), (1.0,), 0.25, 0.0), ((0.0,), (True,), 0.25, 0.0),
+    ((0.0,), (np.bool_(True),), 0.25, 0.0), ((0.0,), (1.0,), None, 0.0),
+])
+def test_box_domain_rejects_non_real_or_boolean_values(lo, hi, horizon, extension):
+    with pytest.raises(MeshError, match="corners, horizon and extension must be real, got"):
+        BoxDomain(1, lo, hi, horizon, extension)
+
+
+def test_box_domain_accepts_numpy_floats():
+    domain = BoxDomain(2, (np.float64(0.0), np.float32(0.0)), (np.float64(1.0), 1),
+                       np.float64(0.25), np.float32(0.125))
+    reference = build_uniform_mesh(0.125, BoxDomain.unit(2, 0.25, 0.125))
+    assert np.array_equal(build_uniform_mesh(0.125, domain).nodes, reference.nodes)
+
+
 @pytest.mark.parametrize("dim", [np.int64(1), np.int32(2)])
 def test_box_domain_accepts_numpy_integer_dimension(dim):
     mesh = build_uniform_mesh(0.25, BoxDomain(dim, (0.0,) * dim, (1.0,) * dim, 0.25))

@@ -149,13 +149,28 @@ def test_invalid_kernel_parameters():
     (2, math.nan, None, "horizon must be positive and finite, got nan"),
     (1, 0.25, math.inf, "scaling must be positive and finite, got inf"),
     (2, 0.25, math.nan, "scaling must be positive and finite, got nan"),
+    (1, "0.25", 1.0, "horizon must be a real number, got '0.25'"),
+    (1, True, None, "horizon must be a real number, got True"),
+    (2, np.bool_(True), None, "horizon must be a real number, got np.True_|True"),
+    (1, 0.25j, 1.0, "horizon must be a real number, got 0.25j"),
+    (1, 0.25, "1.0", "scaling must be a real number, got '1.0'"),
+    (2, 0.25, True, "scaling must be a real number, got True"),
 ], ids=["bool-dim", "float-dim", "str-dim", "numpy-float-dim", "inf-horizon",
-        "nan-horizon", "inf-scaling", "nan-scaling"])
+        "nan-horizon", "inf-scaling", "nan-scaling", "str-horizon", "bool-horizon",
+        "numpy-bool-horizon", "complex-horizon", "str-scaling", "bool-scaling"])
 def test_kernel_rejects_non_integer_dimension_and_non_finite_parameters(
         dim, horizon, scaling, message):
     # True, 1.0 and 2.0 hash like 1 and 2, so the default-scaling lookup lets them through
     with pytest.raises(KernelError, match=message):
         Kernel.make(KernelKind.RATIONAL, dim, horizon, scaling)
+
+
+@pytest.mark.parametrize("horizon, scaling", [
+    (np.float64(0.25), np.float64(1.0)), (np.float32(0.25), 1.0), (1, np.int64(2)),
+])
+def test_kernel_accepts_numpy_and_integer_parameters(horizon, scaling):
+    kernel = Kernel(KernelKind.RATIONAL, 2, horizon, scaling)
+    assert kernel.strength(np.array([0.5]))[0] == pytest.approx(scaling / (horizon ** 3 * 0.5))
 
 
 @pytest.mark.parametrize("dim", [np.int64(1), np.int32(2)])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nlfem import (BoxDomain, ConfigError, build_uniform_mesh, case_linear_1d,
-                   case_sin_1d, case_sin_2d, get_case)
+from nlfem import ConfigError, case_linear_1d, case_sin_1d, case_sin_2d, get_case
+from nlfem.cli import RunConfig, _execute
 
 
 def test_sin_1d_values():
@@ -12,7 +12,7 @@ def test_sin_1d_values():
     assert case.source(np.array([[0.25]]))[0] == pytest.approx(4 * math.pi**2)
     assert case.solution(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-15)
     d = 0.02
-    assert case.boundary(np.array([[-d]]))[0] == pytest.approx(math.sin(-2 * math.pi * d))
+    assert case.solution(np.array([[-d]]))[0] == pytest.approx(math.sin(-2 * math.pi * d))
     assert case.gradient(np.array([[0.0]]))[0, 0] == pytest.approx(2 * math.pi)
 
 
@@ -20,7 +20,7 @@ def test_linear_1d_values():
     case = case_linear_1d()
     pts = np.array([[0.3], [1.02], [-0.02]])
     assert np.allclose(case.source(pts), 0.0)
-    assert case.boundary(np.array([[1.02]]))[0] == pytest.approx(1.02)
+    assert case.solution(np.array([[1.02]]))[0] == pytest.approx(1.02)
     assert np.allclose(case.gradient(pts)[:, 0], 1.0)
 
 
@@ -54,10 +54,15 @@ def test_source_is_negative_laplacian(name):
     ("sin2d", 0.25, 0.25),
 ])
 def test_boundary_data_equals_solution_on_constraint_nodes(name, h, delta):
+    """A run takes its Dirichlet layer data from the case's solution."""
     case = get_case(name)
-    mesh = build_uniform_mesh(h, BoxDomain.unit(case.dim, delta))
-    pts = mesh.nodes[mesh.constraint_nodes]
-    assert np.array_equal(case.boundary(pts), case.solution(pts))
+    config = RunConfig.from_dict({"dimension": case.dim, "kernel": "constant", "case": name,
+                                  "m": round(delta / h), "h": [h], "outer_points": 1,
+                                  "points_per_radius": 2})
+    field = _execute(config, h).field
+    constraint = field.mesh.constraint_nodes
+    assert np.array_equal(field.node_values[constraint],
+                          case.solution(field.mesh.nodes[constraint]))
 
 
 def test_unknown_case_rejected():
