@@ -7,22 +7,18 @@ computes element-ball intersections.
 
 from .assembly import (DiscreteSystem, Field, assemble_system, outer_rules,
                        reconstruct, solve_system, truncated_weights)
-from .convergence import (ConvergenceReport, ErrorRecord, RateFit,
-                          boundary_error_profile, error_norms,
-                          exact_bilinear_form, fit_rate, guarded_fit_rate,
-                          h1_error, l2_error, near_boundary_error_ratio,
-                          strang_gap)
+from .convergence import (ConvergenceReport, ErrorRecord, RateFit, error_norms,
+                          fit_rate, guarded_fit_rate, h1_error, l2_error)
 from .exceptions import (AssemblyError, ConfigError, KernelError, MeshError,
                          NlfemError, OutsideDomainError, QuadratureError,
                          SolverError)
 from .geometry import (BallNorm, BoxDomain, Mesh, PerturbationSpec,
                        build_uniform_mesh, locate_points, perturb_mesh)
-from .kernels import (Kernel, KernelKind, default_scaling, evaluate,
+from .kernels import (Kernel, KernelKind, default_scaling,
                       exact_moment_integrals, second_moment_indices)
 from .problems import (ManufacturedCase, case_linear_1d, case_sin_1d,
                        case_sin_2d, get_case)
 from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,
-                         closed_form_weights_1d_constant, constraint_matrix,
                          default_cache, filter_to_ball, full_ball_rule,
                          generate_offsets, solve_weights)
 

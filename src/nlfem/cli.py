@@ -23,7 +23,8 @@ from pathlib import Path
 from .assembly import (assemble_system, dump_matrix_market, dump_solution_csv,
                        reconstruct, solve_system)
 from .convergence import ConvergenceReport, ErrorRecord, error_norms
-# not called here; perfbench/bench_trace.py times these two names on this module
+# not called here (_execute calls error_norms), so bench_trace's timers on these
+# two names never fire; kept only so that perfbench/bench_trace.py's instrument finds them
 from .convergence import h1_error, l2_error  # noqa: F401
 from .exceptions import ConfigError, MeshError, NlfemError
 from .geometry import (BallNorm, BoxDomain, PerturbationSpec,
@@ -223,16 +224,12 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
     written afterwards, in level order, so every output but ``run.json``, the
     wall-clock phase times, is identical regardless of the worker count.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     levels = config.h_values
     suffixes = [f"_h{h!r}" for h in levels] if len(levels) > 1 else [""]
-    for path in (dump_matrix, dump_inner_rule):
-        # fail before the levels run, not after they are solved
-        for target in () if path is None else (path, *(_with_suffix(path, s) for s in suffixes)):
-            if not target.parent.is_dir():
-                raise FileNotFoundError(errno.ENOENT, "no such directory", str(target))
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(target))
+    # fail before the levels run, not after they are solved, and leave nothing behind
+    _check_outputs(out_dir, levels, suffixes,
+                   {"--dump-matrix": dump_matrix, "--dump-inner-rule": dump_inner_rule})
+    out_dir.mkdir(parents=True, exist_ok=True)
     workers = min(threads, len(levels))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -271,6 +268,30 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
             with _writing(_with_suffix(dump_inner_rule, suffix)) as path:
                 full_ball_rule(result.kernel, result.spec).dump_csv(path)
     return report
+
+
+def _check_outputs(out_dir: Path, levels: list[float], suffixes: list[str],
+                   dumps: dict[str, Path | None]) -> None:
+    """Raise an OSError naming the first dump path that cannot be written,
+    or the first file that two outputs would both write."""
+    root = out_dir.resolve()
+    made = {root, *root.parents}  # what out_dir.mkdir may create
+    owner = {path.resolve(): "--out" for path in (
+        out_dir, out_dir / "report.csv", out_dir / "run.json", out_dir / "convergence.svg",
+        *(out_dir / f"solution_h{h!r}.csv" for h in levels))}
+    for flag, path in dumps.items():
+        if path is None:
+            continue
+        for target in (path, *(_with_suffix(path, s) for s in suffixes)):
+            if not (target.parent.is_dir() or target.parent.resolve() in made):
+                raise FileNotFoundError(errno.ENOENT, "no such directory", str(target))
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(target))
+        for target in (_with_suffix(path, s) for s in suffixes):
+            other = owner.setdefault(target.resolve(), flag)
+            if other != flag:
+                raise OSError(errno.EINVAL, f"both {other} and {flag} name this file",
+                              str(target))
 
 
 def _with_suffix(path: Path, suffix: str) -> Path:

@@ -89,10 +89,6 @@ class BoxDomain:
     def layer_hi(self, pad: float) -> np.ndarray:
         return np.array([b + pad for b in self.hi])
 
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        """Distance from (n, d) points inside the box to the nearest box face."""
-        return np.minimum(points - np.array(self.lo), np.array(self.hi) - points).min(axis=-1)
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -181,25 +177,6 @@ class Mesh:
         else:
             det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
         return p0, edges, det
-
-    def element_measures(self) -> np.ndarray:
-        return self.affine_maps()[2] / math.factorial(self.dim)
-
-    def dump_csv(self, path) -> None:
-        """Debug dump: node table then element table in one CSV file."""
-        dim = self.dim
-        with open(path, "w", newline="") as fh:
-            fh.write("# nodes\n")
-            fh.write("id," + ",".join("xy"[:dim]) + ",class\n")
-            for i, x in enumerate(self.nodes):
-                coords = ",".join(repr(float(c)) for c in x)
-                cls = "interior" if self.node_is_interior[i] else "constraint"
-                fh.write(f"{i},{coords},{cls}\n")
-            fh.write("# elements\n")
-            fh.write("id," + ",".join(f"n{k}" for k in range(dim + 1)) + ",layer\n")
-            for e, conn in enumerate(self.elements):
-                layer = "box" if self.element_in_box[e] else "layer"
-                fh.write(f"{e}," + ",".join(str(int(n)) for n in conn) + f",{layer}\n")
 
 
 def _axis_cell_count(length: float, h: float, what: str) -> int:

@@ -86,17 +86,6 @@ class Kernel:
         return self.scaling / (self.horizon ** (self.dim + 1) * r)
 
 
-def evaluate(kernel: Kernel, x, y) -> float:
-    """Kernel value at a point pair; zero outside the ball, symmetric in (x, y)."""
-    dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    r = float(kernel.ball_norm.length(dx))
-    if r > kernel.horizon:
-        return 0.0
-    if kernel.kind is KernelKind.RATIONAL and r < 1e-14 * kernel.horizon:
-        raise KernelError("singular evaluation: rational kernel at coincident points")
-    return float(kernel.strength(r))
-
-
 def second_moment_indices(dim: int) -> list[tuple[int, ...]]:
     """Multi-indices of total degree two, in fixed order."""
     if dim == 1:

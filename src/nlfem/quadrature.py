@@ -108,17 +108,8 @@ def _monomials(offsets: np.ndarray, dim: int) -> np.ndarray:
                      for beta in second_moment_indices(dim)])
 
 
-def constraint_matrix(kernel: Kernel, center, points) -> np.ndarray:
-    """Constraint matrix: one row per second-order multi-index.
-
-    Entry (a, j) is kernel(center, x_j) * (x_j - center)^beta_a.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    offs = pts - np.asarray(center, dtype=float).reshape(1, -1)
-    return _constraint_matrix_from_offsets(kernel, offs)
-
-
-def _constraint_matrix_from_offsets(kernel: Kernel, offs: np.ndarray) -> np.ndarray:
+def _constraint_matrix(kernel: Kernel, offs: np.ndarray) -> np.ndarray:
+    """Entry (a, j) is kernel strength at offset j times offset j ** beta_a."""
     r = kernel.ball_norm.length(offs)
     if np.any(r < 1e-14 * kernel.horizon):
         raise QuadratureError("singular constraint: quadrature point coincides with the center")
@@ -153,7 +144,7 @@ def _moment_weights(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, float
     Raises ``QuadratureError`` when the constraint residual exceeds
     1e-12 relative to the moments.
     """
-    B = _constraint_matrix_from_offsets(kernel, offs)
+    B = _constraint_matrix(kernel, offs)
     g = exact_moment_integrals(kernel)
     w, residual = solve_weights(B, g)
     if residual > _RESIDUAL_TOL * max(float(np.linalg.norm(g)), 1e-300):
@@ -242,19 +233,3 @@ def solve_weights_on_subset(kernel: Kernel, spec: InnerGridSpec,
     cache = cache or _default_cache
     key = ("trunc", kernel, spec.points_per_radius, mask.tobytes())
     return cache.get_or_build(key, lambda: _moment_weights(kernel, offsets[mask]))
-
-
-def closed_form_weights_1d_constant(points_per_radius: int, horizon: float) -> np.ndarray:
-    """Analytic full-ball weights for the 1D constant kernel.
-
-    Returned in the same ascending-offset order as generate_offsets.  This is
-    the corrected closed form 20*h*n*(2k - sgn k)^2 / (7 - 40 n^2 + 48 n^4);
-    see the README for the derivation check at n = 1 (both weights 4h/3).
-    """
-    n = points_per_radius
-    if n < 1:
-        raise QuadratureError("points_per_radius must be at least 1")
-    ks = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
-    num = 20.0 * horizon * n * (2 * ks - np.sign(ks)) ** 2
-    den = 7.0 - 40.0 * n**2 + 48.0 * n**4
-    return num / den

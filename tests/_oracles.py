@@ -5,9 +5,24 @@ are evaluated from their closed form, inner-rule weights come from numpy's
 lstsq (minimal-norm solution), and the assembly is a plain dense triple
 loop.  ``correctly_summed_entries`` sums every operator entry's terms in
 long double (or by ``math.fsum``), so that assembly is checked against
-roundoff bounds rather than the bits of one summing order.  The parity
-oracles below keep earlier forms of production code whose replacements
-must give bitwise-equal results.
+roundoff bounds rather than the bits of one summing order.
+
+The acceptance criteria compare the production path with these oracles:
+
+- ``constraint_matrix`` (criterion 1, and ``test_quadrature.py``): the
+  moment constraint rows, built from ``Kernel.strength`` and the monomials
+  written out rather than by ``quadrature._constraint_matrix``;
+- ``closed_form_weights_1d_constant`` (criterion 2): the analytic full-ball
+  weights of the 1D constant kernel;
+- ``near_boundary_error_ratio`` (criterion 4, the boundary-concentration
+  check): nodal error near the box boundary against deep inside;
+- ``exact_bilinear_form`` and ``strang_gap`` (criterion 12): the 1D bilinear
+  form with each inner integral taken exactly over ball-element
+  intersections, which the production assembly never computes, and its gap
+  to the assembled matrix.
+
+The remaining functions are parity oracles: they keep earlier forms of
+production code whose replacements must give bitwise-equal results.
 """
 
 import math
@@ -16,8 +31,8 @@ import numpy as np
 from scipy import sparse
 
 import nlfem.assembly
-from nlfem import KernelKind
-from nlfem.assembly import _reference_rule
+from nlfem import KernelKind, NlfemError, QuadratureError, assemble_system
+from nlfem.assembly import _reference_rule, gauss_legendre_01
 from nlfem.geometry import Mesh, _axis_cells
 
 
@@ -154,6 +169,147 @@ def correctly_summed_entries(chunks, n, use_fsum=None):
     return keys[starts], sums, counts, np.add.reduceat(np.abs(terms), starts)
 
 
+def constraint_matrix(kernel, center, points):
+    """Entry (a, j) is the kernel strength at x_j times (x_j - center)^beta_a,
+    over the |beta| = 2 monomials x^2 (1D) or x^2, xy, y^2 (2D)."""
+    offs = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, dtype=float)
+    x, y = offs[:, 0], offs[:, -1]
+    monomials = [x * x] if kernel.dim == 1 else [x * x, x * y, y * y]
+    return kernel.strength(kernel.ball_norm.length(offs))[None, :] * np.array(monomials)
+
+
+def closed_form_weights_1d_constant(points_per_radius, horizon):
+    """Analytic full-ball weights for the 1D constant kernel.
+
+    Returned in the same ascending-offset order as generate_offsets.  This is
+    the corrected closed form 20*h*n*(2k - sgn k)^2 / (7 - 40 n^2 + 48 n^4);
+    see the README for the derivation check at n = 1 (both weights 4h/3).
+    """
+    n = points_per_radius
+    if n < 1:
+        raise QuadratureError("points_per_radius must be at least 1")
+    ks = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+    num = 20.0 * horizon * n * (2 * ks - np.sign(ks)) ** 2
+    den = 7.0 - 40.0 * n**2 + 48.0 * n**4
+    return num / den
+
+
+def near_boundary_error_ratio(field_, case, mesh, width, interior_margin=None):
+    """Max nodal error within ``width`` of the box boundary versus deep inside.
+
+    The interior reference is taken over nodes at distance at least
+    ``interior_margin`` from the boundary (default: half the largest
+    distance, i.e. the central part of the box), so that the slowly decaying
+    shoulder of a boundary-generated error does not mask the concentration.
+    A side without nodes reads 0.0, so a mesh without unknowns gives (0.0, 0.0).
+    """
+    nodes = mesh.interior_nodes
+    coords = mesh.nodes[nodes]
+    dist = np.minimum(coords - mesh.domain.lo, np.array(mesh.domain.hi) - coords).min(axis=-1)
+    err = np.abs(field_.node_values[nodes] - case.solution(coords))
+    if interior_margin is None:
+        interior_margin = 0.5 * float(dist.max(initial=0.0))
+    near = err[dist <= width]
+    deep = err[dist >= interior_margin]
+    return (float(near.max()) if near.size else 0.0,
+            float(deep.max()) if deep.size else 0.0)
+
+
+def exact_bilinear_form(v_values, w_values, kernel, mesh, n_q=40):
+    """1D bilinear form with piecewise-exact inner integration.
+
+    The outer integral uses Gauss quadrature (assumed accurate); the inner
+    integral over ball intersected with the meshed region is evaluated in
+    closed form on each overlapped segment, where both fields are linear.
+    The production assembly never intersects elements with balls.
+    """
+    if mesh.dim != 1:
+        raise NlfemError("exact_bilinear_form supports 1D meshes only")
+    breaks = mesh.axis_breaks[0]
+    delta = kernel.horizon
+    lo, hi = breaks[0], breaks[-1]
+    v, w = np.asarray(v_values, float), np.asarray(w_values, float)
+    slopes_v = np.diff(v) / np.diff(breaks)
+    slopes_w = np.diff(w) / np.diff(breaks)
+    x01, w01 = gauss_legendre_01(n_q)
+    rational = kernel.kind is KernelKind.RATIONAL
+    c_k = (kernel.scaling / delta**3 if not rational else kernel.scaling / delta**2)
+
+    total = 0.0
+    for e in range(len(breaks) - 1):
+        a_e, b_e = breaks[e], breaks[e + 1]
+        scale = b_e - a_e
+        for t, gw in zip(x01, w01):
+            x = a_e + t * scale
+            vx = v[e] + slopes_v[e] * (x - a_e)
+            wx = w[e] + slopes_w[e] * (x - a_e)
+            y_lo, y_hi = max(x - delta, lo), min(x + delta, hi)
+            k0 = int(np.searchsorted(breaks, y_lo, side="right") - 1)
+            k0 = max(k0, 0)
+            inner = 0.0
+            k = k0
+            while k < len(breaks) - 1 and breaks[k] < y_hi:
+                sa, sb = max(breaks[k], y_lo), min(breaks[k + 1], y_hi)
+                if sb > sa:
+                    inner += _segment_integral(
+                        x, sa, sb, breaks[k], v[k], slopes_v[k], w[k], slopes_w[k],
+                        vx, wx, rational, own=(k == e))
+                k += 1
+            total += gw * scale * c_k * inner
+    return total
+
+
+def _segment_integral(x, sa, sb, seg_start, v0, sv, w0, sw, vx, wx, rational, own):
+    """Integral of (v(y)-v(x)) (w(y)-w(x)) / |y-x|^p over [sa, sb], p in {0,1}.
+
+    Writing v(y)-v(x) = sv*(y-x) + cv on the segment, the integrand is a
+    quadratic in t = y-x (divided by |t| for the rational kernel).  On the
+    outer point's own segment cv and cw vanish identically.
+    """
+    if own:
+        cv = cw = 0.0
+    else:
+        cv = v0 + sv * (sa - seg_start) - vx - sv * (sa - x)
+        cw = w0 + sw * (sa - seg_start) - wx - sw * (sa - x)
+    a2 = sv * sw
+    b1 = sv * cw + sw * cv
+    c0 = cv * cw
+    t0, t1 = sa - x, sb - x
+    if not rational:
+        def antider(t):
+            return a2 * t**3 / 3.0 + b1 * t**2 / 2.0 + c0 * t
+        return antider(t1) - antider(t0)
+    if own:
+        # c0 = b1 = 0; integrand a2*|t|, antiderivative valid across t = 0
+        return a2 * 0.5 * (t1 * abs(t1) - t0 * abs(t0))
+    sigma = 1.0 if (t0 + t1) > 0 else -1.0
+
+    def antider(t):
+        return a2 * t**2 / 2.0 + b1 * t + c0 * math.log(abs(t))
+
+    return sigma * (antider(t1) - antider(t0))
+
+
+def strang_gap(v_values, w_values, kernel, mesh, spec, n_q=40, cache=None):
+    """|D(v, w) - D_h(v, w)| for fields vanishing on the constraint layer.
+
+    D is integrated piecewise-exactly (1D only); D_h runs through the same
+    inner-rule path as the production assembly.
+    """
+    if mesh.dim != 1:
+        raise NlfemError("strang_gap supports 1D meshes only")
+    v = np.asarray(v_values, float)
+    w = np.asarray(w_values, float)
+    cn = mesh.constraint_nodes
+    if np.any(v[cn] != 0.0) or np.any(w[cn] != 0.0):
+        raise NlfemError("strang_gap requires fields that vanish on the constraint layer")
+    exact = exact_bilinear_form(v, w, kernel, mesh, n_q)
+    a = assemble_system(mesh, kernel, spec, n_q, cache=cache).matrix
+    ids = mesh.interior_nodes
+    discrete = float(v[ids] @ (a @ w[ids]))
+    return abs(exact - discrete)
+
+
 def forked_outer_rules(mesh, element_ids, n_points):
     """``outer_rules`` with its own affine map and determinant per dimension."""
     ref, bary, w = _reference_rule(mesh.dim, n_points)
@@ -173,7 +329,8 @@ def forked_outer_rules(mesh, element_ids, n_points):
 
 
 def forked_element_measures(mesh):
-    """``Mesh.element_measures`` with its own length and area formulas."""
+    """Element lengths (1D) or areas (2D) from their own formulas, apart from
+    ``Mesh.affine_maps``."""
     verts = mesh.nodes[mesh.elements]
     if mesh.dim == 1:
         return verts[:, 1, 0] - verts[:, 0, 0]

@@ -13,14 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from _oracles import (closed_form_weights_1d_constant, constraint_matrix,
+                      exact_bilinear_form, near_boundary_error_ratio, strang_gap)
 from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    ManufacturedCase, assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, case_sin_2d,
-                   closed_form_weights_1d_constant, constraint_matrix,
-                   exact_bilinear_form, exact_moment_integrals, fit_rate,
-                   full_ball_rule, guarded_fit_rate, h1_error, l2_error,
-                   near_boundary_error_ratio, perturb_mesh, reconstruct,
-                   solve_system, strang_gap)
+                   exact_moment_integrals, fit_rate, full_ball_rule,
+                   guarded_fit_rate, h1_error, l2_error, perturb_mesh,
+                   reconstruct, solve_system)
 from nlfem.cli import RunConfig, run_study
 from nlfem.geometry import PerturbationSpec
 from nlfem.quadrature import RuleCache

@@ -282,7 +282,39 @@ def test_main_rejects_a_dump_path_that_is_a_directory(tmp_path, capsys, flag, h,
     err = capsys.readouterr().err
     assert err == f"[output] cannot write {tmp_path / directory}: Is a directory\n"
     assert not (tmp_path / "out" / "report.csv").exists()  # refused before any level ran
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", "out", directory])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", directory])
+
+
+@pytest.mark.parametrize("h, dumps, target, flags", [
+    # two dumps, one name: one level, then several
+    ([0.0625], ("X", "X"), "X", "--dump-matrix and --dump-inner-rule"),
+    ([0.125, 0.0625], ("X", "X"), "X_h0.125", "--dump-matrix and --dump-inner-rule"),
+    # a dump that names a file --out writes: one level, then several
+    ([0.0625], ("out/report.csv", None), "out/report.csv", "--out and --dump-matrix"),
+    ([0.125, 0.0625], (None, "out/solution.csv"), "out/solution_h0.125.csv",
+     "--out and --dump-inner-rule"),
+    ([0.0625], ("out", None), "out", "--out and --dump-matrix"),
+], ids=["dumps-one-level", "dumps-several-levels", "out-file-one-level",
+        "out-file-several-levels", "out-directory"])
+def test_main_rejects_two_outputs_that_name_one_file(tmp_path, capsys, monkeypatch,
+                                                     h, dumps, target, flags):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, _base_config(h=h))
+    argv = ["run", "--config", "config.json", "--out", "out"]
+    for flag, path in zip(["--dump-matrix", "--dump-inner-rule"], dumps):
+        argv += [] if path is None else [flag, path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"[output] cannot write {target}: both {flags} name this file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no level ran, nothing written
+
+
+def test_main_dumps_into_the_out_directory_it_creates(tmp_path):
+    cfg = _write(tmp_path, _base_config(h=[0.0625]))
+    out = tmp_path / "new" / "out"
+    argv = ["run", "--config", str(cfg), "--out", str(out), "--dump-matrix", str(out / "A.mtx")]
+    assert main(argv) == 0
+    assert (out / "A.mtx").read_text().startswith("%%MatrixMarket")
 
 
 def test_main_study_dumps_one_file_per_level_and_prints_slopes(tmp_path, capsys):

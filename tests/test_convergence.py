@@ -3,13 +3,12 @@ import pytest
 from scipy import integrate
 
 import nlfem.convergence
+from _oracles import exact_bilinear_form, near_boundary_error_ratio, strang_gap
 from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
-                   PerturbationSpec, boundary_error_profile, build_uniform_mesh,
-                   case_linear_1d, case_sin_1d, case_sin_2d, error_norms,
-                   exact_bilinear_form, fit_rate, full_ball_rule,
-                   guarded_fit_rate, h1_error, l2_error,
-                   near_boundary_error_ratio, perturb_mesh, reconstruct,
-                   strang_gap)
+                   PerturbationSpec, build_uniform_mesh, case_linear_1d,
+                   case_sin_1d, case_sin_2d, error_norms, fit_rate,
+                   full_ball_rule, guarded_fit_rate, h1_error, l2_error,
+                   perturb_mesh, reconstruct)
 from nlfem.convergence import ConvergenceReport, ErrorRecord
 from nlfem.exceptions import NlfemError
 from nlfem.geometry import Mesh
@@ -281,17 +280,7 @@ def test_strang_gap_mirror_symmetric():
     assert g1 == pytest.approx(g2, rel=1e-10)
 
 
-# ----------------------------------------------------------- boundary profile
-
-def test_boundary_profile_zero_for_exact_interpolant():
-    case = case_linear_1d()
-    mesh = build_uniform_mesh(0.0625, BoxDomain.unit(1, 0.125))
-    field = _interpolant(mesh, case.solution)
-    profile = boundary_error_profile(field, case, mesh, bins=5)
-    assert len(profile) == 5
-    assert sum(n for _, _, n, _ in profile) == mesh.num_interior
-    assert max(err for _, _, _, err in profile) <= 1e-14
-
+# ---------------------------------------------------- near-boundary error ratio
 
 def test_near_boundary_ratio_flags_boundary_spike():
     case = case_sin_1d()
@@ -308,11 +297,6 @@ def _field_without_unknowns():
     assert mesh.num_interior == 0
     case = case_sin_1d()
     return reconstruct(mesh, np.zeros(0), case.solution), case, mesh
-
-
-def test_boundary_profile_without_unknowns_has_empty_bins():
-    field, case, mesh = _field_without_unknowns()
-    assert boundary_error_profile(field, case, mesh, bins=3) == [(0.0, 0.0, 0, 0.0)] * 3
 
 
 def test_near_boundary_ratio_without_unknowns_reads_zero():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nlfem import (BallNorm, Kernel, KernelError, KernelKind, default_scaling,
-                   evaluate, exact_moment_integrals, second_moment_indices)
+from nlfem import (BallNorm, InnerGridSpec, Kernel, KernelError, KernelKind,
+                   QuadratureError, RuleCache, default_scaling, exact_moment_integrals,
+                   filter_to_ball, second_moment_indices)
+from nlfem.quadrature import solve_weights_on_subset
 
 ALL_KINDS = [(KernelKind.CONSTANT, 1), (KernelKind.RATIONAL, 1),
              (KernelKind.CONSTANT, 2), (KernelKind.RATIONAL, 2)]
@@ -18,35 +20,31 @@ def test_default_scalings():
     assert default_scaling(KernelKind.RATIONAL, 2) == pytest.approx(3 / math.pi)
 
 
-def test_evaluate_1d_constant():
+def test_strength_1d_constant():
     k = Kernel.make(KernelKind.CONSTANT, 1, 0.02)
-    assert evaluate(k, [0.0], [0.01]) == pytest.approx(3 / (2 * 0.02**3))
-    assert evaluate(k, [0.0], [0.02 * 1.01]) == 0.0
+    assert k.strength(0.01) == pytest.approx(3 / (2 * 0.02**3))
 
 
-def test_evaluate_2d_rational():
+def test_strength_2d_rational():
     k = Kernel.make(KernelKind.RATIONAL, 2, 0.1)
-    val = evaluate(k, [0.0, 0.0], [0.05, 0.0])
+    val = k.strength(0.05)
     assert val == pytest.approx((3 / math.pi) / (0.1**3 * 0.05))
     assert val == pytest.approx(19098.59, rel=1e-4)
 
 
-def test_evaluate_symmetric():
-    k = Kernel.make(KernelKind.RATIONAL, 2, 0.3)
-    x, y = np.array([0.1, 0.2]), np.array([0.25, 0.05])
-    assert evaluate(k, x, y) == evaluate(k, y, x)
-
-
 def test_rational_singularity_rejected():
+    # an inner point at the ball center would put 1/0 into the constraint matrix
     k = Kernel.make(KernelKind.RATIONAL, 1, 0.1)
-    with pytest.raises(KernelError, match="singular"):
-        evaluate(k, [0.4], [0.4])
+    offsets = np.array([[0.0], [0.05]])
+    with pytest.raises(QuadratureError, match="singular"):
+        solve_weights_on_subset(k, InnerGridSpec(1, 1), offsets, np.ones(2, bool), RuleCache())
 
 
 def test_support_boundary():
-    k = Kernel.make(KernelKind.CONSTANT, 2, 0.1)
-    assert evaluate(k, [0.0, 0.0], [0.1, 0.0]) > 0.0  # closed ball
-    assert evaluate(k, [0.0, 0.0], [0.1 + 1e-12, 0.0]) == 0.0
+    # the support is the closed ball; inner points are kept or dropped by filter_to_ball
+    offsets = np.array([[0.1, 0.0], [0.1 + 1e-12, 0.0]])
+    for norm in BallNorm:
+        assert filter_to_ball(offsets, 0.1, norm).tolist() == [True, False]
 
 
 def _oracle_moments(kernel: Kernel) -> np.ndarray:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import nlfem.quadrature
+from _oracles import closed_form_weights_1d_constant, constraint_matrix
 from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    PerturbationSpec, QuadratureError, RuleCache, build_uniform_mesh,
-                   closed_form_weights_1d_constant, constraint_matrix,
                    exact_moment_integrals, filter_to_ball, full_ball_rule,
                    generate_offsets, locate_points, outer_rules, perturb_mesh,
                    solve_weights, truncated_weights)
@@ -94,8 +94,10 @@ def test_constraint_matrix_2d_rows():
 
 def test_constraint_matrix_rejects_center():
     k = Kernel.make(KernelKind.CONSTANT, 1, 0.1)
+    offsets = np.array([[0.0], [0.05]])
     with pytest.raises(QuadratureError, match="singular"):
-        constraint_matrix(k, [0.3], [[0.3]])
+        nlfem.quadrature.solve_weights_on_subset(k, InnerGridSpec(1, 1), offsets,
+                                                 np.ones(2, bool), RuleCache())
 
 
 def test_solve_weights_single_ring():
