@@ -29,14 +29,21 @@ are bitwise the sums of the (pair, a, b)-ordered COO triplets that
 ``tests/_oracles.py`` keeps: COO-to-CSR conversion buckets the triplets by
 row stably, the transpose lists each node's terms in the same order, so
 every row reaches the same sort with the same sequence, and each term is
-the same product c v_a v_b.  This branch does not sum in pair order: the
-column sort is unstable, so each entry's order is a fixed function of the
-pair order, which keeps reruns bitwise equal.  Its order cancels some
-roundoff residues to exact zeros that the product keeps as entries, and
-the benchmark's exact-nnz reference for its h=1/128 level counts them.
+the same product c v_a v_b.  The expansion runs in blocks of consecutive
+rows, each expanding at most ``_PAIR_CHUNK`` values (a longer row alone),
+summed on its own and stacked, so its scratch is bounded instead of
+(2k)^2 values per pair.  scipy's ``csr_sort_indices`` and
+``csr_sum_duplicates`` work row by row, so each row meets the same term
+sequence, the same unstable sort and the same sums whatever the block
+boundaries.  This branch does not sum in pair order: the column sort is
+unstable, so each entry's order is a fixed function of the pair order,
+which keeps reruns bitwise equal.  Its order cancels some roundoff
+residues to exact zeros that the product keeps as entries, and the
+benchmark's exact-nnz reference for its h=1/128 level counts them.
 ``_PAIR_CHUNK`` and ``_COO_NODE_LIMIT`` are constants because they decide
 which contributions are summed together, so any other value moves the
-entries by roundoff.
+entries by roundoff; the expansion blocks that ``_PAIR_CHUNK`` also sizes
+move none.
 """
 
 from __future__ import annotations
@@ -126,11 +133,13 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
     repeated nodes left as separate entries.  At or below
     ``_COO_NODE_LIMIT`` nodes the sum is (c o G)^T G, and each entry sums
     its terms in pair order.  Above it the terms of (c o G)^T are expanded
-    across their pairs' columns and added by ``sum_duplicates`` (see the
-    module docstring).  Either way the order of the rows of ``nodes`` fixes
-    the result bit for bit.  ``nodes`` comes in scipy's index dtype for n
-    (``_assemble_operator`` casts the connectivity once per level) and is
-    used as given, so no constructor copies or converts it.
+    across their pairs' columns in row blocks of at most ``_PAIR_CHUNK``
+    values, each added by ``sum_duplicates``, and the blocks are stacked
+    (see the module docstring).  Either way the order of the rows of
+    ``nodes`` fixes the result bit for bit.  ``nodes`` comes in scipy's
+    index dtype for n (``_assemble_operator`` casts the connectivity once
+    per level) and is used as given, so no constructor copies or converts
+    it.
     """
     width = nodes.shape[1]
     indptr = np.arange(0, nodes.size + 1, width,
@@ -141,13 +150,20 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
                            shape=shape).T.tocsr()
     if n <= _COO_NODE_LIMIT:
         return ct @ sparse.csr_matrix((vals.ravel(), nodes.ravel(), indptr), shape=shape)
-    terms = np.take(vals, ct.indices, axis=0)
-    terms *= ct.data[:, None]
-    cols = np.take(nodes, ct.indices, axis=0)
-    row_ptr = ct.indptr.astype(np.int64) * width  # int32 pointers times width can overflow
-    expanded = sparse.csr_matrix((terms.ravel(), cols.ravel(), row_ptr), shape=(n, n))
-    expanded.sum_duplicates()
-    return expanded
+    # rows in blocks of at most _PAIR_CHUNK expanded values; a longer row is a block alone
+    ptr, blocks, lo = ct.indptr, [], 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + _PAIR_CHUNK // width, "right")) - 1)
+        span = slice(ptr[lo], ptr[hi])
+        terms = np.take(vals, ct.indices[span], axis=0)
+        terms *= ct.data[span, None]
+        cols = np.take(nodes, ct.indices[span], axis=0)
+        row_ptr = (ptr[lo:hi + 1] - ptr[lo]).astype(np.int64) * width  # int32 times width can overflow
+        block = sparse.csr_matrix((terms.ravel(), cols.ravel(), row_ptr), shape=(hi - lo, n))
+        block.sum_duplicates()
+        blocks.append(block)
+        lo = hi
+    return sparse.vstack(blocks, format="csr")
 
 
 def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
@@ -185,7 +201,9 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
             if not per_point.all():
                 raise AssemblyError("a constraint-layer ball retained no quadrature points")
             weights = truncated_weights(kernel, spec, in_ext, full, cache)
-            coef = (full.strengths[None, :] * weights * wq.reshape(-1, 1))[in_mesh]
+            coef = full.strengths[None, :] * weights * wq.reshape(-1, 1)
+            # all in the mesh: the row-major ravel is the boolean gather without its copy
+            coef = coef.ravel() if len(in_elems) == in_mesh.size else coef[in_mesh]
             nodes = np.empty((len(coef), 2 * k), dtype=elements.dtype)
             vals = np.empty(nodes.shape)
             per_elem = per_point.reshape(len(ids), n_q).sum(axis=1)

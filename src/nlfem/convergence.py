@@ -67,16 +67,18 @@ class ConvergenceReport:
                     fh.write(f"# {tag}_residual,{fit.residual!r}\n")
 
 
-_ERROR_CHUNK = 4096  # box elements per error-norm chunk; bounds the pass's scratch
+_ERROR_CHUNK = 1024  # box elements per error-norm chunk; bounds the pass's scratch
 
 
 def error_norms(field_: Field, case: ManufacturedCase,
                 mesh: Mesh) -> tuple[float, float]:
     """L2 and H1 errors over the box, from one pass over its elements.
 
-    The solution and its gradient are evaluated once per Gauss point, chunk
-    by chunk; each norm's integrand is kept per point and summed once at the
-    end, so the chunk size does not change either value.
+    The solution and its gradient are evaluated together once per Gauss
+    point, chunk by chunk; each norm's integrand is kept per point and
+    summed once at the end, so the chunk size does not change either value.
+    Each chunk's scratch is dropped before the next chunk builds its own, so
+    the pass holds the two term arrays plus one chunk.
     """
     ids = np.flatnonzero(mesh.element_in_box)
     n_gs = 8 ** mesh.dim
@@ -86,14 +88,15 @@ def error_norms(field_: Field, case: ManufacturedCase,
     for lo in range(0, len(ids), _ERROR_CHUNK):
         part = ids[lo:lo + _ERROR_CHUNK]
         pts, w, ref_bary = outer_rules(mesh, part, n_gs)
-        flat = pts.reshape(-1, mesh.dim)
         uh = np.einsum("qk,ek->eq", ref_bary, field_.node_values[mesh.elements[part]])
-        sq = (uh - case.solution(flat).reshape(uh.shape)) ** 2
-        grad_0 = case.gradient(flat).reshape(*uh.shape, mesh.dim)
+        u_0, grad_0 = case.solution_and_gradient(pts.reshape(-1, mesh.dim))
+        sq = (uh - u_0.reshape(uh.shape)) ** 2
         # axis by axis: squares are never -0.0, so 0 + x_0 + x_1 has the bits of np.sum(axis=-1)
-        gdiff = sum((grad_h[part, None, k] - grad_0[..., k]) ** 2 for k in range(mesh.dim))
+        gdiff = sum((grad_h[part, None, k] - g.reshape(uh.shape)) ** 2
+                    for k, g in enumerate(grad_0))
         l2_terms[lo:lo + len(part)] = sq * w
         h1_terms[lo:lo + len(part)] = (sq + gdiff) * w
+        del pts, w, uh, u_0, grad_0, sq, gdiff
     return math.sqrt(float(np.sum(l2_terms))), math.sqrt(float(np.sum(h1_terms)))
 
 

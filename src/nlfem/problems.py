@@ -2,7 +2,10 @@
 
 Each case bundles a closed-form local solution, which is also the
 Dirichlet layer data, the matching source term (minus its Laplacian), and
-the gradient used in H1 errors.  All callables take (n, d) point arrays.
+the solution with its gradient from one evaluation, used in the error
+norms: ``solution_and_gradient`` returns the values, bitwise those of
+``solution``, and one gradient component per axis.  All callables take
+(n, d) point arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class ManufacturedCase:
     dim: int
     solution: Callable[[np.ndarray], np.ndarray]
     source: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    solution_and_gradient: Callable[[np.ndarray], tuple[np.ndarray, tuple[np.ndarray, ...]]]
 
 
 def case_sin_1d() -> ManufacturedCase:
@@ -36,10 +39,11 @@ def case_sin_1d() -> ManufacturedCase:
     def b(p):
         return 4.0 * math.pi**2 * np.sin(_TWO_PI * p[..., 0])
 
-    def grad(p):
-        return (_TWO_PI * np.cos(_TWO_PI * p[..., 0]))[..., None]
+    def u_grad(p):
+        x = _TWO_PI * p[..., 0]
+        return np.sin(x), (_TWO_PI * np.cos(x),)
 
-    return ManufacturedCase("sin1d", 1, u, b, grad)
+    return ManufacturedCase("sin1d", 1, u, b, u_grad)
 
 
 def case_linear_1d() -> ManufacturedCase:
@@ -51,10 +55,10 @@ def case_linear_1d() -> ManufacturedCase:
     def b(p):
         return np.zeros(p.shape[:-1])
 
-    def grad(p):
-        return np.ones(p.shape[:-1])[..., None]
+    def u_grad(p):
+        return u(p), (np.ones(p.shape[:-1]),)
 
-    return ManufacturedCase("linear1d", 1, u, b, grad)
+    return ManufacturedCase("linear1d", 1, u, b, u_grad)
 
 
 def case_sin_2d() -> ManufacturedCase:
@@ -66,12 +70,12 @@ def case_sin_2d() -> ManufacturedCase:
     def b(p):
         return 8.0 * math.pi**2 * u(p)
 
-    def grad(p):
-        s1, c1 = np.sin(_TWO_PI * p[..., 0]), np.cos(_TWO_PI * p[..., 0])
-        s2, c2 = np.sin(_TWO_PI * p[..., 1]), np.cos(_TWO_PI * p[..., 1])
-        return np.stack([_TWO_PI * c1 * s2, _TWO_PI * s1 * c2], axis=-1)
+    def u_grad(p):
+        x1, x2 = _TWO_PI * p[..., 0], _TWO_PI * p[..., 1]
+        s1, s2 = np.sin(x1), np.sin(x2)
+        return s1 * s2, (_TWO_PI * np.cos(x1) * s2, _TWO_PI * s1 * np.cos(x2))
 
-    return ManufacturedCase("sin2d", 2, u, b, grad)
+    return ManufacturedCase("sin2d", 2, u, b, u_grad)
 
 
 _CASES = {

@@ -116,7 +116,8 @@ def two_pass_error_norms(field, case, mesh):
     u0 = case.solution(pts.reshape(-1, mesh.dim)).reshape(uh.shape)
     l2 = math.sqrt(float(np.sum((uh - u0) ** 2 * w)))
     grad_h = field.element_gradients()[ids]
-    grad_0 = case.gradient(pts.reshape(-1, mesh.dim)).reshape(*uh.shape, mesh.dim)
+    grad_0 = np.stack(case.solution_and_gradient(pts.reshape(-1, mesh.dim))[1],
+                      axis=-1).reshape(*uh.shape, mesh.dim)
     gdiff = np.sum((grad_h[:, None, :] - grad_0) ** 2, axis=-1)
     h1 = math.sqrt(float(np.sum(((uh - u0) ** 2 + gdiff) * w)))
     return l2, h1

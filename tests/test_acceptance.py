@@ -96,10 +96,10 @@ def _linear_2d():
     def u(p):
         return 0.3 + p[..., 0] + 2.0 * p[..., 1]
 
-    def grad(p):
-        return np.broadcast_to([1.0, 2.0], p.shape).copy()
+    def u_grad(p):
+        return u(p), tuple(np.full(p.shape[:-1], c) for c in (1.0, 2.0))
 
-    return ManufacturedCase("linear2d", 2, u, lambda p: np.zeros(p.shape[:-1]), grad)
+    return ManufacturedCase("linear2d", 2, u, lambda p: np.zeros(p.shape[:-1]), u_grad)
 
 
 def test_criterion_03_patch_test():

@@ -432,20 +432,14 @@ class _ChunkCaptured(Exception):
     pass
 
 
-@pytest.mark.parametrize("dim, h, spec, n_q", [
+_ABOVE_LIMIT_LEVELS = pytest.mark.parametrize("dim, h, spec, n_q", [
     (1, 1 / 4096, InnerGridSpec(4, 1), 4),
     (2, 1 / 64, InnerGridSpec(2, 2), 4),
 ], ids=["1d", "2d"])
-def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, spec, n_q):
-    """One above-limit chunk sum peaks at 22 traced bytes per term or less.
 
-    A chunk has pairs * (2k)^2 terms.  Expanding the node-major pair matrix
-    holds 12 bytes per term (value and int32 column) plus that matrix;
-    summing the same terms as COO triplets peaks at 28-29.
-    """
-    import tracemalloc
 
-    pair_products = nlfem.assembly._pair_products
+def _above_limit_chunk(monkeypatch, dim, h, spec, n_q):
+    """The first chunk's ``_pair_products`` arguments, with ``_PAIR_CHUNK`` at 20,000."""
     monkeypatch.setattr(nlfem.assembly, "_PAIR_CHUNK", 20_000)
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h, 2 * h))
     assert mesh.num_nodes > nlfem.assembly._COO_NODE_LIMIT
@@ -455,19 +449,64 @@ def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, spec, n_q):
         chunk.extend(args)
         raise _ChunkCaptured
 
-    monkeypatch.setattr(nlfem.assembly, "_pair_products", capture)
-    with pytest.raises(_ChunkCaptured):
-        assemble_system(mesh, Kernel.make(KernelKind.RATIONAL, dim, 2 * h), spec, n_q,
-                        cache=RuleCache())
-    nodes, vals, coef, n = chunk
+    with monkeypatch.context() as patch:
+        patch.setattr(nlfem.assembly, "_pair_products", capture)
+        with pytest.raises(_ChunkCaptured):
+            assemble_system(mesh, Kernel.make(KernelKind.RATIONAL, dim, 2 * h), spec, n_q,
+                            cache=RuleCache())
+    return tuple(chunk)
+
+
+@_ABOVE_LIMIT_LEVELS
+def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, spec, n_q):
+    """One above-limit chunk sum peaks at 32 traced bytes per (pair, slot) entry or less.
+
+    A chunk has pairs * 2k such entries.  Its node-major matrix holds a value
+    and an int32 node per entry, and building it peaks at about 21 bytes per
+    entry.  The expansion across the 2k columns runs in row blocks of at most
+    ``_PAIR_CHUNK`` values, so the bound does not grow with (2k)^2; expanding
+    the whole chunk at once peaked at 69 (1D) and 93 (2D) bytes per entry.
+    """
+    import tracemalloc
+
+    nodes, vals, coef, n = _above_limit_chunk(monkeypatch, dim, h, spec, n_q)
     tracemalloc.start()
     try:
-        total = pair_products(nodes, vals, coef, n)
+        total = nlfem.assembly._pair_products(nodes, vals, coef, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert total.shape == (n, n) and total.has_canonical_format
-    assert peak <= 22 * len(nodes) * nodes.shape[1] ** 2
+    assert peak <= 32 * nodes.size
+
+
+@_ABOVE_LIMIT_LEVELS
+def test_pair_products_row_blocks_cannot_move_a_bit(monkeypatch, dim, h, spec, n_q):
+    """Where the expanded sum's row blocks end changes no bit of the chunk sum.
+
+    scipy sorts and sums each CSR row on its own, so every row meets the same
+    terms in the same order whatever block holds it.  The budgets give one
+    block per row (one term), blocks that single long rows overrun (half the
+    longest row) and one block for the whole chunk, which is the unblocked sum.
+    """
+    nodes, vals, coef, n = _above_limit_chunk(monkeypatch, dim, h, spec, n_q)
+    width = nodes.shape[1]
+    row_terms = np.bincount(nodes.ravel(), minlength=n)
+    budgets = {"one term": 1, "half a row": row_terms.max() // 2,
+               "default": nlfem.assembly._PAIR_CHUNK // width, "whole chunk": nodes.size}
+    assert row_terms[row_terms > 0].min() < budgets["half a row"] < budgets["default"]
+    assert budgets["default"] < nodes.size
+    sums = {}
+    for name, budget in budgets.items():
+        monkeypatch.setattr(nlfem.assembly, "_PAIR_CHUNK", budget * width)
+        sums[name] = nlfem.assembly._pair_products(nodes, vals, coef, n)
+    whole = sums.pop("whole chunk")
+    assert whole.shape == (n, n) and whole.has_canonical_format
+    for name, total in sums.items():
+        assert total.has_canonical_format, name
+        for part in ("data", "indices", "indptr"):
+            got, want = getattr(total, part), getattr(whole, part)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, part)
 
 
 # ------------------------------------------------------------------ rhs pieces

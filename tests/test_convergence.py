@@ -37,7 +37,8 @@ def test_interpolant_of_linear_2d():
         name="lin2d", dim=2,
         solution=lambda p: p[..., 0] - 2 * p[..., 1],
         source=lambda p: np.zeros(p.shape[:-1]),
-        gradient=lambda p: np.broadcast_to(np.array([1.0, -2.0]), p.shape).copy(),
+        solution_and_gradient=lambda p: (p[..., 0] - 2 * p[..., 1],
+                                         (np.ones(p.shape[:-1]), np.full(p.shape[:-1], -2.0))),
     )
     field = _interpolant(mesh, case.solution)
     assert l2_error(field, case, mesh) <= 1e-14
@@ -104,6 +105,33 @@ def test_error_norms_equal_two_pass_oracle(monkeypatch, dim, perturbed, chunk):
     l2, h1 = error_norms(field, case, mesh)
     assert (l2, h1) == two_pass_error_norms(field, case, mesh)
     assert (l2_error(field, case, mesh), h1_error(field, case, mesh)) == (l2, h1)
+
+
+@pytest.mark.parametrize("dim, h", [(1, 1 / 2048), (2, 1 / 64)])
+def test_error_norms_memory_is_terms_plus_one_chunk(dim, h):
+    """The error pass peaks at its two (n_box, 8^d) term arrays plus one chunk.
+
+    A chunk's scratch per Gauss point is its coordinates, weight, u_h, the
+    exact value and gradient columns, and their differences: at most 10 + 2d
+    float64 values, 97-99 bytes measured in 2D.  Keeping the previous
+    chunk's arrays alive while the next is built read 137 bytes, and 129-131
+    with the stacked gradient that ``solution_and_gradient`` replaced.
+    """
+    import tracemalloc
+
+    case = case_sin_1d() if dim == 1 else case_sin_2d()
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))
+    field = _interpolant(mesh, case.solution)
+    n_box, n_gs = int(mesh.element_in_box.sum()), 8 ** dim
+    chunk = nlfem.convergence._ERROR_CHUNK
+    assert n_box > chunk
+    tracemalloc.start()
+    try:
+        error_norms(field, case, mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n_box * n_gs * 8 + (10 + 2 * dim) * 8 * chunk * n_gs
 
 
 # ------------------------------------------------------------------ rate fits

@@ -13,7 +13,7 @@ def test_sin_1d_values():
     assert case.solution(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-15)
     d = 0.02
     assert case.solution(np.array([[-d]]))[0] == pytest.approx(math.sin(-2 * math.pi * d))
-    assert case.gradient(np.array([[0.0]]))[0, 0] == pytest.approx(2 * math.pi)
+    assert case.solution_and_gradient(np.array([[0.0]]))[1][0][0] == pytest.approx(2 * math.pi)
 
 
 def test_linear_1d_values():
@@ -21,7 +21,7 @@ def test_linear_1d_values():
     pts = np.array([[0.3], [1.02], [-0.02]])
     assert np.allclose(case.source(pts), 0.0)
     assert case.solution(np.array([[1.02]]))[0] == pytest.approx(1.02)
-    assert np.allclose(case.gradient(pts)[:, 0], 1.0)
+    assert np.allclose(case.solution_and_gradient(pts)[1][0], 1.0)
 
 
 def test_sin_2d_values():
@@ -30,7 +30,24 @@ def test_sin_2d_values():
     assert case.source(p)[0] == pytest.approx(8 * math.pi**2)
     edge = np.array([[0.0, 0.3], [1.0, 0.7]])
     assert np.allclose(case.solution(edge), 0.0, atol=1e-12)
-    assert np.allclose(case.gradient(p), 0.0, atol=1e-12)
+    assert np.allclose(case.solution_and_gradient(p)[1], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sin1d", "linear1d", "sin2d"])
+def test_solution_and_gradient_share_one_evaluation(name):
+    """The fused values are bitwise ``solution``'s; the gradient matches differences."""
+    case = get_case(name)
+    pts = np.random.default_rng(7).uniform(-0.05, 1.05, size=(200, case.dim))
+    value, grad = case.solution_and_gradient(pts)
+    assert np.array_equal(value, case.solution(pts))
+    assert len(grad) == case.dim
+    step = 1e-6
+    for axis, g in enumerate(grad):
+        e = np.zeros(case.dim)
+        e[axis] = step
+        assert g.shape == (len(pts),)
+        fd = (case.solution(pts + e) - case.solution(pts - e)) / (2 * step)
+        assert np.abs(g - fd).max() <= 1e-7 * max(np.abs(g).max(), 1.0)
 
 
 @pytest.mark.parametrize("name", ["sin1d", "linear1d", "sin2d"])
