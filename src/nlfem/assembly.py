@@ -176,8 +176,8 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     call on the centers and the shared offsets.  Every ball, box or layer, is
     weighted on its ``in_ext`` mask and keeps its ``in_mesh`` points.
     """
-    if kernel.dim != mesh.dim or spec.dim != mesh.dim:
-        raise AssemblyError("kernel / grid spec / mesh dimensions do not match")
+    if kernel.dim != mesh.dim:
+        raise AssemblyError("kernel / mesh dimensions do not match")
     full = full_ball_rule(kernel, spec, cache)
     n = mesh.num_nodes
     total = sparse.csr_matrix((n, n))

@@ -186,9 +186,8 @@ def _execute(config: RunConfig, h: float) -> LevelResult:
     if config.mesh_mode == "perturbed":
         mesh = perturb_mesh(mesh, PerturbationSpec(config.epsilon, config.seed))
     case = get_case(config.case)
-    kernel = Kernel.make(config.kernel_kind, config.dimension, delta,
-                         ball_norm=config.ball_norm)
-    spec = InnerGridSpec(config.points_per_radius, config.dimension)
+    kernel = Kernel(config.kernel_kind, config.dimension, delta, config.ball_norm)
+    spec = InnerGridSpec(config.points_per_radius)
 
     t0 = time.perf_counter()
     system = assemble_system(mesh, kernel, spec, config.outer_points,

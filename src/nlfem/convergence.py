@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import Field, outer_rules
-from .exceptions import NlfemError
+from .exceptions import ConfigError, NlfemError
 from .geometry import Mesh
 from .problems import ManufacturedCase
 
@@ -80,6 +80,8 @@ def error_norms(field_: Field, case: ManufacturedCase,
     Each chunk's scratch is dropped before the next chunk builds its own, so
     the pass holds the two term arrays plus one chunk.
     """
+    if case.dim != mesh.dim:
+        raise ConfigError(f"case {case.name!r} is {case.dim}D but the mesh is {mesh.dim}D")
     ids = np.flatnonzero(mesh.element_in_box)
     n_gs = 8 ** mesh.dim
     grad_h = field_.element_gradients()  # constant per element

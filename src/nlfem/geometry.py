@@ -101,6 +101,8 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.factor, bool) or not isinstance(self.factor, numbers.Real):
+            raise MeshError(f"perturbation factor must be a real number, got {self.factor!r}")
         if not 0.0 <= self.factor < 0.5:
             raise MeshError(
                 f"perturbation factor must lie in [0, 0.5) to keep elements valid, got {self.factor}"

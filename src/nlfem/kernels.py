@@ -2,10 +2,10 @@
 
 Two kernel families are supported on balls of radius ``horizon``: a constant
 profile scaling/horizon^(d+2) and a rational profile scaling/(horizon^(d+1) r).
-With the default scaling constants the diagonal second moments over a full
-ball of either norm equal one, which is exactly the normalization that makes
-the nonlocal operator converge to the classical Laplacian as the horizon
-shrinks.
+The scaling is not a parameter: it is looked up from the kind, dimension and
+ball norm, and makes the diagonal second moments over the full ball equal
+one, which is exactly the normalization that makes the nonlocal operator
+converge to the classical Laplacian as the horizon shrinks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,40 +39,29 @@ _DEFAULT_SCALING = {
 }
 
 
-def default_scaling(kind: KernelKind, dim: int,
-                    ball_norm: BallNorm = BallNorm.EUCLIDEAN) -> float:
-    """Scaling constant that normalizes the diagonal second moments to one."""
-    try:
-        return _DEFAULT_SCALING[(kind, dim, ball_norm)]
-    except KeyError:
-        raise KernelError(f"no default scaling for {kind}, dim={dim}, {ball_norm}") from None
-
-
 @dataclass(frozen=True)
 class Kernel:
     kind: KernelKind
     dim: int
     horizon: float
-    scaling: float
     ball_norm: BallNorm = BallNorm.EUCLIDEAN
 
     def __post_init__(self):
         if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
                 or self.dim not in (1, 2)):
             raise KernelError(f"unsupported dimension {self.dim!r}")
-        for name, value in (("horizon", self.horizon), ("scaling", self.scaling)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise KernelError(f"{name} must be a real number, got {value!r}")
-            if not (value > 0 and math.isfinite(value)):
-                raise KernelError(f"{name} must be positive and finite, got {value!r}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Real):
+            raise KernelError(f"horizon must be a real number, got {self.horizon!r}")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise KernelError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if (self.kind, self.dim, self.ball_norm) not in _DEFAULT_SCALING:
+            raise KernelError("kind must be a KernelKind and ball_norm a BallNorm,"
+                              f" got {self.kind!r} and {self.ball_norm!r}")
 
-    @classmethod
-    def make(cls, kind: KernelKind, dim: int, horizon: float,
-             scaling: float | None = None,
-             ball_norm: BallNorm = BallNorm.EUCLIDEAN) -> "Kernel":
-        if scaling is None:
-            scaling = default_scaling(kind, dim, ball_norm)
-        return cls(kind, dim, horizon, scaling, ball_norm)
+    @property
+    def scaling(self) -> float:
+        """Constant that normalizes the diagonal second moments to one."""
+        return _DEFAULT_SCALING[(self.kind, self.dim, self.ball_norm)]
 
     def strength(self, r: np.ndarray) -> np.ndarray:
         """Kernel value as a function of ball-norm distance r, 0 < r <= horizon.
@@ -98,11 +86,6 @@ def exact_moment_integrals(kernel: Kernel) -> np.ndarray:
 
     Independent of the center; closed forms for both ball norms.
     """
-    return _moment_integrals_cached(kernel).copy()
-
-
-@lru_cache(maxsize=None)
-def _moment_integrals_cached(kernel: Kernel) -> np.ndarray:
     z = kernel.scaling
     constant = kernel.kind is KernelKind.CONSTANT
     if kernel.dim == 1:

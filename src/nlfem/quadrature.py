@@ -4,8 +4,9 @@ Inner integrals of the nonlocal bilinear form are evaluated on a regular
 point grid spread over the whole ball around each outer quadrature point,
 never element by element.  The weights are the minimal-Euclidean-norm
 solution of exactness constraints for the functions kernel * (y-x)^beta
-with |beta| = 2, obtained from the normal equations of the constraint
-system with a pseudoinverse fallback.
+with |beta| = 2: for the constraint system B w = g they are B^T (B B^T)^+ g,
+where the pseudoinverse of the normal matrix B B^T always drops its
+singular values below a relative cutoff.
 
 Near the layer boundary the ball sticks out of the meshed region.  There
 the grid is first intersected with the region grown by the configured
@@ -39,16 +40,13 @@ class InnerGridSpec:
     """Regular grid over the ball: ``points_per_radius`` points per horizon length."""
 
     points_per_radius: int
-    dim: int
 
     def __post_init__(self):
-        for name, value in (("points_per_radius", self.points_per_radius), ("dim", self.dim)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise QuadratureError(f"{name} must be an integer, got {value!r}")
-        if self.points_per_radius < 1:
+        n = self.points_per_radius
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise QuadratureError(f"points_per_radius must be an integer, got {n!r}")
+        if n < 1:
             raise QuadratureError("points_per_radius must be at least 1")
-        if self.dim not in (1, 2):
-            raise QuadratureError(f"unsupported dimension {self.dim}")
 
     def spacing(self, horizon: float) -> float:
         return horizon / self.points_per_radius
@@ -83,13 +81,13 @@ class InnerQuadratureRule:
                 fh.write(",".join(repr(float(c)) for c in off) + f",{float(w)!r}\n")
 
 
-def generate_offsets(spec: InnerGridSpec, horizon: float) -> np.ndarray:
+def generate_offsets(spec: InnerGridSpec, dim: int, horizon: float) -> np.ndarray:
     """Symmetric grid of (2n)^d offsets, components at odd multiples of spacing/2."""
     n = spec.points_per_radius
     half = 0.5 * spec.spacing(horizon)
     ks = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
     axis = (2 * ks - np.sign(ks)) * half
-    grids = np.meshgrid(*[axis] * spec.dim, indexing="ij")
+    grids = np.meshgrid(*[axis] * dim, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -200,15 +198,13 @@ def full_ball_rule(kernel: Kernel, spec: InnerGridSpec,
     Every weight of this rule must be positive; a solve that gives a weight
     at or below zero raises ``QuadratureError``.
     """
-    if spec.dim != kernel.dim:
-        raise QuadratureError("grid spec dimension does not match kernel dimension")
     cache = cache or _default_cache
     key = ("full", kernel, spec.points_per_radius)
     return cache.get_or_build(key, lambda: _build_full_rule(kernel, spec))
 
 
 def _build_full_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule:
-    offs = generate_offsets(spec, kernel.horizon)
+    offs = generate_offsets(spec, kernel.dim, kernel.horizon)
     offs = offs[filter_to_ball(offs, kernel.horizon, kernel.ball_norm)]
     w, residual = _moment_weights(kernel, offs)
     if np.any(w <= 0):

@@ -86,9 +86,9 @@ def test_assembly_matches_naive_oracle(h, kind, extension_ratio):
 
     m, nbar, nq = 1, 2, 8
     mesh = _mesh_1d(h, m, extension_ratio)
-    kernel = Kernel.make(kind, 1, m * h)
+    kernel = Kernel(kind, 1, m * h)
     case = case_sin_1d()
-    system = assemble_system(mesh, kernel, InnerGridSpec(nbar, 1), nq,
+    system = assemble_system(mesh, kernel, InnerGridSpec(nbar), nq,
                              case.source, case.solution, cache=RuleCache())
     A = system.matrix.toarray()
     A_ref, f_ref = naive_system(h, m, kind, extension_ratio, nbar, nq,
@@ -184,8 +184,8 @@ def test_assembly_matches_naive_oracle_2d():
                                                           * dpsi[j] * wp * wq)
 
     mesh = build_uniform_mesh(h, BoxDomain.unit(2, delta, delta))
-    kernel = Kernel.make(KernelKind.CONSTANT, 2, delta)
-    A = assemble_system(mesh, kernel, InnerGridSpec(nbar, 2),
+    kernel = Kernel(KernelKind.CONSTANT, 2, delta)
+    A = assemble_system(mesh, kernel, InnerGridSpec(nbar),
                         nq_side**2, cache=RuleCache()).matrix.toarray()
     # reference uses the same interior ordering (lexicographic node ids)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
@@ -196,8 +196,8 @@ def test_assembly_matches_naive_oracle_2d():
 def test_stiffness_symmetric():
     for dim, h in ((1, 1 / 16), (2, 1 / 4)):
         mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h, 2 * h))
-        k = Kernel.make(KernelKind.CONSTANT, dim, 2 * h)
-        A = assemble_system(mesh, k, InnerGridSpec(2, dim), 4,
+        k = Kernel(KernelKind.CONSTANT, dim, 2 * h)
+        A = assemble_system(mesh, k, InnerGridSpec(2), 4,
                             cache=RuleCache()).matrix
         diff = (A - A.T).toarray()
         assert np.abs(diff).max() <= 1e-12 * np.abs(A.toarray()).max()
@@ -205,8 +205,8 @@ def test_stiffness_symmetric():
 
 def test_stiffness_positive_definite_probe():
     mesh = _mesh_1d(1 / 16, 2)
-    k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 16)
-    A = assemble_system(mesh, k, InnerGridSpec(4, 1), 10,
+    k = Kernel(KernelKind.RATIONAL, 1, 2 / 16)
+    A = assemble_system(mesh, k, InnerGridSpec(4), 10,
                         cache=RuleCache()).matrix
     rng = np.random.default_rng(7)
     n = A.shape[0]
@@ -218,8 +218,8 @@ def test_stiffness_bandwidth():
     h, m = 1 / 16, 2
     mesh = _mesh_1d(h, m)
     delta = m * h
-    k = Kernel.make(KernelKind.CONSTANT, 1, delta)
-    A = assemble_system(mesh, k, InnerGridSpec(4, 1), 10,
+    k = Kernel(KernelKind.CONSTANT, 1, delta)
+    A = assemble_system(mesh, k, InnerGridSpec(4), 10,
                         cache=RuleCache()).matrix.toarray()
     xs = mesh.nodes[mesh.interior_nodes, 0]
     for i in range(len(xs)):
@@ -233,9 +233,9 @@ def test_quadrature_symmetry_across_mirrored_junctions():
     h = 1 / 8
     mesh = _mesh_1d(h, 1)
     delta = h
-    k = Kernel.make(KernelKind.CONSTANT, 1, delta)
+    k = Kernel(KernelKind.CONSTANT, 1, delta)
     from nlfem import full_ball_rule
-    rule = full_ball_rule(k, InnerGridSpec(5, 1), cache=RuleCache())
+    rule = full_ball_rule(k, InnerGridSpec(5), cache=RuleCache())
     gp, gw = np.polynomial.legendre.leggauss(20)
     gp, gw = (gp + 1) / 2, gw / 2
     s = 0.5  # junction between two interior elements
@@ -254,11 +254,11 @@ def test_quadrature_symmetry_across_mirrored_junctions():
 
 def test_assembly_deterministic():
     mesh = _mesh_1d(1 / 32, 2)
-    k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 32)
+    k = Kernel(KernelKind.RATIONAL, 1, 2 / 32)
     case = case_sin_1d()
     runs = []
     for _ in range(2):
-        system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
+        system = assemble_system(mesh, k, InnerGridSpec(5), 10,
                                  case.source, case.solution, cache=RuleCache())
         runs.append((system.matrix.toarray().copy(), system.rhs.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -269,18 +269,18 @@ def test_sparse_accumulator_symmetric_above_dense_limit():
     h, m = 1 / 4096, 2
     mesh = _mesh_1d(h, m)
     assert mesh.num_nodes > nlfem.assembly._COO_NODE_LIMIT
-    k = Kernel.make(KernelKind.RATIONAL, 1, m * h)
-    A = assemble_system(mesh, k, InnerGridSpec(1, 1), 1, cache=RuleCache()).matrix
+    k = Kernel(KernelKind.RATIONAL, 1, m * h)
+    A = assemble_system(mesh, k, InnerGridSpec(1), 1, cache=RuleCache()).matrix
     assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
 
 def test_sparse_accumulator_matches_dense(monkeypatch):
     mesh = _mesh_1d(1 / 1024, 2, 0.0)
-    k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 1024)
+    k = Kernel(KernelKind.RATIONAL, 1, 2 / 1024)
     case = case_sin_1d()
 
     def assemble():
-        return assemble_system(mesh, k, InnerGridSpec(2, 1), 2, case.source,
+        return assemble_system(mesh, k, InnerGridSpec(2), 2, case.source,
                                case.solution, cache=RuleCache())
 
     dense = assemble()
@@ -291,12 +291,12 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
 
 
 @pytest.mark.parametrize("dim, h, spec, n_q, coo_limit, pair_chunk, perturbed", [
-    (2, 1 / 8, InnerGridSpec(4, 2), 16, None, None, False),
-    (2, 1 / 8, InnerGridSpec(4, 2), 16, 0, None, False),
-    (1, 1 / 4096, InnerGridSpec(1, 1), 1, None, None, False),
-    (2, 1 / 8, InnerGridSpec(4, 2), 16, None, 37, True),
-    (2, 1 / 8, InnerGridSpec(4, 2), 16, 0, 37, True),
-    (1, 1 / 64, InnerGridSpec(3, 1), 4, None, 37, False),
+    (2, 1 / 8, InnerGridSpec(4), 16, None, None, False),
+    (2, 1 / 8, InnerGridSpec(4), 16, 0, None, False),
+    (1, 1 / 4096, InnerGridSpec(1), 1, None, None, False),
+    (2, 1 / 8, InnerGridSpec(4), 16, None, 37, True),
+    (2, 1 / 8, InnerGridSpec(4), 16, 0, 37, True),
+    (1, 1 / 64, InnerGridSpec(3), 4, None, 37, False),
 ], ids=["dense-2d", "sparse-2d", "sparse-1d", "dense-2d-perturbed-chunk37",
         "sparse-2d-perturbed-chunk37", "dense-1d-chunk37"])
 def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_limit,
@@ -317,7 +317,7 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))  # extension zero: truncated balls
     if perturbed:
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, 3))
-    kernel = Kernel.make(KernelKind.RATIONAL, dim, 2 * h)
+    kernel = Kernel(KernelKind.RATIONAL, dim, 2 * h)
     case = case_sin_1d() if dim == 1 else case_sin_2d()
 
     def assemble():
@@ -347,10 +347,10 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
 # ------------------------------------------------ correctly summed reference
 
 _SUMMED_LEVELS = {  # dim, h, inner grid, outer points, perturbed; extension zero
-    "1d": (1, 1 / 16, InnerGridSpec(10, 1), 40, False),
-    "2d": (2, 1 / 8, InnerGridSpec(4, 2), 16, False),
-    "2d-perturbed": (2, 1 / 8, InnerGridSpec(4, 2), 16, True),
-    "1d-above-limit": (1, 1 / 4096, InnerGridSpec(2, 1), 2, False),
+    "1d": (1, 1 / 16, InnerGridSpec(10), 40, False),
+    "2d": (2, 1 / 8, InnerGridSpec(4), 16, False),
+    "2d-perturbed": (2, 1 / 8, InnerGridSpec(4), 16, True),
+    "1d-above-limit": (1, 1 / 4096, InnerGridSpec(2), 2, False),
 }
 
 
@@ -376,7 +376,7 @@ def _operator_and_chunks(monkeypatch, level, mutant=None):
         return pair_products(nodes, vals, coef, n) * (1 + 1e-9)
 
     monkeypatch.setattr(nlfem.assembly, "_pair_products", capture)
-    kernel = Kernel.make(KernelKind.RATIONAL, dim, 2 * h)
+    kernel = Kernel(KernelKind.RATIONAL, dim, 2 * h)
     operator = nlfem.assembly._assemble_operator(mesh, kernel, spec, n_q, RuleCache())
     return operator, chunks
 
@@ -433,8 +433,8 @@ class _ChunkCaptured(Exception):
 
 
 _ABOVE_LIMIT_LEVELS = pytest.mark.parametrize("dim, h, spec, n_q", [
-    (1, 1 / 4096, InnerGridSpec(4, 1), 4),
-    (2, 1 / 64, InnerGridSpec(2, 2), 4),
+    (1, 1 / 4096, InnerGridSpec(4), 4),
+    (2, 1 / 64, InnerGridSpec(2), 4),
 ], ids=["1d", "2d"])
 
 
@@ -452,7 +452,7 @@ def _above_limit_chunk(monkeypatch, dim, h, spec, n_q):
     with monkeypatch.context() as patch:
         patch.setattr(nlfem.assembly, "_pair_products", capture)
         with pytest.raises(_ChunkCaptured):
-            assemble_system(mesh, Kernel.make(KernelKind.RATIONAL, dim, 2 * h), spec, n_q,
+            assemble_system(mesh, Kernel(KernelKind.RATIONAL, dim, 2 * h), spec, n_q,
                             cache=RuleCache())
     return tuple(chunk)
 
@@ -513,10 +513,10 @@ def test_pair_products_row_blocks_cannot_move_a_bit(monkeypatch, dim, h, spec, n
 
 def test_rhs_zero_boundary_is_body_term_only():
     mesh = _mesh_1d(1 / 8, 1)
-    k = Kernel.make(KernelKind.CONSTANT, 1, 1 / 8)
+    k = Kernel(KernelKind.CONSTANT, 1, 1 / 8)
     case = case_sin_1d()
     zero = lambda p: np.zeros(p.shape[0])
-    f = assemble_system(mesh, k, InnerGridSpec(2, 1), 8,
+    f = assemble_system(mesh, k, InnerGridSpec(2), 8,
                         case.source, zero, cache=RuleCache()).rhs
     # pure body load: integral of basis * source, independently via fine Gauss
     gp, gw = np.polynomial.legendre.leggauss(40)
@@ -536,9 +536,9 @@ def test_rhs_zero_boundary_is_body_term_only():
 
 def test_rhs_linear_boundary_matches_coupling_identity():
     mesh = _mesh_1d(1 / 16, 2)
-    k = Kernel.make(KernelKind.CONSTANT, 1, 2 / 16)
+    k = Kernel(KernelKind.CONSTANT, 1, 2 / 16)
     case = case_linear_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(4, 1), 10,
+    system = assemble_system(mesh, k, InnerGridSpec(4), 10,
                              case.source, case.solution, cache=RuleCache())
     u_lin = mesh.nodes[mesh.interior_nodes, 0]
     residual = system.matrix @ u_lin - system.rhs
@@ -556,8 +556,8 @@ def test_constant_field_in_operator_kernel(dim, perturbed, extension_ratio):
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, delta, extension_ratio * delta))
     if perturbed:
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=1))
-    k = Kernel.make(KernelKind.RATIONAL, dim, delta)
-    system = assemble_system(mesh, k, InnerGridSpec(2, dim), 2 if dim == 1 else 4,
+    k = Kernel(KernelKind.RATIONAL, dim, delta)
+    system = assemble_system(mesh, k, InnerGridSpec(2), 2 if dim == 1 else 4,
                              boundary=lambda p: np.ones(len(p)), cache=RuleCache())
     defect = system.matrix @ np.ones(mesh.num_interior) - system.rhs
     assert np.abs(defect).max() <= 1e-12 * abs(system.matrix).max()
@@ -567,9 +567,9 @@ def test_constant_field_in_operator_kernel(dim, perturbed, extension_ratio):
 
 def test_solver_residual_contract():
     mesh = _mesh_1d(1 / 32, 2)
-    k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 32)
+    k = Kernel(KernelKind.RATIONAL, 1, 2 / 32)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
+    system = assemble_system(mesh, k, InnerGridSpec(5), 10,
                              case.source, case.solution, cache=RuleCache())
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
@@ -584,9 +584,9 @@ def test_solver_contract_2d(perturbation, extension_ratio):
     mesh = build_uniform_mesh(h, BoxDomain.unit(2, m * h, extension_ratio * m * h))
     if perturbation is not None:
         mesh = perturb_mesh(mesh, perturbation)
-    k = Kernel.make(KernelKind.RATIONAL, 2, m * h)
+    k = Kernel(KernelKind.RATIONAL, 2, m * h)
     case = case_sin_2d()
-    system = assemble_system(mesh, k, InnerGridSpec(4, 2), 16,
+    system = assemble_system(mesh, k, InnerGridSpec(4), 16,
                              case.source, case.solution, cache=RuleCache())
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
@@ -602,9 +602,9 @@ def test_solver_contract_2d(perturbation, extension_ratio):
 ])
 def test_solver_contract_miss_raises(monkeypatch, spoil, message):
     mesh = _mesh_1d(1 / 64, 2)
-    k = Kernel.make(KernelKind.RATIONAL, 1, 2 / 64)
+    k = Kernel(KernelKind.RATIONAL, 1, 2 / 64)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(5, 1), 10,
+    system = assemble_system(mesh, k, InnerGridSpec(5), 10,
                              case.source, case.solution, cache=RuleCache())
     direct = nlfem.assembly.sparse_linalg.spsolve
     stub = SimpleNamespace(spsolve=lambda a, f, **kw: spoil(direct(a, f, **kw)))
@@ -615,9 +615,9 @@ def test_solver_contract_miss_raises(monkeypatch, spoil, message):
 
 def test_solve_smallest_grid():
     mesh = _mesh_1d(0.5, 1)
-    k = Kernel.make(KernelKind.CONSTANT, 1, 0.5)
+    k = Kernel(KernelKind.CONSTANT, 1, 0.5)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(2, 1), 8,
+    system = assemble_system(mesh, k, InnerGridSpec(2), 8,
                              case.source, case.solution, cache=RuleCache())
     assert system.matrix.shape == (1, 1)
     u = solve_system(system)
@@ -626,8 +626,8 @@ def test_solve_smallest_grid():
 
 def test_solve_without_unknowns():
     mesh = _mesh_1d(1.0, 1)  # one box cell: both of its nodes lie on the box boundary
-    k = Kernel.make(KernelKind.CONSTANT, 1, 1.0)
-    system = assemble_system(mesh, k, InnerGridSpec(2, 1), 2, cache=RuleCache())
+    k = Kernel(KernelKind.CONSTANT, 1, 1.0)
+    system = assemble_system(mesh, k, InnerGridSpec(2), 2, cache=RuleCache())
     assert system.matrix.shape == (0, 0)
     assert solve_system(system).shape == (0,)
 
@@ -659,9 +659,9 @@ def test_field_gradients_2d():
 
 def test_dimension_mismatch_rejected():
     mesh = _mesh_1d(0.25, 1)
-    k = Kernel.make(KernelKind.CONSTANT, 2, 0.25)
-    with pytest.raises(AssemblyError):
-        assemble_system(mesh, k, InnerGridSpec(2, 2), 4)
+    k = Kernel(KernelKind.CONSTANT, 2, 0.25)
+    with pytest.raises(AssemblyError, match="kernel / mesh dimensions do not match"):
+        assemble_system(mesh, k, InnerGridSpec(2), 4)
 
 
 @pytest.mark.parametrize("offsets, message", [
@@ -675,9 +675,9 @@ def test_assembly_rejects_balls_that_leave_the_mesh(monkeypatch, offsets, messag
                                               np.ones(len(offsets)), 0.0)
     monkeypatch.setattr(nlfem.assembly, "full_ball_rule", lambda *args: rule)
     mesh = _mesh_1d(0.125, 2, 0.0)
-    k = Kernel.make(KernelKind.CONSTANT, 1, 0.25)
+    k = Kernel(KernelKind.CONSTANT, 1, 0.25)
     with pytest.raises(AssemblyError, match=message):
-        assemble_system(mesh, k, InnerGridSpec(2, 1), 2, cache=RuleCache())
+        assemble_system(mesh, k, InnerGridSpec(2), 2, cache=RuleCache())
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -699,8 +699,8 @@ def test_only_clipped_extension_masks_solve(monkeypatch, perturbed):
 
     monkeypatch.setattr(nlfem.assembly, "truncated_weights", record)
     cache = RuleCache()
-    nlfem.assembly._assemble_operator(mesh, Kernel.make(KernelKind.RATIONAL, 2, delta),
-                                      InnerGridSpec(4, 2), 16, cache)
+    nlfem.assembly._assemble_operator(mesh, Kernel(KernelKind.RATIONAL, 2, delta),
+                                      InnerGridSpec(4), 16, cache)
     assert cache.misses > 1 if perturbed else cache.misses == 1
     assert all_kept  # the box chunk, and with extension delta every chunk
     for out, full in all_kept:

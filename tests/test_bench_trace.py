@@ -32,8 +32,8 @@ def test_tracer_spans_open_under_assembly():
     try:
         h = 1 / 16
         mesh = build_uniform_mesh(h, BoxDomain.unit(1, 2 * h))  # extension zero: truncated balls
-        kernel = Kernel.make(KernelKind.RATIONAL, 1, 2 * h)
-        nlfem.cli.assemble_system(mesh, kernel, InnerGridSpec(2, 1), 2, cache=RuleCache())
+        kernel = Kernel(KernelKind.RATIONAL, 1, 2 * h)
+        nlfem.cli.assemble_system(mesh, kernel, InnerGridSpec(2), 2, cache=RuleCache())
     finally:
         restore()
     for name, fn in originals.items():

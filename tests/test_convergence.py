@@ -10,7 +10,7 @@ from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    full_ball_rule, guarded_fit_rate, h1_error, l2_error,
                    perturb_mesh, reconstruct)
 from nlfem.convergence import ConvergenceReport, ErrorRecord
-from nlfem.exceptions import NlfemError
+from nlfem.exceptions import ConfigError, NlfemError
 from nlfem.geometry import Mesh
 from nlfem.quadrature import RuleCache
 from nlfem.svgplot import write_convergence_svg
@@ -45,6 +45,15 @@ def test_interpolant_of_linear_2d():
     assert h1_error(field, case, mesh) <= 1e-13
 
 
+@pytest.mark.parametrize("mesh_dim, case_dim", [(2, 1), (1, 2)])
+def test_error_norms_rejects_case_of_another_dimension(mesh_dim, case_dim):
+    cases = {1: case_sin_1d, 2: case_sin_2d}
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(mesh_dim, 0.25))
+    field = _interpolant(mesh, cases[mesh_dim]().solution)
+    with pytest.raises(ConfigError, match=f"is {case_dim}D but the mesh is {mesh_dim}D"):
+        error_norms(field, cases[case_dim](), mesh)
+
+
 def test_halving_h_quarters_l2_error():
     from nlfem import (Kernel, KernelKind, assemble_system, solve_system)
 
@@ -53,8 +62,8 @@ def test_halving_h_quarters_l2_error():
     for h in (1 / 32, 1 / 64):
         delta = 2 * h
         mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
-        kernel = Kernel.make(KernelKind.RATIONAL, 1, delta)
-        system = assemble_system(mesh, kernel, InnerGridSpec(10, 1),
+        kernel = Kernel(KernelKind.RATIONAL, 1, delta)
+        system = assemble_system(mesh, kernel, InnerGridSpec(10),
                                  40, case.source, case.solution)
         field = reconstruct(mesh, solve_system(system), case.solution)
         errs.append(l2_error(field, case, mesh))
@@ -228,7 +237,7 @@ def _brute_force_D(v_nodal, w_nodal, kernel, mesh):
 def test_exact_form_matches_adaptive_double_integral(kind):
     h = 0.5
     mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
-    kernel = Kernel.make(kind, 1, h)
+    kernel = Kernel(kind, 1, h)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(mesh.num_nodes)
     w = rng.standard_normal(mesh.num_nodes)
@@ -242,8 +251,8 @@ def test_single_ball_rule_exact_for_linear_fields():
     # exact integral of kernel * (linear difference)^2 to round-off
     delta = 0.1
     for kind in (KernelKind.CONSTANT, KernelKind.RATIONAL):
-        kernel = Kernel.make(kind, 1, delta)
-        rule = full_ball_rule(kernel, InnerGridSpec(5, 1), cache=RuleCache())
+        kernel = Kernel(kind, 1, delta)
+        rule = full_ball_rule(kernel, InnerGridSpec(5), cache=RuleCache())
         a, b = 2.0, -0.7  # slopes of two linear fields
         discrete = float(np.sum(
             rule.strengths * (a * rule.offsets[:, 0]) * (b * rule.offsets[:, 0])
@@ -257,32 +266,32 @@ def test_single_ball_rule_exact_for_linear_fields():
 
 def test_strang_gap_requires_zero_constraint_values():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25, 0.25))
-    kernel = Kernel.make(KernelKind.CONSTANT, 1, 0.25)
+    kernel = Kernel(KernelKind.CONSTANT, 1, 0.25)
     bad = np.ones(mesh.num_nodes)
     with pytest.raises(NlfemError, match="vanish"):
-        strang_gap(bad, bad, kernel, mesh, InnerGridSpec(2, 1))
+        strang_gap(bad, bad, kernel, mesh, InnerGridSpec(2))
 
 
 def test_strang_gap_rejects_2d():
     mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
-    kernel = Kernel.make(KernelKind.CONSTANT, 2, 0.5)
+    kernel = Kernel(KernelKind.CONSTANT, 2, 0.5)
     z = np.zeros(mesh.num_nodes)
     with pytest.raises(NlfemError, match="1D"):
-        strang_gap(z, z, kernel, mesh, InnerGridSpec(2, 2))
+        strang_gap(z, z, kernel, mesh, InnerGridSpec(2))
 
 
 def test_exact_form_rejects_2d():
     mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
     z = np.zeros(mesh.num_nodes)
     with pytest.raises(NlfemError, match="1D"):
-        exact_bilinear_form(z, z, Kernel.make(KernelKind.CONSTANT, 2, 0.5), mesh)
+        exact_bilinear_form(z, z, Kernel(KernelKind.CONSTANT, 2, 0.5), mesh)
 
 
 def _sin_gap(h, cache=None):
     mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
-    kernel = Kernel.make(KernelKind.CONSTANT, 1, h)
+    kernel = Kernel(KernelKind.CONSTANT, 1, h)
     v = np.where(mesh.node_is_interior, np.sin(2 * np.pi * mesh.nodes[:, 0]), 0.0)
-    gap = strang_gap(v, v, kernel, mesh, InnerGridSpec(5, 1), n_q=40,
+    gap = strang_gap(v, v, kernel, mesh, InnerGridSpec(5), n_q=40,
                      cache=cache or RuleCache())
     norm = np.sqrt(exact_bilinear_form(v, v, kernel, mesh, 40))
     return gap / norm
@@ -298,12 +307,12 @@ def test_strang_gap_decreases_linearly():
 def test_strang_gap_mirror_symmetric():
     h = 1 / 16
     mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
-    kernel = Kernel.make(KernelKind.CONSTANT, 1, h)
+    kernel = Kernel(KernelKind.CONSTANT, 1, h)
     x = mesh.nodes[:, 0]
     v = np.where(mesh.node_is_interior, np.sin(2 * np.pi * x) + 0.2 * x * (1 - x), 0.0)
     mirrored = v[::-1]  # uniform grid is symmetric about 1/2
-    g1 = strang_gap(v, v, kernel, mesh, InnerGridSpec(5, 1), cache=RuleCache())
-    g2 = strang_gap(mirrored, mirrored, kernel, mesh, InnerGridSpec(5, 1),
+    g1 = strang_gap(v, v, kernel, mesh, InnerGridSpec(5), cache=RuleCache())
+    g2 = strang_gap(mirrored, mirrored, kernel, mesh, InnerGridSpec(5),
                     cache=RuleCache())
     assert g1 == pytest.approx(g2, rel=1e-10)
 

@@ -106,7 +106,7 @@ def test_locate_points_offsets_form_equals_plain_form(dim, perturbed):
     # multiples of the spacing, which carry vertices onto vertices, points on
     # grid lines onto grid lines and diagonal points along diagonals
     steps = np.meshgrid(*[0.125 * np.arange(-2, 3)] * dim, indexing="ij")
-    offsets = np.concatenate([generate_offsets(InnerGridSpec(3, dim), 0.25),
+    offsets = np.concatenate([generate_offsets(InnerGridSpec(3), dim, 0.25),
                               np.stack([g.ravel() for g in steps], axis=1)])
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     assert in_mesh.all() and in_ext.all()
@@ -169,7 +169,7 @@ def test_locate_points_rejects_nan(dim, with_offsets):
         with pytest.raises(OutsideDomainError, match=r"^1 point\(s\) .*first is \[.*nan\]$"):
             field.evaluate(centers)
         return
-    offsets = generate_offsets(InnerGridSpec(2, dim), 0.25)
+    offsets = generate_offsets(InnerGridSpec(2), dim, 0.25)
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     expected = np.repeat([[True], [False], [True]], len(offsets), axis=1)
     assert np.array_equal(in_mesh, expected) and np.array_equal(in_ext, expected)
@@ -187,7 +187,7 @@ def test_locate_points_masks_equal_brute_force(dim, perturbed, extension):
     # whole spacings carry the layer-end vertices onto the mesh ends and the
     # extended ends exactly
     steps = np.meshgrid(*[0.125 * np.arange(-3, 4)] * dim, indexing="ij")
-    offsets = np.concatenate([generate_offsets(InnerGridSpec(3, dim), 0.25),
+    offsets = np.concatenate([generate_offsets(InnerGridSpec(3), dim, 0.25),
                               np.stack([g.ravel() for g in steps], axis=1)])
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     sums = centers[:, None] + offsets

@@ -114,6 +114,16 @@ def test_invalid_perturbation_factor():
         PerturbationSpec(0.5, seed=0)
 
 
+@pytest.mark.parametrize("factor", ["0.1", 0.1 + 0j, None, False, np.bool_(False)])
+def test_perturbation_factor_must_be_real(factor):
+    with pytest.raises(MeshError, match="perturbation factor must be a real number"):
+        PerturbationSpec(factor)
+
+
+def test_perturbation_factor_accepts_numpy_real():
+    assert PerturbationSpec(np.float32(0.1)).factor == np.float32(0.1)
+
+
 def test_locate_1d_arithmetic():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
     elem, bary = locate_points(mesh, [[0.3]])

@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 
 from nlfem import (BallNorm, InnerGridSpec, Kernel, KernelError, KernelKind,
-                   QuadratureError, RuleCache, default_scaling, exact_moment_integrals,
-                   filter_to_ball, second_moment_indices)
+                   QuadratureError, RuleCache, exact_moment_integrals, filter_to_ball,
+                   second_moment_indices)
 from nlfem.quadrature import solve_weights_on_subset
 
 ALL_KINDS = [(KernelKind.CONSTANT, 1), (KernelKind.RATIONAL, 1),
@@ -14,19 +14,19 @@ ALL_KINDS = [(KernelKind.CONSTANT, 1), (KernelKind.RATIONAL, 1),
 
 
 def test_default_scalings():
-    assert default_scaling(KernelKind.CONSTANT, 1) == pytest.approx(1.5)
-    assert default_scaling(KernelKind.RATIONAL, 1) == pytest.approx(1.0)
-    assert default_scaling(KernelKind.CONSTANT, 2) == pytest.approx(4 / math.pi)
-    assert default_scaling(KernelKind.RATIONAL, 2) == pytest.approx(3 / math.pi)
+    assert Kernel(KernelKind.CONSTANT, 1, 0.1).scaling == pytest.approx(1.5)
+    assert Kernel(KernelKind.RATIONAL, 1, 0.1).scaling == pytest.approx(1.0)
+    assert Kernel(KernelKind.CONSTANT, 2, 0.1).scaling == pytest.approx(4 / math.pi)
+    assert Kernel(KernelKind.RATIONAL, 2, 0.1).scaling == pytest.approx(3 / math.pi)
 
 
 def test_strength_1d_constant():
-    k = Kernel.make(KernelKind.CONSTANT, 1, 0.02)
+    k = Kernel(KernelKind.CONSTANT, 1, 0.02)
     assert k.strength(0.01) == pytest.approx(3 / (2 * 0.02**3))
 
 
 def test_strength_2d_rational():
-    k = Kernel.make(KernelKind.RATIONAL, 2, 0.1)
+    k = Kernel(KernelKind.RATIONAL, 2, 0.1)
     val = k.strength(0.05)
     assert val == pytest.approx((3 / math.pi) / (0.1**3 * 0.05))
     assert val == pytest.approx(19098.59, rel=1e-4)
@@ -34,10 +34,10 @@ def test_strength_2d_rational():
 
 def test_rational_singularity_rejected():
     # an inner point at the ball center would put 1/0 into the constraint matrix
-    k = Kernel.make(KernelKind.RATIONAL, 1, 0.1)
+    k = Kernel(KernelKind.RATIONAL, 1, 0.1)
     offsets = np.array([[0.0], [0.05]])
     with pytest.raises(QuadratureError, match="singular"):
-        solve_weights_on_subset(k, InnerGridSpec(1, 1), offsets, np.ones(2, bool), RuleCache())
+        solve_weights_on_subset(k, InnerGridSpec(1), offsets, np.ones(2, bool), RuleCache())
 
 
 def test_support_boundary():
@@ -69,7 +69,7 @@ def _oracle_moments(kernel: Kernel) -> np.ndarray:
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("kind,dim", ALL_KINDS)
 def test_moments_match_quadrature_oracle(kind, dim):
-    kernel = Kernel.make(kind, dim, 0.07)
+    kernel = Kernel(kind, dim, 0.07)
     got = exact_moment_integrals(kernel)
     ref = _oracle_moments(kernel)
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
@@ -77,7 +77,7 @@ def test_moments_match_quadrature_oracle(kind, dim):
 
 @pytest.mark.parametrize("kind,dim", ALL_KINDS)
 def test_default_scaling_normalizes_diagonal_moments(kind, dim):
-    kernel = Kernel.make(kind, dim, 0.3)
+    kernel = Kernel(kind, dim, 0.3)
     g = exact_moment_integrals(kernel)
     diag = [g[0]] if dim == 1 else [g[0], g[2]]
     assert np.allclose(diag, 1.0, rtol=1e-13)
@@ -85,20 +85,19 @@ def test_default_scaling_normalizes_diagonal_moments(kind, dim):
 
 @pytest.mark.parametrize("kind,dim", ALL_KINDS)
 def test_max_norm_default_scaling_normalizes_diagonal_moments(kind, dim):
-    kernel = Kernel.make(kind, dim, 0.3, ball_norm=BallNorm.MAX)
+    kernel = Kernel(kind, dim, 0.3, ball_norm=BallNorm.MAX)
     g = exact_moment_integrals(kernel)
     diag = [g[0]] if dim == 1 else [g[0], g[2]]
     assert np.allclose(diag, 1.0, rtol=1e-15, atol=0.0)
     # the 1D max-norm ball is the Euclidean one, so is its scaling
     if dim == 1:
-        assert kernel.scaling == default_scaling(kind, 1)
+        assert kernel.scaling == Kernel(kind, 1, 0.3).scaling
 
 
 def test_moment_closed_forms():
-    z = 1.5
-    k = Kernel(KernelKind.CONSTANT, 1, 0.02, z)
-    assert exact_moment_integrals(k)[0] == pytest.approx(2 * z / 3, rel=1e-14)
-    k = Kernel(KernelKind.RATIONAL, 2, 0.1, 3 / math.pi)
+    k = Kernel(KernelKind.CONSTANT, 1, 0.02)
+    assert exact_moment_integrals(k)[0] == pytest.approx(2 * 1.5 / 3, rel=1e-14)
+    k = Kernel(KernelKind.RATIONAL, 2, 0.1)
     g = exact_moment_integrals(k)
     assert g[0] == pytest.approx(1.0, rel=1e-14)
     assert g[1] == 0.0
@@ -106,7 +105,7 @@ def test_moment_closed_forms():
 
 def test_moments_independent_of_horizon():
     for d in (0.01, 0.3):
-        k = Kernel.make(KernelKind.RATIONAL, 2, d)
+        k = Kernel(KernelKind.RATIONAL, 2, d)
         assert np.allclose(exact_moment_integrals(k), [1.0, 0.0, 1.0])
 
 
@@ -114,7 +113,7 @@ def test_max_norm_moments_numeric():
     # square support: diagonal moments are scaling * 4/3 (constant) and
     # scaling * 16/9 (rational); the off-diagonal one vanishes
     for kind, diag in ((KernelKind.CONSTANT, 4 / 3), (KernelKind.RATIONAL, 16 / 9)):
-        k = Kernel.make(kind, 2, 0.1, ball_norm=BallNorm.MAX)
+        k = Kernel(kind, 2, 0.1, ball_norm=BallNorm.MAX)
         g = exact_moment_integrals(k)
         assert g[0] == pytest.approx(diag * k.scaling, rel=1e-14)
         assert g[2] == g[0]
@@ -126,52 +125,48 @@ def test_second_moment_indices():
     assert second_moment_indices(2) == [(2, 0), (1, 1), (0, 2)]
 
 
-def test_no_default_scaling_in_3d():
-    with pytest.raises(KernelError, match="no default scaling"):
-        default_scaling(KernelKind.CONSTANT, 3)
-
-
 def test_invalid_kernel_parameters():
     with pytest.raises(KernelError):
-        Kernel(KernelKind.CONSTANT, 3, 0.1, 1.0)
+        Kernel(KernelKind.CONSTANT, 3, 0.1)
     with pytest.raises(KernelError):
-        Kernel(KernelKind.CONSTANT, 1, -0.1, 1.0)
-    with pytest.raises(KernelError):
-        Kernel(KernelKind.CONSTANT, 1, 0.1, 0.0)
+        Kernel(KernelKind.CONSTANT, 1, -0.1)
 
 
-@pytest.mark.parametrize("dim, horizon, scaling, message", [
-    (True, 0.25, None, "dimension True"), (1.0, 0.25, None, "dimension 1.0"),
-    ("1", 0.25, 1.0, "dimension '1'"), (np.float64(2.0), 0.25, None, "dimension"),
-    (1, math.inf, None, "horizon must be positive and finite, got inf"),
-    (2, math.nan, None, "horizon must be positive and finite, got nan"),
-    (1, 0.25, math.inf, "scaling must be positive and finite, got inf"),
-    (2, 0.25, math.nan, "scaling must be positive and finite, got nan"),
-    (1, "0.25", 1.0, "horizon must be a real number, got '0.25'"),
-    (1, True, None, "horizon must be a real number, got True"),
-    (2, np.bool_(True), None, "horizon must be a real number, got np.True_|True"),
-    (1, 0.25j, 1.0, "horizon must be a real number, got 0.25j"),
-    (1, 0.25, "1.0", "scaling must be a real number, got '1.0'"),
-    (2, 0.25, True, "scaling must be a real number, got True"),
-], ids=["bool-dim", "float-dim", "str-dim", "numpy-float-dim", "inf-horizon",
-        "nan-horizon", "inf-scaling", "nan-scaling", "str-horizon", "bool-horizon",
-        "numpy-bool-horizon", "complex-horizon", "str-scaling", "bool-scaling"])
-def test_kernel_rejects_non_integer_dimension_and_non_finite_parameters(
-        dim, horizon, scaling, message):
-    # True, 1.0 and 2.0 hash like 1 and 2, so the default-scaling lookup lets them through
-    with pytest.raises(KernelError, match=message):
-        Kernel.make(KernelKind.RATIONAL, dim, horizon, scaling)
-
-
-@pytest.mark.parametrize("horizon, scaling", [
-    (np.float64(0.25), np.float64(1.0)), (np.float32(0.25), 1.0), (1, np.int64(2)),
+@pytest.mark.parametrize("kind, ball_norm", [
+    ("constant", BallNorm.EUCLIDEAN), (KernelKind.CONSTANT, "max"),
+    (KernelKind.CONSTANT, 1.5),
 ])
-def test_kernel_accepts_numpy_and_integer_parameters(horizon, scaling):
-    kernel = Kernel(KernelKind.RATIONAL, 2, horizon, scaling)
-    assert kernel.strength(np.array([0.5]))[0] == pytest.approx(scaling / (horizon ** 3 * 0.5))
+def test_kernel_rejects_kind_or_ball_norm_outside_the_enums(kind, ball_norm):
+    # a string kind used to build a rational kernel, a string norm to fail later
+    with pytest.raises(KernelError, match="kind must be a KernelKind and ball_norm a BallNorm"):
+        Kernel(kind, 1, 0.1, ball_norm)
+
+
+@pytest.mark.parametrize("dim, horizon, message", [
+    (True, 0.25, "dimension True"), (1.0, 0.25, "dimension 1.0"),
+    ("1", 0.25, "dimension '1'"), (np.float64(2.0), 0.25, "dimension"),
+    (1, math.inf, "horizon must be positive and finite, got inf"),
+    (2, math.nan, "horizon must be positive and finite, got nan"),
+    (1, "0.25", "horizon must be a real number, got '0.25'"),
+    (1, True, "horizon must be a real number, got True"),
+    (2, np.bool_(True), "horizon must be a real number, got np.True_|True"),
+    (1, 0.25j, "horizon must be a real number, got 0.25j"),
+], ids=["bool-dim", "float-dim", "str-dim", "numpy-float-dim", "inf-horizon",
+        "nan-horizon", "str-horizon", "bool-horizon", "numpy-bool-horizon", "complex-horizon"])
+def test_kernel_rejects_non_integer_dimension_and_non_finite_parameters(dim, horizon, message):
+    # True, 1.0 and 2.0 hash like 1 and 2, so the scaling table lookup would let them through
+    with pytest.raises(KernelError, match=message):
+        Kernel(KernelKind.RATIONAL, dim, horizon)
+
+
+@pytest.mark.parametrize("horizon", [np.float64(0.25), np.float32(0.25), 1])
+def test_kernel_accepts_numpy_and_integer_parameters(horizon):
+    kernel = Kernel(KernelKind.RATIONAL, 2, horizon)
+    assert kernel.strength(np.array([0.5]))[0] == pytest.approx(
+        (3 / math.pi) / (horizon ** 3 * 0.5))
 
 
 @pytest.mark.parametrize("dim", [np.int64(1), np.int32(2)])
 def test_kernel_accepts_numpy_integer_dimension(dim):
-    kernel = Kernel.make(KernelKind.RATIONAL, dim, 0.25)
-    assert kernel == Kernel.make(KernelKind.RATIONAL, int(dim), 0.25)
+    kernel = Kernel(KernelKind.RATIONAL, dim, 0.25)
+    assert kernel == Kernel(KernelKind.RATIONAL, int(dim), 0.25)

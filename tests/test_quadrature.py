@@ -6,7 +6,7 @@ import pytest
 
 import nlfem.quadrature
 from _oracles import closed_form_weights_1d_constant, constraint_matrix
-from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelKind,
+from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelError, KernelKind,
                    PerturbationSpec, QuadratureError, RuleCache, build_uniform_mesh,
                    exact_moment_integrals, filter_to_ball, full_ball_rule,
                    generate_offsets, locate_points, outer_rules, perturb_mesh,
@@ -14,19 +14,19 @@ from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelKind,
 
 
 def test_offsets_1d_single_ring():
-    offs = generate_offsets(InnerGridSpec(1, 1), 0.02)
+    offs = generate_offsets(InnerGridSpec(1), 1, 0.02)
     assert np.allclose(sorted(offs[:, 0]), [-0.01, 0.01])
 
 
 def test_offsets_1d_two_rings():
     d = 0.4
-    offs = generate_offsets(InnerGridSpec(2, 1), d)
+    offs = generate_offsets(InnerGridSpec(2), 1, d)
     assert np.allclose(sorted(offs[:, 0]),
                        [-3 * d / 4, -d / 4, d / 4, 3 * d / 4])
 
 
 def test_offsets_2d_count():
-    offs = generate_offsets(InnerGridSpec(4, 2), 1.0)
+    offs = generate_offsets(InnerGridSpec(4), 2, 1.0)
     assert offs.shape == (64, 2)
     assert not np.any(np.all(offs == 0.0, axis=1))
 
@@ -36,32 +36,35 @@ def test_offsets_2d_count():
     (True, 1, "points_per_radius"), (2, True, "dim"), (2, 1.0, "dim"),
 ])
 def test_inner_grid_spec_rejects_non_integers(points_per_radius, dim, bad):
-    value = points_per_radius if bad == "points_per_radius" else dim
-    with pytest.raises(QuadratureError, match=re.escape(f"{bad} must be an integer, got {value!r}")):
-        InnerGridSpec(points_per_radius, dim)
-    assert np.array_equal(generate_offsets(InnerGridSpec(np.int64(2), np.int32(2)), 1.0),
-                          generate_offsets(InnerGridSpec(2, 2), 1.0))
+    if bad == "points_per_radius":
+        error, message = QuadratureError, f"{bad} must be an integer, got {points_per_radius!r}"
+    else:  # the grid takes its dimension from the kernel, so the kernel refuses a bad one
+        error, message = KernelError, f"unsupported dimension {dim!r}"
+    with pytest.raises(error, match=re.escape(message)):
+        full_ball_rule(Kernel(KernelKind.CONSTANT, dim, 0.25), InnerGridSpec(points_per_radius))
+    assert np.array_equal(generate_offsets(InnerGridSpec(np.int64(2)), np.int32(2), 1.0),
+                          generate_offsets(InnerGridSpec(2), 2, 1.0))
 
 
 def test_offsets_reflection_symmetric():
-    offs = generate_offsets(InnerGridSpec(3, 2), 0.5)
+    offs = generate_offsets(InnerGridSpec(3), 2, 0.5)
     as_set = {tuple(np.round(o, 15)) for o in offs}
     assert as_set == {tuple(np.round(-o, 15)) for o in offs}
 
 
 def test_filter_euclidean_2d():
-    offs = generate_offsets(InnerGridSpec(4, 2), 1.0)
+    offs = generate_offsets(InnerGridSpec(4), 2, 1.0)
     assert filter_to_ball(offs, 1.0, BallNorm.EUCLIDEAN).sum() == 52
 
 
 def test_filter_max_norm_keeps_all():
-    offs = generate_offsets(InnerGridSpec(4, 2), 1.0)
+    offs = generate_offsets(InnerGridSpec(4), 2, 1.0)
     assert filter_to_ball(offs, 1.0, BallNorm.MAX).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_filter_1d_keeps_all(n):
-    offs = generate_offsets(InnerGridSpec(n, 1), 0.3)
+    offs = generate_offsets(InnerGridSpec(n), 1, 0.3)
     assert filter_to_ball(offs, 0.3, BallNorm.EUCLIDEAN).all()
 
 
@@ -78,7 +81,7 @@ def test_rule_rejects_non_finite_weights():
 
 def test_constraint_matrix_1d():
     d = 0.3
-    k = Kernel.make(KernelKind.CONSTANT, 1, d)
+    k = Kernel(KernelKind.CONSTANT, 1, d)
     B = constraint_matrix(k, [0.5], [[0.5 - d / 2], [0.5 + d / 2]])
     expected = (1.5 / d**3) * (d**2 / 4)
     assert B.shape == (1, 2)
@@ -86,31 +89,31 @@ def test_constraint_matrix_1d():
 
 
 def test_constraint_matrix_2d_rows():
-    k = Kernel.make(KernelKind.CONSTANT, 2, 0.2)
+    k = Kernel(KernelKind.CONSTANT, 2, 0.2)
     B = constraint_matrix(k, [0.0, 0.0], [[0.1, 0.0], [0.05, 0.05]])
     assert B.shape == (3, 2)
     assert B[1, 0] == 0.0  # cross-term row vanishes for an axis-aligned offset
 
 
 def test_constraint_matrix_rejects_center():
-    k = Kernel.make(KernelKind.CONSTANT, 1, 0.1)
+    k = Kernel(KernelKind.CONSTANT, 1, 0.1)
     offsets = np.array([[0.0], [0.05]])
     with pytest.raises(QuadratureError, match="singular"):
-        nlfem.quadrature.solve_weights_on_subset(k, InnerGridSpec(1, 1), offsets,
+        nlfem.quadrature.solve_weights_on_subset(k, InnerGridSpec(1), offsets,
                                                  np.ones(2, bool), RuleCache())
 
 
 def test_solve_weights_single_ring():
     d = 0.02
-    k = Kernel.make(KernelKind.CONSTANT, 1, d)
-    rule = full_ball_rule(k, InnerGridSpec(1, 1), cache=RuleCache())
+    k = Kernel(KernelKind.CONSTANT, 1, d)
+    rule = full_ball_rule(k, InnerGridSpec(1), cache=RuleCache())
     assert np.allclose(rule.weights, 4 * d / 3, rtol=1e-13)
 
 
 def test_solve_weights_two_rings():
     d = 0.02
-    k = Kernel.make(KernelKind.CONSTANT, 1, d)
-    rule = full_ball_rule(k, InnerGridSpec(2, 1), cache=RuleCache())
+    k = Kernel(KernelKind.CONSTANT, 1, d)
+    rule = full_ball_rule(k, InnerGridSpec(2), cache=RuleCache())
     order = np.argsort(rule.offsets[:, 0])
     assert np.allclose(rule.weights[order],
                        [72 * d / 123, 8 * d / 123, 8 * d / 123, 72 * d / 123],
@@ -149,10 +152,10 @@ def test_solve_weights_non_finite(B, g):
 def test_full_rule_exactness_all_kernels():
     for kind, dim in itertools.product(
             (KernelKind.CONSTANT, KernelKind.RATIONAL), (1, 2)):
-        k = Kernel.make(kind, dim, 0.11)
+        k = Kernel(kind, dim, 0.11)
         g = exact_moment_integrals(k)
         for n in (1, 2, 4):
-            rule = full_ball_rule(k, InnerGridSpec(n, dim), cache=RuleCache())
+            rule = full_ball_rule(k, InnerGridSpec(n), cache=RuleCache())
             B = constraint_matrix(k, np.zeros(dim), rule.offsets)
             assert np.linalg.norm(B @ rule.weights - g) <= 1e-12 * np.linalg.norm(g)
 
@@ -160,9 +163,9 @@ def test_full_rule_exactness_all_kernels():
 @pytest.mark.parametrize("kind,dim", list(itertools.product(
     (KernelKind.CONSTANT, KernelKind.RATIONAL), (1, 2))))
 def test_full_rule_positive_weights(kind, dim):
-    k = Kernel.make(kind, dim, 0.2)
+    k = Kernel(kind, dim, 0.2)
     for n in range(1, 11):
-        rule = full_ball_rule(k, InnerGridSpec(n, dim), cache=RuleCache())
+        rule = full_ball_rule(k, InnerGridSpec(n), cache=RuleCache())
         assert np.all(rule.weights > 0)
 
 
@@ -177,35 +180,29 @@ def test_full_rule_non_positive_weight_raises(monkeypatch, bad_weight):
         return w, residual
 
     monkeypatch.setattr(nlfem.quadrature, "solve_weights", spoiled)
-    k = Kernel.make(KernelKind.RATIONAL, 2, 0.2)
+    k = Kernel(KernelKind.RATIONAL, 2, 0.2)
     with pytest.raises(QuadratureError, match="non-positive weight"):
-        full_ball_rule(k, InnerGridSpec(4, 2), cache=RuleCache())
+        full_ball_rule(k, InnerGridSpec(4), cache=RuleCache())
 
 
 def test_moment_residual_above_tolerance_raises(monkeypatch):
     solve = nlfem.quadrature.solve_weights
     monkeypatch.setattr(nlfem.quadrature, "solve_weights",
                         lambda B, g: (solve(B, g)[0], 1e-9 * np.linalg.norm(g)))
-    k = Kernel.make(KernelKind.RATIONAL, 1, 0.2)
+    k = Kernel(KernelKind.RATIONAL, 1, 0.2)
     with pytest.raises(QuadratureError, match="constraint residual"):
-        full_ball_rule(k, InnerGridSpec(3, 1), cache=RuleCache())
+        full_ball_rule(k, InnerGridSpec(3), cache=RuleCache())
 
 
 @pytest.mark.parametrize("points_per_radius, dim", [(0, 1), (1, 3)])
 def test_inner_grid_spec_validation(points_per_radius, dim):
-    with pytest.raises(QuadratureError):
-        InnerGridSpec(points_per_radius, dim)
-
-
-def test_full_rule_rejects_mismatched_dimensions():
-    k = Kernel.make(KernelKind.CONSTANT, 1, 0.2)
-    with pytest.raises(QuadratureError, match="dimension"):
-        full_ball_rule(k, InnerGridSpec(2, 2), cache=RuleCache())
+    with pytest.raises((QuadratureError, KernelError)):
+        full_ball_rule(Kernel(KernelKind.CONSTANT, dim, 0.2), InnerGridSpec(points_per_radius))
 
 
 def test_full_rule_dihedral_symmetry_2d():
-    k = Kernel.make(KernelKind.RATIONAL, 2, 0.5)
-    rule = full_ball_rule(k, InnerGridSpec(4, 2), cache=RuleCache())
+    k = Kernel(KernelKind.RATIONAL, 2, 0.5)
+    rule = full_ball_rule(k, InnerGridSpec(4), cache=RuleCache())
     table = {tuple(np.round(o, 14)): w for o, w in zip(rule.offsets, rule.weights)}
     for (ox, oy), w in table.items():
         for sym in [(-ox, oy), (ox, -oy), (oy, ox), (-oy, -ox)]:
@@ -213,17 +210,17 @@ def test_full_rule_dihedral_symmetry_2d():
 
 
 def test_weights_scale_with_horizon():
-    spec = InnerGridSpec(3, 2)
+    spec = InnerGridSpec(3)
     for kind in (KernelKind.CONSTANT, KernelKind.RATIONAL):
-        w1 = full_ball_rule(Kernel.make(kind, 2, 0.1), spec, cache=RuleCache()).weights
-        w2 = full_ball_rule(Kernel.make(kind, 2, 0.35), spec, cache=RuleCache()).weights
+        w1 = full_ball_rule(Kernel(kind, 2, 0.1), spec, cache=RuleCache()).weights
+        w2 = full_ball_rule(Kernel(kind, 2, 0.35), spec, cache=RuleCache()).weights
         assert np.allclose(w2, (0.35 / 0.1) ** 2 * w1, rtol=1e-12)
 
 
 def test_full_rule_cached_and_shared():
     cache = RuleCache()
-    k = Kernel.make(KernelKind.CONSTANT, 1, 0.1)
-    spec = InnerGridSpec(3, 1)
+    k = Kernel(KernelKind.CONSTANT, 1, 0.1)
+    spec = InnerGridSpec(3)
     r1 = full_ball_rule(k, spec, cache=cache)
     r2 = full_ball_rule(k, spec, cache=cache)
     assert r1 is r2
@@ -241,8 +238,8 @@ def test_full_rule_cached_and_shared():
 def test_closed_form_matches_solver():
     d = 0.37
     for n in range(1, 21):
-        k = Kernel.make(KernelKind.CONSTANT, 1, d)
-        rule = full_ball_rule(k, InnerGridSpec(n, 1), cache=RuleCache())
+        k = Kernel(KernelKind.CONSTANT, 1, d)
+        rule = full_ball_rule(k, InnerGridSpec(n), cache=RuleCache())
         closed = closed_form_weights_1d_constant(n, d)
         assert np.allclose(rule.weights, closed, rtol=1e-12)
         assert np.all(closed > 0)
@@ -282,17 +279,17 @@ def _truncated_1d(kernel, spec, center, extension, cache):
 
 def test_truncated_full_extension_reuses_full_ball_weights():
     d = 0.2
-    k = Kernel.make(KernelKind.RATIONAL, 1, d)
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(4, 1), -0.1, d, RuleCache())
+    k = Kernel(KernelKind.RATIONAL, 1, d)
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(4), -0.1, d, RuleCache())
     assert not retained.all()  # outside points dropped
     assert np.array_equal(weights, full.weights)
 
 
 def test_truncated_zero_extension_resolves_weights():
     d = 0.2
-    k = Kernel.make(KernelKind.CONSTANT, 1, d)
+    k = Kernel(KernelKind.CONSTANT, 1, d)
     center = -d / 2  # half the ball sticks out on the left
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(4, 1), center, 0.0,
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(4), center, 0.0,
                                             RuleCache())
     assert not retained.all()
     assert np.all(weights[~retained] == 0.0)
@@ -316,9 +313,9 @@ def test_truncated_zero_extension_resolves_weights():
 
 def test_truncated_center_inside_box_returns_full_rule():
     d = 0.2
-    k = Kernel.make(KernelKind.CONSTANT, 1, d)
+    k = Kernel(KernelKind.CONSTANT, 1, d)
     cache = RuleCache()
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(3, 1), 0.5, 0.0, cache)
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(3), 0.5, 0.0, cache)
     assert retained.all()
     assert np.array_equal(weights, full.weights)
     assert cache.misses == 1  # only the full-ball solve
@@ -326,8 +323,8 @@ def test_truncated_center_inside_box_returns_full_rule():
 
 def test_truncated_cache_reuse():
     d = 0.2
-    k = Kernel.make(KernelKind.CONSTANT, 1, d)
-    spec = InnerGridSpec(4, 1)
+    k = Kernel(KernelKind.CONSTANT, 1, d)
+    spec = InnerGridSpec(4)
     cache = RuleCache()
     w1, _, full = _truncated_1d(k, spec, -d / 2, 0.0, cache)
     misses = cache.misses
@@ -341,8 +338,8 @@ def test_cache_concurrent_access():
     import threading
 
     cache = RuleCache()
-    k = Kernel.make(KernelKind.RATIONAL, 2, 0.3)
-    spec = InnerGridSpec(4, 2)
+    k = Kernel(KernelKind.RATIONAL, 2, 0.3)
+    spec = InnerGridSpec(4)
     results = [None] * 8
 
     def work(i):
@@ -388,8 +385,8 @@ def test_cache_first_writer_wins():
 
 
 def test_rule_dump_csv(tmp_path):
-    k = Kernel.make(KernelKind.CONSTANT, 2, 0.1)
-    rule = full_ball_rule(k, InnerGridSpec(2, 2), cache=RuleCache())
+    k = Kernel(KernelKind.CONSTANT, 2, 0.1)
+    rule = full_ball_rule(k, InnerGridSpec(2), cache=RuleCache())
     path = tmp_path / "rule.csv"
     rule.dump_csv(path)
     lines = path.read_text().splitlines()
@@ -404,7 +401,7 @@ def test_distinct_masks_match_row_unique(n_bar):
     h, d = 1 / 16, 2 / 16
     domain = BoxDomain.unit(2, d, 0.0)
     mesh = perturb_mesh(build_uniform_mesh(h, domain), PerturbationSpec(0.3, seed=2))
-    full = full_ball_rule(Kernel.make(KernelKind.RATIONAL, 2, d), InnerGridSpec(n_bar, 2),
+    full = full_ball_rule(Kernel(KernelKind.RATIONAL, 2, d), InnerGridSpec(n_bar),
                           cache=RuleCache())
     pts, _, _ = outer_rules(mesh, np.flatnonzero(~mesh.element_in_box), 4)
     centers = pts.reshape(-1, 2)
