@@ -54,7 +54,8 @@ class Kernel:
             raise KernelError(f"horizon must be a real number, got {self.horizon!r}")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise KernelError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if (self.kind, self.dim, self.ball_norm) not in _DEFAULT_SCALING:
+        # the table holds every enum pair, so this refuses exactly the keys it lacks
+        if not (isinstance(self.kind, KernelKind) and isinstance(self.ball_norm, BallNorm)):
             raise KernelError("kind must be a KernelKind and ball_norm a BallNorm,"
                               f" got {self.kind!r} and {self.ball_norm!r}")
 

@@ -134,7 +134,7 @@ def test_invalid_kernel_parameters():
 
 @pytest.mark.parametrize("kind, ball_norm", [
     ("constant", BallNorm.EUCLIDEAN), (KernelKind.CONSTANT, "max"),
-    (KernelKind.CONSTANT, 1.5),
+    (KernelKind.CONSTANT, 1.5), (KernelKind.CONSTANT, ["max"]),
 ])
 def test_kernel_rejects_kind_or_ball_norm_outside_the_enums(kind, ball_norm):
     # a string kind used to build a rational kernel, a string norm to fail later
