@@ -137,7 +137,7 @@ def test_invalid_kernel_parameters():
     (KernelKind.CONSTANT, 1.5), (KernelKind.CONSTANT, ["max"]),
 ])
 def test_kernel_rejects_kind_or_ball_norm_outside_the_enums(kind, ball_norm):
-    # a string kind used to build a rational kernel, a string norm to fail later
+    # strength() tests `kind is KernelKind.CONSTANT`, so a string kind would give a rational kernel
     with pytest.raises(KernelError, match="kind must be a KernelKind and ball_norm a BallNorm"):
         Kernel(kind, 1, 0.1, ball_norm)
 
