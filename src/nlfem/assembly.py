@@ -57,8 +57,8 @@ from scipy.sparse import linalg as sparse_linalg
 from .exceptions import AssemblyError, SolverError
 from .geometry import Mesh, locate_points
 from .kernels import Kernel
-from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,
-                         default_cache, full_ball_rule, solve_weights_on_subset)
+from .quadrature import (InnerGridSpec, InnerQuadratureRule, full_ball_rule,
+                         solve_weights_on_subset)
 
 _COO_NODE_LIMIT = 3000  # above this many nodes a chunk's terms are expanded, not multiplied
 _PAIR_CHUNK = 200_000
@@ -167,7 +167,7 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
 
 
 def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
-                       n_q: int, cache: RuleCache) -> sparse.csr_matrix:
+                       n_q: int) -> sparse.csr_matrix:
     """Full node-by-node operator: a running sum of one product per element chunk.
 
     The hat-difference factor at an (outer, inner) point pair is +basis at
@@ -178,7 +178,7 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     """
     if kernel.dim != mesh.dim:
         raise AssemblyError("kernel / mesh dimensions do not match")
-    full = full_ball_rule(kernel, spec, cache)
+    full = full_ball_rule(kernel, spec)
     n = mesh.num_nodes
     total = sparse.csr_matrix((n, n))
 
@@ -200,7 +200,7 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
             per_point = in_mesh.sum(axis=1)
             if not per_point.all():
                 raise AssemblyError("a constraint-layer ball retained no quadrature points")
-            weights = truncated_weights(kernel, spec, in_ext, full, cache)
+            weights = truncated_weights(kernel, spec, in_ext, full)
             coef = full.strengths[None, :] * weights * wq.reshape(-1, 1)
             # all in the mesh: the row-major ravel is the boolean gather without its copy
             coef = coef.ravel() if len(in_elems) == in_mesh.size else coef[in_mesh]
@@ -216,7 +216,7 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
 
 
 def truncated_weights(kernel: Kernel, spec: InnerGridSpec, in_ext: np.ndarray,
-                      full: InnerQuadratureRule, cache: RuleCache) -> np.ndarray:
+                      full: InnerQuadratureRule) -> np.ndarray:
     """Weights of every ball on its extension mask, shape (n_balls, full.size).
 
     ``locate_points``' ``in_ext`` marks each ball's grid points in the region
@@ -230,7 +230,7 @@ def truncated_weights(kernel: Kernel, spec: InnerGridSpec, in_ext: np.ndarray,
     masks, inverse = _distinct_masks(in_ext)
     per_mask = np.zeros((len(masks), full.size))
     for k, mask in enumerate(masks):
-        per_mask[k, mask], _ = solve_weights_on_subset(kernel, spec, full.offsets, mask, cache)
+        per_mask[k, mask], _ = solve_weights_on_subset(kernel, spec, mask)
     return per_mask[inverse]
 
 
@@ -249,15 +249,13 @@ def _distinct_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_system(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
-                    n_q: int, source=None, boundary=None,
-                    cache: RuleCache | None = None) -> DiscreteSystem:
+                    n_q: int, source=None, boundary=None) -> DiscreteSystem:
     """Assemble stiffness and load in one operator pass.
 
     The load is the body force over the box, integrated with the same
     ``n_q``-point outer rule, minus the layer-data correction.
     """
-    cache = cache or default_cache()
-    operator = _assemble_operator(mesh, kernel, spec, n_q, cache)
+    operator = _assemble_operator(mesh, kernel, spec, n_q)
     interior = mesh.interior_nodes
     constraint = mesh.constraint_nodes
     rows = operator[interior]
@@ -314,11 +312,6 @@ class Field:
 
     mesh: Mesh
     node_values: np.ndarray
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        elems, bary = locate_points(self.mesh, points)
-        vals = np.einsum("pk,pk->p", bary, self.node_values[self.mesh.elements[elems]])
-        return vals if np.asarray(points).ndim > 1 else float(vals[0])
 
     def element_gradients(self) -> np.ndarray:
         """Constant gradient per element, shape (n_el, dim)."""

@@ -18,7 +18,7 @@ class MeshError(NlfemError):
 
 
 class OutsideDomainError(NlfemError):
-    """Point location requested outside the meshed region, or in another dimension."""
+    """Point location given points or offsets without one coordinate per mesh dimension."""
 
 
 class KernelError(NlfemError):

@@ -296,46 +296,35 @@ def _axis_cells(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(breaks) - 2)
 
 
-def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray | None = None):
-    """Vectorized point location: element ids and barycentric coordinates.
+def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray):
+    """Vectorized location of every (n, d) point plus every (n_off, d) offset.
 
-    Ties on shared facets resolve to the lowest element id.  The plain form
-    returns ``(elem, bary)`` of (n, d) ``points`` and raises
-    OutsideDomainError, naming the first, if any lies outside the meshed
-    region (as a NaN coordinate does).  Given (n_off, d) ``offsets``, it
-    takes every point plus every offset and returns ``(elem, bary, in_mesh,
-    in_ext)``: (n, n_off) masks of the sums in the meshed region and in that
-    region grown by ``domain.extension`` (a read-only broadcast True where
-    all are), and ``elem``/``bary`` of the ``in_mesh`` sums in (point,
-    offset) order.  Each axis is searched and compared once per point and
+    Returns ``(elem, bary, in_mesh, in_ext)``: (n, n_off) masks of the sums
+    in the meshed region and in that region grown by ``domain.extension`` (a
+    read-only broadcast True where all are; a NaN coordinate is in neither),
+    and the element ids and barycentric coordinates of the ``in_mesh`` sums
+    in (point, offset) order.  Ties on shared facets resolve to the lowest
+    element id.  Each axis is searched and compared once per point and
     distinct offset coordinate, on the same float sums as
-    ``points[:, None] + offsets``, so they equal the plain call on those
-    sums.  Points or offsets without one coordinate per mesh dimension raise
-    OutsideDomainError.
+    ``points[:, None] + offsets``.  Points or offsets without one coordinate
+    per mesh dimension raise OutsideDomainError.
     """
-    pts = _coordinate_rows(mesh, points)
-    offs = None if offsets is None else _coordinate_rows(mesh, offsets)
+    pts, offs = _coordinate_rows(mesh, points), _coordinate_rows(mesh, offsets)
     pad = mesh.domain.horizon + mesh.domain.extension
     ext_lo, ext_hi = mesh.domain.layer_lo(pad), mesh.domain.layer_hi(pad)
     in_mesh = in_ext = None  # None while every pair so far lies inside
     cells, local = [], []
     for k, b in enumerate(mesh.axis_breaks):
-        x, col = pts[:, k], None
-        if offs is not None:
-            # distinct by bit pattern, so that -0.0 and 0.0 give their own sums
-            bits, col = np.unique(offs[:, k].view(np.int64), return_inverse=True)
-            x = x[:, None] + bits.view(float)
+        # distinct by bit pattern, so that -0.0 and 0.0 give their own sums
+        bits, col = np.unique(offs[:, k].view(np.int64), return_inverse=True)
+        x = pts[:, k, None] + bits.view(float)
         # comparisons that a NaN coordinate fails
         in_mesh = _narrow(in_mesh, (x >= b[0]) & (x <= b[-1]), col)
         in_ext = _narrow(in_ext, (x >= ext_lo[k]) & (x <= ext_hi[k]), col)
         i = _axis_cells(b, x)
-        cells.append(_per_pair(i, col))
-        local.append(_per_pair((x - b[i]) / (b[i + 1] - b[i]), col))
+        cells.append(i[:, col].ravel())
+        local.append(((x - b[i]) / (b[i + 1] - b[i]))[:, col].ravel())
     if in_mesh is not None:
-        if offs is None:
-            outside = np.flatnonzero(~in_mesh)
-            raise OutsideDomainError(f"{len(outside)} point(s) outside the meshed region; "
-                                     f"first is {pts[outside[0]]}")
         cells, local = [c[in_mesh] for c in cells], [t[in_mesh] for t in local]
 
     if mesh.dim == 1:
@@ -349,8 +338,6 @@ def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray | None = N
                          np.where(lower, eta, eta - xi)], axis=1)
     cell = _linear_index(cells, [len(b) - 1 for b in mesh.axis_breaks])
     elem = len(_CELL_SIMPLICES[mesh.dim]) * cell + which
-    if offs is None:
-        return elem, bary
     shape = (len(pts), len(offs))
     return elem, bary, *(np.broadcast_to(True, shape) if mask is None else mask.reshape(shape)
                          for mask in (in_mesh, in_ext))
@@ -365,16 +352,11 @@ def _coordinate_rows(mesh: Mesh, points) -> np.ndarray:
     return pts
 
 
-def _narrow(mask: np.ndarray | None, inside: np.ndarray, col) -> np.ndarray | None:
-    """``mask`` and the per-pair ``inside``, gathered only when some sum
-    lies outside; None stands for a mask that holds everywhere."""
+def _narrow(mask: np.ndarray | None, inside: np.ndarray, col: np.ndarray) -> np.ndarray | None:
+    """``mask`` and the (point, distinct coordinate) ``inside`` gathered to
+    (point, offset) order, only when some sum lies outside; None stands for
+    a mask that holds everywhere."""
     if inside.all():
         return mask
-    inside = _per_pair(inside, col)
+    inside = inside[:, col].ravel()
     return inside if mask is None else mask & inside
-
-
-def _per_pair(values: np.ndarray, col: np.ndarray | None) -> np.ndarray:
-    """Per-point values as given, or (point, distinct coordinate) values
-    gathered to (point, offset) order through the offsets' column index."""
-    return values if col is None else values[:, col].ravel()

@@ -153,7 +153,11 @@ def _moment_weights(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, float
 
 
 class RuleCache:
-    """Thread-safe cache of inner rules keyed by kernel, grid, and truncation mask."""
+    """Thread-safe cache of inner rules; ``default_cache()`` is the process's one.
+
+    Keys hold the rule kind, the kernel, the grid's points per radius and,
+    for a truncated solve, the mask's bytes: everything a rule is built from.
+    """
 
     def __init__(self):
         self._data: dict = {}
@@ -191,16 +195,15 @@ def default_cache() -> RuleCache:
     return _default_cache
 
 
-def full_ball_rule(kernel: Kernel, spec: InnerGridSpec,
-                   cache: RuleCache | None = None) -> InnerQuadratureRule:
+def full_ball_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule:
     """Rule for a ball entirely inside the region; computed once and reused.
 
-    Every weight of this rule must be positive; a solve that gives a weight
-    at or below zero raises ``QuadratureError``.
+    Cached under ``("full", kernel, points_per_radius)``.  Every weight of
+    this rule must be positive; a solve that gives a weight at or below zero
+    raises ``QuadratureError``.
     """
-    cache = cache or _default_cache
     key = ("full", kernel, spec.points_per_radius)
-    return cache.get_or_build(key, lambda: _build_full_rule(kernel, spec))
+    return _default_cache.get_or_build(key, lambda: _build_full_rule(kernel, spec))
 
 
 def _build_full_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule:
@@ -218,14 +221,14 @@ def _build_full_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule
 
 
 def solve_weights_on_subset(kernel: Kernel, spec: InnerGridSpec,
-                            offsets: np.ndarray, mask: np.ndarray,
-                            cache: RuleCache | None = None) -> tuple[np.ndarray, float]:
-    """Cached minimal-norm solve on a masked offset subset, full-ball moments.
+                            mask: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cached minimal-norm solve on the full rule's masked points, full-ball moments.
 
-    Keyed by the inclusion mask; on perturbed meshes near the boundary only
-    a small number of distinct masks occur, so identical systems are never
-    re-solved.
+    The points are ``full_ball_rule(kernel, spec).offsets[mask]``, so the key
+    ``("trunc", kernel, points_per_radius, mask bytes)`` holds everything the
+    weights depend on.  On perturbed meshes near the boundary only a small
+    number of distinct masks occur, so identical systems are never re-solved.
     """
-    cache = cache or _default_cache
     key = ("trunc", kernel, spec.points_per_radius, mask.tobytes())
-    return cache.get_or_build(key, lambda: _moment_weights(kernel, offsets[mask]))
+    return _default_cache.get_or_build(
+        key, lambda: _moment_weights(kernel, full_ball_rule(kernel, spec).offsets[mask]))

@@ -291,7 +291,7 @@ def _segment_integral(x, sa, sb, seg_start, v0, sv, w0, sw, vx, wx, rational, ow
     return sigma * (antider(t1) - antider(t0))
 
 
-def strang_gap(v_values, w_values, kernel, mesh, spec, n_q=40, cache=None):
+def strang_gap(v_values, w_values, kernel, mesh, spec, n_q=40):
     """|D(v, w) - D_h(v, w)| for fields vanishing on the constraint layer.
 
     D is integrated piecewise-exactly (1D only); D_h runs through the same
@@ -305,7 +305,7 @@ def strang_gap(v_values, w_values, kernel, mesh, spec, n_q=40, cache=None):
     if np.any(v[cn] != 0.0) or np.any(w[cn] != 0.0):
         raise NlfemError("strang_gap requires fields that vanish on the constraint layer")
     exact = exact_bilinear_form(v, w, kernel, mesh, n_q)
-    a = assemble_system(mesh, kernel, spec, n_q, cache=cache).matrix
+    a = assemble_system(mesh, kernel, spec, n_q).matrix
     ids = mesh.interior_nodes
     discrete = float(v[ids] @ (a @ w[ids]))
     return abs(exact - discrete)

@@ -23,7 +23,6 @@ from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    reconstruct, solve_system)
 from nlfem.cli import RunConfig, run_study
 from nlfem.geometry import PerturbationSpec
-from nlfem.quadrature import RuleCache
 
 BOTH_KINDS = (KernelKind.CONSTANT, KernelKind.RATIONAL)
 
@@ -63,7 +62,7 @@ def test_criterion_01_quadrature_exactness_and_positivity():
     for (kind, dim), nbar in itertools.product(
             itertools.product(BOTH_KINDS, (1, 2)), (1, 2, 4, 8, 10)):
         kernel = Kernel(kind, dim, 0.13)
-        rule = full_ball_rule(kernel, InnerGridSpec(nbar), cache=RuleCache())
+        rule = full_ball_rule(kernel, InnerGridSpec(nbar))
         g = exact_moment_integrals(kernel)
         defect = constraint_matrix(kernel, np.zeros(dim), rule.offsets) @ rule.weights - g
         assert np.abs(defect).max() <= 1e-12 * np.linalg.norm(g)
@@ -76,12 +75,12 @@ def test_criterion_02_closed_form_oracle():
     delta = 0.29
     for nbar in range(1, 21):
         kernel = Kernel(KernelKind.CONSTANT, 1, delta)
-        rule = full_ball_rule(kernel, InnerGridSpec(nbar), cache=RuleCache())
+        rule = full_ball_rule(kernel, InnerGridSpec(nbar))
         closed = closed_form_weights_1d_constant(nbar, delta)
         assert np.allclose(rule.weights, closed, rtol=1e-12)
     # independent single-constraint identity: w = g * f / |f|^2
     kernel = Kernel(KernelKind.CONSTANT, 1, delta)
-    rule = full_ball_rule(kernel, InnerGridSpec(1), cache=RuleCache())
+    rule = full_ball_rule(kernel, InnerGridSpec(1))
     f_row = constraint_matrix(kernel, [0.0], rule.offsets)[0]
     g = exact_moment_integrals(kernel)[0]
     w_expected = g * f_row / np.dot(f_row, f_row)
@@ -248,8 +247,7 @@ def test_criterion_10_assembly_oracle_equivalence():
             mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
             kernel = Kernel(kind, 1, delta)
             system = assemble_system(mesh, kernel, InnerGridSpec(2),
-                                     8, case.source, case.solution,
-                                     cache=RuleCache())
+                                     8, case.source, case.solution)
             A = system.matrix.toarray()
             A_ref, _ = naive_system(h, 1, kind, 1.0, 2, 8, case.source,
                                     case.solution)
@@ -258,8 +256,7 @@ def test_criterion_10_assembly_oracle_equivalence():
     # symmetry also on a 2D assembly
     mesh = build_uniform_mesh(1 / 8, BoxDomain.unit(2, 1 / 4, 1 / 4))
     kernel = Kernel(KernelKind.RATIONAL, 2, 1 / 4)
-    A2 = assemble_system(mesh, kernel, InnerGridSpec(4), 16,
-                         cache=RuleCache()).matrix.toarray()
+    A2 = assemble_system(mesh, kernel, InnerGridSpec(4), 16).matrix.toarray()
     assert np.abs(A2 - A2.T).max() <= 1e-12 * np.abs(A2).max()
     _report(10, "assembly oracle equivalence", time.perf_counter() - t0, 10)
 

@@ -8,10 +8,10 @@ import scipy.sparse.linalg
 import nlfem.assembly
 from nlfem import (AssemblyError, BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    PerturbationSpec, assemble_system, build_uniform_mesh,
-                   case_linear_1d, case_sin_1d, case_sin_2d, outer_rules,
-                   perturb_mesh, reconstruct, solve_system)
+                   case_linear_1d, case_sin_1d, case_sin_2d, locate_points,
+                   outer_rules, perturb_mesh, reconstruct, solve_system)
 from nlfem.exceptions import SolverError
-from nlfem.quadrature import RuleCache, full_ball_rule
+from nlfem.quadrature import default_cache, full_ball_rule
 
 
 def _mesh_1d(h, m, extension_ratio=1.0):
@@ -89,7 +89,7 @@ def test_assembly_matches_naive_oracle(h, kind, extension_ratio):
     kernel = Kernel(kind, 1, m * h)
     case = case_sin_1d()
     system = assemble_system(mesh, kernel, InnerGridSpec(nbar), nq,
-                             case.source, case.solution, cache=RuleCache())
+                             case.source, case.solution)
     A = system.matrix.toarray()
     A_ref, f_ref = naive_system(h, m, kind, extension_ratio, nbar, nq,
                                 case.source, case.solution)
@@ -186,7 +186,7 @@ def test_assembly_matches_naive_oracle_2d():
     mesh = build_uniform_mesh(h, BoxDomain.unit(2, delta, delta))
     kernel = Kernel(KernelKind.CONSTANT, 2, delta)
     A = assemble_system(mesh, kernel, InnerGridSpec(nbar),
-                        nq_side**2, cache=RuleCache()).matrix.toarray()
+                        nq_side**2).matrix.toarray()
     # reference uses the same interior ordering (lexicographic node ids)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
 
@@ -197,8 +197,7 @@ def test_stiffness_symmetric():
     for dim, h in ((1, 1 / 16), (2, 1 / 4)):
         mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h, 2 * h))
         k = Kernel(KernelKind.CONSTANT, dim, 2 * h)
-        A = assemble_system(mesh, k, InnerGridSpec(2), 4,
-                            cache=RuleCache()).matrix
+        A = assemble_system(mesh, k, InnerGridSpec(2), 4).matrix
         diff = (A - A.T).toarray()
         assert np.abs(diff).max() <= 1e-12 * np.abs(A.toarray()).max()
 
@@ -206,8 +205,7 @@ def test_stiffness_symmetric():
 def test_stiffness_positive_definite_probe():
     mesh = _mesh_1d(1 / 16, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 16)
-    A = assemble_system(mesh, k, InnerGridSpec(4), 10,
-                        cache=RuleCache()).matrix
+    A = assemble_system(mesh, k, InnerGridSpec(4), 10).matrix
     rng = np.random.default_rng(7)
     n = A.shape[0]
     quad_forms = [u @ (A @ u) for u in rng.standard_normal((1000, n))]
@@ -219,8 +217,7 @@ def test_stiffness_bandwidth():
     mesh = _mesh_1d(h, m)
     delta = m * h
     k = Kernel(KernelKind.CONSTANT, 1, delta)
-    A = assemble_system(mesh, k, InnerGridSpec(4), 10,
-                        cache=RuleCache()).matrix.toarray()
+    A = assemble_system(mesh, k, InnerGridSpec(4), 10).matrix.toarray()
     xs = mesh.nodes[mesh.interior_nodes, 0]
     for i in range(len(xs)):
         for j in range(len(xs)):
@@ -235,7 +232,7 @@ def test_quadrature_symmetry_across_mirrored_junctions():
     delta = h
     k = Kernel(KernelKind.CONSTANT, 1, delta)
     from nlfem import full_ball_rule
-    rule = full_ball_rule(k, InnerGridSpec(5), cache=RuleCache())
+    rule = full_ball_rule(k, InnerGridSpec(5))
     gp, gw = np.polynomial.legendre.leggauss(20)
     gp, gw = (gp + 1) / 2, gw / 2
     s = 0.5  # junction between two interior elements
@@ -259,7 +256,7 @@ def test_assembly_deterministic():
     runs = []
     for _ in range(2):
         system = assemble_system(mesh, k, InnerGridSpec(5), 10,
-                                 case.source, case.solution, cache=RuleCache())
+                                 case.source, case.solution)
         runs.append((system.matrix.toarray().copy(), system.rhs.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -270,7 +267,7 @@ def test_sparse_accumulator_symmetric_above_dense_limit():
     mesh = _mesh_1d(h, m)
     assert mesh.num_nodes > nlfem.assembly._COO_NODE_LIMIT
     k = Kernel(KernelKind.RATIONAL, 1, m * h)
-    A = assemble_system(mesh, k, InnerGridSpec(1), 1, cache=RuleCache()).matrix
+    A = assemble_system(mesh, k, InnerGridSpec(1), 1).matrix
     assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
 
@@ -281,7 +278,7 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
 
     def assemble():
         return assemble_system(mesh, k, InnerGridSpec(2), 2, case.source,
-                               case.solution, cache=RuleCache())
+                               case.solution)
 
     dense = assemble()
     monkeypatch.setattr(nlfem.assembly, "_COO_NODE_LIMIT", 0)
@@ -321,8 +318,7 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
     case = case_sin_1d() if dim == 1 else case_sin_2d()
 
     def assemble():
-        return assemble_system(mesh, kernel, spec, n_q, case.source, case.solution,
-                               cache=RuleCache())
+        return assemble_system(mesh, kernel, spec, n_q, case.source, case.solution)
 
     system = assemble()
     calls = []
@@ -337,7 +333,7 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
         assert np.array_equal(getattr(system.matrix, part), getattr(oracle_system.matrix, part))
     assert np.array_equal(system.rhs, oracle_system.rhs)
 
-    n_off = full_ball_rule(kernel, spec, RuleCache()).size
+    n_off = full_ball_rule(kernel, spec).size
     chunk_elems = max(1, nlfem.assembly._PAIR_CHUNK // (n_q * n_off))
     n_box = int(mesh.element_in_box.sum())
     parts = (n_box, mesh.num_elements - n_box)
@@ -377,7 +373,7 @@ def _operator_and_chunks(monkeypatch, level, mutant=None):
 
     monkeypatch.setattr(nlfem.assembly, "_pair_products", capture)
     kernel = Kernel(KernelKind.RATIONAL, dim, 2 * h)
-    operator = nlfem.assembly._assemble_operator(mesh, kernel, spec, n_q, RuleCache())
+    operator = nlfem.assembly._assemble_operator(mesh, kernel, spec, n_q)
     return operator, chunks
 
 
@@ -452,8 +448,7 @@ def _above_limit_chunk(monkeypatch, dim, h, spec, n_q):
     with monkeypatch.context() as patch:
         patch.setattr(nlfem.assembly, "_pair_products", capture)
         with pytest.raises(_ChunkCaptured):
-            assemble_system(mesh, Kernel(KernelKind.RATIONAL, dim, 2 * h), spec, n_q,
-                            cache=RuleCache())
+            assemble_system(mesh, Kernel(KernelKind.RATIONAL, dim, 2 * h), spec, n_q)
     return tuple(chunk)
 
 
@@ -517,7 +512,7 @@ def test_rhs_zero_boundary_is_body_term_only():
     case = case_sin_1d()
     zero = lambda p: np.zeros(p.shape[0])
     f = assemble_system(mesh, k, InnerGridSpec(2), 8,
-                        case.source, zero, cache=RuleCache()).rhs
+                        case.source, zero).rhs
     # pure body load: integral of basis * source, independently via fine Gauss
     gp, gw = np.polynomial.legendre.leggauss(40)
     gp, gw = (gp + 1) / 2, gw / 2
@@ -539,7 +534,7 @@ def test_rhs_linear_boundary_matches_coupling_identity():
     k = Kernel(KernelKind.CONSTANT, 1, 2 / 16)
     case = case_linear_1d()
     system = assemble_system(mesh, k, InnerGridSpec(4), 10,
-                             case.source, case.solution, cache=RuleCache())
+                             case.source, case.solution)
     u_lin = mesh.nodes[mesh.interior_nodes, 0]
     residual = system.matrix @ u_lin - system.rhs
     assert np.abs(residual).max() <= 1e-10
@@ -558,7 +553,7 @@ def test_constant_field_in_operator_kernel(dim, perturbed, extension_ratio):
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=1))
     k = Kernel(KernelKind.RATIONAL, dim, delta)
     system = assemble_system(mesh, k, InnerGridSpec(2), 2 if dim == 1 else 4,
-                             boundary=lambda p: np.ones(len(p)), cache=RuleCache())
+                             boundary=lambda p: np.ones(len(p)))
     defect = system.matrix @ np.ones(mesh.num_interior) - system.rhs
     assert np.abs(defect).max() <= 1e-12 * abs(system.matrix).max()
 
@@ -570,7 +565,7 @@ def test_solver_residual_contract():
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 32)
     case = case_sin_1d()
     system = assemble_system(mesh, k, InnerGridSpec(5), 10,
-                             case.source, case.solution, cache=RuleCache())
+                             case.source, case.solution)
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
     assert res <= 1e-12
@@ -587,7 +582,7 @@ def test_solver_contract_2d(perturbation, extension_ratio):
     k = Kernel(KernelKind.RATIONAL, 2, m * h)
     case = case_sin_2d()
     system = assemble_system(mesh, k, InnerGridSpec(4), 16,
-                             case.source, case.solution, cache=RuleCache())
+                             case.source, case.solution)
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
     assert res <= 1e-12
@@ -605,7 +600,7 @@ def test_solver_contract_miss_raises(monkeypatch, spoil, message):
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 64)
     case = case_sin_1d()
     system = assemble_system(mesh, k, InnerGridSpec(5), 10,
-                             case.source, case.solution, cache=RuleCache())
+                             case.source, case.solution)
     direct = nlfem.assembly.sparse_linalg.spsolve
     stub = SimpleNamespace(spsolve=lambda a, f, **kw: spoil(direct(a, f, **kw)))
     monkeypatch.setattr(nlfem.assembly, "sparse_linalg", stub)
@@ -618,7 +613,7 @@ def test_solve_smallest_grid():
     k = Kernel(KernelKind.CONSTANT, 1, 0.5)
     case = case_sin_1d()
     system = assemble_system(mesh, k, InnerGridSpec(2), 8,
-                             case.source, case.solution, cache=RuleCache())
+                             case.source, case.solution)
     assert system.matrix.shape == (1, 1)
     u = solve_system(system)
     assert u[0] == pytest.approx(system.rhs[0] / system.matrix[0, 0])
@@ -627,7 +622,7 @@ def test_solve_smallest_grid():
 def test_solve_without_unknowns():
     mesh = _mesh_1d(1.0, 1)  # one box cell: both of its nodes lie on the box boundary
     k = Kernel(KernelKind.CONSTANT, 1, 1.0)
-    system = assemble_system(mesh, k, InnerGridSpec(2), 2, cache=RuleCache())
+    system = assemble_system(mesh, k, InnerGridSpec(2), 2)
     assert system.matrix.shape == (0, 0)
     assert solve_system(system).shape == (0,)
 
@@ -637,16 +632,16 @@ def test_reconstruct_nodal_and_midpoint_values():
     vals = np.arange(mesh.num_interior, dtype=float) + 1.0
     g = lambda p: 10.0 + p[:, 0]
     field = reconstruct(mesh, vals, g)
-    for row, node in enumerate(mesh.interior_nodes):
-        assert field.evaluate(mesh.nodes[node]) == pytest.approx(vals[row])
-    for node in mesh.constraint_nodes:
-        x = mesh.nodes[node]
-        assert field.evaluate(x) == pytest.approx(10.0 + x[0])
-    # midpoint of an element: average of endpoint values
+    assert np.array_equal(field.node_values[mesh.interior_nodes], vals)
+    constraint = mesh.constraint_nodes
+    assert np.array_equal(field.node_values[constraint], 10.0 + mesh.nodes[constraint, 0])
+    # midpoint of an element: its barycentrics average the endpoint values
     e = mesh.num_elements // 2
     a, b = mesh.nodes[mesh.elements[e], 0]
+    elem, bary, _, _ = locate_points(mesh, [[(a + b) / 2]], np.zeros((1, 1)))
+    assert elem.tolist() == [e]
     va, vb = field.node_values[mesh.elements[e]]
-    assert field.evaluate([(a + b) / 2]) == pytest.approx((va + vb) / 2)
+    assert bary[0] @ field.node_values[mesh.elements[e]] == pytest.approx((va + vb) / 2)
 
 
 def test_field_gradients_2d():
@@ -677,7 +672,7 @@ def test_assembly_rejects_balls_that_leave_the_mesh(monkeypatch, offsets, messag
     mesh = _mesh_1d(0.125, 2, 0.0)
     k = Kernel(KernelKind.CONSTANT, 1, 0.25)
     with pytest.raises(AssemblyError, match=message):
-        assemble_system(mesh, k, InnerGridSpec(2), 2, cache=RuleCache())
+        assemble_system(mesh, k, InnerGridSpec(2), 2)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -691,17 +686,45 @@ def test_only_clipped_extension_masks_solve(monkeypatch, perturbed):
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, 3))
     weights, all_kept = nlfem.assembly.truncated_weights, []
 
-    def record(kernel, spec, in_ext, full, cache):
-        out = weights(kernel, spec, in_ext, full, cache)
+    def record(kernel, spec, in_ext, full):
+        out = weights(kernel, spec, in_ext, full)
         if in_ext.all():
             all_kept.append((out, full))
         return out
 
     monkeypatch.setattr(nlfem.assembly, "truncated_weights", record)
-    cache = RuleCache()
     nlfem.assembly._assemble_operator(mesh, Kernel(KernelKind.RATIONAL, 2, delta),
-                                      InnerGridSpec(4), 16, cache)
-    assert cache.misses > 1 if perturbed else cache.misses == 1
+                                      InnerGridSpec(4), 16)
+    misses = default_cache().misses
+    assert misses > 1 if perturbed else misses == 1
     assert all_kept  # the box chunk, and with extension delta every chunk
     for out, full in all_kept:
         assert out.shape == (1, full.size) and out.tobytes() == full.weights.tobytes()
+
+
+def test_assembly_solves_each_rule_and_mask_once_per_process(monkeypatch):
+    """Assembly looks every rule up in ``default_cache()``: the first assembly of
+    a perturbed level misses once for the full rule and once per distinct
+    clipped mask, and a second assembly of the same level only hits."""
+    mesh = perturb_mesh(build_uniform_mesh(1 / 8, BoxDomain.unit(2, 1 / 4)),
+                        PerturbationSpec(0.1, 3))  # extension zero: clipped masks
+    kernel, spec = Kernel(KernelKind.RATIONAL, 2, 1 / 4), InnerGridSpec(4)
+    weights, chunk_masks = nlfem.assembly.truncated_weights, []
+
+    def record(kernel, spec, in_ext, full):
+        if not in_ext.all():  # a chunk that keeps every point looks up no mask
+            chunk_masks.append({row.tobytes() for row in in_ext})
+        return weights(kernel, spec, in_ext, full)
+
+    monkeypatch.setattr(nlfem.assembly, "truncated_weights", record)
+    cache = default_cache()
+    first = assemble_system(mesh, kernel, spec, 16)
+    n_masks = len(set().union(*chunk_masks))
+    assert n_masks > 1 and cache.misses == 1 + n_masks
+    hits = cache.hits
+    chunk_masks.clear()
+    second = assemble_system(mesh, kernel, spec, 16)
+    assert cache.misses == 1 + n_masks
+    assert cache.hits == hits + 1 + sum(map(len, chunk_masks))
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(first.matrix, part), getattr(second.matrix, part))

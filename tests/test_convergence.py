@@ -12,7 +12,6 @@ from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
 from nlfem.convergence import ConvergenceReport, ErrorRecord
 from nlfem.exceptions import ConfigError, NlfemError
 from nlfem.geometry import Mesh
-from nlfem.quadrature import RuleCache
 from nlfem.svgplot import write_convergence_svg
 
 
@@ -252,7 +251,7 @@ def test_single_ball_rule_exact_for_linear_fields():
     delta = 0.1
     for kind in (KernelKind.CONSTANT, KernelKind.RATIONAL):
         kernel = Kernel(kind, 1, delta)
-        rule = full_ball_rule(kernel, InnerGridSpec(5), cache=RuleCache())
+        rule = full_ball_rule(kernel, InnerGridSpec(5))
         a, b = 2.0, -0.7  # slopes of two linear fields
         discrete = float(np.sum(
             rule.strengths * (a * rule.offsets[:, 0]) * (b * rule.offsets[:, 0])
@@ -287,12 +286,11 @@ def test_exact_form_rejects_2d():
         exact_bilinear_form(z, z, Kernel(KernelKind.CONSTANT, 2, 0.5), mesh)
 
 
-def _sin_gap(h, cache=None):
+def _sin_gap(h):
     mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
     kernel = Kernel(KernelKind.CONSTANT, 1, h)
     v = np.where(mesh.node_is_interior, np.sin(2 * np.pi * mesh.nodes[:, 0]), 0.0)
-    gap = strang_gap(v, v, kernel, mesh, InnerGridSpec(5), n_q=40,
-                     cache=cache or RuleCache())
+    gap = strang_gap(v, v, kernel, mesh, InnerGridSpec(5), n_q=40)
     norm = np.sqrt(exact_bilinear_form(v, v, kernel, mesh, 40))
     return gap / norm
 
@@ -311,9 +309,8 @@ def test_strang_gap_mirror_symmetric():
     x = mesh.nodes[:, 0]
     v = np.where(mesh.node_is_interior, np.sin(2 * np.pi * x) + 0.2 * x * (1 - x), 0.0)
     mirrored = v[::-1]  # uniform grid is symmetric about 1/2
-    g1 = strang_gap(v, v, kernel, mesh, InnerGridSpec(5), cache=RuleCache())
-    g2 = strang_gap(mirrored, mirrored, kernel, mesh, InnerGridSpec(5),
-                    cache=RuleCache())
+    g1 = strang_gap(v, v, kernel, mesh, InnerGridSpec(5))
+    g2 = strang_gap(mirrored, mirrored, kernel, mesh, InnerGridSpec(5))
     assert g1 == pytest.approx(g2, rel=1e-10)
 
 

@@ -5,10 +5,11 @@ cell simplices, and ``locate_points`` numbers elements from the same table.
 ``Mesh.affine_maps`` writes the affine map of the reference simplex and its
 Jacobian determinant once for 1D and 2D; ``locate_points`` builds the 2D
 barycentrics column by column.  The oracles in ``_oracles.py`` keep the
-earlier per-dimension and masked forms.  ``locate_points``' offsets form is
-checked against its plain form on the same sums, and its two masks against
-a brute-force range test.  ``outer_rules`` stores its points axis-major,
-so their flat (n, d) form is a view with contiguous columns.
+earlier per-dimension and masked forms.  ``locate_points`` (its one form
+takes points and offsets) is checked against the masked oracle on the same
+sums, and its two masks against a brute-force range test.  ``outer_rules``
+stores its points axis-major, so their flat (n, d) form is a view with
+contiguous columns.
 """
 
 import math
@@ -71,7 +72,7 @@ def test_mesh_builder_equals_forked_oracle(dim, h, m, extension, seed):
 def test_centroids_locate_to_their_own_element(dim, perturbed):
     mesh = _mesh(dim, perturbed)
     centroids = mesh.nodes[mesh.elements].mean(axis=1)
-    elem, bary = locate_points(mesh, centroids)
+    elem, bary, _, _ = locate_points(mesh, centroids, np.zeros((1, dim)))
     assert np.array_equal(elem, np.arange(mesh.num_elements))
     assert np.all(bary > 0.0)
 
@@ -80,7 +81,7 @@ def test_centroids_locate_to_their_own_element(dim, perturbed):
 def test_locate_points_equals_masked_oracle(dim, perturbed):
     mesh = _mesh(dim, perturbed)
     pts = _probe_points(mesh)
-    elem, bary = locate_points(mesh, pts)
+    elem, bary, _, _ = locate_points(mesh, pts, np.zeros((1, dim)))
     ref_elem, ref_bary = masked_locate_points(mesh, pts)
     assert np.array_equal(elem, ref_elem)
     assert np.array_equal(bary, ref_bary)
@@ -110,7 +111,8 @@ def test_locate_points_offsets_form_equals_plain_form(dim, perturbed):
                               np.stack([g.ravel() for g in steps], axis=1)])
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     assert in_mesh.all() and in_ext.all()
-    ref_elem, ref_bary = locate_points(mesh, (centers[:, None] + offsets).reshape(-1, dim))
+    # reference: the sums located one by one by the masked oracle
+    ref_elem, ref_bary = masked_locate_points(mesh, (centers[:, None] + offsets).reshape(-1, dim))
     assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
     on_breaks = sum(np.isin(bary[:, k], [0.0, 1.0]).sum() for k in range(dim + 1))
     assert on_breaks >= 100
@@ -127,7 +129,7 @@ def test_locate_points_offsets_form_keeps_signed_zeros():
     centers = np.array([[-0.0], [0.5]])
     offsets = np.array([[0.0], [-0.0], [0.25]])
     elem, bary, _, _ = locate_points(mesh, centers, offsets)
-    ref_elem, ref_bary = locate_points(mesh, (centers[:, None] + offsets).reshape(-1, 1))
+    ref_elem, ref_bary = masked_locate_points(mesh, (centers[:, None] + offsets).reshape(-1, 1))
     assert np.signbit(bary[:2, 1]).tolist() == [False, True]
     assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
 
@@ -144,18 +146,11 @@ def test_locate_points_offsets_form_names_first_outside_point(centers, offsets, 
     centers, offsets = np.array(centers), np.array(offsets)
     sums = (centers[:, None] + offsets).reshape(-1, dim)
     elem, bary, in_mesh, _ = locate_points(mesh, centers, offsets)
-    with pytest.raises(OutsideDomainError) as plain:
-        locate_points(mesh, sums)
-    assert str(plain.value) == (f"{(~in_mesh).sum()} point(s) outside the meshed region; "
-                                f"first is {np.array(first)}")
-    # the offsets form does not raise: its False pairs are the points the plain form rejects
+    assert sums[np.flatnonzero(~in_mesh.ravel())[0]].tolist() == pytest.approx(first)
+    # no point raises: each pair's entry is the one of its sum located alone
     for point, kept in zip(sums, in_mesh.ravel()):
-        if kept:
-            locate_points(mesh, [point])
-        else:
-            with pytest.raises(OutsideDomainError):
-                locate_points(mesh, [point])
-    ref_elem, ref_bary = locate_points(mesh, sums[in_mesh.ravel()])
+        assert locate_points(mesh, [point], np.zeros((1, dim)))[2].tolist() == [[kept]]
+    ref_elem, ref_bary = masked_locate_points(mesh, sums[in_mesh.ravel()])
     assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
 
 
@@ -164,12 +159,7 @@ def test_locate_points_rejects_nan(dim, with_offsets):
     mesh = build_uniform_mesh(0.125, BoxDomain.unit(dim, 0.25))
     centers = np.full((3, dim), 0.5)
     centers[1, -1] = np.nan
-    if not with_offsets:
-        field = Field(mesh, np.zeros(mesh.num_nodes))
-        with pytest.raises(OutsideDomainError, match=r"^1 point\(s\) .*first is \[.*nan\]$"):
-            field.evaluate(centers)
-        return
-    offsets = generate_offsets(InnerGridSpec(2), dim, 0.25)
+    offsets = generate_offsets(InnerGridSpec(2), dim, 0.25) if with_offsets else np.zeros((1, dim))
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     expected = np.repeat([[True], [False], [True]], len(offsets), axis=1)
     assert np.array_equal(in_mesh, expected) and np.array_equal(in_ext, expected)
@@ -197,7 +187,7 @@ def test_locate_points_masks_equal_brute_force(dim, perturbed, extension):
         assert (sums == lo).any() and (sums == hi).any()
         assert not mask.all()
     assert not (in_mesh & ~in_ext).any()
-    ref_elem, ref_bary = locate_points(mesh, sums[in_mesh])
+    ref_elem, ref_bary = masked_locate_points(mesh, sums[in_mesh])
     assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
 
 

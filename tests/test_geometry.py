@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import forked_element_measures
 from nlfem import (BoxDomain, MeshError, OutsideDomainError, PerturbationSpec,
-                   build_uniform_mesh, locate_points, perturb_mesh, reconstruct)
+                   build_uniform_mesh, locate_points, perturb_mesh)
 
 
 def test_counts_1d_baseline():
@@ -126,7 +126,7 @@ def test_perturbation_factor_accepts_numpy_real():
 
 def test_locate_1d_arithmetic():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
-    elem, bary = locate_points(mesh, [[0.3]])
+    elem, bary, _, _ = locate_points(mesh, [[0.3]], np.zeros((1, 1)))
     verts = mesh.nodes[mesh.elements[elem[0]], 0]
     assert verts[0] == pytest.approx(0.25) and verts[1] == pytest.approx(0.5)
     assert bary[0, 1] == pytest.approx(0.2, abs=1e-12)
@@ -134,25 +134,25 @@ def test_locate_1d_arithmetic():
 
 def test_locate_outside():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
-    with pytest.raises(OutsideDomainError):
-        locate_points(mesh, [[1.25 + 1e-3]])
+    elem, bary, in_mesh, in_ext = locate_points(mesh, [[1.25], [1.25 + 1e-3]], np.zeros((1, 1)))
+    assert in_mesh.tolist() == [[True], [False]] and in_ext.tolist() == [[True], [False]]
+    assert len(elem) == len(bary) == 1  # only the point in the mesh is located
 
 
 def test_locate_rejects_points_of_another_dimension():
     mesh_1d = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
-    field = reconstruct(mesh_1d, np.zeros(mesh_1d.num_interior))
     # two 1D points given as one flat vector, not as a (2, 1) array
     with pytest.raises(OutsideDomainError, match=r"shape \(2,\).*1D.*\(n, 1\)"):
-        field.evaluate(np.array([0.1, 0.6]))
+        locate_points(mesh_1d, np.array([0.1, 0.6]), np.zeros((1, 1)))
     mesh_2d = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
     with pytest.raises(OutsideDomainError, match=r"shape \(3, 1\).*2D.*\(n, 2\)"):
-        locate_points(mesh_2d, np.full((3, 1), 0.5))
+        locate_points(mesh_2d, np.full((3, 1), 0.5), np.zeros((1, 2)))
 
 
 def test_locate_node_reproduces_nodal_basis():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
     nodes = [0, 7, mesh.num_nodes // 2, mesh.num_nodes - 1]
-    elems, barys = locate_points(mesh, mesh.nodes[nodes])
+    elems, barys, _, _ = locate_points(mesh, mesh.nodes[nodes], np.zeros((1, 2)))
     for node, elem, bary in zip(nodes, elems, barys):
         conn = mesh.elements[elem]
         assert node in conn
@@ -164,7 +164,8 @@ def test_locate_node_reproduces_nodal_basis():
 def test_locate_facet_tie_break_lowest_id():
     mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
     # diagonal point: both triangles of the rectangle contain it
-    elems, _ = locate_points(mesh, [[0.25, 0.25], [0.5, 0.3], [0.5 - 1e-13, 0.3]])
+    elems, _, _, _ = locate_points(mesh, [[0.25, 0.25], [0.5, 0.3], [0.5 - 1e-13, 0.3]],
+                                   np.zeros((1, 2)))
     assert elems[0] % 2 == 0  # lower triangle has the smaller id
     # point on an interior vertical grid line
     assert elems[1] == elems[2]
@@ -174,9 +175,9 @@ def test_locate_points_vectorized_matches_scalar():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.25, 1.25, size=(200, 2))
-    elems, bary = locate_points(mesh, pts)
+    elems, bary, _, _ = locate_points(mesh, pts, np.zeros((1, 2)))
     for i in (0, 17, 93, 199):
-        e, b = locate_points(mesh, pts[i])
+        e, b, _, _ = locate_points(mesh, pts[i], np.zeros((1, 2)))
         assert e[0] == elems[i]
         assert np.allclose(b[0], bary[i])
     assert np.all(bary >= -1e-14) and np.allclose(bary.sum(axis=1), 1.0)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nlfem import (BallNorm, InnerGridSpec, Kernel, KernelError, KernelKind,
-                   QuadratureError, RuleCache, exact_moment_integrals, filter_to_ball,
-                   second_moment_indices)
-from nlfem.quadrature import solve_weights_on_subset
+from nlfem import (BallNorm, Kernel, KernelError, KernelKind, QuadratureError,
+                   exact_moment_integrals, filter_to_ball, second_moment_indices)
+from nlfem.quadrature import _moment_weights
 
 ALL_KINDS = [(KernelKind.CONSTANT, 1), (KernelKind.RATIONAL, 1),
              (KernelKind.CONSTANT, 2), (KernelKind.RATIONAL, 2)]
@@ -37,7 +36,7 @@ def test_rational_singularity_rejected():
     k = Kernel(KernelKind.RATIONAL, 1, 0.1)
     offsets = np.array([[0.0], [0.05]])
     with pytest.raises(QuadratureError, match="singular"):
-        solve_weights_on_subset(k, InnerGridSpec(1), offsets, np.ones(2, bool), RuleCache())
+        _moment_weights(k, offsets)
 
 
 def test_support_boundary():

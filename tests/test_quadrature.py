@@ -8,9 +8,10 @@ import nlfem.quadrature
 from _oracles import closed_form_weights_1d_constant, constraint_matrix
 from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelError, KernelKind,
                    PerturbationSpec, QuadratureError, RuleCache, build_uniform_mesh,
-                   exact_moment_integrals, filter_to_ball, full_ball_rule,
+                   default_cache, exact_moment_integrals, filter_to_ball, full_ball_rule,
                    generate_offsets, locate_points, outer_rules, perturb_mesh,
                    solve_weights, truncated_weights)
+from nlfem.quadrature import _build_full_rule, _moment_weights, solve_weights_on_subset
 
 
 def test_offsets_1d_single_ring():
@@ -99,21 +100,20 @@ def test_constraint_matrix_rejects_center():
     k = Kernel(KernelKind.CONSTANT, 1, 0.1)
     offsets = np.array([[0.0], [0.05]])
     with pytest.raises(QuadratureError, match="singular"):
-        nlfem.quadrature.solve_weights_on_subset(k, InnerGridSpec(1), offsets,
-                                                 np.ones(2, bool), RuleCache())
+        _moment_weights(k, offsets)
 
 
 def test_solve_weights_single_ring():
     d = 0.02
     k = Kernel(KernelKind.CONSTANT, 1, d)
-    rule = full_ball_rule(k, InnerGridSpec(1), cache=RuleCache())
+    rule = full_ball_rule(k, InnerGridSpec(1))
     assert np.allclose(rule.weights, 4 * d / 3, rtol=1e-13)
 
 
 def test_solve_weights_two_rings():
     d = 0.02
     k = Kernel(KernelKind.CONSTANT, 1, d)
-    rule = full_ball_rule(k, InnerGridSpec(2), cache=RuleCache())
+    rule = full_ball_rule(k, InnerGridSpec(2))
     order = np.argsort(rule.offsets[:, 0])
     assert np.allclose(rule.weights[order],
                        [72 * d / 123, 8 * d / 123, 8 * d / 123, 72 * d / 123],
@@ -155,7 +155,7 @@ def test_full_rule_exactness_all_kernels():
         k = Kernel(kind, dim, 0.11)
         g = exact_moment_integrals(k)
         for n in (1, 2, 4):
-            rule = full_ball_rule(k, InnerGridSpec(n), cache=RuleCache())
+            rule = full_ball_rule(k, InnerGridSpec(n))
             B = constraint_matrix(k, np.zeros(dim), rule.offsets)
             assert np.linalg.norm(B @ rule.weights - g) <= 1e-12 * np.linalg.norm(g)
 
@@ -165,7 +165,7 @@ def test_full_rule_exactness_all_kernels():
 def test_full_rule_positive_weights(kind, dim):
     k = Kernel(kind, dim, 0.2)
     for n in range(1, 11):
-        rule = full_ball_rule(k, InnerGridSpec(n), cache=RuleCache())
+        rule = full_ball_rule(k, InnerGridSpec(n))
         assert np.all(rule.weights > 0)
 
 
@@ -182,7 +182,7 @@ def test_full_rule_non_positive_weight_raises(monkeypatch, bad_weight):
     monkeypatch.setattr(nlfem.quadrature, "solve_weights", spoiled)
     k = Kernel(KernelKind.RATIONAL, 2, 0.2)
     with pytest.raises(QuadratureError, match="non-positive weight"):
-        full_ball_rule(k, InnerGridSpec(4), cache=RuleCache())
+        full_ball_rule(k, InnerGridSpec(4))
 
 
 def test_moment_residual_above_tolerance_raises(monkeypatch):
@@ -191,7 +191,7 @@ def test_moment_residual_above_tolerance_raises(monkeypatch):
                         lambda B, g: (solve(B, g)[0], 1e-9 * np.linalg.norm(g)))
     k = Kernel(KernelKind.RATIONAL, 1, 0.2)
     with pytest.raises(QuadratureError, match="constraint residual"):
-        full_ball_rule(k, InnerGridSpec(3), cache=RuleCache())
+        full_ball_rule(k, InnerGridSpec(3))
 
 
 @pytest.mark.parametrize("points_per_radius, dim", [(0, 1), (1, 3)])
@@ -202,7 +202,7 @@ def test_inner_grid_spec_validation(points_per_radius, dim):
 
 def test_full_rule_dihedral_symmetry_2d():
     k = Kernel(KernelKind.RATIONAL, 2, 0.5)
-    rule = full_ball_rule(k, InnerGridSpec(4), cache=RuleCache())
+    rule = full_ball_rule(k, InnerGridSpec(4))
     table = {tuple(np.round(o, 14)): w for o, w in zip(rule.offsets, rule.weights)}
     for (ox, oy), w in table.items():
         for sym in [(-ox, oy), (ox, -oy), (oy, ox), (-oy, -ox)]:
@@ -212,34 +212,46 @@ def test_full_rule_dihedral_symmetry_2d():
 def test_weights_scale_with_horizon():
     spec = InnerGridSpec(3)
     for kind in (KernelKind.CONSTANT, KernelKind.RATIONAL):
-        w1 = full_ball_rule(Kernel(kind, 2, 0.1), spec, cache=RuleCache()).weights
-        w2 = full_ball_rule(Kernel(kind, 2, 0.35), spec, cache=RuleCache()).weights
+        w1 = full_ball_rule(Kernel(kind, 2, 0.1), spec).weights
+        w2 = full_ball_rule(Kernel(kind, 2, 0.35), spec).weights
         assert np.allclose(w2, (0.35 / 0.1) ** 2 * w1, rtol=1e-12)
 
 
 def test_full_rule_cached_and_shared():
-    cache = RuleCache()
+    cache = default_cache()
     k = Kernel(KernelKind.CONSTANT, 1, 0.1)
     spec = InnerGridSpec(3)
-    r1 = full_ball_rule(k, spec, cache=cache)
-    r2 = full_ball_rule(k, spec, cache=cache)
+    r1 = full_ball_rule(k, spec)
+    r2 = full_ball_rule(k, spec)
     assert r1 is r2
     assert cache.misses == 1
     n_extra = 5
     for _ in range(n_extra):
-        full_ball_rule(k, spec, cache=cache)
+        full_ball_rule(k, spec)
     assert cache.hits == 1 + n_extra
     cache.clear()
     assert (cache.hits, cache.misses) == (0, 0)
-    assert full_ball_rule(k, spec, cache=cache) is not r1
+    assert full_ball_rule(k, spec) is not r1
     assert cache.misses == 1
+
+
+def test_subset_solve_takes_the_full_rules_points():
+    """The masked solve uses ``full_ball_rule(kernel, spec).offsets[mask]``, so a
+    solve made after an unrelated one on the same mask gets its own weights."""
+    spec, mask = InnerGridSpec(2), np.array([True, True, False, True])
+    solve_weights_on_subset(Kernel(KernelKind.CONSTANT, 1, 0.1), spec, mask)
+    k = Kernel(KernelKind.CONSTANT, 1, 0.2)
+    w, residual = solve_weights_on_subset(k, spec, mask)
+    ref_w, ref_residual = _moment_weights(k, full_ball_rule(k, spec).offsets[mask])
+    assert w.tobytes() == ref_w.tobytes() and residual == ref_residual
+    assert default_cache().misses == 4  # two full rules, two masked solves
 
 
 def test_closed_form_matches_solver():
     d = 0.37
     for n in range(1, 21):
         k = Kernel(KernelKind.CONSTANT, 1, d)
-        rule = full_ball_rule(k, InnerGridSpec(n), cache=RuleCache())
+        rule = full_ball_rule(k, InnerGridSpec(n))
         closed = closed_form_weights_1d_constant(n, d)
         assert np.allclose(rule.weights, closed, rtol=1e-12)
         assert np.all(closed > 0)
@@ -269,18 +281,18 @@ def _ball_masks(kernel, extension, centers, full):
     return locate_points(mesh, centers, full.offsets)[2:]
 
 
-def _truncated_1d(kernel, spec, center, extension, cache):
+def _truncated_1d(kernel, spec, center, extension):
     """Weights and retained offsets of the clipped ball around one 1D center."""
-    full = full_ball_rule(kernel, spec, cache=cache)
+    full = full_ball_rule(kernel, spec)
     in_mesh, in_ext = _ball_masks(kernel, extension, [[center]], full)
-    weights = truncated_weights(kernel, spec, in_ext, full, cache)
+    weights = truncated_weights(kernel, spec, in_ext, full)
     return weights[0], in_mesh[0], full
 
 
 def test_truncated_full_extension_reuses_full_ball_weights():
     d = 0.2
     k = Kernel(KernelKind.RATIONAL, 1, d)
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(4), -0.1, d, RuleCache())
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(4), -0.1, d)
     assert not retained.all()  # outside points dropped
     assert np.array_equal(weights, full.weights)
 
@@ -289,8 +301,7 @@ def test_truncated_zero_extension_resolves_weights():
     d = 0.2
     k = Kernel(KernelKind.CONSTANT, 1, d)
     center = -d / 2  # half the ball sticks out on the left
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(4), center, 0.0,
-                                            RuleCache())
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(4), center, 0.0)
     assert not retained.all()
     assert np.all(weights[~retained] == 0.0)
     offs, w = full.offsets[retained], weights[retained]
@@ -314,23 +325,21 @@ def test_truncated_zero_extension_resolves_weights():
 def test_truncated_center_inside_box_returns_full_rule():
     d = 0.2
     k = Kernel(KernelKind.CONSTANT, 1, d)
-    cache = RuleCache()
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(3), 0.5, 0.0, cache)
+    weights, retained, full = _truncated_1d(k, InnerGridSpec(3), 0.5, 0.0)
     assert retained.all()
     assert np.array_equal(weights, full.weights)
-    assert cache.misses == 1  # only the full-ball solve
+    assert default_cache().misses == 1  # only the full-ball solve
 
 
 def test_truncated_cache_reuse():
     d = 0.2
     k = Kernel(KernelKind.CONSTANT, 1, d)
     spec = InnerGridSpec(4)
-    cache = RuleCache()
-    w1, _, full = _truncated_1d(k, spec, -d / 2, 0.0, cache)
-    misses = cache.misses
+    w1, _, full = _truncated_1d(k, spec, -d / 2, 0.0)
+    misses = default_cache().misses
     centers = np.array([[-d / 2], [-d / 2]])
-    batch = truncated_weights(k, spec, _ball_masks(k, 0.0, centers, full)[1], full, cache)
-    assert cache.misses == misses
+    batch = truncated_weights(k, spec, _ball_masks(k, 0.0, centers, full)[1], full)
+    assert default_cache().misses == misses
     assert np.array_equal(batch[0], w1) and np.array_equal(batch[1], w1)
 
 
@@ -343,7 +352,7 @@ def test_cache_concurrent_access():
     results = [None] * 8
 
     def work(i):
-        results[i] = full_ball_rule(k, spec, cache=cache)
+        results[i] = cache.get_or_build(("full", k, 4), lambda: _build_full_rule(k, spec))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
     for t in threads:
@@ -386,7 +395,7 @@ def test_cache_first_writer_wins():
 
 def test_rule_dump_csv(tmp_path):
     k = Kernel(KernelKind.CONSTANT, 2, 0.1)
-    rule = full_ball_rule(k, InnerGridSpec(2), cache=RuleCache())
+    rule = full_ball_rule(k, InnerGridSpec(2))
     path = tmp_path / "rule.csv"
     rule.dump_csv(path)
     lines = path.read_text().splitlines()
@@ -401,8 +410,7 @@ def test_distinct_masks_match_row_unique(n_bar):
     h, d = 1 / 16, 2 / 16
     domain = BoxDomain.unit(2, d, 0.0)
     mesh = perturb_mesh(build_uniform_mesh(h, domain), PerturbationSpec(0.3, seed=2))
-    full = full_ball_rule(Kernel(KernelKind.RATIONAL, 2, d), InnerGridSpec(n_bar),
-                          cache=RuleCache())
+    full = full_ball_rule(Kernel(KernelKind.RATIONAL, 2, d), InnerGridSpec(n_bar))
     pts, _, _ = outer_rules(mesh, np.flatnonzero(~mesh.element_in_box), 4)
     centers = pts.reshape(-1, 2)
     in_ext = locate_points(mesh, centers, full.offsets)[3]
