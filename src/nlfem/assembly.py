@@ -54,7 +54,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from .exceptions import AssemblyError, SolverError
+from .exceptions import AssemblyError, SolverError, _integer
 from .geometry import Mesh, locate_points
 from .kernels import Kernel
 from .quadrature import (InnerGridSpec, InnerQuadratureRule, full_ball_rule,
@@ -87,8 +87,7 @@ def _reference_rule(dim: int, n_points: int):
     triangle, so ``n_points`` must be a perfect square there.  Weights sum to
     the reference measure (1, respectively 1/2).
     """
-    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 1:
-        raise AssemblyError(f"outer rule needs an integer n_points, at least one, got {n_points!r}")
+    _integer("n_points", n_points, AssemblyError, 1)
     if dim == 1:
         t, w = gauss_legendre_01(n_points)
         bary = np.stack([1.0 - t, t], axis=1)

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MeshError, OutsideDomainError
+from .exceptions import MeshError, OutsideDomainError, _integer, _real
 from .rng import Xoshiro256pp
 
 
@@ -57,16 +56,11 @@ class BoxDomain:
     extension: float = 0.0
 
     def __post_init__(self):
-        if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
-                or self.dim not in (1, 2)):
-            raise MeshError(f"unsupported dimension {self.dim!r}; only 1 and 2 are implemented")
+        _integer("dimension", self.dim, MeshError, 1, 3)
         if len(self.lo) != self.dim or len(self.hi) != self.dim:
             raise MeshError("corner coordinate count does not match dimension")
         for value in (*self.lo, *self.hi, self.horizon, self.extension):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise MeshError(f"corners, horizon and extension must be real, got {value!r}")
-        if not all(math.isfinite(c) for c in (*self.lo, *self.hi, self.horizon)):
-            raise MeshError("box corners and horizon must be finite")
+            _real("box corners, horizon and extension", value, MeshError)
         if any(b <= a for a, b in zip(self.lo, self.hi)):
             raise MeshError("degenerate box: upper corner must exceed lower corner")
         if not self.horizon > 0.0:
@@ -101,15 +95,11 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.factor, bool) or not isinstance(self.factor, numbers.Real):
-            raise MeshError(f"perturbation factor must be a real number, got {self.factor!r}")
-        if not 0.0 <= self.factor < 0.5:
+        if not 0.0 <= _real("perturbation factor", self.factor, MeshError) < 0.5:
             raise MeshError(
                 f"perturbation factor must lie in [0, 0.5) to keep elements valid, got {self.factor}"
             )
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise MeshError(f"perturbation seed must be an integer in [0, 2^64), got {seed!r}")
+        _integer("perturbation seed", self.seed, MeshError, 0, 2**64)
 
 
 @dataclass
@@ -243,8 +233,9 @@ def _mesh_from_breaks(domain: BoxDomain, breaks: tuple[np.ndarray, ...], m: int,
                 layer_cells=m, inner_cells=inner)
 
 
-def build_uniform_mesh(h: float, domain: BoxDomain) -> Mesh:
-    """Uniform mesh of the box plus layer; 2D rectangles split into triangles."""
+def cell_counts(h: float, domain: BoxDomain) -> tuple[int, tuple[int, ...]]:
+    """Cells across the layer and the box per axis, or MeshError unless ``h`` > 0
+    divides the horizon and the box and gives under 2**31 nodes; allocates nothing."""
     if not h > 0:
         raise MeshError(f"element size must be positive, got {h}")
     m = _axis_cell_count(domain.horizon, h, "horizon / h")
@@ -252,9 +243,15 @@ def build_uniform_mesh(h: float, domain: BoxDomain) -> Mesh:
         _axis_cell_count(b - a, h, f"box extent along axis {k} / h")
         for k, (a, b) in enumerate(zip(domain.lo, domain.hi))
     )
-    # checked before anything is allocated: 2**31 nodes need 16 GiB per coordinate
+    # 2**31 nodes need 16 GiB per coordinate
     if math.prod(n + 2 * m + 1 for n in inner) >= 2**31:
         raise MeshError(f"element size {h!r} gives a mesh of 2**31 or more nodes")
+    return m, inner
+
+
+def build_uniform_mesh(h: float, domain: BoxDomain) -> Mesh:
+    """Uniform mesh of the box plus layer; 2D rectangles split into triangles."""
+    m, inner = cell_counts(h, domain)
     mesh_lo = domain.layer_lo(domain.horizon)
     mesh_hi = domain.layer_hi(domain.horizon)
     breaks = tuple(
@@ -273,7 +270,7 @@ def perturb_mesh(mesh: Mesh, spec: PerturbationSpec) -> Mesh:
     """
     if not mesh.is_uniform:
         raise MeshError("perturb_mesh requires a uniform mesh")
-    gen = Xoshiro256pp(spec.seed)
+    gen = Xoshiro256pp(int(spec.seed))  # numpy integers would wrap or overflow
     amp = spec.factor * mesh.spacing
     m = mesh.layer_cells
     new_breaks = []

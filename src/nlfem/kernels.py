@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import KernelError
+from .exceptions import KernelError, _integer, _real
 from .geometry import BallNorm
 
 
@@ -47,13 +46,9 @@ class Kernel:
     ball_norm: BallNorm = BallNorm.EUCLIDEAN
 
     def __post_init__(self):
-        if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
-                or self.dim not in (1, 2)):
-            raise KernelError(f"unsupported dimension {self.dim!r}")
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Real):
-            raise KernelError(f"horizon must be a real number, got {self.horizon!r}")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise KernelError(f"horizon must be positive and finite, got {self.horizon!r}")
+        _integer("dimension", self.dim, KernelError, 1, 3)
+        if not _real("horizon", self.horizon, KernelError) > 0:
+            raise KernelError(f"horizon must be positive, got {self.horizon!r}")
         # the table holds every enum pair, so this refuses exactly the keys it lacks
         if not (isinstance(self.kind, KernelKind) and isinstance(self.ball_norm, BallNorm)):
             raise KernelError("kind must be a KernelKind and ball_norm a BallNorm,"

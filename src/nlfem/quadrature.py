@@ -22,12 +22,11 @@ construction runs batched in ``assembly.truncated_weights`` on masks from
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import QuadratureError
+from .exceptions import QuadratureError, _integer
 from .geometry import BallNorm
 from .kernels import Kernel, exact_moment_integrals, second_moment_indices
 
@@ -42,11 +41,8 @@ class InnerGridSpec:
     points_per_radius: int
 
     def __post_init__(self):
-        n = self.points_per_radius
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise QuadratureError(f"points_per_radius must be an integer, got {n!r}")
-        if n < 1:
-            raise QuadratureError("points_per_radius must be at least 1")
+        # 2^31 or more per radius asks for at least that many offsets per axis
+        _integer("points_per_radius", self.points_per_radius, QuadratureError, 1, 2**31)
 
     def spacing(self, horizon: float) -> float:
         return horizon / self.points_per_radius
@@ -153,7 +149,7 @@ def _moment_weights(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, float
 
 
 class RuleCache:
-    """Thread-safe cache of inner rules; ``default_cache()`` is the process's one.
+    """Cache of inner rules; ``default_cache()`` is the process's one.
 
     Keys hold the rule kind, the kernel, the grid's points per radius and,
     for a truncated solve, the mask's bytes: everything a rule is built from.
@@ -161,31 +157,21 @@ class RuleCache:
 
     def __init__(self):
         self._data: dict = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get_or_build(self, key, builder):
-        with self._lock:
-            if key in self._data:
-                self.hits += 1
-                return self._data[key]
-        value = builder()
-        with self._lock:
-            # First writer wins; builders are deterministic so the value is
-            # identical regardless of which thread got here first.
-            if key in self._data:
-                self.hits += 1
-            else:
-                self._data[key] = value
-                self.misses += 1
-            return self._data[key]
+        if key in self._data:
+            self.hits += 1
+        else:
+            self._data[key] = builder()
+            self.misses += 1
+        return self._data[key]
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
 
 
 _default_cache = RuleCache()

@@ -23,11 +23,9 @@ def _splitmix64_stream(seed: int):
 
 
 class Xoshiro256pp:
-    """xoshiro256++ generator; state initialized from splitmix64(seed)."""
+    """xoshiro256++ generator; state initialized from splitmix64(seed), an unchecked int."""
 
     def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         sm = _splitmix64_stream(seed)
         self._s = [next(sm) for _ in range(4)]
 

@@ -64,7 +64,7 @@ def test_outer_rule_2d_requires_square_count():
 
 def test_outer_rule_needs_a_point():
     mesh = build_uniform_mesh(0.5, BoxDomain.unit(1, 0.5))
-    with pytest.raises(AssemblyError, match="at least one"):
+    with pytest.raises(AssemblyError, match="at least 1"):
         outer_rules(mesh, [0], 0)
 
 

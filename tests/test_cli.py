@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nlfem.cli import _KEYS, RunConfig, load_config, main, run_study
 from nlfem.exceptions import ConfigError
+from nlfem.geometry import BoxDomain, cell_counts
 
 
 def _base_config(**overrides):
@@ -72,15 +73,21 @@ def test_halving_ladder_default_levels():
     {"dimension": 2, "case": "sin2d", "outer_points": 10}, {"seed": -1}, {"seed": 2**64},
     {"h": [0.0625, 0.0]}, {"h0": 0.0}, {"mesh": "curved"},
     {"mesh": "perturbed", "epsilon": 0.5}, {"mesh": "perturbed", "epsilon": -0.1},
+    # the mesh checks of every level, and integers too large to convert to a float
+    {"h": [0.3]}, {"h": [0.25, 0.125, 1e-320]}, {"m": 10**400},
+    {"points_per_radius": 10**400}, {"outer_points": 10**400},
 ])
 def test_main_rejects_bad_config_value(tmp_path, capsys, overrides):
     raw = _base_config(**overrides)
     if "h0" in overrides:
         del raw["h"]
     path = _write(tmp_path, raw)
+    with pytest.raises(ConfigError):  # refused when loaded, before any level runs
+        load_config(path)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config]") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_range_is_64_bit():
@@ -113,6 +120,8 @@ def test_from_dict_fuzz(overrides, dropped):
         return
     floats = [*config.h_values, config.epsilon]
     assert all(isinstance(v, float) and math.isfinite(v) for v in floats)
+    for h in config.h_values:  # raises MeshError for a level the mesh cannot be built at
+        cell_counts(h, BoxDomain.unit(config.dimension, config.m * h))
 
 
 def test_case_dimension_mismatch():
@@ -208,6 +217,7 @@ def test_main_exit_codes(tmp_path, capsys):
     bad_h = _write(tmp_path, _base_config(h=[0.3]), "bad2.json")
     assert main(["run", "--config", str(bad_h), "--out", str(tmp_path / "o2")]) == 2
     assert "integer" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
 
     missing = _write(tmp_path, {"dimension": 1}, "bad3.json")
     assert main(["run", "--config", str(missing)]) == 2
@@ -227,10 +237,13 @@ def test_main_rejects_mesh_too_large_to_build(tmp_path, capsys, dimension, h, me
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("[config]") and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("not_a_config, message", [
     ("[0.25, 0.125]", "must be a JSON object"), (None, "cannot read config file"),
+    # json refuses integers of over 4300 digits with a plain ValueError
+    pytest.param('{"m": 1' + "0" * 5000 + "}", "valid JSON", id="5001-digit-integer"),
 ])
 def test_main_rejects_unreadable_config(tmp_path, capsys, not_a_config, message):
     path = tmp_path / "config.json"  # not written when None: the path does not exist

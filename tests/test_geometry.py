@@ -189,8 +189,13 @@ def test_locate_points_vectorized_matches_scalar():
     (1, (math.nan,), (1.0,), "finite"), (2, (0.0, 0.0), (math.nan, 1.0), "finite"),
     (1, (-math.inf,), (1.0,), "finite"), (2, (0.0, 0.0), (1.0, math.inf), "finite"),
     # non-integer dimensions, including the ones equal to 1 or 2
-    (True, (0.0,), (1.0,), "dimension True"), (1.0, (0.0,), (1.0,), "dimension 1.0"),
-    ("1", (0.0,), (1.0,), "dimension '1'"), (np.float64(2.0), (0.0,) * 2, (1.0,) * 2, "dimension"),
+    # ids kept from when the message read "unsupported dimension True"
+    pytest.param(True, (0.0,), (1.0,), "dimension must be an integer, got True",
+                 id="True-lo7-hi7-dimension True"),
+    pytest.param(1.0, (0.0,), (1.0,), "dimension must be an integer, got 1.0",
+                 id="1.0-lo8-hi8-dimension 1.0"),
+    pytest.param("1", (0.0,), (1.0,), "dimension must be an integer, got '1'",
+                 id="1-lo9-hi9-dimension '1'"), (np.float64(2.0), (0.0,) * 2, (1.0,) * 2, "dimension"),
 ])
 def test_box_domain_validation(dim, lo, hi, message):
     with pytest.raises(MeshError, match=message):
@@ -204,7 +209,7 @@ def test_box_domain_validation(dim, lo, hi, message):
     ((0.0,), (np.bool_(True),), 0.25, 0.0), ((0.0,), (1.0,), None, 0.0),
 ])
 def test_box_domain_rejects_non_real_or_boolean_values(lo, hi, horizon, extension):
-    with pytest.raises(MeshError, match="corners, horizon and extension must be real, got"):
+    with pytest.raises(MeshError, match="corners, horizon and extension must be a real number, got"):
         BoxDomain(1, lo, hi, horizon, extension)
 
 
@@ -240,6 +245,9 @@ def test_perturbation_seed_range_ends_accepted():
     first = perturb_mesh(mesh, PerturbationSpec(0.1, 0))
     last = perturb_mesh(mesh, PerturbationSpec(0.1, 2**64 - 1))
     assert not np.array_equal(first.nodes, last.nodes)
+    # a numpy seed draws the same stream, with no wrapped or overflowing arithmetic
+    same = perturb_mesh(mesh, PerturbationSpec(0.1, np.uint64(2**64 - 1)))
+    assert np.array_equal(same.nodes, last.nodes)
 
 
 def test_extension_validation():

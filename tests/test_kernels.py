@@ -142,16 +142,18 @@ def test_kernel_rejects_kind_or_ball_norm_outside_the_enums(kind, ball_norm):
 
 
 @pytest.mark.parametrize("dim, horizon, message", [
-    (True, 0.25, "dimension True"), (1.0, 0.25, "dimension 1.0"),
-    ("1", 0.25, "dimension '1'"), (np.float64(2.0), 0.25, "dimension"),
-    (1, math.inf, "horizon must be positive and finite, got inf"),
-    (2, math.nan, "horizon must be positive and finite, got nan"),
+    (True, 0.25, "dimension must be an integer, got True"),
+    (1.0, 0.25, "dimension must be an integer, got 1.0"),
+    ("1", 0.25, "dimension must be an integer, got '1'"), (np.float64(2.0), 0.25, "dimension"),
+    (1, math.inf, "horizon must be finite, got inf"),
+    (2, math.nan, "horizon must be finite, got nan"),
+    (1, 10**400, "horizon must be finite, got 1000"),  # exact, no OverflowError
     (1, "0.25", "horizon must be a real number, got '0.25'"),
     (1, True, "horizon must be a real number, got True"),
     (2, np.bool_(True), "horizon must be a real number, got np.True_|True"),
     (1, 0.25j, "horizon must be a real number, got 0.25j"),
 ], ids=["bool-dim", "float-dim", "str-dim", "numpy-float-dim", "inf-horizon",
-        "nan-horizon", "str-horizon", "bool-horizon", "numpy-bool-horizon", "complex-horizon"])
+        "nan-horizon", "huge-int-horizon", "str-horizon", "bool-horizon", "numpy-bool-horizon", "complex-horizon"])
 def test_kernel_rejects_non_integer_dimension_and_non_finite_parameters(dim, horizon, message):
     # True, 1.0 and 2.0 hash like 1 and 2, so the scaling table lookup would let them through
     with pytest.raises(KernelError, match=message):

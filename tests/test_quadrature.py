@@ -7,11 +7,11 @@ import pytest
 import nlfem.quadrature
 from _oracles import closed_form_weights_1d_constant, constraint_matrix
 from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelError, KernelKind,
-                   PerturbationSpec, QuadratureError, RuleCache, build_uniform_mesh,
+                   PerturbationSpec, QuadratureError, build_uniform_mesh,
                    default_cache, exact_moment_integrals, filter_to_ball, full_ball_rule,
                    generate_offsets, locate_points, outer_rules, perturb_mesh,
                    solve_weights, truncated_weights)
-from nlfem.quadrature import _build_full_rule, _moment_weights, solve_weights_on_subset
+from nlfem.quadrature import _moment_weights, solve_weights_on_subset
 
 
 def test_offsets_1d_single_ring():
@@ -40,7 +40,7 @@ def test_inner_grid_spec_rejects_non_integers(points_per_radius, dim, bad):
     if bad == "points_per_radius":
         error, message = QuadratureError, f"{bad} must be an integer, got {points_per_radius!r}"
     else:  # the grid takes its dimension from the kernel, so the kernel refuses a bad one
-        error, message = KernelError, f"unsupported dimension {dim!r}"
+        error, message = KernelError, f"dimension must be an integer, got {dim!r}"
     with pytest.raises(error, match=re.escape(message)):
         full_ball_rule(Kernel(KernelKind.CONSTANT, dim, 0.25), InnerGridSpec(points_per_radius))
     assert np.array_equal(generate_offsets(InnerGridSpec(np.int64(2)), np.int32(2), 1.0),
@@ -341,56 +341,6 @@ def test_truncated_cache_reuse():
     batch = truncated_weights(k, spec, _ball_masks(k, 0.0, centers, full)[1], full)
     assert default_cache().misses == misses
     assert np.array_equal(batch[0], w1) and np.array_equal(batch[1], w1)
-
-
-def test_cache_concurrent_access():
-    import threading
-
-    cache = RuleCache()
-    k = Kernel(KernelKind.RATIONAL, 2, 0.3)
-    spec = InnerGridSpec(4)
-    results = [None] * 8
-
-    def work(i):
-        results[i] = cache.get_or_build(("full", k, 4), lambda: _build_full_rule(k, spec))
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    weights = results[0].weights
-    assert all(np.array_equal(r.weights, weights) for r in results)
-    assert cache.hits + cache.misses >= 8
-
-
-def test_cache_first_writer_wins():
-    """A builder that finishes after another thread stored its key returns the stored value."""
-    import threading
-
-    cache = RuleCache()
-    started, release = threading.Event(), threading.Event()
-    stored, late = object(), object()
-    results = {}
-
-    def slow_builder():
-        started.set()
-        assert release.wait(timeout=30)
-        return late
-
-    def slow_caller():
-        results["slow"] = cache.get_or_build("key", slow_builder)
-
-    thread = threading.Thread(target=slow_caller)
-    thread.start()
-    assert started.wait(timeout=30)  # the slow caller has missed and is building
-    results["fast"] = cache.get_or_build("key", lambda: stored)
-    assert (cache.misses, cache.hits) == (1, 0)
-    release.set()
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    assert results["slow"] is stored and results["fast"] is stored
-    assert (cache.misses, cache.hits) == (1, 1)
 
 
 def test_rule_dump_csv(tmp_path):
