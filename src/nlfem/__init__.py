@@ -14,8 +14,7 @@ from .exceptions import (AssemblyError, ConfigError, KernelError, MeshError,
                          SolverError)
 from .geometry import (BallNorm, BoxDomain, Mesh, PerturbationSpec,
                        build_uniform_mesh, locate_points, perturb_mesh)
-from .kernels import (Kernel, KernelKind, exact_moment_integrals,
-                      second_moment_indices)
+from .kernels import Kernel, KernelKind
 from .problems import (ManufacturedCase, case_linear_1d, case_sin_1d,
                        case_sin_2d, get_case)
 from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,

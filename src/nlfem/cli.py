@@ -1,10 +1,10 @@
 """Batch driver: a refinement study of one or more levels from a JSON config.
 
-Exit codes: 0 on success, 2 for configuration errors and output paths that
-cannot be written, 3 for numerical failures.  Re-running a config with the
-same seed reproduces every output except ``run.json`` byte for byte;
-``run.json`` holds each level's wall-clock phase times, which are not
-reproducible.
+Exit codes: 0 on success, 2 for configuration errors, output paths that
+cannot be written and levels too large for the memory, 3 for numerical
+failures.  Re-running a config with the same seed reproduces every output
+except ``run.json`` byte for byte; ``run.json`` holds each level's
+wall-clock phase times, which are not reproducible.
 """
 
 from __future__ import annotations
@@ -331,6 +331,9 @@ def main(argv=None) -> int:
         if exc.filename is None:  # not raised while writing an output
             raise
         print(f"[output] cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"[memory] {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except NlfemError as exc:
         print(f"[numerical] {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
-"""Nonlocal interaction kernels and their exact second-moment integrals.
+"""Nonlocal interaction kernels, scaled to unit second moments.
 
 Two kernel families are supported on balls of radius ``horizon``: a constant
 profile scaling/horizon^(d+2) and a rational profile scaling/(horizon^(d+1) r).
 The scaling is not a parameter: it is looked up from the kind, dimension and
-ball norm, and makes the diagonal second moments over the full ball equal
-one, which is exactly the normalization that makes the nonlocal operator
-converge to the classical Laplacian as the horizon shrinks.
+ball norm, and makes the second moments over the full ball the unit tensor,
+the integral of kernel * s_i * s_j equal to delta_ij at every horizon.  That
+is exactly the normalization that makes the nonlocal operator converge to
+the classical Laplacian as the horizon shrinks, and it is why the inner
+quadrature's moment targets (``quadrature``) are 1 and 0.
 """
 
 from __future__ import annotations
@@ -25,7 +27,11 @@ class KernelKind(enum.Enum):
     RATIONAL = "rational"
 
 
-# Inverse diagonal moments at unit scaling; in 1D both balls are one interval.
+# Each entry is the inverse of the diagonal moment, the integral of
+# kernel * s_1^2 over the full ball, at unit scaling.  Constant, then rational:
+# 2/3 and 1 on the 1D interval (both balls), pi/4 and pi/3 on the 2D disc,
+# 4/3 and 16/9 on the 2D square, where 1/max(|s_1|, |s_2|) splits along the
+# diagonals into two polynomial pieces.  Off-diagonal moments vanish by symmetry.
 _DEFAULT_SCALING = {
     (KernelKind.CONSTANT, 1, BallNorm.EUCLIDEAN): 1.5,
     (KernelKind.RATIONAL, 1, BallNorm.EUCLIDEAN): 1.0,
@@ -69,28 +75,3 @@ class Kernel:
             return np.full_like(r, self.scaling / self.horizon ** (self.dim + 2))
         return self.scaling / (self.horizon ** (self.dim + 1) * r)
 
-
-def second_moment_indices(dim: int) -> list[tuple[int, ...]]:
-    """Multi-indices of total degree two, in fixed order."""
-    if dim == 1:
-        return [(2,)]
-    return [(2, 0), (1, 1), (0, 2)]
-
-
-def exact_moment_integrals(kernel: Kernel) -> np.ndarray:
-    """Integrals of kernel * (y-x)^beta over the full ball, |beta| = 2.
-
-    Independent of the center; closed forms for both ball norms.
-    """
-    z = kernel.scaling
-    constant = kernel.kind is KernelKind.CONSTANT
-    if kernel.dim == 1:
-        # The 1D max-norm ball coincides with the Euclidean one.
-        return np.array([2.0 * z / 3.0 if constant else z])
-    if kernel.ball_norm is BallNorm.EUCLIDEAN:
-        diag = z * math.pi / 4.0 if constant else z * math.pi / 3.0
-    else:
-        # Square [-d, d]^2: the rational kernel's 1/max(|s1|, |s2|) splits
-        # along the diagonals into two polynomial pieces.
-        diag = 4.0 * z / 3.0 if constant else 16.0 * z / 9.0
-    return np.array([diag, 0.0, diag])

@@ -3,10 +3,11 @@
 Inner integrals of the nonlocal bilinear form are evaluated on a regular
 point grid spread over the whole ball around each outer quadrature point,
 never element by element.  The weights are the minimal-Euclidean-norm
-solution of exactness constraints for the functions kernel * (y-x)^beta
-with |beta| = 2: for the constraint system B w = g they are B^T (B B^T)^+ g,
-where the pseudoinverse of the normal matrix B B^T always drops its
-singular values below a relative cutoff.
+solution of exactness constraints for the functions kernel * s_i * s_j,
+s = y - x, i <= j.  The kernel's scaling makes their full-ball integrals
+delta_ij, so the targets g are 1 and 0.  For the constraint system B w = g
+the weights are B^T (B B^T)^+ g, where the pseudoinverse of the normal
+matrix B B^T always drops its singular values below a relative cutoff.
 
 Near the layer boundary the ball sticks out of the meshed region.  There
 the grid is first intersected with the region grown by the configured
@@ -21,14 +22,14 @@ construction runs batched in ``assembly.truncated_weights`` on masks from
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import QuadratureError, _integer
 from .geometry import BallNorm
-from .kernels import Kernel, exact_moment_integrals, second_moment_indices
+from .kernels import Kernel
 
 _RANK_CUTOFF = 1e-12
 _RESIDUAL_TOL = 1e-12
@@ -95,19 +96,19 @@ def filter_to_ball(offsets: np.ndarray, horizon: float, ball_norm: BallNorm) -> 
     return included
 
 
-def _monomials(offsets: np.ndarray, dim: int) -> np.ndarray:
-    """(y-x)^beta for each |beta| = 2 row, in ``second_moment_indices`` order,
-    and each offset column."""
-    return np.stack([math.prod(offsets[:, k] ** p for k, p in enumerate(beta) if p)
-                     for beta in second_moment_indices(dim)])
+def _second_moment_pairs(dim: int) -> list[tuple[int, int]]:
+    """(i, j) with i <= j, one per second moment s_i s_j: x^2, xy, y^2 in 2D."""
+    return list(itertools.combinations_with_replacement(range(dim), 2))
 
 
 def _constraint_matrix(kernel: Kernel, offs: np.ndarray) -> np.ndarray:
-    """Entry (a, j) is kernel strength at offset j times offset j ** beta_a."""
+    """Row (i, j) is kernel strength times s_i s_j at each offset s."""
     r = kernel.ball_norm.length(offs)
     if np.any(r < 1e-14 * kernel.horizon):
         raise QuadratureError("singular constraint: quadrature point coincides with the center")
-    return kernel.strength(r)[None, :] * _monomials(offs, kernel.dim)
+    strength = kernel.strength(r)
+    return np.stack([strength * (offs[:, i] * offs[:, j])
+                     for i, j in _second_moment_pairs(kernel.dim)])
 
 
 def solve_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -135,13 +136,14 @@ def solve_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
 def _moment_weights(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimal-norm weights on ``offs`` that reproduce the full-ball moments.
 
-    Raises ``QuadratureError`` when the constraint residual exceeds
-    1e-12 relative to the moments.
+    The kernel's scaling makes those moments delta_ij, so the targets are
+    1 on the diagonal and 0 off it.  Raises ``QuadratureError`` when the
+    constraint residual exceeds 1e-12 relative to the targets.
     """
     B = _constraint_matrix(kernel, offs)
-    g = exact_moment_integrals(kernel)
+    g = np.array([float(i == j) for i, j in _second_moment_pairs(kernel.dim)])
     w, residual = solve_weights(B, g)
-    if residual > _RESIDUAL_TOL * max(float(np.linalg.norm(g)), 1e-300):
+    if residual > _RESIDUAL_TOL * float(np.linalg.norm(g)):
         raise QuadratureError(
             f"inner rule constraint residual {residual:.3e} exceeds tolerance"
         )

@@ -11,7 +11,10 @@ The acceptance criteria compare the production path with these oracles:
 
 - ``constraint_matrix`` (criterion 1, and ``test_quadrature.py``): the
   moment constraint rows, built from ``Kernel.strength`` and the monomials
-  written out rather than by ``quadrature._constraint_matrix``;
+  written out rather than by ``quadrature._constraint_matrix``, and
+  ``unit_moments``, their targets: the kernel scaling makes the full-ball
+  second moments delta_ij, which ``test_kernels.py`` checks by adaptive
+  quadrature;
 - ``closed_form_weights_1d_constant`` (criterion 2): the analytic full-ball
   weights of the 1D constant kernel;
 - ``near_boundary_error_ratio`` (criterion 4, the boundary-concentration
@@ -177,6 +180,11 @@ def constraint_matrix(kernel, center, points):
     x, y = offs[:, 0], offs[:, -1]
     monomials = [x * x] if kernel.dim == 1 else [x * x, x * y, y * y]
     return kernel.strength(kernel.ball_norm.length(offs))[None, :] * np.array(monomials)
+
+
+def unit_moments(dim):
+    """Full-ball integrals of ``constraint_matrix``'s rows: delta_ij, i <= j."""
+    return np.eye(dim)[np.triu_indices(dim)]
 
 
 def closed_form_weights_1d_constant(points_per_radius, horizon):

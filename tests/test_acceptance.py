@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from _oracles import (closed_form_weights_1d_constant, constraint_matrix,
-                      exact_bilinear_form, near_boundary_error_ratio, strang_gap)
+                      exact_bilinear_form, near_boundary_error_ratio, strang_gap,
+                      unit_moments)
 from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
                    ManufacturedCase, assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, case_sin_2d,
-                   error_norms, exact_moment_integrals, fit_rate, full_ball_rule,
+                   error_norms, fit_rate, full_ball_rule,
                    guarded_fit_rate, l2_error, perturb_mesh,
                    reconstruct, solve_system)
 from nlfem.cli import RunConfig, run_study
@@ -63,7 +64,7 @@ def test_criterion_01_quadrature_exactness_and_positivity():
             itertools.product(BOTH_KINDS, (1, 2)), (1, 2, 4, 8, 10)):
         kernel = Kernel(kind, dim, 0.13)
         rule = full_ball_rule(kernel, InnerGridSpec(nbar))
-        g = exact_moment_integrals(kernel)
+        g = unit_moments(dim)
         defect = constraint_matrix(kernel, np.zeros(dim), rule.offsets) @ rule.weights - g
         assert np.abs(defect).max() <= 1e-12 * np.linalg.norm(g)
         assert np.all(rule.weights > 0)
@@ -82,7 +83,7 @@ def test_criterion_02_closed_form_oracle():
     kernel = Kernel(KernelKind.CONSTANT, 1, delta)
     rule = full_ball_rule(kernel, InnerGridSpec(1))
     f_row = constraint_matrix(kernel, [0.0], rule.offsets)[0]
-    g = exact_moment_integrals(kernel)[0]
+    g = unit_moments(1)[0]
     w_expected = g * f_row / np.dot(f_row, f_row)
     assert np.allclose(rule.weights, w_expected, rtol=1e-13)
     assert np.allclose(rule.weights, 4 * delta / 3, rtol=1e-13)
@@ -92,13 +93,11 @@ def test_criterion_02_closed_form_oracle():
 def _linear_2d():
     """u = 0.3 + x + 2y with zero source, which the basis represents exactly."""
 
-    def u(p):
-        return 0.3 + p[..., 0] + 2.0 * p[..., 1]
-
     def u_grad(p):
-        return u(p), tuple(np.full(p.shape[:-1], c) for c in (1.0, 2.0))
+        return (0.3 + p[..., 0] + 2.0 * p[..., 1],
+                tuple(np.full(p.shape[:-1], c) for c in (1.0, 2.0)))
 
-    return ManufacturedCase("linear2d", 2, u, lambda p: np.zeros(p.shape[:-1]), u_grad)
+    return ManufacturedCase("linear2d", 2, lambda p: np.zeros(p.shape[:-1]), u_grad)
 
 
 def test_criterion_03_patch_test():

@@ -398,6 +398,24 @@ def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 29.1 TiB for an array"),
+     "[memory] Unable to allocate 29.1 TiB for an array\n"),
+    (MemoryError(), "[memory] out of memory\n"),
+], ids=["numpy-message", "bare"])
+def test_main_reports_a_level_too_large_for_memory(tmp_path, monkeypatch, capsys, exc, message):
+    # a level whose arrays cannot be allocated exits 2 with one line, no traceback
+    from nlfem import cli
+
+    def too_large(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "_execute", too_large)
+    cfg = _write(tmp_path, _base_config(h=[0.0625]))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

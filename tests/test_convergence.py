@@ -34,7 +34,6 @@ def test_interpolant_of_linear_2d():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
     case = type(case_linear_1d())(
         name="lin2d", dim=2,
-        solution=lambda p: p[..., 0] - 2 * p[..., 1],
         source=lambda p: np.zeros(p.shape[:-1]),
         solution_and_gradient=lambda p: (p[..., 0] - 2 * p[..., 1],
                                          (np.ones(p.shape[:-1]), np.full(p.shape[:-1], -2.0))),

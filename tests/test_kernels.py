@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from _oracles import unit_moments
 from nlfem import (BallNorm, Kernel, KernelError, KernelKind, QuadratureError,
-                   exact_moment_integrals, filter_to_ball, second_moment_indices)
+                   filter_to_ball)
 from nlfem.quadrature import _moment_weights
 
 ALL_KINDS = [(KernelKind.CONSTANT, 1), (KernelKind.RATIONAL, 1),
@@ -47,20 +48,28 @@ def test_support_boundary():
 
 
 def _oracle_moments(kernel: Kernel) -> np.ndarray:
-    """Adaptive-quadrature reference for the second-moment integrals."""
+    """Adaptive-quadrature reference for the second moments, in x^2, xy, y^2 order."""
     d = kernel.horizon
     if kernel.dim == 1:
         val, _ = integrate.quad(lambda s: float(kernel.strength(abs(s))) * s * s,
                                 -d, d, points=[0.0], limit=200)
         return np.array([val])
     out = []
-    for beta in second_moment_indices(2):
-        def f(theta, r):
-            s = np.array([r * math.cos(theta), r * math.sin(theta)])
-            return (float(kernel.strength(r)) * s[0] ** beta[0]
-                    * s[1] ** beta[1] * r)
-        val, _ = integrate.dblquad(f, 0.0, d, 0.0, 2 * math.pi,
-                                   epsabs=1e-13, epsrel=1e-13)
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        if kernel.ball_norm is BallNorm.EUCLIDEAN:
+            def f(theta, r):
+                s = (r * math.cos(theta), r * math.sin(theta))
+                return float(kernel.strength(r)) * s[i] * s[j] * r
+            val, _ = integrate.dblquad(f, 0.0, d, 0.0, 2 * math.pi,
+                                       epsabs=1e-13, epsrel=1e-13)
+        else:
+            # On the triangle |s2| <= s1 the max norm is s1, so the rational
+            # kernel is smooth there; its four quarter turns tile the square.
+            def f(s2, s1):
+                turns = ((s1, s2), (-s2, s1), (-s1, -s2), (s2, -s1))
+                return float(kernel.strength(s1)) * sum(t[i] * t[j] for t in turns)
+            val, _ = integrate.dblquad(f, 0.0, d, lambda s1: -s1, lambda s1: s1,
+                                       epsabs=1e-13, epsrel=1e-13)
         out.append(val)
     return np.array(out)
 
@@ -68,60 +77,28 @@ def _oracle_moments(kernel: Kernel) -> np.ndarray:
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("kind,dim", ALL_KINDS)
 def test_moments_match_quadrature_oracle(kind, dim):
-    kernel = Kernel(kind, dim, 0.07)
-    got = exact_moment_integrals(kernel)
-    ref = _oracle_moments(kernel)
-    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+    # every scaling table entry makes the full-ball second moments delta_ij
+    for ball_norm in BallNorm:
+        ref = _oracle_moments(Kernel(kind, dim, 0.07, ball_norm))
+        assert np.allclose(ref, unit_moments(dim), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("kind,dim", ALL_KINDS)
 def test_default_scaling_normalizes_diagonal_moments(kind, dim):
-    kernel = Kernel(kind, dim, 0.3)
-    g = exact_moment_integrals(kernel)
-    diag = [g[0]] if dim == 1 else [g[0], g[2]]
-    assert np.allclose(diag, 1.0, rtol=1e-13)
+    # at another horizon too: the scaling divides out horizon^(d+2)
+    ref = _oracle_moments(Kernel(kind, dim, 0.3))
+    assert np.allclose(ref, unit_moments(dim), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("kind,dim", ALL_KINDS)
 def test_max_norm_default_scaling_normalizes_diagonal_moments(kind, dim):
     kernel = Kernel(kind, dim, 0.3, ball_norm=BallNorm.MAX)
-    g = exact_moment_integrals(kernel)
-    diag = [g[0]] if dim == 1 else [g[0], g[2]]
-    assert np.allclose(diag, 1.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(_oracle_moments(kernel), unit_moments(dim), rtol=1e-12, atol=1e-12)
     # the 1D max-norm ball is the Euclidean one, so is its scaling
     if dim == 1:
         assert kernel.scaling == Kernel(kind, 1, 0.3).scaling
-
-
-def test_moment_closed_forms():
-    k = Kernel(KernelKind.CONSTANT, 1, 0.02)
-    assert exact_moment_integrals(k)[0] == pytest.approx(2 * 1.5 / 3, rel=1e-14)
-    k = Kernel(KernelKind.RATIONAL, 2, 0.1)
-    g = exact_moment_integrals(k)
-    assert g[0] == pytest.approx(1.0, rel=1e-14)
-    assert g[1] == 0.0
-
-
-def test_moments_independent_of_horizon():
-    for d in (0.01, 0.3):
-        k = Kernel(KernelKind.RATIONAL, 2, d)
-        assert np.allclose(exact_moment_integrals(k), [1.0, 0.0, 1.0])
-
-
-def test_max_norm_moments_numeric():
-    # square support: diagonal moments are scaling * 4/3 (constant) and
-    # scaling * 16/9 (rational); the off-diagonal one vanishes
-    for kind, diag in ((KernelKind.CONSTANT, 4 / 3), (KernelKind.RATIONAL, 16 / 9)):
-        k = Kernel(kind, 2, 0.1, ball_norm=BallNorm.MAX)
-        g = exact_moment_integrals(k)
-        assert g[0] == pytest.approx(diag * k.scaling, rel=1e-14)
-        assert g[2] == g[0]
-        assert g[1] == 0.0
-
-
-def test_second_moment_indices():
-    assert second_moment_indices(1) == [(2,)]
-    assert second_moment_indices(2) == [(2, 0), (1, 1), (0, 2)]
 
 
 def test_invalid_kernel_parameters():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import nlfem.quadrature
-from _oracles import closed_form_weights_1d_constant, constraint_matrix
+from _oracles import closed_form_weights_1d_constant, constraint_matrix, unit_moments
 from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelError, KernelKind,
                    PerturbationSpec, QuadratureError, build_uniform_mesh,
-                   default_cache, exact_moment_integrals, filter_to_ball, full_ball_rule,
+                   default_cache, filter_to_ball, full_ball_rule,
                    generate_offsets, locate_points, outer_rules, perturb_mesh,
                    solve_weights, truncated_weights)
 from nlfem.quadrature import _moment_weights, solve_weights_on_subset
@@ -153,7 +153,7 @@ def test_full_rule_exactness_all_kernels():
     for kind, dim in itertools.product(
             (KernelKind.CONSTANT, KernelKind.RATIONAL), (1, 2)):
         k = Kernel(kind, dim, 0.11)
-        g = exact_moment_integrals(k)
+        g = unit_moments(dim)
         for n in (1, 2, 4):
             rule = full_ball_rule(k, InnerGridSpec(n))
             B = constraint_matrix(k, np.zeros(dim), rule.offsets)
@@ -307,7 +307,7 @@ def test_truncated_zero_extension_resolves_weights():
     offs, w = full.offsets[retained], weights[retained]
     # exactness against full-ball moments still holds on the reduced set
     B = constraint_matrix(k, [0.0], offs)
-    g = exact_moment_integrals(k)
+    g = unit_moments(1)
     assert np.linalg.norm(B @ w - g) <= 1e-12 * np.linalg.norm(g)
     # and the kept weights differ from the full-ball ones
     assert np.abs(w - full.weights[retained]).max() > 1e-6
