@@ -17,9 +17,9 @@ from .geometry import (BallNorm, BoxDomain, Mesh, PerturbationSpec,
 from .kernels import Kernel, KernelKind
 from .problems import (ManufacturedCase, case_linear_1d, case_sin_1d,
                        case_sin_2d, get_case)
-from .quadrature import (InnerGridSpec, InnerQuadratureRule, RuleCache,
-                         default_cache, filter_to_ball, full_ball_rule,
-                         generate_offsets, solve_weights)
+from .quadrature import (InnerQuadratureRule, RuleCache, default_cache,
+                         filter_to_ball, full_ball_rule, generate_offsets,
+                         solve_weights)
 
 __version__ = "0.1.0"
 

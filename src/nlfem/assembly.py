@@ -57,8 +57,7 @@ from scipy.sparse import linalg as sparse_linalg
 from .exceptions import AssemblyError, SolverError, _integer
 from .geometry import Mesh, locate_points
 from .kernels import Kernel
-from .quadrature import (InnerGridSpec, InnerQuadratureRule, full_ball_rule,
-                         solve_weights_on_subset)
+from .quadrature import InnerQuadratureRule, full_ball_rule, solve_weights_on_subset
 
 _COO_NODE_LIMIT = 3000  # above this many nodes a chunk's terms are expanded, not multiplied
 _PAIR_CHUNK = 200_000
@@ -165,7 +164,7 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
     return sparse.vstack(blocks, format="csr")
 
 
-def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
+def _assemble_operator(mesh: Mesh, kernel: Kernel, points_per_radius: int,
                        n_q: int) -> sparse.csr_matrix:
     """Full node-by-node operator: a running sum of one product per element chunk.
 
@@ -177,7 +176,7 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     """
     if kernel.dim != mesh.dim:
         raise AssemblyError("kernel / mesh dimensions do not match")
-    full = full_ball_rule(kernel, spec)
+    full = full_ball_rule(kernel, points_per_radius)
     n = mesh.num_nodes
     total = sparse.csr_matrix((n, n))
 
@@ -199,7 +198,7 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
             per_point = in_mesh.sum(axis=1)
             if not per_point.all():
                 raise AssemblyError("a constraint-layer ball retained no quadrature points")
-            weights = truncated_weights(kernel, spec, in_ext, full)
+            weights = truncated_weights(full, in_ext)
             coef = full.strengths[None, :] * weights * wq.reshape(-1, 1)
             # all in the mesh: the row-major ravel is the boolean gather without its copy
             coef = coef.ravel() if len(in_elems) == in_mesh.size else coef[in_mesh]
@@ -214,8 +213,7 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
     return total
 
 
-def truncated_weights(kernel: Kernel, spec: InnerGridSpec, in_ext: np.ndarray,
-                      full: InnerQuadratureRule) -> np.ndarray:
+def truncated_weights(full: InnerQuadratureRule, in_ext: np.ndarray) -> np.ndarray:
     """Weights of every ball on its extension mask, shape (n_balls, full.size).
 
     ``locate_points``' ``in_ext`` marks each ball's grid points in the region
@@ -229,7 +227,7 @@ def truncated_weights(kernel: Kernel, spec: InnerGridSpec, in_ext: np.ndarray,
     masks, inverse = _distinct_masks(in_ext)
     per_mask = np.zeros((len(masks), full.size))
     for k, mask in enumerate(masks):
-        per_mask[k, mask], _ = solve_weights_on_subset(kernel, spec, mask)
+        per_mask[k, mask], _ = solve_weights_on_subset(full, mask)
     return per_mask[inverse]
 
 
@@ -247,14 +245,14 @@ def _distinct_masks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse
 
 
-def assemble_system(mesh: Mesh, kernel: Kernel, spec: InnerGridSpec,
+def assemble_system(mesh: Mesh, kernel: Kernel, points_per_radius: int,
                     n_q: int, source=None, boundary=None) -> DiscreteSystem:
     """Assemble stiffness and load in one operator pass.
 
     The load is the body force over the box, integrated with the same
     ``n_q``-point outer rule, minus the layer-data correction.
     """
-    operator = _assemble_operator(mesh, kernel, spec, n_q)
+    operator = _assemble_operator(mesh, kernel, points_per_radius, n_q)
     interior = mesh.interior_nodes
     constraint = mesh.constraint_nodes
     rows = operator[interior]

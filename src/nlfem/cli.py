@@ -31,7 +31,7 @@ from .geometry import (BallNorm, BoxDomain, PerturbationSpec,
                        build_uniform_mesh, cell_counts, perturb_mesh)
 from .kernels import Kernel, KernelKind
 from .problems import get_case
-from .quadrature import InnerGridSpec, full_ball_rule
+from .quadrature import full_ball_rule
 from .svgplot import write_convergence_svg
 
 _KEYS = {
@@ -112,7 +112,9 @@ class RunConfig:
                        ConfigError, 1, 2**31)
         if dimension == 2 and math.isqrt(n_q) ** 2 != n_q:
             raise ConfigError(f"'outer_points' must be a square number in 2D, got {n_q}")
-        n_bar = raw.get("points_per_radius", 10 if dimension == 1 else 4)
+        # 2^31 or more per radius asks for at least that many offsets per axis
+        n_bar = _integer("points_per_radius", raw.get("points_per_radius", 10 if dimension == 1 else 4),
+                         ConfigError, 1, 2**31)
 
         mesh_mode = raw.get("mesh", "uniform")
         if mesh_mode not in ("uniform", "perturbed"):
@@ -158,15 +160,14 @@ class LevelResult:
     field: "object"  # assembly.Field
     system: "object"  # assembly.DiscreteSystem
     kernel: Kernel
-    spec: InnerGridSpec
     assembly_s: float  # wall-clock seconds, for run.json only
     solve_s: float
     error_norms_s: float  # nodal reconstruction and error norms
 
 
 def _level_inputs(config: RunConfig, h: float):
-    """One level's checked domain, perturbation spec (None on a uniform mesh),
-    kernel and grid spec, after its cell counts; allocates no mesh or rule."""
+    """One level's checked domain, perturbation spec (None on a uniform mesh)
+    and kernel, after its cell counts; allocates no mesh or rule."""
     delta = config.m * h
     domain = BoxDomain.unit(config.dimension, delta,
                             delta if config.extension_mode == "delta" else 0.0)
@@ -174,19 +175,19 @@ def _level_inputs(config: RunConfig, h: float):
     perturbation = (PerturbationSpec(config.epsilon, config.seed)
                     if config.mesh_mode == "perturbed" else None)
     kernel = Kernel(config.kernel_kind, config.dimension, delta, config.ball_norm)
-    return domain, perturbation, kernel, InnerGridSpec(config.points_per_radius)
+    return domain, perturbation, kernel
 
 
 def _execute(config: RunConfig, h: float) -> LevelResult:
     """Mesh, assemble, solve, and measure errors for one element size."""
-    domain, perturbation, kernel, spec = _level_inputs(config, h)
+    domain, perturbation, kernel = _level_inputs(config, h)
     mesh = build_uniform_mesh(h, domain)
     if perturbation is not None:
         mesh = perturb_mesh(mesh, perturbation)
     case = get_case(config.case)
 
     t0 = time.perf_counter()
-    system = assemble_system(mesh, kernel, spec, config.outer_points,
+    system = assemble_system(mesh, kernel, config.points_per_radius, config.outer_points,
                              case.source, case.solution)
     t1 = time.perf_counter()
     u = solve_system(system)
@@ -196,7 +197,7 @@ def _execute(config: RunConfig, h: float) -> LevelResult:
     l2, h1 = error_norms(field_, case, mesh)
     t3 = time.perf_counter()
     record = ErrorRecord(h=h, delta=kernel.horizon, m=config.m, dofs=mesh.num_interior, l2=l2, h1=h1)
-    return LevelResult(record, field_, system, kernel, spec, t1 - t0, t2 - t1, t3 - t2)
+    return LevelResult(record, field_, system, kernel, t1 - t0, t2 - t1, t3 - t2)
 
 
 @contextmanager
@@ -224,7 +225,6 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
     # fail before the levels run, not after they are solved, and leave nothing behind
     _check_outputs(out_dir, levels, suffixes,
                    {"--dump-matrix": dump_matrix, "--dump-inner-rule": dump_inner_rule})
-    out_dir.mkdir(parents=True, exist_ok=True)
     workers = min(threads, len(levels))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -233,6 +233,7 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
         results = [_execute(config, h) for h in levels]
 
     report = ConvergenceReport.from_records([r.record for r in results])
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once every level has run
     with _writing(out_dir / "report.csv") as path:
         report.write_csv(path)
     times = [{"h": r.record.h, "assembly_s": r.assembly_s, "solve_s": r.solve_s,
@@ -261,14 +262,18 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
                 dump_matrix_market(result.system, path)
         if dump_inner_rule is not None:
             with _writing(_with_suffix(dump_inner_rule, suffix)) as path:
-                full_ball_rule(result.kernel, result.spec).dump_csv(path)
+                full_ball_rule(result.kernel, config.points_per_radius).dump_csv(path)
     return report
 
 
 def _check_outputs(out_dir: Path, levels: list[float], suffixes: list[str],
                    dumps: dict[str, Path | None]) -> None:
-    """Raise an OSError naming the first dump path that cannot be written,
-    or the first file that two outputs would both write."""
+    """Raise an OSError naming an ``out_dir`` that a file blocks, the first
+    dump path that cannot be written, or the first file that two outputs
+    would both write."""
+    existing = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(existing))
     root = out_dir.resolve()
     made = {root, *root.parents}  # what out_dir.mkdir may create
     owner = {path.resolve(): "--out" for path in (

@@ -26,7 +26,7 @@ class OutsideDomainError(NlfemError):
 
 
 class KernelError(NlfemError):
-    """Invalid kernel evaluation (e.g. at the singular point of a rational kernel)."""
+    """Invalid kernel parameters: dimension, horizon, kind or ball norm."""
 
 
 class QuadratureError(NlfemError):

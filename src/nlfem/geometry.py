@@ -110,7 +110,8 @@ class Mesh:
     ``element_in_box`` tags elements of the box itself (versus the
     constraint layer); ``node_is_interior`` tags unknown nodes.  Interior
     nodes in ascending node order define the degree-of-freedom ordering.
-    A built mesh is immutable and safe to share across threads.
+    Its arrays are writable, but nothing in the package writes them once the
+    mesh is built; ``perturb_mesh`` returns a new mesh.
     """
 
     domain: BoxDomain

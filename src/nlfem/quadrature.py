@@ -17,7 +17,8 @@ together with their weights.  Solving before restricting is deliberate:
 with extension equal to the horizon every near-boundary point keeps its
 full-ball weight, which is what restores second-order accuracy.  That
 construction runs batched in ``assembly.truncated_weights`` on masks from
-``locate_points``; this module supplies its cached masked solve.
+``locate_points``; this module supplies its cached masked solve, which
+takes the full rule's constraint columns at the masked points.
 """
 
 from __future__ import annotations
@@ -35,31 +36,20 @@ _RANK_CUTOFF = 1e-12
 _RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class InnerGridSpec:
-    """Regular grid over the ball: ``points_per_radius`` points per horizon length."""
-
-    points_per_radius: int
-
-    def __post_init__(self):
-        # 2^31 or more per radius asks for at least that many offsets per axis
-        _integer("points_per_radius", self.points_per_radius, QuadratureError, 1, 2**31)
-
-    def spacing(self, horizon: float) -> float:
-        return horizon / self.points_per_radius
-
-
-@dataclass
+@dataclass(eq=False)
 class InnerQuadratureRule:
     """Inner rule: offsets relative to the center, weights, and diagnostics.
 
-    ``strengths`` caches the kernel value at each offset.  ``residual`` is the
-    constraint defect of the solve that produced the weights.
+    ``strengths`` caches the kernel value and ``constraints`` the constraint
+    column at each offset, which masked solves take.  ``residual`` is the
+    constraint defect of the solve that produced the weights.  A rule equals
+    only itself, so masked solves are cached under the rule they came from.
     """
 
     offsets: np.ndarray
     weights: np.ndarray
     strengths: np.ndarray
+    constraints: np.ndarray
     residual: float
 
     def __post_init__(self):
@@ -78,10 +68,10 @@ class InnerQuadratureRule:
                 fh.write(",".join(repr(float(c)) for c in off) + f",{float(w)!r}\n")
 
 
-def generate_offsets(spec: InnerGridSpec, dim: int, horizon: float) -> np.ndarray:
-    """Symmetric grid of (2n)^d offsets, components at odd multiples of spacing/2."""
-    n = spec.points_per_radius
-    half = 0.5 * spec.spacing(horizon)
+def generate_offsets(points_per_radius: int, dim: int, horizon: float) -> np.ndarray:
+    """Symmetric grid of (2n)^d offsets, n = points_per_radius, at odd multiples of horizon / 2n."""
+    n = _integer("points_per_radius", points_per_radius, QuadratureError, 1, 2**31)
+    half = 0.5 * (horizon / n)
     ks = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
     axis = (2 * ks - np.sign(ks)) * half
     grids = np.meshgrid(*[axis] * dim, indexing="ij")
@@ -101,14 +91,14 @@ def _second_moment_pairs(dim: int) -> list[tuple[int, int]]:
     return list(itertools.combinations_with_replacement(range(dim), 2))
 
 
-def _constraint_matrix(kernel: Kernel, offs: np.ndarray) -> np.ndarray:
-    """Row (i, j) is kernel strength times s_i s_j at each offset s."""
+def _constraint_matrix(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel strength at each offset s, and B: row (i, j) is strength times s_i s_j."""
     r = kernel.ball_norm.length(offs)
     if np.any(r < 1e-14 * kernel.horizon):
         raise QuadratureError("singular constraint: quadrature point coincides with the center")
     strength = kernel.strength(r)
-    return np.stack([strength * (offs[:, i] * offs[:, j])
-                     for i, j in _second_moment_pairs(kernel.dim)])
+    return strength, np.stack([strength * (offs[:, i] * offs[:, j])
+                               for i, j in _second_moment_pairs(kernel.dim)])
 
 
 def solve_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -133,15 +123,14 @@ def solve_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     return w, residual
 
 
-def _moment_weights(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimal-norm weights on ``offs`` that reproduce the full-ball moments.
+def _moment_weights(B: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
+    """Minimal-norm weights for constraints ``B`` that reproduce the full-ball moments.
 
     The kernel's scaling makes those moments delta_ij, so the targets are
     1 on the diagonal and 0 off it.  Raises ``QuadratureError`` when the
     constraint residual exceeds 1e-12 relative to the targets.
     """
-    B = _constraint_matrix(kernel, offs)
-    g = np.array([float(i == j) for i, j in _second_moment_pairs(kernel.dim)])
+    g = np.array([float(i == j) for i, j in _second_moment_pairs(dim)])
     w, residual = solve_weights(B, g)
     if residual > _RESIDUAL_TOL * float(np.linalg.norm(g)):
         raise QuadratureError(
@@ -153,8 +142,8 @@ def _moment_weights(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, float
 class RuleCache:
     """Cache of inner rules; ``default_cache()`` is the process's one.
 
-    Keys hold the rule kind, the kernel, the grid's points per radius and,
-    for a truncated solve, the mask's bytes: everything a rule is built from.
+    Keys hold everything the weights are built from: the kernel and points
+    per radius of a full rule, the full rule and mask bytes of a masked solve.
     """
 
     def __init__(self):
@@ -183,40 +172,43 @@ def default_cache() -> RuleCache:
     return _default_cache
 
 
-def full_ball_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule:
+def full_ball_rule(kernel: Kernel, points_per_radius: int) -> InnerQuadratureRule:
     """Rule for a ball entirely inside the region; computed once and reused.
 
     Cached under ``("full", kernel, points_per_radius)``.  Every weight of
     this rule must be positive; a solve that gives a weight at or below zero
     raises ``QuadratureError``.
     """
-    key = ("full", kernel, spec.points_per_radius)
-    return _default_cache.get_or_build(key, lambda: _build_full_rule(kernel, spec))
+    # checked before the lookup, as True == 1 would find the rule cached for 1;
+    # 2^31 or more per radius asks for at least that many offsets per axis
+    _integer("points_per_radius", points_per_radius, QuadratureError, 1, 2**31)
+    key = ("full", kernel, points_per_radius)
+    return _default_cache.get_or_build(key, lambda: _build_full_rule(kernel, points_per_radius))
 
 
-def _build_full_rule(kernel: Kernel, spec: InnerGridSpec) -> InnerQuadratureRule:
-    offs = generate_offsets(spec, kernel.dim, kernel.horizon)
+def _build_full_rule(kernel: Kernel, points_per_radius: int) -> InnerQuadratureRule:
+    offs = generate_offsets(points_per_radius, kernel.dim, kernel.horizon)
     offs = offs[filter_to_ball(offs, kernel.horizon, kernel.ball_norm)]
-    w, residual = _moment_weights(kernel, offs)
+    strengths, B = _constraint_matrix(kernel, offs)
+    w, residual = _moment_weights(B, kernel.dim)
     if np.any(w <= 0):
         raise QuadratureError(
             f"full-ball rule has a non-positive weight (min {float(w.min()):.3e})")
-    return InnerQuadratureRule(
-        offsets=offs, weights=w,
-        strengths=kernel.strength(kernel.ball_norm.length(offs)),
-        residual=residual,
-    )
+    return InnerQuadratureRule(offsets=offs, weights=w, strengths=strengths,
+                               constraints=B, residual=residual)
 
 
-def solve_weights_on_subset(kernel: Kernel, spec: InnerGridSpec,
-                            mask: np.ndarray) -> tuple[np.ndarray, float]:
+def solve_weights_on_subset(full: InnerQuadratureRule, mask: np.ndarray) -> tuple[np.ndarray, float]:
     """Cached minimal-norm solve on the full rule's masked points, full-ball moments.
 
-    The points are ``full_ball_rule(kernel, spec).offsets[mask]``, so the key
-    ``("trunc", kernel, points_per_radius, mask bytes)`` holds everything the
-    weights depend on.  On perturbed meshes near the boundary only a small
-    number of distinct masks occur, so identical systems are never re-solved.
+    The constraints are the full rule's columns at ``mask``, so the key
+    ``("trunc", full, mask bytes)`` holds everything the weights depend on.
+    On perturbed meshes near the boundary only a small number of distinct
+    masks occur, so identical systems are never re-solved.
     """
-    key = ("trunc", kernel, spec.points_per_radius, mask.tobytes())
-    return _default_cache.get_or_build(
-        key, lambda: _moment_weights(kernel, full_ball_rule(kernel, spec).offsets[mask]))
+    # compress returns the columns C-ordered, as np.stack builds a fresh B;
+    # constraints[:, mask] is F-ordered, and B @ B.T would then take another
+    # BLAS path and move the weights by roundoff
+    key = ("trunc", full, mask.tobytes())
+    return _default_cache.get_or_build(key, lambda: _moment_weights(
+        full.constraints.compress(mask, axis=1), full.offsets.shape[1]))

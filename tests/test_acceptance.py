@@ -16,7 +16,7 @@ import pytest
 from _oracles import (closed_form_weights_1d_constant, constraint_matrix,
                       exact_bilinear_form, near_boundary_error_ratio, strang_gap,
                       unit_moments)
-from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
+from nlfem import (BoxDomain, Kernel, KernelKind,
                    ManufacturedCase, assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, case_sin_2d,
                    error_norms, fit_rate, full_ball_rule,
@@ -42,7 +42,7 @@ def _solve_case(dim, kind, case, h, m, ext_ratio, nbar, nq, mesh_mode="uniform",
     if mesh_mode == "perturbed":
         mesh = perturb_mesh(mesh, PerturbationSpec(eps, seed))
     kernel = Kernel(kind, dim, delta)
-    system = assemble_system(mesh, kernel, InnerGridSpec(nbar), nq,
+    system = assemble_system(mesh, kernel, nbar, nq,
                              case.source, case.solution)
     u = solve_system(system)
     field = reconstruct(mesh, u, case.solution)
@@ -63,7 +63,7 @@ def test_criterion_01_quadrature_exactness_and_positivity():
     for (kind, dim), nbar in itertools.product(
             itertools.product(BOTH_KINDS, (1, 2)), (1, 2, 4, 8, 10)):
         kernel = Kernel(kind, dim, 0.13)
-        rule = full_ball_rule(kernel, InnerGridSpec(nbar))
+        rule = full_ball_rule(kernel, nbar)
         g = unit_moments(dim)
         defect = constraint_matrix(kernel, np.zeros(dim), rule.offsets) @ rule.weights - g
         assert np.abs(defect).max() <= 1e-12 * np.linalg.norm(g)
@@ -76,12 +76,12 @@ def test_criterion_02_closed_form_oracle():
     delta = 0.29
     for nbar in range(1, 21):
         kernel = Kernel(KernelKind.CONSTANT, 1, delta)
-        rule = full_ball_rule(kernel, InnerGridSpec(nbar))
+        rule = full_ball_rule(kernel, nbar)
         closed = closed_form_weights_1d_constant(nbar, delta)
         assert np.allclose(rule.weights, closed, rtol=1e-12)
     # independent single-constraint identity: w = g * f / |f|^2
     kernel = Kernel(KernelKind.CONSTANT, 1, delta)
-    rule = full_ball_rule(kernel, InnerGridSpec(1))
+    rule = full_ball_rule(kernel, 1)
     f_row = constraint_matrix(kernel, [0.0], rule.offsets)[0]
     g = unit_moments(1)[0]
     w_expected = g * f_row / np.dot(f_row, f_row)
@@ -245,7 +245,7 @@ def test_criterion_10_assembly_oracle_equivalence():
             delta = h  # h = delta per the criterion
             mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
             kernel = Kernel(kind, 1, delta)
-            system = assemble_system(mesh, kernel, InnerGridSpec(2),
+            system = assemble_system(mesh, kernel, 2,
                                      8, case.source, case.solution)
             A = system.matrix.toarray()
             A_ref, _ = naive_system(h, 1, kind, 1.0, 2, 8, case.source,
@@ -255,7 +255,7 @@ def test_criterion_10_assembly_oracle_equivalence():
     # symmetry also on a 2D assembly
     mesh = build_uniform_mesh(1 / 8, BoxDomain.unit(2, 1 / 4, 1 / 4))
     kernel = Kernel(KernelKind.RATIONAL, 2, 1 / 4)
-    A2 = assemble_system(mesh, kernel, InnerGridSpec(4), 16).matrix.toarray()
+    A2 = assemble_system(mesh, kernel, 4, 16).matrix.toarray()
     assert np.abs(A2 - A2.T).max() <= 1e-12 * np.abs(A2).max()
     _report(10, "assembly oracle equivalence", time.perf_counter() - t0, 10)
 
@@ -267,7 +267,7 @@ def test_criterion_11_coercivity_surrogate():
     for h in (1 / 16, 1 / 32, 1 / 64):
         mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
         kernel = Kernel(KernelKind.CONSTANT, 1, h)
-        A = assemble_system(mesh, kernel, InnerGridSpec(10), 40).matrix
+        A = assemble_system(mesh, kernel, 10, 40).matrix
         lengths = np.diff(mesh.axis_breaks[0])
         ratios = []
         for _ in range(100):
@@ -295,7 +295,7 @@ def test_criterion_12_strang_gap_decay():
         kernel = Kernel(KernelKind.CONSTANT, 1, h)
         v = np.where(mesh.node_is_interior,
                      np.sin(2 * np.pi * mesh.nodes[:, 0]), 0.0)
-        gap = strang_gap(v, v, kernel, mesh, InnerGridSpec(10), n_q=40)
+        gap = strang_gap(v, v, kernel, mesh, 10, n_q=40)
         norm = np.sqrt(exact_bilinear_form(v, v, kernel, mesh, 40))
         gaps.append(gap / norm)
     gaps = np.array(gaps)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg
 
 import nlfem.assembly
-from nlfem import (AssemblyError, BoxDomain, InnerGridSpec, Kernel, KernelKind,
+from nlfem import (AssemblyError, BoxDomain, Kernel, KernelKind,
                    PerturbationSpec, assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, case_sin_2d, locate_points,
                    outer_rules, perturb_mesh, reconstruct, solve_system)
@@ -88,7 +88,7 @@ def test_assembly_matches_naive_oracle(h, kind, extension_ratio):
     mesh = _mesh_1d(h, m, extension_ratio)
     kernel = Kernel(kind, 1, m * h)
     case = case_sin_1d()
-    system = assemble_system(mesh, kernel, InnerGridSpec(nbar), nq,
+    system = assemble_system(mesh, kernel, nbar, nq,
                              case.source, case.solution)
     A = system.matrix.toarray()
     A_ref, f_ref = naive_system(h, m, kind, extension_ratio, nbar, nq,
@@ -185,7 +185,7 @@ def test_assembly_matches_naive_oracle_2d():
 
     mesh = build_uniform_mesh(h, BoxDomain.unit(2, delta, delta))
     kernel = Kernel(KernelKind.CONSTANT, 2, delta)
-    A = assemble_system(mesh, kernel, InnerGridSpec(nbar),
+    A = assemble_system(mesh, kernel, nbar,
                         nq_side**2).matrix.toarray()
     # reference uses the same interior ordering (lexicographic node ids)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
@@ -197,7 +197,7 @@ def test_stiffness_symmetric():
     for dim, h in ((1, 1 / 16), (2, 1 / 4)):
         mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h, 2 * h))
         k = Kernel(KernelKind.CONSTANT, dim, 2 * h)
-        A = assemble_system(mesh, k, InnerGridSpec(2), 4).matrix
+        A = assemble_system(mesh, k, 2, 4).matrix
         diff = (A - A.T).toarray()
         assert np.abs(diff).max() <= 1e-12 * np.abs(A.toarray()).max()
 
@@ -205,7 +205,7 @@ def test_stiffness_symmetric():
 def test_stiffness_positive_definite_probe():
     mesh = _mesh_1d(1 / 16, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 16)
-    A = assemble_system(mesh, k, InnerGridSpec(4), 10).matrix
+    A = assemble_system(mesh, k, 4, 10).matrix
     rng = np.random.default_rng(7)
     n = A.shape[0]
     quad_forms = [u @ (A @ u) for u in rng.standard_normal((1000, n))]
@@ -217,7 +217,7 @@ def test_stiffness_bandwidth():
     mesh = _mesh_1d(h, m)
     delta = m * h
     k = Kernel(KernelKind.CONSTANT, 1, delta)
-    A = assemble_system(mesh, k, InnerGridSpec(4), 10).matrix.toarray()
+    A = assemble_system(mesh, k, 4, 10).matrix.toarray()
     xs = mesh.nodes[mesh.interior_nodes, 0]
     for i in range(len(xs)):
         for j in range(len(xs)):
@@ -232,7 +232,7 @@ def test_quadrature_symmetry_across_mirrored_junctions():
     delta = h
     k = Kernel(KernelKind.CONSTANT, 1, delta)
     from nlfem import full_ball_rule
-    rule = full_ball_rule(k, InnerGridSpec(5))
+    rule = full_ball_rule(k, 5)
     gp, gw = np.polynomial.legendre.leggauss(20)
     gp, gw = (gp + 1) / 2, gw / 2
     s = 0.5  # junction between two interior elements
@@ -255,7 +255,7 @@ def test_assembly_deterministic():
     case = case_sin_1d()
     runs = []
     for _ in range(2):
-        system = assemble_system(mesh, k, InnerGridSpec(5), 10,
+        system = assemble_system(mesh, k, 5, 10,
                                  case.source, case.solution)
         runs.append((system.matrix.toarray().copy(), system.rhs.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -267,7 +267,7 @@ def test_sparse_accumulator_symmetric_above_dense_limit():
     mesh = _mesh_1d(h, m)
     assert mesh.num_nodes > nlfem.assembly._COO_NODE_LIMIT
     k = Kernel(KernelKind.RATIONAL, 1, m * h)
-    A = assemble_system(mesh, k, InnerGridSpec(1), 1).matrix
+    A = assemble_system(mesh, k, 1, 1).matrix
     assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
 
 
@@ -277,7 +277,7 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
     case = case_sin_1d()
 
     def assemble():
-        return assemble_system(mesh, k, InnerGridSpec(2), 2, case.source,
+        return assemble_system(mesh, k, 2, 2, case.source,
                                case.solution)
 
     dense = assemble()
@@ -287,16 +287,16 @@ def test_sparse_accumulator_matches_dense(monkeypatch):
     assert np.abs(sparse.rhs - dense.rhs).max() <= 1e-13 * np.abs(dense.rhs).max()
 
 
-@pytest.mark.parametrize("dim, h, spec, n_q, coo_limit, pair_chunk, perturbed", [
-    (2, 1 / 8, InnerGridSpec(4), 16, None, None, False),
-    (2, 1 / 8, InnerGridSpec(4), 16, 0, None, False),
-    (1, 1 / 4096, InnerGridSpec(1), 1, None, None, False),
-    (2, 1 / 8, InnerGridSpec(4), 16, None, 37, True),
-    (2, 1 / 8, InnerGridSpec(4), 16, 0, 37, True),
-    (1, 1 / 64, InnerGridSpec(3), 4, None, 37, False),
+@pytest.mark.parametrize("dim, h, n_bar, n_q, coo_limit, pair_chunk, perturbed", [
+    (2, 1 / 8, 4, 16, None, None, False),
+    (2, 1 / 8, 4, 16, 0, None, False),
+    (1, 1 / 4096, 1, 1, None, None, False),
+    (2, 1 / 8, 4, 16, None, 37, True),
+    (2, 1 / 8, 4, 16, 0, 37, True),
+    (1, 1 / 64, 3, 4, None, 37, False),
 ], ids=["dense-2d", "sparse-2d", "sparse-1d", "dense-2d-perturbed-chunk37",
         "sparse-2d-perturbed-chunk37", "dense-1d-chunk37"])
-def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_limit,
+def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, n_bar, n_q, coo_limit,
                                           pair_chunk, perturbed):
     """Both chunk sums give bitwise the matrix of the broadcast-index oracle.
 
@@ -318,7 +318,7 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
     case = case_sin_1d() if dim == 1 else case_sin_2d()
 
     def assemble():
-        return assemble_system(mesh, kernel, spec, n_q, case.source, case.solution)
+        return assemble_system(mesh, kernel, n_bar, n_q, case.source, case.solution)
 
     system = assemble()
     calls = []
@@ -333,7 +333,7 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
         assert np.array_equal(getattr(system.matrix, part), getattr(oracle_system.matrix, part))
     assert np.array_equal(system.rhs, oracle_system.rhs)
 
-    n_off = full_ball_rule(kernel, spec).size
+    n_off = full_ball_rule(kernel, n_bar).size
     chunk_elems = max(1, nlfem.assembly._PAIR_CHUNK // (n_q * n_off))
     n_box = int(mesh.element_in_box.sum())
     parts = (n_box, mesh.num_elements - n_box)
@@ -343,10 +343,10 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, spec, n_q, coo_li
 # ------------------------------------------------ correctly summed reference
 
 _SUMMED_LEVELS = {  # dim, h, inner grid, outer points, perturbed; extension zero
-    "1d": (1, 1 / 16, InnerGridSpec(10), 40, False),
-    "2d": (2, 1 / 8, InnerGridSpec(4), 16, False),
-    "2d-perturbed": (2, 1 / 8, InnerGridSpec(4), 16, True),
-    "1d-above-limit": (1, 1 / 4096, InnerGridSpec(2), 2, False),
+    "1d": (1, 1 / 16, 10, 40, False),
+    "2d": (2, 1 / 8, 4, 16, False),
+    "2d-perturbed": (2, 1 / 8, 4, 16, True),
+    "1d-above-limit": (1, 1 / 4096, 2, 2, False),
 }
 
 
@@ -356,7 +356,7 @@ def _operator_and_chunks(monkeypatch, level, mutant=None):
     A ``mutant`` alters the first chunk's sum only: "scaled-chunk" scales it
     by 1 + 1e-9, "dropped-pair" leaves out its first pair.
     """
-    dim, h, spec, n_q, perturbed = _SUMMED_LEVELS[level]
+    dim, h, n_bar, n_q, perturbed = _SUMMED_LEVELS[level]
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))  # extension zero: truncated balls
     if perturbed:
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, 3))
@@ -373,7 +373,7 @@ def _operator_and_chunks(monkeypatch, level, mutant=None):
 
     monkeypatch.setattr(nlfem.assembly, "_pair_products", capture)
     kernel = Kernel(KernelKind.RATIONAL, dim, 2 * h)
-    operator = nlfem.assembly._assemble_operator(mesh, kernel, spec, n_q)
+    operator = nlfem.assembly._assemble_operator(mesh, kernel, n_bar, n_q)
     return operator, chunks
 
 
@@ -428,13 +428,13 @@ class _ChunkCaptured(Exception):
     pass
 
 
-_ABOVE_LIMIT_LEVELS = pytest.mark.parametrize("dim, h, spec, n_q", [
-    (1, 1 / 4096, InnerGridSpec(4), 4),
-    (2, 1 / 64, InnerGridSpec(2), 4),
+_ABOVE_LIMIT_LEVELS = pytest.mark.parametrize("dim, h, n_bar, n_q", [
+    (1, 1 / 4096, 4, 4),
+    (2, 1 / 64, 2, 4),
 ], ids=["1d", "2d"])
 
 
-def _above_limit_chunk(monkeypatch, dim, h, spec, n_q):
+def _above_limit_chunk(monkeypatch, dim, h, n_bar, n_q):
     """The first chunk's ``_pair_products`` arguments, with ``_PAIR_CHUNK`` at 20,000."""
     monkeypatch.setattr(nlfem.assembly, "_PAIR_CHUNK", 20_000)
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h, 2 * h))
@@ -448,12 +448,12 @@ def _above_limit_chunk(monkeypatch, dim, h, spec, n_q):
     with monkeypatch.context() as patch:
         patch.setattr(nlfem.assembly, "_pair_products", capture)
         with pytest.raises(_ChunkCaptured):
-            assemble_system(mesh, Kernel(KernelKind.RATIONAL, dim, 2 * h), spec, n_q)
+            assemble_system(mesh, Kernel(KernelKind.RATIONAL, dim, 2 * h), n_bar, n_q)
     return tuple(chunk)
 
 
 @_ABOVE_LIMIT_LEVELS
-def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, spec, n_q):
+def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, n_bar, n_q):
     """One above-limit chunk sum peaks at 32 traced bytes per (pair, slot) entry or less.
 
     A chunk has pairs * 2k such entries.  Its node-major matrix holds a value
@@ -464,7 +464,7 @@ def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, spec, n_q):
     """
     import tracemalloc
 
-    nodes, vals, coef, n = _above_limit_chunk(monkeypatch, dim, h, spec, n_q)
+    nodes, vals, coef, n = _above_limit_chunk(monkeypatch, dim, h, n_bar, n_q)
     tracemalloc.start()
     try:
         total = nlfem.assembly._pair_products(nodes, vals, coef, n)
@@ -476,7 +476,7 @@ def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, spec, n_q):
 
 
 @_ABOVE_LIMIT_LEVELS
-def test_pair_products_row_blocks_cannot_move_a_bit(monkeypatch, dim, h, spec, n_q):
+def test_pair_products_row_blocks_cannot_move_a_bit(monkeypatch, dim, h, n_bar, n_q):
     """Where the expanded sum's row blocks end changes no bit of the chunk sum.
 
     scipy sorts and sums each CSR row on its own, so every row meets the same
@@ -484,7 +484,7 @@ def test_pair_products_row_blocks_cannot_move_a_bit(monkeypatch, dim, h, spec, n
     block per row (one term), blocks that single long rows overrun (half the
     longest row) and one block for the whole chunk, which is the unblocked sum.
     """
-    nodes, vals, coef, n = _above_limit_chunk(monkeypatch, dim, h, spec, n_q)
+    nodes, vals, coef, n = _above_limit_chunk(monkeypatch, dim, h, n_bar, n_q)
     width = nodes.shape[1]
     row_terms = np.bincount(nodes.ravel(), minlength=n)
     budgets = {"one term": 1, "half a row": row_terms.max() // 2,
@@ -511,7 +511,7 @@ def test_rhs_zero_boundary_is_body_term_only():
     k = Kernel(KernelKind.CONSTANT, 1, 1 / 8)
     case = case_sin_1d()
     zero = lambda p: np.zeros(p.shape[0])
-    f = assemble_system(mesh, k, InnerGridSpec(2), 8,
+    f = assemble_system(mesh, k, 2, 8,
                         case.source, zero).rhs
     # pure body load: integral of basis * source, independently via fine Gauss
     gp, gw = np.polynomial.legendre.leggauss(40)
@@ -533,7 +533,7 @@ def test_rhs_linear_boundary_matches_coupling_identity():
     mesh = _mesh_1d(1 / 16, 2)
     k = Kernel(KernelKind.CONSTANT, 1, 2 / 16)
     case = case_linear_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(4), 10,
+    system = assemble_system(mesh, k, 4, 10,
                              case.source, case.solution)
     u_lin = mesh.nodes[mesh.interior_nodes, 0]
     residual = system.matrix @ u_lin - system.rhs
@@ -552,7 +552,7 @@ def test_constant_field_in_operator_kernel(dim, perturbed, extension_ratio):
     if perturbed:
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=1))
     k = Kernel(KernelKind.RATIONAL, dim, delta)
-    system = assemble_system(mesh, k, InnerGridSpec(2), 2 if dim == 1 else 4,
+    system = assemble_system(mesh, k, 2, 2 if dim == 1 else 4,
                              boundary=lambda p: np.ones(len(p)))
     defect = system.matrix @ np.ones(mesh.num_interior) - system.rhs
     assert np.abs(defect).max() <= 1e-12 * abs(system.matrix).max()
@@ -564,7 +564,7 @@ def test_solver_residual_contract():
     mesh = _mesh_1d(1 / 32, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 32)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(5), 10,
+    system = assemble_system(mesh, k, 5, 10,
                              case.source, case.solution)
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
@@ -581,7 +581,7 @@ def test_solver_contract_2d(perturbation, extension_ratio):
         mesh = perturb_mesh(mesh, perturbation)
     k = Kernel(KernelKind.RATIONAL, 2, m * h)
     case = case_sin_2d()
-    system = assemble_system(mesh, k, InnerGridSpec(4), 16,
+    system = assemble_system(mesh, k, 4, 16,
                              case.source, case.solution)
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
@@ -599,7 +599,7 @@ def test_solver_contract_miss_raises(monkeypatch, spoil, message):
     mesh = _mesh_1d(1 / 64, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 64)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(5), 10,
+    system = assemble_system(mesh, k, 5, 10,
                              case.source, case.solution)
     direct = nlfem.assembly.sparse_linalg.spsolve
     stub = SimpleNamespace(spsolve=lambda a, f, **kw: spoil(direct(a, f, **kw)))
@@ -612,7 +612,7 @@ def test_solve_smallest_grid():
     mesh = _mesh_1d(0.5, 1)
     k = Kernel(KernelKind.CONSTANT, 1, 0.5)
     case = case_sin_1d()
-    system = assemble_system(mesh, k, InnerGridSpec(2), 8,
+    system = assemble_system(mesh, k, 2, 8,
                              case.source, case.solution)
     assert system.matrix.shape == (1, 1)
     u = solve_system(system)
@@ -622,7 +622,7 @@ def test_solve_smallest_grid():
 def test_solve_without_unknowns():
     mesh = _mesh_1d(1.0, 1)  # one box cell: both of its nodes lie on the box boundary
     k = Kernel(KernelKind.CONSTANT, 1, 1.0)
-    system = assemble_system(mesh, k, InnerGridSpec(2), 2)
+    system = assemble_system(mesh, k, 2, 2)
     assert system.matrix.shape == (0, 0)
     assert solve_system(system).shape == (0,)
 
@@ -656,7 +656,7 @@ def test_dimension_mismatch_rejected():
     mesh = _mesh_1d(0.25, 1)
     k = Kernel(KernelKind.CONSTANT, 2, 0.25)
     with pytest.raises(AssemblyError, match="kernel / mesh dimensions do not match"):
-        assemble_system(mesh, k, InnerGridSpec(2), 4)
+        assemble_system(mesh, k, 2, 4)
 
 
 @pytest.mark.parametrize("offsets, message", [
@@ -666,13 +666,13 @@ def test_dimension_mismatch_rejected():
 ])
 def test_assembly_rejects_balls_that_leave_the_mesh(monkeypatch, offsets, message):
     offsets = np.array(offsets)
-    rule = nlfem.assembly.InnerQuadratureRule(offsets, np.ones(len(offsets)),
-                                              np.ones(len(offsets)), 0.0)
+    rule = nlfem.assembly.InnerQuadratureRule(offsets, np.ones(len(offsets)), np.ones(len(offsets)),
+                                              np.ones((1, len(offsets))), 0.0)
     monkeypatch.setattr(nlfem.assembly, "full_ball_rule", lambda *args: rule)
     mesh = _mesh_1d(0.125, 2, 0.0)
     k = Kernel(KernelKind.CONSTANT, 1, 0.25)
     with pytest.raises(AssemblyError, match=message):
-        assemble_system(mesh, k, InnerGridSpec(2), 2)
+        assemble_system(mesh, k, 2, 2)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -686,15 +686,15 @@ def test_only_clipped_extension_masks_solve(monkeypatch, perturbed):
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, 3))
     weights, all_kept = nlfem.assembly.truncated_weights, []
 
-    def record(kernel, spec, in_ext, full):
-        out = weights(kernel, spec, in_ext, full)
+    def record(full, in_ext):
+        out = weights(full, in_ext)
         if in_ext.all():
             all_kept.append((out, full))
         return out
 
     monkeypatch.setattr(nlfem.assembly, "truncated_weights", record)
     nlfem.assembly._assemble_operator(mesh, Kernel(KernelKind.RATIONAL, 2, delta),
-                                      InnerGridSpec(4), 16)
+                                      4, 16)
     misses = default_cache().misses
     assert misses > 1 if perturbed else misses == 1
     assert all_kept  # the box chunk, and with extension delta every chunk
@@ -705,25 +705,28 @@ def test_only_clipped_extension_masks_solve(monkeypatch, perturbed):
 def test_assembly_solves_each_rule_and_mask_once_per_process(monkeypatch):
     """Assembly looks every rule up in ``default_cache()``: the first assembly of
     a perturbed level misses once for the full rule and once per distinct
-    clipped mask, and a second assembly of the same level only hits."""
+    clipped mask, and a second assembly of the same level only hits.  A masked
+    solve looks up nothing else, so the lookups are one for the full rule and
+    one per distinct mask of each chunk."""
     mesh = perturb_mesh(build_uniform_mesh(1 / 8, BoxDomain.unit(2, 1 / 4)),
                         PerturbationSpec(0.1, 3))  # extension zero: clipped masks
-    kernel, spec = Kernel(KernelKind.RATIONAL, 2, 1 / 4), InnerGridSpec(4)
+    kernel = Kernel(KernelKind.RATIONAL, 2, 1 / 4)
     weights, chunk_masks = nlfem.assembly.truncated_weights, []
 
-    def record(kernel, spec, in_ext, full):
+    def record(full, in_ext):
         if not in_ext.all():  # a chunk that keeps every point looks up no mask
             chunk_masks.append({row.tobytes() for row in in_ext})
-        return weights(kernel, spec, in_ext, full)
+        return weights(full, in_ext)
 
     monkeypatch.setattr(nlfem.assembly, "truncated_weights", record)
     cache = default_cache()
-    first = assemble_system(mesh, kernel, spec, 16)
+    first = assemble_system(mesh, kernel, 4, 16)
     n_masks = len(set().union(*chunk_masks))
     assert n_masks > 1 and cache.misses == 1 + n_masks
+    assert cache.hits + cache.misses == 1 + sum(map(len, chunk_masks))
     hits = cache.hits
     chunk_masks.clear()
-    second = assemble_system(mesh, kernel, spec, 16)
+    second = assemble_system(mesh, kernel, 4, 16)
     assert cache.misses == 1 + n_masks
     assert cache.hits == hits + 1 + sum(map(len, chunk_masks))
     for part in ("data", "indices", "indptr"):

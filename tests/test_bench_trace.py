@@ -10,7 +10,7 @@ from pathlib import Path
 
 import nlfem.assembly
 import nlfem.cli
-from nlfem import BoxDomain, InnerGridSpec, Kernel, KernelKind, build_uniform_mesh
+from nlfem import BoxDomain, Kernel, KernelKind, build_uniform_mesh
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
@@ -32,7 +32,7 @@ def test_tracer_spans_open_under_assembly():
         h = 1 / 16
         mesh = build_uniform_mesh(h, BoxDomain.unit(1, 2 * h))  # extension zero: truncated balls
         kernel = Kernel(KernelKind.RATIONAL, 1, 2 * h)
-        nlfem.cli.assemble_system(mesh, kernel, InnerGridSpec(2), 2)
+        nlfem.cli.assemble_system(mesh, kernel, 2, 2)
     finally:
         restore()
     for name, fn in originals.items():

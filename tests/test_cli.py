@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlfem.cli import _KEYS, RunConfig, load_config, main, run_study
-from nlfem.exceptions import ConfigError
+from nlfem.exceptions import ConfigError, SolverError
 from nlfem.geometry import BoxDomain, cell_counts
 
 
@@ -270,7 +270,11 @@ def test_main_dump_flags(tmp_path):
     ("--dump-inner-rule", "missing_dir/rule.csv"),
     ("--out", "a_file"),
 ])
-def test_main_rejects_unwritable_output_path(tmp_path, capsys, flag, target):
+def test_main_rejects_unwritable_output_path(tmp_path, capsys, monkeypatch, flag, target):
+    from nlfem import cli
+
+    executed = []
+    monkeypatch.setattr(cli, "_execute", lambda *args: executed.append(args))
     cfg = _write(tmp_path, _base_config(h=[0.0625]))
     (tmp_path / "a_file").write_text("")
     path = str(tmp_path / target)
@@ -278,7 +282,8 @@ def test_main_rejects_unwritable_output_path(tmp_path, capsys, flag, target):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("[output] cannot write") and path in err
-    assert not (tmp_path / "out" / "report.csv").exists()  # refused before any level ran
+    assert not executed  # refused before any level ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json"]
 
 
 @pytest.mark.parametrize("flag", ["--dump-matrix", "--dump-inner-rule"])
@@ -387,7 +392,6 @@ def test_main_propagates_an_os_error_raised_outside_output_writing(tmp_path, mon
 
 def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     from nlfem import cli
-    from nlfem.exceptions import SolverError
 
     def boom(*args, **kwargs):
         raise SolverError("synthetic breakdown")
@@ -414,6 +418,22 @@ def test_main_reports_a_level_too_large_for_memory(tmp_path, monkeypatch, capsys
     cfg = _write(tmp_path, _base_config(h=[0.0625]))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("exc, out, code", [
+    (MemoryError(), "o1", 2),
+    (SolverError("synthetic breakdown"), "o2/deeper", 3),
+], ids=["memory", "numerical"])
+def test_a_failed_level_leaves_no_out_directory(tmp_path, monkeypatch, exc, out, code):
+    from nlfem import cli
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "_execute", fail)
+    cfg = _write(tmp_path, _base_config(h=[0.0625]))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == code
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_load_config_bad_json(tmp_path):

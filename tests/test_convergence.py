@@ -4,7 +4,7 @@ from scipy import integrate
 
 import nlfem.convergence
 from _oracles import exact_bilinear_form, near_boundary_error_ratio, strang_gap
-from nlfem import (BoxDomain, InnerGridSpec, Kernel, KernelKind,
+from nlfem import (BoxDomain, Kernel, KernelKind,
                    PerturbationSpec, build_uniform_mesh, case_linear_1d,
                    case_sin_1d, case_sin_2d, error_norms, fit_rate,
                    full_ball_rule, guarded_fit_rate, h1_error, l2_error,
@@ -61,7 +61,7 @@ def test_halving_h_quarters_l2_error():
         delta = 2 * h
         mesh = build_uniform_mesh(h, BoxDomain.unit(1, delta, delta))
         kernel = Kernel(KernelKind.RATIONAL, 1, delta)
-        system = assemble_system(mesh, kernel, InnerGridSpec(10),
+        system = assemble_system(mesh, kernel, 10,
                                  40, case.source, case.solution)
         field = reconstruct(mesh, solve_system(system), case.solution)
         errs.append(l2_error(field, case, mesh))
@@ -250,7 +250,7 @@ def test_single_ball_rule_exact_for_linear_fields():
     delta = 0.1
     for kind in (KernelKind.CONSTANT, KernelKind.RATIONAL):
         kernel = Kernel(kind, 1, delta)
-        rule = full_ball_rule(kernel, InnerGridSpec(5))
+        rule = full_ball_rule(kernel, 5)
         a, b = 2.0, -0.7  # slopes of two linear fields
         discrete = float(np.sum(
             rule.strengths * (a * rule.offsets[:, 0]) * (b * rule.offsets[:, 0])
@@ -267,7 +267,7 @@ def test_strang_gap_requires_zero_constraint_values():
     kernel = Kernel(KernelKind.CONSTANT, 1, 0.25)
     bad = np.ones(mesh.num_nodes)
     with pytest.raises(NlfemError, match="vanish"):
-        strang_gap(bad, bad, kernel, mesh, InnerGridSpec(2))
+        strang_gap(bad, bad, kernel, mesh, 2)
 
 
 def test_strang_gap_rejects_2d():
@@ -275,7 +275,7 @@ def test_strang_gap_rejects_2d():
     kernel = Kernel(KernelKind.CONSTANT, 2, 0.5)
     z = np.zeros(mesh.num_nodes)
     with pytest.raises(NlfemError, match="1D"):
-        strang_gap(z, z, kernel, mesh, InnerGridSpec(2))
+        strang_gap(z, z, kernel, mesh, 2)
 
 
 def test_exact_form_rejects_2d():
@@ -289,7 +289,7 @@ def _sin_gap(h):
     mesh = build_uniform_mesh(h, BoxDomain.unit(1, h, h))
     kernel = Kernel(KernelKind.CONSTANT, 1, h)
     v = np.where(mesh.node_is_interior, np.sin(2 * np.pi * mesh.nodes[:, 0]), 0.0)
-    gap = strang_gap(v, v, kernel, mesh, InnerGridSpec(5), n_q=40)
+    gap = strang_gap(v, v, kernel, mesh, 5, n_q=40)
     norm = np.sqrt(exact_bilinear_form(v, v, kernel, mesh, 40))
     return gap / norm
 
@@ -308,8 +308,8 @@ def test_strang_gap_mirror_symmetric():
     x = mesh.nodes[:, 0]
     v = np.where(mesh.node_is_interior, np.sin(2 * np.pi * x) + 0.2 * x * (1 - x), 0.0)
     mirrored = v[::-1]  # uniform grid is symmetric about 1/2
-    g1 = strang_gap(v, v, kernel, mesh, InnerGridSpec(5))
-    g2 = strang_gap(mirrored, mirrored, kernel, mesh, InnerGridSpec(5))
+    g1 = strang_gap(v, v, kernel, mesh, 5)
+    g2 = strang_gap(mirrored, mirrored, kernel, mesh, 5)
     assert g1 == pytest.approx(g2, rel=1e-10)
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from _oracles import (forked_element_gradients, forked_element_measures,
                       forked_mesh_from_breaks, forked_outer_rules, masked_locate_points)
-from nlfem import (BoxDomain, Field, InnerGridSpec, OutsideDomainError, PerturbationSpec,
+from nlfem import (BoxDomain, Field, OutsideDomainError, PerturbationSpec,
                    build_uniform_mesh, generate_offsets, locate_points, outer_rules,
                    perturb_mesh)
 
@@ -107,7 +107,7 @@ def test_locate_points_offsets_form_equals_plain_form(dim, perturbed):
     # multiples of the spacing, which carry vertices onto vertices, points on
     # grid lines onto grid lines and diagonal points along diagonals
     steps = np.meshgrid(*[0.125 * np.arange(-2, 3)] * dim, indexing="ij")
-    offsets = np.concatenate([generate_offsets(InnerGridSpec(3), dim, 0.25),
+    offsets = np.concatenate([generate_offsets(3, dim, 0.25),
                               np.stack([g.ravel() for g in steps], axis=1)])
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     assert in_mesh.all() and in_ext.all()
@@ -159,7 +159,7 @@ def test_locate_points_rejects_nan(dim, with_offsets):
     mesh = build_uniform_mesh(0.125, BoxDomain.unit(dim, 0.25))
     centers = np.full((3, dim), 0.5)
     centers[1, -1] = np.nan
-    offsets = generate_offsets(InnerGridSpec(2), dim, 0.25) if with_offsets else np.zeros((1, dim))
+    offsets = generate_offsets(2, dim, 0.25) if with_offsets else np.zeros((1, dim))
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     expected = np.repeat([[True], [False], [True]], len(offsets), axis=1)
     assert np.array_equal(in_mesh, expected) and np.array_equal(in_ext, expected)
@@ -177,7 +177,7 @@ def test_locate_points_masks_equal_brute_force(dim, perturbed, extension):
     # whole spacings carry the layer-end vertices onto the mesh ends and the
     # extended ends exactly
     steps = np.meshgrid(*[0.125 * np.arange(-3, 4)] * dim, indexing="ij")
-    offsets = np.concatenate([generate_offsets(InnerGridSpec(3), dim, 0.25),
+    offsets = np.concatenate([generate_offsets(3, dim, 0.25),
                               np.stack([g.ravel() for g in steps], axis=1)])
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     sums = centers[:, None] + offsets

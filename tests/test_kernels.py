@@ -7,7 +7,7 @@ from scipy import integrate
 from _oracles import unit_moments
 from nlfem import (BallNorm, Kernel, KernelError, KernelKind, QuadratureError,
                    filter_to_ball)
-from nlfem.quadrature import _moment_weights
+from nlfem.quadrature import _constraint_matrix
 
 ALL_KINDS = [(KernelKind.CONSTANT, 1), (KernelKind.RATIONAL, 1),
              (KernelKind.CONSTANT, 2), (KernelKind.RATIONAL, 2)]
@@ -37,7 +37,7 @@ def test_rational_singularity_rejected():
     k = Kernel(KernelKind.RATIONAL, 1, 0.1)
     offsets = np.array([[0.0], [0.05]])
     with pytest.raises(QuadratureError, match="singular"):
-        _moment_weights(k, offsets)
+        _constraint_matrix(k, offsets)
 
 
 def test_support_boundary():

@@ -6,66 +6,74 @@ import pytest
 
 import nlfem.quadrature
 from _oracles import closed_form_weights_1d_constant, constraint_matrix, unit_moments
-from nlfem import (BallNorm, BoxDomain, InnerGridSpec, Kernel, KernelError, KernelKind,
+from nlfem import (BallNorm, BoxDomain, Kernel, KernelError, KernelKind,
                    PerturbationSpec, QuadratureError, build_uniform_mesh,
                    default_cache, filter_to_ball, full_ball_rule,
                    generate_offsets, locate_points, outer_rules, perturb_mesh,
                    solve_weights, truncated_weights)
-from nlfem.quadrature import _moment_weights, solve_weights_on_subset
+from nlfem.quadrature import _constraint_matrix, _moment_weights, solve_weights_on_subset
 
 
 def test_offsets_1d_single_ring():
-    offs = generate_offsets(InnerGridSpec(1), 1, 0.02)
+    offs = generate_offsets(1, 1, 0.02)
     assert np.allclose(sorted(offs[:, 0]), [-0.01, 0.01])
 
 
 def test_offsets_1d_two_rings():
     d = 0.4
-    offs = generate_offsets(InnerGridSpec(2), 1, d)
+    offs = generate_offsets(2, 1, d)
     assert np.allclose(sorted(offs[:, 0]),
                        [-3 * d / 4, -d / 4, d / 4, 3 * d / 4])
 
 
 def test_offsets_2d_count():
-    offs = generate_offsets(InnerGridSpec(4), 2, 1.0)
+    offs = generate_offsets(4, 2, 1.0)
     assert offs.shape == (64, 2)
     assert not np.any(np.all(offs == 0.0, axis=1))
 
 
 @pytest.mark.parametrize("points_per_radius, dim, bad", [
     (2.5, 1, "points_per_radius"), ("3", 1, "points_per_radius"),
-    (True, 1, "points_per_radius"), (2, True, "dim"), (2, 1.0, "dim"),
+    (True, 1, "points_per_radius"), (0, 1, "points_per_radius"),
+    (2, True, "dim"), (2, 1.0, "dim"),
 ])
 def test_inner_grid_spec_rejects_non_integers(points_per_radius, dim, bad):
-    if bad == "points_per_radius":
+    if points_per_radius == 0:
+        error, message = QuadratureError, "points_per_radius must lie in [1, 2^31), got 0"
+    elif bad == "points_per_radius":
         error, message = QuadratureError, f"{bad} must be an integer, got {points_per_radius!r}"
     else:  # the grid takes its dimension from the kernel, so the kernel refuses a bad one
         error, message = KernelError, f"dimension must be an integer, got {dim!r}"
+    if dim == 1:  # True == 1, so a refusal cannot come from the rule cached for 1
+        full_ball_rule(Kernel(KernelKind.CONSTANT, 1, 0.25), 1)
     with pytest.raises(error, match=re.escape(message)):
-        full_ball_rule(Kernel(KernelKind.CONSTANT, dim, 0.25), InnerGridSpec(points_per_radius))
-    assert np.array_equal(generate_offsets(InnerGridSpec(np.int64(2)), np.int32(2), 1.0),
-                          generate_offsets(InnerGridSpec(2), 2, 1.0))
+        full_ball_rule(Kernel(KernelKind.CONSTANT, dim, 0.25), points_per_radius)
+    if bad == "points_per_radius":  # generate_offsets, public too, refuses it
+        with pytest.raises(error, match=re.escape(message)):
+            generate_offsets(points_per_radius, 1, 0.25)
+    assert np.array_equal(generate_offsets(np.int64(2), np.int32(2), 1.0),
+                          generate_offsets(2, 2, 1.0))
 
 
 def test_offsets_reflection_symmetric():
-    offs = generate_offsets(InnerGridSpec(3), 2, 0.5)
+    offs = generate_offsets(3, 2, 0.5)
     as_set = {tuple(np.round(o, 15)) for o in offs}
     assert as_set == {tuple(np.round(-o, 15)) for o in offs}
 
 
 def test_filter_euclidean_2d():
-    offs = generate_offsets(InnerGridSpec(4), 2, 1.0)
+    offs = generate_offsets(4, 2, 1.0)
     assert filter_to_ball(offs, 1.0, BallNorm.EUCLIDEAN).sum() == 52
 
 
 def test_filter_max_norm_keeps_all():
-    offs = generate_offsets(InnerGridSpec(4), 2, 1.0)
+    offs = generate_offsets(4, 2, 1.0)
     assert filter_to_ball(offs, 1.0, BallNorm.MAX).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_filter_1d_keeps_all(n):
-    offs = generate_offsets(InnerGridSpec(n), 1, 0.3)
+    offs = generate_offsets(n, 1, 0.3)
     assert filter_to_ball(offs, 0.3, BallNorm.EUCLIDEAN).all()
 
 
@@ -77,7 +85,8 @@ def test_filter_rejects_ball_without_points():
 def test_rule_rejects_non_finite_weights():
     offs = np.array([[-0.5], [0.5]])
     with pytest.raises(QuadratureError, match="non-finite"):
-        nlfem.quadrature.InnerQuadratureRule(offs, np.array([1.0, np.nan]), np.ones(2), 0.0)
+        nlfem.quadrature.InnerQuadratureRule(offs, np.array([1.0, np.nan]), np.ones(2),
+                                             np.ones((1, 2)), 0.0)
 
 
 def test_constraint_matrix_1d():
@@ -100,20 +109,20 @@ def test_constraint_matrix_rejects_center():
     k = Kernel(KernelKind.CONSTANT, 1, 0.1)
     offsets = np.array([[0.0], [0.05]])
     with pytest.raises(QuadratureError, match="singular"):
-        _moment_weights(k, offsets)
+        _constraint_matrix(k, offsets)
 
 
 def test_solve_weights_single_ring():
     d = 0.02
     k = Kernel(KernelKind.CONSTANT, 1, d)
-    rule = full_ball_rule(k, InnerGridSpec(1))
+    rule = full_ball_rule(k, 1)
     assert np.allclose(rule.weights, 4 * d / 3, rtol=1e-13)
 
 
 def test_solve_weights_two_rings():
     d = 0.02
     k = Kernel(KernelKind.CONSTANT, 1, d)
-    rule = full_ball_rule(k, InnerGridSpec(2))
+    rule = full_ball_rule(k, 2)
     order = np.argsort(rule.offsets[:, 0])
     assert np.allclose(rule.weights[order],
                        [72 * d / 123, 8 * d / 123, 8 * d / 123, 72 * d / 123],
@@ -155,7 +164,7 @@ def test_full_rule_exactness_all_kernels():
         k = Kernel(kind, dim, 0.11)
         g = unit_moments(dim)
         for n in (1, 2, 4):
-            rule = full_ball_rule(k, InnerGridSpec(n))
+            rule = full_ball_rule(k, n)
             B = constraint_matrix(k, np.zeros(dim), rule.offsets)
             assert np.linalg.norm(B @ rule.weights - g) <= 1e-12 * np.linalg.norm(g)
 
@@ -165,7 +174,7 @@ def test_full_rule_exactness_all_kernels():
 def test_full_rule_positive_weights(kind, dim):
     k = Kernel(kind, dim, 0.2)
     for n in range(1, 11):
-        rule = full_ball_rule(k, InnerGridSpec(n))
+        rule = full_ball_rule(k, n)
         assert np.all(rule.weights > 0)
 
 
@@ -182,7 +191,7 @@ def test_full_rule_non_positive_weight_raises(monkeypatch, bad_weight):
     monkeypatch.setattr(nlfem.quadrature, "solve_weights", spoiled)
     k = Kernel(KernelKind.RATIONAL, 2, 0.2)
     with pytest.raises(QuadratureError, match="non-positive weight"):
-        full_ball_rule(k, InnerGridSpec(4))
+        full_ball_rule(k, 4)
 
 
 def test_moment_residual_above_tolerance_raises(monkeypatch):
@@ -191,18 +200,18 @@ def test_moment_residual_above_tolerance_raises(monkeypatch):
                         lambda B, g: (solve(B, g)[0], 1e-9 * np.linalg.norm(g)))
     k = Kernel(KernelKind.RATIONAL, 1, 0.2)
     with pytest.raises(QuadratureError, match="constraint residual"):
-        full_ball_rule(k, InnerGridSpec(3))
+        full_ball_rule(k, 3)
 
 
 @pytest.mark.parametrize("points_per_radius, dim", [(0, 1), (1, 3)])
 def test_inner_grid_spec_validation(points_per_radius, dim):
     with pytest.raises((QuadratureError, KernelError)):
-        full_ball_rule(Kernel(KernelKind.CONSTANT, dim, 0.2), InnerGridSpec(points_per_radius))
+        full_ball_rule(Kernel(KernelKind.CONSTANT, dim, 0.2), points_per_radius)
 
 
 def test_full_rule_dihedral_symmetry_2d():
     k = Kernel(KernelKind.RATIONAL, 2, 0.5)
-    rule = full_ball_rule(k, InnerGridSpec(4))
+    rule = full_ball_rule(k, 4)
     table = {tuple(np.round(o, 14)): w for o, w in zip(rule.offsets, rule.weights)}
     for (ox, oy), w in table.items():
         for sym in [(-ox, oy), (ox, -oy), (oy, ox), (-oy, -ox)]:
@@ -210,48 +219,81 @@ def test_full_rule_dihedral_symmetry_2d():
 
 
 def test_weights_scale_with_horizon():
-    spec = InnerGridSpec(3)
     for kind in (KernelKind.CONSTANT, KernelKind.RATIONAL):
-        w1 = full_ball_rule(Kernel(kind, 2, 0.1), spec).weights
-        w2 = full_ball_rule(Kernel(kind, 2, 0.35), spec).weights
+        w1 = full_ball_rule(Kernel(kind, 2, 0.1), 3).weights
+        w2 = full_ball_rule(Kernel(kind, 2, 0.35), 3).weights
         assert np.allclose(w2, (0.35 / 0.1) ** 2 * w1, rtol=1e-12)
 
 
 def test_full_rule_cached_and_shared():
     cache = default_cache()
     k = Kernel(KernelKind.CONSTANT, 1, 0.1)
-    spec = InnerGridSpec(3)
-    r1 = full_ball_rule(k, spec)
-    r2 = full_ball_rule(k, spec)
+    r1 = full_ball_rule(k, 3)
+    r2 = full_ball_rule(k, 3)
     assert r1 is r2
     assert cache.misses == 1
     n_extra = 5
     for _ in range(n_extra):
-        full_ball_rule(k, spec)
+        full_ball_rule(k, 3)
     assert cache.hits == 1 + n_extra
     cache.clear()
     assert (cache.hits, cache.misses) == (0, 0)
-    assert full_ball_rule(k, spec) is not r1
+    assert full_ball_rule(k, 3) is not r1
     assert cache.misses == 1
 
 
 def test_subset_solve_takes_the_full_rules_points():
-    """The masked solve uses ``full_ball_rule(kernel, spec).offsets[mask]``, so a
-    solve made after an unrelated one on the same mask gets its own weights."""
-    spec, mask = InnerGridSpec(2), np.array([True, True, False, True])
-    solve_weights_on_subset(Kernel(KernelKind.CONSTANT, 1, 0.1), spec, mask)
+    """The masked solve uses the given rule's points, so a solve made after an
+    unrelated one on the same mask gets its own weights."""
+    mask = np.array([True, True, False, True])
+    solve_weights_on_subset(full_ball_rule(Kernel(KernelKind.CONSTANT, 1, 0.1), 2), mask)
     k = Kernel(KernelKind.CONSTANT, 1, 0.2)
-    w, residual = solve_weights_on_subset(k, spec, mask)
-    ref_w, ref_residual = _moment_weights(k, full_ball_rule(k, spec).offsets[mask])
+    full = full_ball_rule(k, 2)
+    w, residual = solve_weights_on_subset(full, mask)
+    ref_w, ref_residual = _moment_weights(_constraint_matrix(k, full.offsets[mask])[1], 1)
     assert w.tobytes() == ref_w.tobytes() and residual == ref_residual
     assert default_cache().misses == 4  # two full rules, two masked solves
+
+
+def _half_plane_masks(offsets):
+    """Keep-sides of axis and diagonal cuts through the ball, at three depths."""
+    dim = offsets.shape[1]
+    normals = np.eye(dim) if dim == 1 else np.array([[1, 0], [0, 1], [1, 1], [1, -2]])
+    depth = np.abs(offsets).max()
+    return [offsets @ (sign * n) <= t * depth
+            for n in normals for sign in (1, -1) for t in (-0.3, 0.0, 0.5)]
+
+
+@pytest.mark.parametrize("kind, dim, ball_norm", list(itertools.product(
+    KernelKind, (1, 2), BallNorm)))
+@pytest.mark.parametrize("points_per_radius", [1, 2, 4, 10])
+def test_subset_solve_is_a_fresh_solve_bit_for_bit(kind, dim, ball_norm, points_per_radius):
+    """Columns of the full rule's constraints give the weights, to the bit, that a
+    constraint matrix built anew from the masked offsets gives."""
+    kernel = Kernel(kind, dim, 0.3, ball_norm)
+    full = full_ball_rule(kernel, points_per_radius)
+    rng = np.random.default_rng(points_per_radius)
+    masks = _half_plane_masks(full.offsets) + list(rng.random((25, full.size)) < 0.6)
+    g = unit_moments(dim)
+    solved = 0
+    for mask in masks:
+        try:
+            ref_w, ref_residual = solve_weights(_constraint_matrix(kernel, full.offsets[mask])[1], g)
+        except QuadratureError:  # no point kept, or every kept point on one line
+            continue
+        if ref_residual > 1e-12 * np.linalg.norm(g):
+            continue
+        w, residual = solve_weights_on_subset(full, mask)
+        assert w.tobytes() == ref_w.tobytes() and residual == ref_residual
+        solved += 1
+    assert solved >= len(masks) // 2
 
 
 def test_closed_form_matches_solver():
     d = 0.37
     for n in range(1, 21):
         k = Kernel(KernelKind.CONSTANT, 1, d)
-        rule = full_ball_rule(k, InnerGridSpec(n))
+        rule = full_ball_rule(k, n)
         closed = closed_form_weights_1d_constant(n, d)
         assert np.allclose(rule.weights, closed, rtol=1e-12)
         assert np.all(closed > 0)
@@ -281,18 +323,18 @@ def _ball_masks(kernel, extension, centers, full):
     return locate_points(mesh, centers, full.offsets)[2:]
 
 
-def _truncated_1d(kernel, spec, center, extension):
+def _truncated_1d(kernel, points_per_radius, center, extension):
     """Weights and retained offsets of the clipped ball around one 1D center."""
-    full = full_ball_rule(kernel, spec)
+    full = full_ball_rule(kernel, points_per_radius)
     in_mesh, in_ext = _ball_masks(kernel, extension, [[center]], full)
-    weights = truncated_weights(kernel, spec, in_ext, full)
+    weights = truncated_weights(full, in_ext)
     return weights[0], in_mesh[0], full
 
 
 def test_truncated_full_extension_reuses_full_ball_weights():
     d = 0.2
     k = Kernel(KernelKind.RATIONAL, 1, d)
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(4), -0.1, d)
+    weights, retained, full = _truncated_1d(k, 4, -0.1, d)
     assert not retained.all()  # outside points dropped
     assert np.array_equal(weights, full.weights)
 
@@ -301,7 +343,7 @@ def test_truncated_zero_extension_resolves_weights():
     d = 0.2
     k = Kernel(KernelKind.CONSTANT, 1, d)
     center = -d / 2  # half the ball sticks out on the left
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(4), center, 0.0)
+    weights, retained, full = _truncated_1d(k, 4, center, 0.0)
     assert not retained.all()
     assert np.all(weights[~retained] == 0.0)
     offs, w = full.offsets[retained], weights[retained]
@@ -325,7 +367,7 @@ def test_truncated_zero_extension_resolves_weights():
 def test_truncated_center_inside_box_returns_full_rule():
     d = 0.2
     k = Kernel(KernelKind.CONSTANT, 1, d)
-    weights, retained, full = _truncated_1d(k, InnerGridSpec(3), 0.5, 0.0)
+    weights, retained, full = _truncated_1d(k, 3, 0.5, 0.0)
     assert retained.all()
     assert np.array_equal(weights, full.weights)
     assert default_cache().misses == 1  # only the full-ball solve
@@ -334,18 +376,17 @@ def test_truncated_center_inside_box_returns_full_rule():
 def test_truncated_cache_reuse():
     d = 0.2
     k = Kernel(KernelKind.CONSTANT, 1, d)
-    spec = InnerGridSpec(4)
-    w1, _, full = _truncated_1d(k, spec, -d / 2, 0.0)
+    w1, _, full = _truncated_1d(k, 4, -d / 2, 0.0)
     misses = default_cache().misses
     centers = np.array([[-d / 2], [-d / 2]])
-    batch = truncated_weights(k, spec, _ball_masks(k, 0.0, centers, full)[1], full)
+    batch = truncated_weights(full, _ball_masks(k, 0.0, centers, full)[1])
     assert default_cache().misses == misses
     assert np.array_equal(batch[0], w1) and np.array_equal(batch[1], w1)
 
 
 def test_rule_dump_csv(tmp_path):
     k = Kernel(KernelKind.CONSTANT, 2, 0.1)
-    rule = full_ball_rule(k, InnerGridSpec(2))
+    rule = full_ball_rule(k, 2)
     path = tmp_path / "rule.csv"
     rule.dump_csv(path)
     lines = path.read_text().splitlines()
@@ -360,7 +401,7 @@ def test_distinct_masks_match_row_unique(n_bar):
     h, d = 1 / 16, 2 / 16
     domain = BoxDomain.unit(2, d, 0.0)
     mesh = perturb_mesh(build_uniform_mesh(h, domain), PerturbationSpec(0.3, seed=2))
-    full = full_ball_rule(Kernel(KernelKind.RATIONAL, 2, d), InnerGridSpec(n_bar))
+    full = full_ball_rule(Kernel(KernelKind.RATIONAL, 2, d), n_bar)
     pts, _, _ = outer_rules(mesh, np.flatnonzero(~mesh.element_in_box), 4)
     centers = pts.reshape(-1, 2)
     in_ext = locate_points(mesh, centers, full.offsets)[3]
