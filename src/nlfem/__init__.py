@@ -5,8 +5,8 @@ weights on a regular grid over the full interaction ball, so assembly never
 computes element-ball intersections.
 """
 
-from .assembly import (DiscreteSystem, Field, assemble_system, outer_rules,
-                       reconstruct, solve_system, truncated_weights)
+from .assembly import (DiscreteSystem, assemble_system, outer_rules, reconstruct,
+                       solve_system, truncated_weights)
 from .convergence import (ConvergenceReport, ErrorRecord, RateFit, error_norms,
                           fit_rate, guarded_fit_rate, h1_error, l2_error)
 from .exceptions import (AssemblyError, ConfigError, KernelError, MeshError,

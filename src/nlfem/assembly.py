@@ -303,34 +303,14 @@ def solve_system(system: DiscreteSystem) -> np.ndarray:
     return u
 
 
-@dataclass
-class Field:
-    """Piecewise-linear field over the mesh with per-element gradients."""
-
-    mesh: Mesh
-    node_values: np.ndarray
-
-    def element_gradients(self) -> np.ndarray:
-        """Constant gradient per element, shape (n_el, dim)."""
-        mesh = self.mesh
-        _, e, det = mesh.affine_maps()
-        uv = self.node_values[mesh.elements]
-        du = uv[:, 1:] - uv[:, :1]
-        if mesh.dim == 1:
-            return du / det[:, None]
-        gx = (du[:, 0] * e[:, 1, 1] - du[:, 1] * e[:, 0, 1]) / det
-        gy = (-du[:, 0] * e[:, 1, 0] + du[:, 1] * e[:, 0, 0]) / det
-        return np.stack([gx, gy], axis=1)
-
-
-def reconstruct(mesh: Mesh, interior_values: np.ndarray, boundary=None) -> Field:
-    """Assemble the full nodal field: unknowns plus layer data."""
+def reconstruct(mesh: Mesh, interior_values: np.ndarray, boundary=None) -> np.ndarray:
+    """The value at every mesh node: the unknowns, and ``boundary`` (else 0) on the layer."""
     vals = np.zeros(mesh.num_nodes)
     vals[mesh.interior_nodes] = interior_values
     if boundary is not None:
         cn = mesh.constraint_nodes
         vals[cn] = np.asarray(boundary(mesh.nodes[cn]), dtype=float)
-    return Field(mesh=mesh, node_values=vals)
+    return vals
 
 
 def dump_matrix_market(system: DiscreteSystem, path) -> None:
@@ -341,10 +321,9 @@ def dump_matrix_market(system: DiscreteSystem, path) -> None:
         scipy_io.mmwrite(fh, system.matrix.tocoo())
 
 
-def dump_solution_csv(field: Field, path) -> None:
-    mesh = field.mesh
+def dump_solution_csv(mesh: Mesh, node_values: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("id," + ",".join("xy"[:mesh.dim]) + ",u\n")
-        for i, (x, v) in enumerate(zip(mesh.nodes, field.node_values)):
+        for i, (x, v) in enumerate(zip(mesh.nodes, node_values)):
             coords = ",".join(repr(float(c)) for c in x)
             fh.write(f"{i},{coords},{float(v)!r}\n")

@@ -157,7 +157,7 @@ def load_config(path) -> RunConfig:
 @dataclass
 class LevelResult:
     record: ErrorRecord
-    field: "object"  # assembly.Field
+    node_values: "object"  # numpy array, the solution at every mesh node
     system: "object"  # assembly.DiscreteSystem
     kernel: Kernel
     assembly_s: float  # wall-clock seconds, for run.json only
@@ -167,11 +167,12 @@ class LevelResult:
 
 def _level_inputs(config: RunConfig, h: float):
     """One level's checked domain, perturbation spec (None on a uniform mesh)
-    and kernel, after its cell counts; allocates no mesh or rule."""
+    and kernel, after its cell counts and unknowns; allocates no mesh or rule."""
     delta = config.m * h
     domain = BoxDomain.unit(config.dimension, delta,
                             delta if config.extension_mode == "delta" else 0.0)
-    cell_counts(h, domain)
+    if min(cell_counts(h, domain)[1]) < 2:  # the unknowns are the nodes inside the box
+        raise ConfigError(f"element size {h!r} leaves no unknown: the box needs 2 cells per axis")
     perturbation = (PerturbationSpec(config.epsilon, config.seed)
                     if config.mesh_mode == "perturbed" else None)
     kernel = Kernel(config.kernel_kind, config.dimension, delta, config.ball_norm)
@@ -193,11 +194,11 @@ def _execute(config: RunConfig, h: float) -> LevelResult:
     u = solve_system(system)
     t2 = time.perf_counter()
 
-    field_ = reconstruct(mesh, u, case.solution)
-    l2, h1 = error_norms(field_, case, mesh)
+    node_values = reconstruct(mesh, u, case.solution)
+    l2, h1 = error_norms(node_values, case, mesh)
     t3 = time.perf_counter()
     record = ErrorRecord(h=h, delta=kernel.horizon, m=config.m, dofs=mesh.num_interior, l2=l2, h1=h1)
-    return LevelResult(record, field_, system, kernel, t1 - t0, t2 - t1, t3 - t2)
+    return LevelResult(record, node_values, system, kernel, t1 - t0, t2 - t1, t3 - t2)
 
 
 @contextmanager
@@ -256,7 +257,7 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
         write_convergence_svg(path, series, title=f"{config.case} ({config.mesh_mode})")
     for result, suffix in zip(results, suffixes):
         with _writing(out_dir / f"solution_h{result.record.h!r}.csv") as path:
-            dump_solution_csv(result.field, path)
+            dump_solution_csv(result.system.mesh, result.node_values, path)
         if dump_matrix is not None:
             with _writing(_with_suffix(dump_matrix, suffix)) as path:
                 dump_matrix_market(result.system, path)

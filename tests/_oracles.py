@@ -110,15 +110,15 @@ def naive_system(h, m, kind, extension_ratio, nbar, nq, source, boundary):
     return A, f
 
 
-def two_pass_error_norms(field, case, mesh):
+def two_pass_error_norms(node_values, case, mesh):
     """L2 and H1 errors, each from its own pass over all box elements at once."""
     ids = np.flatnonzero(mesh.element_in_box)
     pts, w, ref_bary = forked_outer_rules(mesh, ids, 8 ** mesh.dim)
-    nodal = field.node_values[mesh.elements[ids]]
+    nodal = node_values[mesh.elements[ids]]
     uh = np.einsum("qk,ek->eq", ref_bary, nodal)
     u0 = case.solution(pts.reshape(-1, mesh.dim)).reshape(uh.shape)
     l2 = math.sqrt(float(np.sum((uh - u0) ** 2 * w)))
-    grad_h = field.element_gradients()[ids]
+    grad_h = forked_element_gradients(mesh, node_values)[ids]
     grad_0 = np.stack(case.solution_and_gradient(pts.reshape(-1, mesh.dim))[1],
                       axis=-1).reshape(*uh.shape, mesh.dim)
     gdiff = np.sum((grad_h[:, None, :] - grad_0) ** 2, axis=-1)
@@ -203,7 +203,7 @@ def closed_form_weights_1d_constant(points_per_radius, horizon):
     return num / den
 
 
-def near_boundary_error_ratio(field_, case, mesh, width, interior_margin=None):
+def near_boundary_error_ratio(node_values, case, mesh, width, interior_margin=None):
     """Max nodal error within ``width`` of the box boundary versus deep inside.
 
     The interior reference is taken over nodes at distance at least
@@ -215,7 +215,7 @@ def near_boundary_error_ratio(field_, case, mesh, width, interior_margin=None):
     nodes = mesh.interior_nodes
     coords = mesh.nodes[nodes]
     dist = np.minimum(coords - mesh.domain.lo, np.array(mesh.domain.hi) - coords).min(axis=-1)
-    err = np.abs(field_.node_values[nodes] - case.solution(coords))
+    err = np.abs(node_values[nodes] - case.solution(coords))
     if interior_margin is None:
         interior_margin = 0.5 * float(dist.max(initial=0.0))
     near = err[dist <= width]
@@ -348,11 +348,11 @@ def forked_element_measures(mesh):
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def forked_element_gradients(field):
-    """``Field.element_gradients`` with its own edges and determinant."""
-    mesh = field.mesh
+def forked_element_gradients(mesh, node_values):
+    """Every element's gradient, as ``convergence._element_gradients`` gives it,
+    with its own edges and determinant."""
     verts = mesh.nodes[mesh.elements]
-    uv = field.node_values[mesh.elements]
+    uv = node_values[mesh.elements]
     if mesh.dim == 1:
         return ((uv[:, 1] - uv[:, 0]) / (verts[:, 1, 0] - verts[:, 0, 0]))[:, None]
     e1 = verts[:, 1] - verts[:, 0]

@@ -45,15 +45,15 @@ def _solve_case(dim, kind, case, h, m, ext_ratio, nbar, nq, mesh_mode="uniform",
     system = assemble_system(mesh, kernel, nbar, nq,
                              case.source, case.solution)
     u = solve_system(system)
-    field = reconstruct(mesh, u, case.solution)
-    return mesh, field
+    u_nodes = reconstruct(mesh, u, case.solution)
+    return mesh, u_nodes
 
 
 def _study_errors(dim, kind, case, hs, m, ext_ratio, nbar, nq, **kw):
     norms = []
     for h in hs:
-        mesh, field = _solve_case(dim, kind, case, h, m, ext_ratio, nbar, nq, **kw)
-        norms.append(error_norms(field, case, mesh))
+        mesh, u_nodes = _solve_case(dim, kind, case, h, m, ext_ratio, nbar, nq, **kw)
+        norms.append(error_norms(u_nodes, case, mesh))
     l2s, h1s = np.array(norms).T
     return l2s, h1s
 
@@ -105,8 +105,8 @@ def test_criterion_03_patch_test():
     case = case_linear_1d()
     results = {}
     for kind in BOTH_KINDS:
-        mesh, field = _solve_case(1, kind, case, 0.01, 2, 1.0, 10, 40)
-        results[kind.value] = l2_error(field, case, mesh)
+        mesh, u_nodes = _solve_case(1, kind, case, 0.01, 2, 1.0, 10, 40)
+        results[kind.value] = l2_error(u_nodes, case, mesh)
         assert results[kind.value] <= 1e-10
     # 2D: extension delta reproduces the linear solution at the nodes on
     # uniform meshes; extension zero does not, so the check is not vacuous
@@ -114,8 +114,8 @@ def test_criterion_03_patch_test():
     runs = itertools.chain(itertools.product(BOTH_KINDS, (1 / 8, 1 / 16), (1.0,)),
                            itertools.product(BOTH_KINDS, (1 / 8,), (0.0,)))
     for kind, h, ext_ratio in runs:
-        mesh, field = _solve_case(2, kind, case, h, 2, ext_ratio, 4, 16)
-        err = np.abs(field.node_values - case.solution(mesh.nodes)).max()
+        mesh, u_nodes = _solve_case(2, kind, case, h, 2, ext_ratio, 4, 16)
+        err = np.abs(u_nodes - case.solution(mesh.nodes)).max()
         results[f"2d-{kind.value}-h={h}-ext={ext_ratio:g}"] = err
         if ext_ratio == 1.0:
             assert err <= 1e-11
@@ -139,9 +139,9 @@ def test_criterion_04_boundary_extension_effect():
                       f"slope {fit.slope:.3f} (plain {plain.slope:.3f})")
     # error concentration at the finest level, near = within 2*delta
     for ext_ratio, concentrated in ((0.0, True), (1.0, False)):
-        mesh, field = _solve_case(1, KernelKind.RATIONAL, case, 1 / 128, 2,
-                                  ext_ratio, 10, 40)
-        near, deep = near_boundary_error_ratio(field, case, mesh, 2 * mesh.domain.horizon)
+        mesh, u_nodes = _solve_case(1, KernelKind.RATIONAL, case, 1 / 128, 2,
+                                    ext_ratio, 10, 40)
+        near, deep = near_boundary_error_ratio(u_nodes, case, mesh, 2 * mesh.domain.horizon)
         if concentrated:
             assert near >= 2 * deep
         else:

@@ -10,6 +10,7 @@ from nlfem import (AssemblyError, BoxDomain, Kernel, KernelKind,
                    PerturbationSpec, assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, case_sin_2d, locate_points,
                    outer_rules, perturb_mesh, reconstruct, solve_system)
+from nlfem.convergence import _element_gradients
 from nlfem.exceptions import SolverError
 from nlfem.quadrature import default_cache, full_ball_rule
 
@@ -631,24 +632,25 @@ def test_reconstruct_nodal_and_midpoint_values():
     mesh = _mesh_1d(0.25, 1)
     vals = np.arange(mesh.num_interior, dtype=float) + 1.0
     g = lambda p: 10.0 + p[:, 0]
-    field = reconstruct(mesh, vals, g)
-    assert np.array_equal(field.node_values[mesh.interior_nodes], vals)
+    u_nodes = reconstruct(mesh, vals, g)
+    assert isinstance(u_nodes, np.ndarray) and u_nodes.shape == (mesh.num_nodes,)
+    assert np.array_equal(u_nodes[mesh.interior_nodes], vals)
     constraint = mesh.constraint_nodes
-    assert np.array_equal(field.node_values[constraint], 10.0 + mesh.nodes[constraint, 0])
+    assert np.array_equal(u_nodes[constraint], 10.0 + mesh.nodes[constraint, 0])
     # midpoint of an element: its barycentrics average the endpoint values
     e = mesh.num_elements // 2
     a, b = mesh.nodes[mesh.elements[e], 0]
     elem, bary, _, _ = locate_points(mesh, [[(a + b) / 2]], np.zeros((1, 1)))
     assert elem.tolist() == [e]
-    va, vb = field.node_values[mesh.elements[e]]
-    assert bary[0] @ field.node_values[mesh.elements[e]] == pytest.approx((va + vb) / 2)
+    va, vb = u_nodes[mesh.elements[e]]
+    assert bary[0] @ u_nodes[mesh.elements[e]] == pytest.approx((va + vb) / 2)
 
 
-def test_field_gradients_2d():
+def test_element_gradients_2d():
     mesh = build_uniform_mesh(0.5, BoxDomain.unit(2, 0.5))
     lin = lambda p: 2.0 * p[:, 0] - 3.0 * p[:, 1] + 1.0
-    field = reconstruct(mesh, lin(mesh.nodes[mesh.interior_nodes]), lin)
-    grads = field.element_gradients()
+    u_nodes = reconstruct(mesh, lin(mesh.nodes[mesh.interior_nodes]), lin)
+    grads = _element_gradients(mesh, u_nodes, np.arange(mesh.num_elements))
     assert np.allclose(grads[:, 0], 2.0) and np.allclose(grads[:, 1], -3.0)
 
 

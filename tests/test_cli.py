@@ -172,12 +172,24 @@ def test_study_rerun_byte_identical(tmp_path):
         assert sol.read_bytes() == (tmp_path / "b" / sol.name).read_bytes()
 
 
-def test_threaded_study_matches_sequential(tmp_path):
-    config = RunConfig.from_dict(_base_config(h=[0.125, 0.0625]))
-    run_study(config, tmp_path / "seq", threads=1)
-    run_study(config, tmp_path / "par", threads=2)
-    assert ((tmp_path / "seq" / "report.csv").read_bytes()
-            == (tmp_path / "par" / "report.csv").read_bytes())
+@pytest.mark.parametrize("overrides", [
+    {"h": [0.125, 0.0625]},
+    {"dimension": 2, "case": "sin2d", "h": [0.25, 0.125], "outer_points": 4,
+     "points_per_radius": 2, "mesh": "perturbed", "seed": 3, "extension": "zero"},
+], ids=["1d-uniform", "2d-perturbed"])
+def test_threaded_study_matches_sequential(tmp_path, overrides):
+    """Every output but run.json, the dumps among them, is the same bytes with 1 and 2 workers."""
+    config = RunConfig.from_dict(_base_config(**overrides))
+    for name, threads in (("seq", 1), ("par", 2)):
+        out = tmp_path / name
+        run_study(config, out, threads=threads, dump_matrix=out / "A.mtx",
+                  dump_inner_rule=out / "rule.csv")
+    names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
+    assert len(names) == 3 + 3 * len(config.h_values)  # report, run.json, svg; 3 per level
+    for name in names:
+        if name != "run.json":
+            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
 def test_run_json_holds_the_level_times_in_level_order(tmp_path):
@@ -221,6 +233,20 @@ def test_main_exit_codes(tmp_path, capsys):
 
     missing = _write(tmp_path, {"dimension": 1}, "bad3.json")
     assert main(["run", "--config", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("raw", [
+    {"dimension": 1, "kernel": "constant", "case": "linear1d", "m": 1, "h": [1.0]},
+    {"dimension": 1, "kernel": "constant", "case": "linear1d", "m": 1, "h": [1.0, 0.5, 0.25]},
+    {"dimension": 2, "kernel": "rational", "case": "sin2d", "m": 1, "h": [1.0]},
+], ids=["1d-single", "1d-study", "2d-single"])
+def test_main_rejects_a_level_without_unknowns(tmp_path, capsys, raw):
+    """A box of one cell on some axis has no interior node: refused before any level runs."""
+    path = _write(tmp_path, raw)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "[config] element size 1.0 leaves no unknown: the box needs 2 cells per axis\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("dimension, h, message", [
@@ -367,7 +393,7 @@ def test_main_reports_a_dump_that_fails_after_opening(tmp_path, capsys, flag):
 def test_main_reports_an_out_file_that_fails_after_opening(tmp_path, monkeypatch, capsys):
     from nlfem import cli
 
-    def full(field, path):
+    def full(mesh, node_values, path):
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(cli, "dump_solution_csv", full)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -25,9 +27,9 @@ def _interpolant(mesh, func):
 def test_interpolant_of_linear_has_zero_errors():
     case = case_linear_1d()
     mesh = build_uniform_mesh(0.125, BoxDomain.unit(1, 0.25))
-    field = _interpolant(mesh, case.solution)
-    assert l2_error(field, case, mesh) <= 1e-14
-    assert h1_error(field, case, mesh) <= 1e-13
+    u_nodes = _interpolant(mesh, case.solution)
+    assert l2_error(u_nodes, case, mesh) <= 1e-14
+    assert h1_error(u_nodes, case, mesh) <= 1e-13
 
 
 def test_interpolant_of_linear_2d():
@@ -38,18 +40,30 @@ def test_interpolant_of_linear_2d():
         solution_and_gradient=lambda p: (p[..., 0] - 2 * p[..., 1],
                                          (np.ones(p.shape[:-1]), np.full(p.shape[:-1], -2.0))),
     )
-    field = _interpolant(mesh, case.solution)
-    assert l2_error(field, case, mesh) <= 1e-14
-    assert h1_error(field, case, mesh) <= 1e-13
+    u_nodes = _interpolant(mesh, case.solution)
+    assert l2_error(u_nodes, case, mesh) <= 1e-14
+    assert h1_error(u_nodes, case, mesh) <= 1e-13
 
 
 @pytest.mark.parametrize("mesh_dim, case_dim", [(2, 1), (1, 2)])
 def test_error_norms_rejects_case_of_another_dimension(mesh_dim, case_dim):
     cases = {1: case_sin_1d, 2: case_sin_2d}
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(mesh_dim, 0.25))
-    field = _interpolant(mesh, cases[mesh_dim]().solution)
+    u_nodes = _interpolant(mesh, cases[mesh_dim]().solution)
     with pytest.raises(ConfigError, match=f"is {case_dim}D but the mesh is {mesh_dim}D"):
-        error_norms(field, cases[case_dim](), mesh)
+        error_norms(u_nodes, cases[case_dim](), mesh)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_error_norms_rejects_node_values_of_another_length(extra):
+    """An array that is not one value per mesh node is refused, not cut or over-read."""
+    case = case_sin_2d()
+    mesh = build_uniform_mesh(1 / 16, BoxDomain.unit(2, 1 / 8))
+    u_nodes = _interpolant(mesh, case.solution)
+    other = np.resize(u_nodes, mesh.num_nodes + extra)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"node values of shape ({mesh.num_nodes + extra},) for {mesh.num_nodes} nodes")):
+        error_norms(other, case, mesh)
 
 
 def test_halving_h_quarters_l2_error():
@@ -63,8 +77,8 @@ def test_halving_h_quarters_l2_error():
         kernel = Kernel(KernelKind.RATIONAL, 1, delta)
         system = assemble_system(mesh, kernel, 10,
                                  40, case.source, case.solution)
-        field = reconstruct(mesh, solve_system(system), case.solution)
-        errs.append(l2_error(field, case, mesh))
+        u_nodes = reconstruct(mesh, solve_system(system), case.solution)
+        errs.append(l2_error(u_nodes, case, mesh))
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0  # second order: ratio about 4
 
@@ -72,14 +86,14 @@ def test_halving_h_quarters_l2_error():
 def test_h1_dominates_l2():
     case = case_sin_1d()
     mesh = build_uniform_mesh(1 / 32, BoxDomain.unit(1, 1 / 16))
-    field = _interpolant(mesh, case.solution)
-    assert h1_error(field, case, mesh) >= l2_error(field, case, mesh)
+    u_nodes = _interpolant(mesh, case.solution)
+    assert h1_error(u_nodes, case, mesh) >= l2_error(u_nodes, case, mesh)
 
 
 def test_errors_invariant_under_element_relabeling():
     case = case_sin_1d()
     mesh = build_uniform_mesh(1 / 16, BoxDomain.unit(1, 1 / 8))
-    field = _interpolant(mesh, case.solution)
+    u_nodes = _interpolant(mesh, case.solution)
     perm = np.random.default_rng(3).permutation(mesh.num_elements)
     shuffled = Mesh(
         domain=mesh.domain, nodes=mesh.nodes, elements=mesh.elements[perm],
@@ -87,11 +101,10 @@ def test_errors_invariant_under_element_relabeling():
         node_is_interior=mesh.node_is_interior, axis_breaks=mesh.axis_breaks,
         spacing=mesh.spacing, is_uniform=mesh.is_uniform,
         layer_cells=mesh.layer_cells, inner_cells=mesh.inner_cells)
-    field2 = type(field)(mesh=shuffled, node_values=field.node_values)
-    assert l2_error(field2, case, shuffled) == pytest.approx(
-        l2_error(field, case, mesh), rel=1e-13)
-    assert h1_error(field2, case, shuffled) == pytest.approx(
-        h1_error(field, case, mesh), rel=1e-13)
+    assert l2_error(u_nodes, case, shuffled) == pytest.approx(
+        l2_error(u_nodes, case, mesh), rel=1e-13)
+    assert h1_error(u_nodes, case, shuffled) == pytest.approx(
+        h1_error(u_nodes, case, mesh), rel=1e-13)
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7])
@@ -105,13 +118,13 @@ def test_error_norms_equal_two_pass_oracle(monkeypatch, dim, perturbed, chunk):
     if perturbed:
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=3))
     noise = np.random.default_rng(5).normal(scale=1e-2, size=mesh.num_interior)
-    field = reconstruct(mesh, case.solution(mesh.nodes[mesh.interior_nodes]) + noise,
-                        case.solution)
+    u_nodes = reconstruct(mesh, case.solution(mesh.nodes[mesh.interior_nodes]) + noise,
+                          case.solution)
     if chunk is not None:
         monkeypatch.setattr(nlfem.convergence, "_ERROR_CHUNK", chunk)
-    l2, h1 = error_norms(field, case, mesh)
-    assert (l2, h1) == two_pass_error_norms(field, case, mesh)
-    assert (l2_error(field, case, mesh), h1_error(field, case, mesh)) == (l2, h1)
+    l2, h1 = error_norms(u_nodes, case, mesh)
+    assert (l2, h1) == two_pass_error_norms(u_nodes, case, mesh)
+    assert (l2_error(u_nodes, case, mesh), h1_error(u_nodes, case, mesh)) == (l2, h1)
 
 
 @pytest.mark.parametrize("dim, h", [(1, 1 / 2048), (2, 1 / 64)])
@@ -128,13 +141,13 @@ def test_error_norms_memory_is_terms_plus_one_chunk(dim, h):
 
     case = case_sin_1d() if dim == 1 else case_sin_2d()
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))
-    field = _interpolant(mesh, case.solution)
+    u_nodes = _interpolant(mesh, case.solution)
     n_box, n_gs = int(mesh.element_in_box.sum()), 8 ** dim
     chunk = nlfem.convergence._ERROR_CHUNK
     assert n_box > chunk
     tracemalloc.start()
     try:
-        error_norms(field, case, mesh)
+        error_norms(u_nodes, case, mesh)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -320,8 +333,8 @@ def test_near_boundary_ratio_flags_boundary_spike():
     mesh = build_uniform_mesh(1 / 32, BoxDomain.unit(1, 1 / 16))
     vals = case.solution(mesh.nodes[mesh.interior_nodes])
     vals[0] += 0.5  # inject a near-boundary defect
-    field = reconstruct(mesh, vals, case.solution)
-    near, deep = near_boundary_error_ratio(field, case, mesh, 2 / 16)
+    u_nodes = reconstruct(mesh, vals, case.solution)
+    near, deep = near_boundary_error_ratio(u_nodes, case, mesh, 2 / 16)
     assert near > 2 * deep
 
 
@@ -333,5 +346,5 @@ def _field_without_unknowns():
 
 
 def test_near_boundary_ratio_without_unknowns_reads_zero():
-    field, case, mesh = _field_without_unknowns()
-    assert near_boundary_error_ratio(field, case, mesh, 0.5) == (0.0, 0.0)
+    u_nodes, case, mesh = _field_without_unknowns()
+    assert near_boundary_error_ratio(u_nodes, case, mesh, 0.5) == (0.0, 0.0)

@@ -75,10 +75,11 @@ def test_boundary_data_equals_solution_on_constraint_nodes(name, h, delta):
     config = RunConfig.from_dict({"dimension": case.dim, "kernel": "constant", "case": name,
                                   "m": round(delta / h), "h": [h], "outer_points": 1,
                                   "points_per_radius": 2})
-    field = _execute(config, h).field
-    constraint = field.mesh.constraint_nodes
-    assert np.array_equal(field.node_values[constraint],
-                          case.solution(field.mesh.nodes[constraint]))
+    result = _execute(config, h)
+    mesh = result.system.mesh
+    constraint = mesh.constraint_nodes
+    assert np.array_equal(result.node_values[constraint],
+                          case.solution(mesh.nodes[constraint]))
 
 
 def test_unknown_case_rejected():
