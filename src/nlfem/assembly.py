@@ -54,7 +54,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from .exceptions import AssemblyError, SolverError, _integer
+from .exceptions import AssemblyError, ConfigError, SolverError, _integer
 from .geometry import Mesh, locate_points
 from .kernels import Kernel
 from .quadrature import InnerQuadratureRule, full_ball_rule, solve_weights_on_subset
@@ -305,6 +305,9 @@ def solve_system(system: DiscreteSystem) -> np.ndarray:
 
 def reconstruct(mesh: Mesh, interior_values: np.ndarray, boundary=None) -> np.ndarray:
     """The value at every mesh node: the unknowns, and ``boundary`` (else 0) on the layer."""
+    if np.shape(interior_values) != (mesh.num_interior,):
+        raise ConfigError(f"interior values of shape {np.shape(interior_values)}"
+                          f" for {mesh.num_interior} unknowns")
     vals = np.zeros(mesh.num_nodes)
     vals[mesh.interior_nodes] = interior_values
     if boundary is not None:

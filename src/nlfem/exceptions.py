@@ -18,11 +18,8 @@ class ConfigError(NlfemError):
 
 
 class MeshError(NlfemError):
-    """Mesh construction precondition violated."""
-
-
-class OutsideDomainError(NlfemError):
-    """Point location given points or offsets without one coordinate per mesh dimension."""
+    """Mesh construction precondition violated, or points or offsets given to
+    point location without one coordinate per mesh dimension."""
 
 
 class KernelError(NlfemError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MeshError, OutsideDomainError, _integer, _real
+from .exceptions import MeshError, _integer, _real
 from .rng import Xoshiro256pp
 
 
@@ -305,7 +305,7 @@ def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray):
     element id.  Each axis is searched and compared once per point and
     distinct offset coordinate, on the same float sums as
     ``points[:, None] + offsets``.  Points or offsets without one coordinate
-    per mesh dimension raise OutsideDomainError.
+    per mesh dimension raise MeshError.
     """
     pts, offs = _coordinate_rows(mesh, points), _coordinate_rows(mesh, offsets)
     pad = mesh.domain.horizon + mesh.domain.extension
@@ -344,7 +344,7 @@ def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray):
 def _coordinate_rows(mesh: Mesh, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != mesh.dim:
-        raise OutsideDomainError(
+        raise MeshError(
             f"points of shape {np.shape(points)} cannot be located on a "
             f"{mesh.dim}D mesh, which needs shape (n, {mesh.dim})")
     return pts

@@ -2,12 +2,14 @@
 
 Inner integrals of the nonlocal bilinear form are evaluated on a regular
 point grid spread over the whole ball around each outer quadrature point,
-never element by element.  The weights are the minimal-Euclidean-norm
-solution of exactness constraints for the functions kernel * s_i * s_j,
-s = y - x, i <= j.  The kernel's scaling makes their full-ball integrals
-delta_ij, so the targets g are 1 and 0.  For the constraint system B w = g
-the weights are B^T (B B^T)^+ g, where the pseudoinverse of the normal
-matrix B B^T always drops its singular values below a relative cutoff.
+never element by element.  A rule is built in two steps.  ``_ball_grid``
+lays out the grid and keeps its points inside the closed ball.
+``_moment_weights`` gives them the minimal-Euclidean-norm weights that meet
+the exactness constraints for the functions kernel * s_i * s_j, s = y - x,
+i <= j.  The kernel's scaling makes their full-ball integrals delta_ij, so
+the targets g are 1 and 0.  For the constraint system B w = g the weights
+are B^T (B B^T)^+ g, where the pseudoinverse of the normal matrix B B^T
+always drops its singular values below a relative cutoff.
 
 Near the layer boundary the ball sticks out of the meshed region.  There
 the grid is first intersected with the region grown by the configured
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import QuadratureError, _integer
-from .geometry import BallNorm
 from .kernels import Kernel
 
 _RANK_CUTOFF = 1e-12
@@ -68,22 +69,19 @@ class InnerQuadratureRule:
                 fh.write(",".join(repr(float(c)) for c in off) + f",{float(w)!r}\n")
 
 
-def generate_offsets(points_per_radius: int, dim: int, horizon: float) -> np.ndarray:
-    """Symmetric grid of (2n)^d offsets, n = points_per_radius, at odd multiples of horizon / 2n."""
-    n = _integer("points_per_radius", points_per_radius, QuadratureError, 1, 2**31)
-    half = 0.5 * (horizon / n)
+def _ball_grid(kernel: Kernel, points_per_radius: int) -> np.ndarray:
+    """Offsets of the (2n)^d grid at odd multiples of horizon / 2n, n =
+    ``points_per_radius``, that lie inside the closed ball."""
+    n = points_per_radius
+    half = 0.5 * (kernel.horizon / n)
     ks = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
     axis = (2 * ks - np.sign(ks)) * half
-    grids = np.meshgrid(*[axis] * dim, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def filter_to_ball(offsets: np.ndarray, horizon: float, ball_norm: BallNorm) -> np.ndarray:
-    """Mask of the offsets inside the closed ball of radius horizon."""
-    included = ball_norm.length(offsets) <= horizon
-    if not included.any():
+    grids = np.meshgrid(*[axis] * kernel.dim, indexing="ij")
+    offs = np.stack([g.ravel() for g in grids], axis=1)
+    offs = offs[kernel.ball_norm.length(offs) <= kernel.horizon]
+    if not len(offs):
         raise QuadratureError("no quadrature points fall inside the ball")
-    return included
+    return offs
 
 
 def _second_moment_pairs(dim: int) -> list[tuple[int, int]]:
@@ -101,37 +99,28 @@ def _constraint_matrix(kernel: Kernel, offs: np.ndarray) -> tuple[np.ndarray, np
                                for i, j in _second_moment_pairs(kernel.dim)])
 
 
-def solve_weights(B: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimal-norm weights satisfying B w = g, with the achieved residual.
+def _moment_weights(B: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
+    """Minimal-norm weights for constraints ``B`` that reproduce the full-ball
+    moments, with the achieved residual.
 
-    Solves through the normal matrix B B^T; singular values below
-    1e-12 * sigma_max are truncated, which handles redundant constraints.
+    The kernel's scaling makes those moments delta_ij, so the targets g are
+    1 on the diagonal and 0 off it.  Solves through the normal matrix B B^T;
+    singular values below 1e-12 * sigma_max are truncated, which handles
+    redundant constraints.  Raises ``QuadratureError`` when the constraint
+    residual exceeds 1e-12 relative to the targets.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    g = np.asarray(g, dtype=float).ravel()
+    g = np.array([float(i == j) for i, j in _second_moment_pairs(dim)])
     with np.errstate(over="ignore", invalid="ignore"):
         S = B @ B.T
     # S is finite only if B is and no product overflowed
-    if not (np.isfinite(S).all() and np.isfinite(g).all()):
-        raise QuadratureError("non-finite constraints: B, g or B B^T has an inf or NaN")
+    if not np.isfinite(S).all():
+        raise QuadratureError("non-finite constraints: B or B B^T has an inf or NaN")
     U, s, Vt = np.linalg.svd(S)
     if s[0] <= 0.0:
         raise QuadratureError("degenerate constraints: zero constraint matrix")
     keep = s > _RANK_CUTOFF * s[0]  # always holds s[0], which is finite and positive
     w = B.T @ (Vt.T[:, keep] @ ((U[:, keep].T @ g) / s[keep]))
     residual = float(np.linalg.norm(B @ w - g))
-    return w, residual
-
-
-def _moment_weights(B: np.ndarray, dim: int) -> tuple[np.ndarray, float]:
-    """Minimal-norm weights for constraints ``B`` that reproduce the full-ball moments.
-
-    The kernel's scaling makes those moments delta_ij, so the targets are
-    1 on the diagonal and 0 off it.  Raises ``QuadratureError`` when the
-    constraint residual exceeds 1e-12 relative to the targets.
-    """
-    g = np.array([float(i == j) for i, j in _second_moment_pairs(dim)])
-    w, residual = solve_weights(B, g)
     if residual > _RESIDUAL_TOL * float(np.linalg.norm(g)):
         raise QuadratureError(
             f"inner rule constraint residual {residual:.3e} exceeds tolerance"
@@ -187,8 +176,7 @@ def full_ball_rule(kernel: Kernel, points_per_radius: int) -> InnerQuadratureRul
 
 
 def _build_full_rule(kernel: Kernel, points_per_radius: int) -> InnerQuadratureRule:
-    offs = generate_offsets(points_per_radius, kernel.dim, kernel.horizon)
-    offs = offs[filter_to_ball(offs, kernel.horizon, kernel.ball_norm)]
+    offs = _ball_grid(kernel, points_per_radius)
     strengths, B = _constraint_matrix(kernel, offs)
     w, residual = _moment_weights(B, kernel.dim)
     if np.any(w <= 0):

@@ -190,7 +190,7 @@ def unit_moments(dim):
 def closed_form_weights_1d_constant(points_per_radius, horizon):
     """Analytic full-ball weights for the 1D constant kernel.
 
-    Returned in the same ascending-offset order as generate_offsets.  This is
+    Returned in the same ascending-offset order as the full rule's offsets.  This is
     the corrected closed form 20*h*n*(2k - sgn k)^2 / (7 - 40 n^2 + 48 n^4);
     see the README for the derivation check at n = 1 (both weights 4h/3).
     """

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg
 
 import nlfem.assembly
-from nlfem import (AssemblyError, BoxDomain, Kernel, KernelKind,
+from nlfem import (AssemblyError, BoxDomain, ConfigError, Kernel, KernelKind,
                    PerturbationSpec, assemble_system, build_uniform_mesh,
                    case_linear_1d, case_sin_1d, case_sin_2d, locate_points,
                    outer_rules, perturb_mesh, reconstruct, solve_system)
@@ -592,11 +592,8 @@ def test_solver_contract_2d(perturbation, extension_ratio):
     assert np.linalg.norm(u - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
-@pytest.mark.parametrize("spoil, message", [
-    (lambda u: u * (1 + 1e-6), r"relative residual=1\.000e-06"),
-    (lambda u: np.full_like(u, np.nan), "linear solve failed"),
-])
-def test_solver_contract_miss_raises(monkeypatch, spoil, message):
+def _system_with_spoiled_solve(monkeypatch, spoil):
+    """The 1D h=1/64 system, with ``spoil`` applied to every direct solve's answer."""
     mesh = _mesh_1d(1 / 64, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 64)
     case = case_sin_1d()
@@ -605,8 +602,27 @@ def test_solver_contract_miss_raises(monkeypatch, spoil, message):
     direct = nlfem.assembly.sparse_linalg.spsolve
     stub = SimpleNamespace(spsolve=lambda a, f, **kw: spoil(direct(a, f, **kw)))
     monkeypatch.setattr(nlfem.assembly, "sparse_linalg", stub)
+    return system
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda u: u * (1 + 1e-6), r"relative residual=1\.000e-06"),
+    # just above the 1e-12 contract, so a looser threshold lets it through
+    (lambda u: u * (1 + 2e-12), r"relative residual=2\.000e-12"),
+    (lambda u: np.full_like(u, np.nan), "linear solve failed"),
+])
+def test_solver_contract_miss_raises(monkeypatch, spoil, message):
+    system = _system_with_spoiled_solve(monkeypatch, spoil)
     with pytest.raises(SolverError, match=message):
         solve_system(system)
+
+
+def test_solver_contract_met_returns(monkeypatch):
+    # a relative spoil of 5e-13 stays inside the 1e-12 contract
+    system = _system_with_spoiled_solve(monkeypatch, lambda u: u * (1 + 5e-13))
+    u = solve_system(system)
+    res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
+    assert 4e-13 < res <= 1e-12
 
 
 def test_solve_smallest_grid():
@@ -644,6 +660,17 @@ def test_reconstruct_nodal_and_midpoint_values():
     assert elem.tolist() == [e]
     va, vb = u_nodes[mesh.elements[e]]
     assert bary[0] @ u_nodes[mesh.elements[e]] == pytest.approx((va + vb) / 2)
+
+
+@pytest.mark.parametrize("values, shape", [([5.0], "(1,)"), (np.ones(4), "(4,)")],
+                         ids=["one-value", "wrong-length"])
+def test_reconstruct_rejects_values_not_one_per_unknown(values, shape):
+    """One value is not broadcast over every unknown, and a wrong length is an
+    nlfem error, not numpy's."""
+    mesh = _mesh_1d(0.25, 1)
+    assert mesh.num_interior == 3
+    with pytest.raises(ConfigError, match=re.escape(f"interior values of shape {shape} for 3 unknowns")):
+        reconstruct(mesh, values)
 
 
 def test_element_gradients_2d():

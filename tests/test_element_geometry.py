@@ -20,12 +20,18 @@ import pytest
 
 from _oracles import (forked_element_gradients, forked_element_measures,
                       forked_mesh_from_breaks, forked_outer_rules, masked_locate_points)
-from nlfem import (BoxDomain, OutsideDomainError, PerturbationSpec,
-                   build_uniform_mesh, generate_offsets, locate_points, outer_rules,
-                   perturb_mesh)
+from nlfem import (BallNorm, BoxDomain, Kernel, KernelKind, MeshError, PerturbationSpec,
+                   build_uniform_mesh, locate_points, outer_rules, perturb_mesh)
 from nlfem.convergence import _element_gradients
+from nlfem.quadrature import _ball_grid
 
 MESHES = pytest.mark.parametrize("dim, perturbed", [(1, False), (1, True), (2, False), (2, True)])
+
+
+def _square_grid(points_per_radius, dim):
+    """Every (2n)^d offset of the grid over a ball of radius 0.25: the max-norm
+    ball is the grid's square."""
+    return _ball_grid(Kernel(KernelKind.CONSTANT, dim, 0.25, BallNorm.MAX), points_per_radius)
 
 
 def _mesh(dim, perturbed):
@@ -109,7 +115,7 @@ def test_locate_points_offsets_form_equals_plain_form(dim, perturbed):
     # multiples of the spacing, which carry vertices onto vertices, points on
     # grid lines onto grid lines and diagonal points along diagonals
     steps = np.meshgrid(*[0.125 * np.arange(-2, 3)] * dim, indexing="ij")
-    offsets = np.concatenate([generate_offsets(3, dim, 0.25),
+    offsets = np.concatenate([_square_grid(3, dim),
                               np.stack([g.ravel() for g in steps], axis=1)])
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     assert in_mesh.all() and in_ext.all()
@@ -161,7 +167,7 @@ def test_locate_points_rejects_nan(dim, with_offsets):
     mesh = build_uniform_mesh(0.125, BoxDomain.unit(dim, 0.25))
     centers = np.full((3, dim), 0.5)
     centers[1, -1] = np.nan
-    offsets = generate_offsets(2, dim, 0.25) if with_offsets else np.zeros((1, dim))
+    offsets = _square_grid(2, dim) if with_offsets else np.zeros((1, dim))
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     expected = np.repeat([[True], [False], [True]], len(offsets), axis=1)
     assert np.array_equal(in_mesh, expected) and np.array_equal(in_ext, expected)
@@ -179,7 +185,7 @@ def test_locate_points_masks_equal_brute_force(dim, perturbed, extension):
     # whole spacings carry the layer-end vertices onto the mesh ends and the
     # extended ends exactly
     steps = np.meshgrid(*[0.125 * np.arange(-3, 4)] * dim, indexing="ij")
-    offsets = np.concatenate([generate_offsets(3, dim, 0.25),
+    offsets = np.concatenate([_square_grid(3, dim),
                               np.stack([g.ravel() for g in steps], axis=1)])
     elem, bary, in_mesh, in_ext = locate_points(mesh, centers, offsets)
     sums = centers[:, None] + offsets
@@ -195,7 +201,7 @@ def test_locate_points_masks_equal_brute_force(dim, perturbed, extension):
 
 def test_locate_points_rejects_offsets_of_another_dimension():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
-    with pytest.raises(OutsideDomainError, match=r"shape \(3,\).*2D"):
+    with pytest.raises(MeshError, match=r"shape \(3,\).*2D"):
         locate_points(mesh, [[0.5, 0.5]], np.zeros(3))
 
 

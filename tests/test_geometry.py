@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from _oracles import forked_element_measures
-from nlfem import (BoxDomain, MeshError, OutsideDomainError, PerturbationSpec,
+from nlfem import (BoxDomain, MeshError, PerturbationSpec,
                    build_uniform_mesh, locate_points, perturb_mesh)
+from nlfem.geometry import cell_counts
 
 
 def test_counts_1d_baseline():
@@ -25,6 +26,14 @@ def test_counts_1d_smallest():
 def test_noninteger_ratio_rejected():
     with pytest.raises(MeshError, match="integer"):
         build_uniform_mesh(0.01, BoxDomain.unit(1, 0.015))
+
+
+def test_ratio_off_by_more_than_roundoff_rejected():
+    # ratios within 1e-9 relative of an integer pass as roundoff; 1e-7 is a wrong h
+    domain = BoxDomain.unit(2, 0.25)
+    assert cell_counts(0.125 * (1 + 1e-12), domain) == (2, (8, 8))
+    with pytest.raises(MeshError, match="horizon / h must be an integer multiple"):
+        cell_counts(0.125 * (1 + 1e-7), domain)
 
 
 def test_counts_2d():
@@ -142,10 +151,10 @@ def test_locate_outside():
 def test_locate_rejects_points_of_another_dimension():
     mesh_1d = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
     # two 1D points given as one flat vector, not as a (2, 1) array
-    with pytest.raises(OutsideDomainError, match=r"shape \(2,\).*1D.*\(n, 1\)"):
+    with pytest.raises(MeshError, match=r"shape \(2,\).*1D.*\(n, 1\)"):
         locate_points(mesh_1d, np.array([0.1, 0.6]), np.zeros((1, 1)))
     mesh_2d = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
-    with pytest.raises(OutsideDomainError, match=r"shape \(3, 1\).*2D.*\(n, 2\)"):
+    with pytest.raises(MeshError, match=r"shape \(3, 1\).*2D.*\(n, 2\)"):
         locate_points(mesh_2d, np.full((3, 1), 0.5), np.zeros((1, 2)))
 
 

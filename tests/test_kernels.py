@@ -5,8 +5,7 @@ import pytest
 from scipy import integrate
 
 from _oracles import unit_moments
-from nlfem import (BallNorm, Kernel, KernelError, KernelKind, QuadratureError,
-                   filter_to_ball)
+from nlfem import BallNorm, Kernel, KernelError, KernelKind, QuadratureError
 from nlfem.quadrature import _constraint_matrix
 
 ALL_KINDS = [(KernelKind.CONSTANT, 1), (KernelKind.RATIONAL, 1),
@@ -41,10 +40,11 @@ def test_rational_singularity_rejected():
 
 
 def test_support_boundary():
-    # the support is the closed ball; inner points are kept or dropped by filter_to_ball
+    # the support is the closed ball: an offset on the sphere has length exactly
+    # the horizon, which quadrature._ball_grid keeps (test_ball_grid_keeps_the_sphere)
     offsets = np.array([[0.1, 0.0], [0.1 + 1e-12, 0.0]])
     for norm in BallNorm:
-        assert filter_to_ball(offsets, 0.1, norm).tolist() == [True, False]
+        assert (norm.length(offsets) <= 0.1).tolist() == [True, False]
 
 
 def _oracle_moments(kernel: Kernel) -> np.ndarray:

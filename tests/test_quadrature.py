@@ -1,5 +1,6 @@
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,26 +9,27 @@ import nlfem.quadrature
 from _oracles import closed_form_weights_1d_constant, constraint_matrix, unit_moments
 from nlfem import (BallNorm, BoxDomain, Kernel, KernelError, KernelKind,
                    PerturbationSpec, QuadratureError, build_uniform_mesh,
-                   default_cache, filter_to_ball, full_ball_rule,
-                   generate_offsets, locate_points, outer_rules, perturb_mesh,
-                   solve_weights, truncated_weights)
-from nlfem.quadrature import _constraint_matrix, _moment_weights, solve_weights_on_subset
+                   default_cache, full_ball_rule, locate_points, outer_rules,
+                   perturb_mesh, truncated_weights)
+from nlfem.quadrature import (_ball_grid, _constraint_matrix, _moment_weights,
+                              solve_weights_on_subset)
 
 
 def test_offsets_1d_single_ring():
-    offs = generate_offsets(1, 1, 0.02)
+    offs = _ball_grid(Kernel(KernelKind.CONSTANT, 1, 0.02), 1)
     assert np.allclose(sorted(offs[:, 0]), [-0.01, 0.01])
 
 
 def test_offsets_1d_two_rings():
     d = 0.4
-    offs = generate_offsets(2, 1, d)
+    offs = _ball_grid(Kernel(KernelKind.CONSTANT, 1, d), 2)
     assert np.allclose(sorted(offs[:, 0]),
                        [-3 * d / 4, -d / 4, d / 4, 3 * d / 4])
 
 
 def test_offsets_2d_count():
-    offs = generate_offsets(4, 2, 1.0)
+    # the max-norm ball is the grid's square, so it keeps all (2n)^2 points
+    offs = _ball_grid(Kernel(KernelKind.CONSTANT, 2, 1.0, BallNorm.MAX), 4)
     assert offs.shape == (64, 2)
     assert not np.any(np.all(offs == 0.0, axis=1))
 
@@ -48,38 +50,44 @@ def test_inner_grid_spec_rejects_non_integers(points_per_radius, dim, bad):
         full_ball_rule(Kernel(KernelKind.CONSTANT, 1, 0.25), 1)
     with pytest.raises(error, match=re.escape(message)):
         full_ball_rule(Kernel(KernelKind.CONSTANT, dim, 0.25), points_per_radius)
-    if bad == "points_per_radius":  # generate_offsets, public too, refuses it
-        with pytest.raises(error, match=re.escape(message)):
-            generate_offsets(points_per_radius, 1, 0.25)
-    assert np.array_equal(generate_offsets(np.int64(2), np.int32(2), 1.0),
-                          generate_offsets(2, 2, 1.0))
+    assert np.array_equal(_ball_grid(Kernel(KernelKind.CONSTANT, np.int32(2), 1.0), np.int64(2)),
+                          _ball_grid(Kernel(KernelKind.CONSTANT, 2, 1.0), 2))
 
 
 def test_offsets_reflection_symmetric():
-    offs = generate_offsets(3, 2, 0.5)
+    offs = _ball_grid(Kernel(KernelKind.CONSTANT, 2, 0.5), 3)
     as_set = {tuple(np.round(o, 15)) for o in offs}
     assert as_set == {tuple(np.round(-o, 15)) for o in offs}
 
 
-def test_filter_euclidean_2d():
-    offs = generate_offsets(4, 2, 1.0)
-    assert filter_to_ball(offs, 1.0, BallNorm.EUCLIDEAN).sum() == 52
-
-
-def test_filter_max_norm_keeps_all():
-    offs = generate_offsets(4, 2, 1.0)
-    assert filter_to_ball(offs, 1.0, BallNorm.MAX).all()
+def test_ball_grid_euclidean_2d():
+    # the disc keeps 52 of the grid's 64 points
+    assert _ball_grid(Kernel(KernelKind.CONSTANT, 2, 1.0), 4).shape == (52, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
-def test_filter_1d_keeps_all(n):
-    offs = generate_offsets(n, 1, 0.3)
-    assert filter_to_ball(offs, 0.3, BallNorm.EUCLIDEAN).all()
+def test_ball_grid_1d_keeps_all(n):
+    assert _ball_grid(Kernel(KernelKind.CONSTANT, 1, 0.3), n).shape == (2 * n, 1)
 
 
-def test_filter_rejects_ball_without_points():
+def test_ball_grid_keeps_the_sphere():
+    """The support is the closed ball: an offset whose length equals the horizon
+    stays, one a hair longer goes.  No real grid point lies on the sphere, so a
+    stand-in norm stretches the 1D offsets at +-horizon/2 onto it."""
+    def kernel(stretch):
+        norm = SimpleNamespace(length=lambda offs: stretch * np.abs(offs[:, 0]))
+        return SimpleNamespace(dim=1, horizon=0.1, ball_norm=norm)
+
+    assert _ball_grid(kernel(2.0), 1).tolist() == [[-0.05], [0.05]]
     with pytest.raises(QuadratureError, match="no quadrature points"):
-        filter_to_ball(np.array([[2.0], [-2.0]]), 1.0, BallNorm.EUCLIDEAN)
+        _ball_grid(kernel(2.0 * (1 + 1e-12)), 1)
+
+
+def test_ball_without_points_raises():
+    # every squared length overflows to inf, so no point falls inside the ball
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(QuadratureError, match="no quadrature points fall inside the ball"):
+            full_ball_rule(Kernel(KernelKind.RATIONAL, 2, 1e200), 4)
 
 
 def test_rule_rejects_non_finite_weights():
@@ -129,33 +137,32 @@ def test_solve_weights_two_rings():
                        rtol=1e-13)
 
 
-def test_solve_weights_minimal_norm_vs_saddle_point():
+def test_moment_weights_minimal_norm_vs_saddle_point():
     # dense KKT solve of the equality-constrained problem as oracle
     rng = np.random.default_rng(42)
-    for rows, cols in [(1, 4), (3, 13), (3, 52)]:
-        B = rng.standard_normal((rows, cols))
-        g = rng.standard_normal(rows)
-        kkt = np.block([[np.eye(cols), B.T], [B, np.zeros((rows, rows))]])
+    for dim, cols in [(1, 4), (2, 13), (2, 52)]:
+        g = unit_moments(dim)
+        B = rng.standard_normal((len(g), cols))
+        kkt = np.block([[np.eye(cols), B.T], [B, np.zeros((len(g), len(g)))]])
         sol = np.linalg.solve(kkt, np.concatenate([np.zeros(cols), g]))
-        w, residual = solve_weights(B, g)
+        w, residual = _moment_weights(B, dim)
         assert np.allclose(w, sol[:cols], atol=1e-10)
         assert residual <= 1e-12 * np.linalg.norm(g)
 
 
-def test_solve_weights_degenerate():
+def test_moment_weights_degenerate():
     with pytest.raises(QuadratureError, match="degenerate"):
-        solve_weights(np.zeros((1, 4)), np.array([1.0]))
+        _moment_weights(np.zeros((1, 4)), 1)
 
 
-@pytest.mark.parametrize("B, g", [
-    ([[np.nan, 1.0]], [1.0]),
-    ([[np.inf, 1.0]], [1.0]),
-    ([[1e200, 1.0]], [1.0]),  # finite, but B B^T overflows
-    ([[1.0, 1.0]], [np.nan]),
-], ids=["nan", "inf", "overflow", "nan-moment"])
-def test_solve_weights_non_finite(B, g):
+@pytest.mark.parametrize("B", [
+    [[np.nan, 1.0]],
+    [[np.inf, 1.0]],
+    [[1e200, 1.0]],  # finite, but B B^T overflows
+], ids=["nan", "inf", "overflow"])
+def test_moment_weights_non_finite(B):
     with pytest.raises(QuadratureError, match="non-finite"):
-        solve_weights(np.array(B), np.array(g))
+        _moment_weights(np.array(B), 1)
 
 
 def test_full_rule_exactness_all_kernels():
@@ -180,27 +187,26 @@ def test_full_rule_positive_weights(kind, dim):
 
 @pytest.mark.parametrize("bad_weight", [-1e-3, 0.0])
 def test_full_rule_non_positive_weight_raises(monkeypatch, bad_weight):
-    solve = nlfem.quadrature.solve_weights
+    solve = nlfem.quadrature._moment_weights
 
-    def spoiled(B, g):
-        w, residual = solve(B, g)
+    def spoiled(B, dim):
+        w, residual = solve(B, dim)
         w = w.copy()
         w[0] = bad_weight
         return w, residual
 
-    monkeypatch.setattr(nlfem.quadrature, "solve_weights", spoiled)
+    monkeypatch.setattr(nlfem.quadrature, "_moment_weights", spoiled)
     k = Kernel(KernelKind.RATIONAL, 2, 0.2)
     with pytest.raises(QuadratureError, match="non-positive weight"):
         full_ball_rule(k, 4)
 
 
-def test_moment_residual_above_tolerance_raises(monkeypatch):
-    solve = nlfem.quadrature.solve_weights
-    monkeypatch.setattr(nlfem.quadrature, "solve_weights",
-                        lambda B, g: (solve(B, g)[0], 1e-9 * np.linalg.norm(g)))
-    k = Kernel(KernelKind.RATIONAL, 1, 0.2)
-    with pytest.raises(QuadratureError, match="constraint residual"):
-        full_ball_rule(k, 3)
+def test_moment_residual_above_tolerance_raises():
+    """Rows x^2 and y^2 that ask 1 of the same column, one of them scaled by
+    1 + 1e-9, leave a least-squares residual of about 1e-9 / sqrt(2)."""
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0 + 1e-9, 0.0]])
+    with pytest.raises(QuadratureError, match=r"constraint residual 7\.07\de-10"):
+        _moment_weights(B, 2)
 
 
 @pytest.mark.parametrize("points_per_radius, dim", [(0, 1), (1, 3)])
@@ -274,14 +280,12 @@ def test_subset_solve_is_a_fresh_solve_bit_for_bit(kind, dim, ball_norm, points_
     full = full_ball_rule(kernel, points_per_radius)
     rng = np.random.default_rng(points_per_radius)
     masks = _half_plane_masks(full.offsets) + list(rng.random((25, full.size)) < 0.6)
-    g = unit_moments(dim)
     solved = 0
     for mask in masks:
         try:
-            ref_w, ref_residual = solve_weights(_constraint_matrix(kernel, full.offsets[mask])[1], g)
-        except QuadratureError:  # no point kept, or every kept point on one line
-            continue
-        if ref_residual > 1e-12 * np.linalg.norm(g):
+            ref_w, ref_residual = _moment_weights(
+                _constraint_matrix(kernel, full.offsets[mask])[1], dim)
+        except QuadratureError:  # no point kept, every kept point on one line, or a residual miss
             continue
         w, residual = solve_weights_on_subset(full, mask)
         assert w.tobytes() == ref_w.tobytes() and residual == ref_residual
