@@ -14,8 +14,7 @@ from .exceptions import (AssemblyError, ConfigError, KernelError, MeshError,
 from .geometry import (BallNorm, BoxDomain, Mesh, PerturbationSpec,
                        build_uniform_mesh, locate_points, perturb_mesh)
 from .kernels import Kernel, KernelKind
-from .problems import (ManufacturedCase, case_linear_1d, case_sin_1d,
-                       case_sin_2d, get_case)
+from .problems import ManufacturedCase, get_case
 from .quadrature import (InnerQuadratureRule, RuleCache, default_cache,
                          full_ball_rule)
 
@@ -31,6 +30,6 @@ __all__ = [
     "BallNorm", "BoxDomain", "Mesh", "PerturbationSpec", "build_uniform_mesh",
     "locate_points", "perturb_mesh",
     "Kernel", "KernelKind",
-    "ManufacturedCase", "case_linear_1d", "case_sin_1d", "case_sin_2d", "get_case",
+    "ManufacturedCase", "get_case",
     "InnerQuadratureRule", "RuleCache", "default_cache", "full_ball_rule",
 ]

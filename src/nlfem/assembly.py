@@ -262,7 +262,7 @@ def assemble_system(mesh: Mesh, kernel: Kernel, points_per_radius: int,
 
     g_vals = np.zeros(len(constraint))
     if boundary is not None:
-        g_vals = np.asarray(boundary(mesh.nodes[constraint]), dtype=float)
+        g_vals = _point_values("boundary", boundary, mesh.nodes[constraint])
     f = np.zeros(len(interior))
     if source is not None:
         f += _body_load(mesh, source, n_q)
@@ -275,7 +275,7 @@ def _body_load(mesh: Mesh, source, n_q: int) -> np.ndarray:
     ids = np.flatnonzero(mesh.element_in_box)
     pts, wb, ref_bary = outer_rules(mesh, ids, n_q)
     n_el, nq = wb.shape
-    values = np.asarray(source(pts.reshape(-1, mesh.dim)), dtype=float).reshape(n_el, nq)
+    values = _point_values("source", source, pts.reshape(-1, mesh.dim)).reshape(n_el, nq)
     # f_i += sum_b basis_i(x_b) * source(x_b) * w_b, per element node
     contrib = np.einsum("eq,qk,eq->ek", values, ref_bary, wb)
     dof = mesh.dof_of_node()[mesh.elements[ids]]
@@ -312,8 +312,17 @@ def reconstruct(mesh: Mesh, interior_values: np.ndarray, boundary=None) -> np.nd
     vals[mesh.interior_nodes] = interior_values
     if boundary is not None:
         cn = mesh.constraint_nodes
-        vals[cn] = np.asarray(boundary(mesh.nodes[cn]), dtype=float)
+        vals[cn] = _point_values("boundary", boundary, mesh.nodes[cn])
     return vals
+
+
+def _point_values(name: str, func, points: np.ndarray) -> np.ndarray:
+    """``func(points)`` as floats if it gives one value per point, else ConfigError."""
+    values = np.asarray(func(points), dtype=float)
+    if values.shape != points.shape[:-1]:
+        raise ConfigError(f"{name} gave values of shape {values.shape}"
+                          f" for {len(points)} points")
+    return values
 
 
 def dump_matrix_market(system: DiscreteSystem, path) -> None:

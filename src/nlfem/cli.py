@@ -327,9 +327,11 @@ def main(argv=None) -> int:
                            dump_inner_rule=args.dump_inner_rule)
         for r in report.records:
             print(f"h={r.h!r} dofs={r.dofs} l2={r.l2:.6e} h1={r.h1:.6e}")
-        if report.l2_fit is not None:
-            print(f"l2 slope {report.l2_fit.slope:.3f}, "
-                  f"h1 slope {report.h1_fit.slope:.3f}")
+        slopes = [f"{norm} slope {fit.slope:.3f}"
+                  for norm, fit in (("l2", report.l2_fit), ("h1", report.h1_fit))
+                  if fit is not None]
+        if slopes:
+            print(", ".join(slopes))
     except ConfigError as exc:
         print(f"[config] {exc}", file=sys.stderr)
         return 2

@@ -45,13 +45,16 @@ class ConvergenceReport:
 
     @classmethod
     def from_records(cls, records: list[ErrorRecord]) -> "ConvergenceReport":
+        """The records, with each norm's fits from three levels on; a norm
+        with an error that is not positive (an exact solution) has none."""
         report = cls(records=list(records))
         if len(records) >= 3:
             hs = np.array([r.h for r in records])
-            report.l2_fit = fit_rate(hs, np.array([r.l2 for r in records]))
-            report.h1_fit = fit_rate(hs, np.array([r.h1 for r in records]))
-            report.l2_fit_guarded = guarded_fit_rate(hs, np.array([r.l2 for r in records]))
-            report.h1_fit_guarded = guarded_fit_rate(hs, np.array([r.h1 for r in records]))
+            for norm in ("l2", "h1"):
+                errors = np.array([getattr(r, norm) for r in records])
+                if np.all(errors > 0):
+                    setattr(report, f"{norm}_fit", fit_rate(hs, errors))
+                    setattr(report, f"{norm}_fit_guarded", guarded_fit_rate(hs, errors))
         return report
 
     def write_csv(self, path) -> None:

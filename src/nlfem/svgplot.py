@@ -19,12 +19,14 @@ def write_convergence_svg(path, series: list[dict], title: str = "") -> None:
     Each series dict needs ``label``, ``h`` and ``error`` lists, and may
     carry a fitted ``slope``.  Point coordinates are derived directly from
     the passed values, so the plot always matches the CSV it accompanies.
+    An error that is not positive (an exact solution) has no logarithm and
+    is left out; the h axis still spans every level.
     """
     pts = [(h, e) for s in series for h, e in zip(s["h"], s["error"])]
     if not pts:
         raise ValueError("nothing to plot")
     lx = [math.log10(h) for h, _ in pts]
-    ly = [math.log10(e) for _, e in pts]
+    ly = [math.log10(e) for _, e in pts if e > 0] or [0.0]  # no error to show: any y range
     x0, x1 = min(lx), max(lx)
     y0, y1 = min(ly), max(ly)
     x0, x1 = x0 - 0.05 * (x1 - x0 + 1e-9) - 0.02, x1 + 0.05 * (x1 - x0 + 1e-9) + 0.02
@@ -67,12 +69,12 @@ def write_convergence_svg(path, series: list[dict], title: str = "") -> None:
 
     for i, s in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        coords = [(sx(math.log10(h)), sy(math.log10(e)))
-                  for h, e in zip(s["h"], s["error"])]
+        shown = [(h, e) for h, e in zip(s["h"], s["error"]) if e > 0]
+        coords = [(sx(math.log10(h)), sy(math.log10(e))) for h, e in shown]
         path_d = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
         out.append(f'<polyline points="{path_d}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
-        for (x, y), (h, e) in zip(coords, zip(s["h"], s["error"])):
+        for (x, y), (h, e) in zip(coords, shown):
             out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="{color}">'
                        f'<title>h={h!r} error={e!r}</title></circle>')
         label = s["label"]

@@ -18,8 +18,7 @@ from _oracles import (closed_form_weights_1d_constant, constraint_matrix,
                       unit_moments)
 from nlfem import (BoxDomain, Kernel, KernelKind,
                    ManufacturedCase, assemble_system, build_uniform_mesh,
-                   case_linear_1d, case_sin_1d, case_sin_2d,
-                   error_norms, fit_rate, full_ball_rule,
+                   error_norms, fit_rate, full_ball_rule, get_case,
                    guarded_fit_rate, l2_error, perturb_mesh,
                    reconstruct, solve_system)
 from nlfem.cli import RunConfig, run_study
@@ -97,12 +96,12 @@ def _linear_2d():
         return (0.3 + p[..., 0] + 2.0 * p[..., 1],
                 tuple(np.full(p.shape[:-1], c) for c in (1.0, 2.0)))
 
-    return ManufacturedCase("linear2d", 2, lambda p: np.zeros(p.shape[:-1]), u_grad)
+    return ManufacturedCase("linear2d", 2, 0.0, u_grad)
 
 
 def test_criterion_03_patch_test():
     t0 = time.perf_counter()
-    case = case_linear_1d()
+    case = get_case("linear1d")
     results = {}
     for kind in BOTH_KINDS:
         mesh, u_nodes = _solve_case(1, kind, case, 0.01, 2, 1.0, 10, 40)
@@ -127,7 +126,7 @@ def test_criterion_03_patch_test():
 
 def test_criterion_04_boundary_extension_effect():
     t0 = time.perf_counter()
-    case = case_sin_1d()
+    case = get_case("sin1d")
     hs = np.array([1 / 16, 1 / 32, 1 / 64, 1 / 128])
     detail = []
     for ext_ratio, band in ((0.0, (0.8, 1.3)), (1.0, (1.8, 2.2))):
@@ -153,7 +152,7 @@ def test_criterion_04_boundary_extension_effect():
 
 def test_criterion_05_uniform_1d_rates():
     t0 = time.perf_counter()
-    case = case_sin_1d()
+    case = get_case("sin1d")
     hs = np.array([1 / 16, 1 / 32, 1 / 64, 1 / 128])
     detail = []
     for kind, m in itertools.product(BOTH_KINDS, (1, 2, 3)):
@@ -169,7 +168,7 @@ def test_criterion_05_uniform_1d_rates():
 
 def test_criterion_06_nonuniform_linear_rates():
     t0 = time.perf_counter()
-    case = case_linear_1d()
+    case = get_case("linear1d")
     hs = np.array([1 / 16, 1 / 32, 1 / 64, 1 / 128])
     seeds = (0, 1, 2, 3, 4)
     detail = []
@@ -193,7 +192,7 @@ def test_criterion_06_nonuniform_linear_rates():
 
 def test_criterion_07_nonuniform_sinusoidal_rates():
     t0 = time.perf_counter()
-    case = case_sin_1d()
+    case = get_case("sin1d")
     hs = np.array([1 / 16, 1 / 32, 1 / 64, 1 / 128])
     detail = []
     for kind, m in itertools.product(BOTH_KINDS, (2, 3)):
@@ -208,7 +207,7 @@ def test_criterion_07_nonuniform_sinusoidal_rates():
 
 def test_criterion_08_uniform_2d_rates():
     t0 = time.perf_counter()
-    case = case_sin_2d()
+    case = get_case("sin2d")
     hs = np.array([1 / 8, 1 / 16, 1 / 32])
     detail = []
     for kind in BOTH_KINDS:
@@ -222,7 +221,7 @@ def test_criterion_08_uniform_2d_rates():
 
 def test_criterion_09_nonuniform_2d_rates():
     t0 = time.perf_counter()
-    case = case_sin_2d()
+    case = get_case("sin2d")
     hs = np.array([1 / 8, 1 / 16, 1 / 32])
     detail = []
     for kind in BOTH_KINDS:
@@ -239,7 +238,7 @@ def test_criterion_10_assembly_oracle_equivalence():
     from _oracles import naive_system
 
     t0 = time.perf_counter()
-    case = case_sin_1d()
+    case = get_case("sin1d")
     for h in (1 / 4, 1 / 8):
         for kind in BOTH_KINDS:
             delta = h  # h = delta per the criterion

@@ -8,8 +8,8 @@ import scipy.sparse.linalg
 import nlfem.assembly
 from nlfem import (AssemblyError, BoxDomain, ConfigError, Kernel, KernelKind,
                    PerturbationSpec, assemble_system, build_uniform_mesh,
-                   case_linear_1d, case_sin_1d, case_sin_2d, locate_points,
-                   outer_rules, perturb_mesh, reconstruct, solve_system)
+                   get_case, locate_points, outer_rules, perturb_mesh,
+                   reconstruct, solve_system)
 from nlfem.convergence import _element_gradients
 from nlfem.exceptions import SolverError
 from nlfem.quadrature import default_cache, full_ball_rule
@@ -88,7 +88,7 @@ def test_assembly_matches_naive_oracle(h, kind, extension_ratio):
     m, nbar, nq = 1, 2, 8
     mesh = _mesh_1d(h, m, extension_ratio)
     kernel = Kernel(kind, 1, m * h)
-    case = case_sin_1d()
+    case = get_case("sin1d")
     system = assemble_system(mesh, kernel, nbar, nq,
                              case.source, case.solution)
     A = system.matrix.toarray()
@@ -253,7 +253,7 @@ def test_quadrature_symmetry_across_mirrored_junctions():
 def test_assembly_deterministic():
     mesh = _mesh_1d(1 / 32, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 32)
-    case = case_sin_1d()
+    case = get_case("sin1d")
     runs = []
     for _ in range(2):
         system = assemble_system(mesh, k, 5, 10,
@@ -275,7 +275,7 @@ def test_sparse_accumulator_symmetric_above_dense_limit():
 def test_sparse_accumulator_matches_dense(monkeypatch):
     mesh = _mesh_1d(1 / 1024, 2, 0.0)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 1024)
-    case = case_sin_1d()
+    case = get_case("sin1d")
 
     def assemble():
         return assemble_system(mesh, k, 2, 2, case.source,
@@ -316,7 +316,7 @@ def test_scatter_matches_broadcast_oracle(monkeypatch, dim, h, n_bar, n_q, coo_l
     if perturbed:
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, 3))
     kernel = Kernel(KernelKind.RATIONAL, dim, 2 * h)
-    case = case_sin_1d() if dim == 1 else case_sin_2d()
+    case = get_case("sin1d") if dim == 1 else get_case("sin2d")
 
     def assemble():
         return assemble_system(mesh, kernel, n_bar, n_q, case.source, case.solution)
@@ -510,7 +510,7 @@ def test_pair_products_row_blocks_cannot_move_a_bit(monkeypatch, dim, h, n_bar, 
 def test_rhs_zero_boundary_is_body_term_only():
     mesh = _mesh_1d(1 / 8, 1)
     k = Kernel(KernelKind.CONSTANT, 1, 1 / 8)
-    case = case_sin_1d()
+    case = get_case("sin1d")
     zero = lambda p: np.zeros(p.shape[0])
     f = assemble_system(mesh, k, 2, 8,
                         case.source, zero).rhs
@@ -533,7 +533,7 @@ def test_rhs_zero_boundary_is_body_term_only():
 def test_rhs_linear_boundary_matches_coupling_identity():
     mesh = _mesh_1d(1 / 16, 2)
     k = Kernel(KernelKind.CONSTANT, 1, 2 / 16)
-    case = case_linear_1d()
+    case = get_case("linear1d")
     system = assemble_system(mesh, k, 4, 10,
                              case.source, case.solution)
     u_lin = mesh.nodes[mesh.interior_nodes, 0]
@@ -564,7 +564,7 @@ def test_constant_field_in_operator_kernel(dim, perturbed, extension_ratio):
 def test_solver_residual_contract():
     mesh = _mesh_1d(1 / 32, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 32)
-    case = case_sin_1d()
+    case = get_case("sin1d")
     system = assemble_system(mesh, k, 5, 10,
                              case.source, case.solution)
     u = solve_system(system)
@@ -581,7 +581,7 @@ def test_solver_contract_2d(perturbation, extension_ratio):
     if perturbation is not None:
         mesh = perturb_mesh(mesh, perturbation)
     k = Kernel(KernelKind.RATIONAL, 2, m * h)
-    case = case_sin_2d()
+    case = get_case("sin2d")
     system = assemble_system(mesh, k, 4, 16,
                              case.source, case.solution)
     u = solve_system(system)
@@ -596,7 +596,7 @@ def _system_with_spoiled_solve(monkeypatch, spoil):
     """The 1D h=1/64 system, with ``spoil`` applied to every direct solve's answer."""
     mesh = _mesh_1d(1 / 64, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 64)
-    case = case_sin_1d()
+    case = get_case("sin1d")
     system = assemble_system(mesh, k, 5, 10,
                              case.source, case.solution)
     direct = nlfem.assembly.sparse_linalg.spsolve
@@ -628,7 +628,7 @@ def test_solver_contract_met_returns(monkeypatch):
 def test_solve_smallest_grid():
     mesh = _mesh_1d(0.5, 1)
     k = Kernel(KernelKind.CONSTANT, 1, 0.5)
-    case = case_sin_1d()
+    case = get_case("sin1d")
     system = assemble_system(mesh, k, 2, 8,
                              case.source, case.solution)
     assert system.matrix.shape == (1, 1)
@@ -671,6 +671,28 @@ def test_reconstruct_rejects_values_not_one_per_unknown(values, shape):
     assert mesh.num_interior == 3
     with pytest.raises(ConfigError, match=re.escape(f"interior values of shape {shape} for 3 unknowns")):
         reconstruct(mesh, values)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda mesh: reconstruct(mesh, np.zeros(3), lambda p: 2.0),
+     "boundary gave values of shape () for 4 points"),
+    (lambda mesh: assemble_system(mesh, Kernel(KernelKind.CONSTANT, 1, 0.25), 2, 2,
+                                  boundary=lambda p: 2.0),
+     "boundary gave values of shape () for 4 points"),
+    (lambda mesh: assemble_system(mesh, Kernel(KernelKind.CONSTANT, 1, 0.25), 2, 2,
+                                  source=lambda p: 1.0),
+     "source gave values of shape () for 8 points"),
+    (lambda mesh: assemble_system(mesh, Kernel(KernelKind.CONSTANT, 1, 0.25), 2, 2,
+                                  boundary=lambda p: np.zeros(len(p) + 1)),
+     "boundary gave values of shape (5,) for 4 points"),
+], ids=["reconstruct-scalar", "boundary-scalar", "source-scalar", "boundary-wrong-length"])
+def test_library_callables_give_one_value_per_point(call, message):
+    """A scalar is not broadcast over the layer, and neither it nor a wrong
+    count reaches numpy's own errors."""
+    mesh = _mesh_1d(0.25, 1)
+    assert (mesh.num_interior, len(mesh.constraint_nodes)) == (3, 4)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call(mesh)
 
 
 def test_element_gradients_2d():

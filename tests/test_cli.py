@@ -376,6 +376,26 @@ def test_main_study_dumps_one_file_per_level_and_prints_slopes(tmp_path, capsys)
     assert len(out) == 4 and re.fullmatch(r"l2 slope \d\.\d{3}, h1 slope \d\.\d{3}", out[-1])
 
 
+@pytest.mark.parametrize("hs", [[0.5], [0.5, 0.25], [0.5, 0.25, 0.125]],
+                         ids=["one-level", "two-levels", "three-levels"])
+def test_main_runs_a_study_with_an_exact_solution(tmp_path, capsys, hs):
+    """linear1d at h = 0.5 has L2 and H1 errors of exactly 0.0: the plot
+    leaves the level out, no rate is fitted, and every file is written."""
+    cfg = _write(tmp_path, {"dimension": 1, "kernel": "constant", "case": "linear1d",
+                            "m": 1, "h": hs, "extension": "delta", "outer_points": 1,
+                            "points_per_radius": 1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "h=0.5 dofs=1 l2=0.000000e+00 h1=0.000000e+00"
+    assert len(lines) == len(hs)  # no slope line
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["convergence.svg", "report.csv", "run.json", *(f"solution_h{h!r}.csv" for h in hs)])
+    assert "#" not in (out / "report.csv").read_text()
+    svg = (out / "convergence.svg").read_text()
+    assert svg.count("<circle") == 2 * (len(hs) - 1) and "error=0.0<" not in svg
+
+
 _DEV_FULL = Path("/dev/full")
 
 

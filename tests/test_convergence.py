@@ -7,10 +7,10 @@ from scipy import integrate
 import nlfem.convergence
 from _oracles import exact_bilinear_form, near_boundary_error_ratio, strang_gap
 from nlfem import (BoxDomain, Kernel, KernelKind,
-                   PerturbationSpec, build_uniform_mesh, case_linear_1d,
-                   case_sin_1d, case_sin_2d, error_norms, fit_rate,
-                   full_ball_rule, guarded_fit_rate, h1_error, l2_error,
-                   perturb_mesh, reconstruct)
+                   ManufacturedCase, PerturbationSpec, build_uniform_mesh,
+                   error_norms, fit_rate, full_ball_rule, get_case,
+                   guarded_fit_rate, h1_error, l2_error, perturb_mesh,
+                   reconstruct)
 from nlfem.convergence import ConvergenceReport, ErrorRecord
 from nlfem.exceptions import ConfigError, NlfemError
 from nlfem.geometry import Mesh
@@ -25,7 +25,7 @@ def _interpolant(mesh, func):
 # ------------------------------------------------------------------ L2/H1
 
 def test_interpolant_of_linear_has_zero_errors():
-    case = case_linear_1d()
+    case = get_case("linear1d")
     mesh = build_uniform_mesh(0.125, BoxDomain.unit(1, 0.25))
     u_nodes = _interpolant(mesh, case.solution)
     assert l2_error(u_nodes, case, mesh) <= 1e-14
@@ -34,12 +34,8 @@ def test_interpolant_of_linear_has_zero_errors():
 
 def test_interpolant_of_linear_2d():
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(2, 0.25))
-    case = type(case_linear_1d())(
-        name="lin2d", dim=2,
-        source=lambda p: np.zeros(p.shape[:-1]),
-        solution_and_gradient=lambda p: (p[..., 0] - 2 * p[..., 1],
-                                         (np.ones(p.shape[:-1]), np.full(p.shape[:-1], -2.0))),
-    )
+    case = ManufacturedCase("lin2d", 2, 0.0, lambda p: (
+        p[..., 0] - 2 * p[..., 1], (np.ones(p.shape[:-1]), np.full(p.shape[:-1], -2.0))))
     u_nodes = _interpolant(mesh, case.solution)
     assert l2_error(u_nodes, case, mesh) <= 1e-14
     assert h1_error(u_nodes, case, mesh) <= 1e-13
@@ -47,17 +43,17 @@ def test_interpolant_of_linear_2d():
 
 @pytest.mark.parametrize("mesh_dim, case_dim", [(2, 1), (1, 2)])
 def test_error_norms_rejects_case_of_another_dimension(mesh_dim, case_dim):
-    cases = {1: case_sin_1d, 2: case_sin_2d}
+    cases = {1: get_case("sin1d"), 2: get_case("sin2d")}
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(mesh_dim, 0.25))
-    u_nodes = _interpolant(mesh, cases[mesh_dim]().solution)
+    u_nodes = _interpolant(mesh, cases[mesh_dim].solution)
     with pytest.raises(ConfigError, match=f"is {case_dim}D but the mesh is {mesh_dim}D"):
-        error_norms(u_nodes, cases[case_dim](), mesh)
+        error_norms(u_nodes, cases[case_dim], mesh)
 
 
 @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
 def test_error_norms_rejects_node_values_of_another_length(extra):
     """An array that is not one value per mesh node is refused, not cut or over-read."""
-    case = case_sin_2d()
+    case = get_case("sin2d")
     mesh = build_uniform_mesh(1 / 16, BoxDomain.unit(2, 1 / 8))
     u_nodes = _interpolant(mesh, case.solution)
     other = np.resize(u_nodes, mesh.num_nodes + extra)
@@ -69,7 +65,7 @@ def test_error_norms_rejects_node_values_of_another_length(extra):
 def test_halving_h_quarters_l2_error():
     from nlfem import (Kernel, KernelKind, assemble_system, solve_system)
 
-    case = case_sin_1d()
+    case = get_case("sin1d")
     errs = []
     for h in (1 / 32, 1 / 64):
         delta = 2 * h
@@ -84,14 +80,14 @@ def test_halving_h_quarters_l2_error():
 
 
 def test_h1_dominates_l2():
-    case = case_sin_1d()
+    case = get_case("sin1d")
     mesh = build_uniform_mesh(1 / 32, BoxDomain.unit(1, 1 / 16))
     u_nodes = _interpolant(mesh, case.solution)
     assert h1_error(u_nodes, case, mesh) >= l2_error(u_nodes, case, mesh)
 
 
 def test_errors_invariant_under_element_relabeling():
-    case = case_sin_1d()
+    case = get_case("sin1d")
     mesh = build_uniform_mesh(1 / 16, BoxDomain.unit(1, 1 / 8))
     u_nodes = _interpolant(mesh, case.solution)
     perm = np.random.default_rng(3).permutation(mesh.num_elements)
@@ -113,7 +109,7 @@ def test_error_norms_equal_two_pass_oracle(monkeypatch, dim, perturbed, chunk):
     """The chunked one-pass norms are bitwise the two separate full-size passes."""
     from _oracles import two_pass_error_norms
 
-    h, case = (1 / 64, case_sin_1d()) if dim == 1 else (1 / 16, case_sin_2d())
+    h, case = (1 / 64, get_case("sin1d")) if dim == 1 else (1 / 16, get_case("sin2d"))
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))
     if perturbed:
         mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=3))
@@ -139,7 +135,7 @@ def test_error_norms_memory_is_terms_plus_one_chunk(dim, h):
     """
     import tracemalloc
 
-    case = case_sin_1d() if dim == 1 else case_sin_2d()
+    case = get_case("sin1d") if dim == 1 else get_case("sin2d")
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))
     u_nodes = _interpolant(mesh, case.solution)
     n_box, n_gs = int(mesh.element_in_box.sum()), 8 ** dim
@@ -178,6 +174,29 @@ def test_convergence_svg_needs_points(tmp_path):
     with pytest.raises(ValueError, match="nothing to plot"):
         write_convergence_svg(tmp_path / "empty.svg", [{"label": "L2", "h": [], "error": []}])
     assert not (tmp_path / "empty.svg").exists()
+
+
+def test_convergence_svg_leaves_out_errors_that_are_not_positive(tmp_path):
+    path = tmp_path / "plot.svg"
+    write_convergence_svg(path, [{"label": "L2", "h": [0.5, 0.25, 0.125],
+                                  "error": [0.0, 1e-3, 2.5e-4]},
+                                 {"label": "H1", "h": [0.5, 0.25, 0.125],
+                                  "error": [0.0, 0.0, -1.0]}])
+    svg = path.read_text()
+    assert svg.count("<circle") == 2 and "error=0.0<" not in svg
+    assert "<text" in svg and svg.rstrip().endswith("</svg>")
+    write_convergence_svg(path, [{"label": "L2", "h": [0.5], "error": [0.0]}])
+    assert "<circle" not in path.read_text()
+
+
+def test_report_fits_no_rate_for_a_norm_with_an_error_that_is_not_positive():
+    records = [ErrorRecord(h=0.5 / 2**k, delta=0.5 / 2**k, m=1, dofs=2**(k + 1) - 1,
+                           l2=0.01 / 4**k if k else 0.0, h1=0.1 / 2**k)
+               for k in range(3)]
+    report = ConvergenceReport.from_records(records)
+    assert report.l2_fit is None and report.l2_fit_guarded is None
+    assert report.h1_fit.slope == pytest.approx(1.0, abs=1e-12)
+    assert report.h1_fit_guarded.slope == pytest.approx(1.0, abs=1e-12)
 
 
 def test_guarded_fit_drops_pre_asymptotic_level():
@@ -329,7 +348,7 @@ def test_strang_gap_mirror_symmetric():
 # ---------------------------------------------------- near-boundary error ratio
 
 def test_near_boundary_ratio_flags_boundary_spike():
-    case = case_sin_1d()
+    case = get_case("sin1d")
     mesh = build_uniform_mesh(1 / 32, BoxDomain.unit(1, 1 / 16))
     vals = case.solution(mesh.nodes[mesh.interior_nodes])
     vals[0] += 0.5  # inject a near-boundary defect
@@ -341,7 +360,7 @@ def test_near_boundary_ratio_flags_boundary_spike():
 def _field_without_unknowns():
     mesh = build_uniform_mesh(1.0, BoxDomain.unit(1, 1.0))
     assert mesh.num_interior == 0
-    case = case_sin_1d()
+    case = get_case("sin1d")
     return reconstruct(mesh, np.zeros(0), case.solution), case, mesh
 
 

@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nlfem import ConfigError, case_linear_1d, case_sin_1d, case_sin_2d, get_case
+from nlfem import ConfigError, get_case
 from nlfem.cli import RunConfig, _execute
 
 
 def test_sin_1d_values():
-    case = case_sin_1d()
+    case = get_case("sin1d")
     assert case.source(np.array([[0.25]]))[0] == pytest.approx(4 * math.pi**2)
     assert case.solution(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-15)
     d = 0.02
@@ -17,7 +18,7 @@ def test_sin_1d_values():
 
 
 def test_linear_1d_values():
-    case = case_linear_1d()
+    case = get_case("linear1d")
     pts = np.array([[0.3], [1.02], [-0.02]])
     assert np.allclose(case.source(pts), 0.0)
     assert case.solution(np.array([[1.02]]))[0] == pytest.approx(1.02)
@@ -25,7 +26,7 @@ def test_linear_1d_values():
 
 
 def test_sin_2d_values():
-    case = case_sin_2d()
+    case = get_case("sin2d")
     p = np.array([[0.25, 0.25]])
     assert case.source(p)[0] == pytest.approx(8 * math.pi**2)
     edge = np.array([[0.0, 0.3], [1.0, 0.7]])
@@ -80,6 +81,29 @@ def test_boundary_data_equals_solution_on_constraint_nodes(name, h, delta):
     constraint = mesh.constraint_nodes
     assert np.array_equal(result.node_values[constraint],
                           case.solution(mesh.nodes[constraint]))
+
+
+@pytest.mark.parametrize("name, eigenvalue", [
+    ("sin1d", 4.0 * math.pi**2), ("linear1d", 0.0), ("sin2d", 8.0 * math.pi**2),
+])
+def test_get_case_returns_one_shared_case(name, eigenvalue):
+    case = get_case(name)
+    assert case is get_case(name) and case.eigenvalue == eigenvalue
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.eigenvalue = 1.0
+
+
+def test_source_is_the_closed_form_bit_for_bit():
+    """λ * solution keeps the bits of the closed-form sources; linear1d's
+    0.0 * x is +0.0 at every point of the box, as np.zeros was."""
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(500, 2))
+    x, y = 2.0 * math.pi * pts[:, 0], 2.0 * math.pi * pts[:, 1]
+    sin1d = get_case("sin1d").source(pts[:, :1])
+    assert np.array_equal(sin1d, 4.0 * math.pi**2 * np.sin(x))
+    sin2d = get_case("sin2d").source(pts)
+    assert np.array_equal(sin2d, 8.0 * math.pi**2 * (np.sin(x) * np.sin(y)))
+    linear = get_case("linear1d").source(np.vstack([pts[:, :1], [[0.0], [1.0]]]))
+    assert np.array_equal(linear, np.zeros(502)) and not np.signbit(linear).any()
 
 
 def test_unknown_case_rejected():

@@ -209,6 +209,21 @@ def test_moment_residual_above_tolerance_raises():
         _moment_weights(B, 2)
 
 
+@pytest.mark.parametrize("scale, solves", [(1e-5, True), (1e-7, False)])
+def test_rank_cutoff_keeps_singular_values_down_to_1e_12(scale, solves):
+    """Rows e0, e1 and scale * e2 make B B^T diag(1, 1, scale^2): a singular
+    value ratio of 1e-10 is kept and met, one of 1e-14 is cut and the y^2
+    moment is missed."""
+    B = np.eye(3, 4) * np.array([[1.0], [1.0], [scale]])
+    if solves:
+        w, residual = _moment_weights(B, 2)
+        assert w[2] == pytest.approx(1e5, rel=1e-12)
+        assert residual <= 1e-12
+    else:
+        with pytest.raises(QuadratureError, match="constraint residual"):
+            _moment_weights(B, 2)
+
+
 @pytest.mark.parametrize("points_per_radius, dim", [(0, 1), (1, 3)])
 def test_inner_grid_spec_validation(points_per_radius, dim):
     with pytest.raises((QuadratureError, KernelError)):
