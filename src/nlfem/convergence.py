@@ -86,6 +86,18 @@ def _element_gradients(mesh: Mesh, node_values: np.ndarray, ids: np.ndarray) -> 
     return np.stack([gx, gy], axis=1)
 
 
+def _exact_values(case: ManufacturedCase, points: np.ndarray):
+    """``case.solution_and_gradient(points)`` if it gives one value and ``case.dim``
+    gradient components per point, else ConfigError."""
+    u_0, grad_0 = case.solution_and_gradient(points)
+    shapes = [np.shape(u_0), *map(np.shape, grad_0)]
+    if len(shapes) != 1 + case.dim or any(s != points.shape[:-1] for s in shapes):
+        raise ConfigError(f"case {case.name!r} gave values of shape {shapes[0]} and"
+                          f" gradient components of shapes {shapes[1:]} for {len(points)}"
+                          f" points; a {case.dim}D case needs {case.dim}")
+    return u_0, grad_0
+
+
 def error_norms(node_values: np.ndarray, case: ManufacturedCase,
                 mesh: Mesh) -> tuple[float, float]:
     """L2 and H1 errors over the box, from one pass over its elements.
@@ -109,7 +121,7 @@ def error_norms(node_values: np.ndarray, case: ManufacturedCase,
         part = ids[lo:lo + _ERROR_CHUNK]
         pts, w, ref_bary = outer_rules(mesh, part, n_gs)
         uh = np.einsum("qk,ek->eq", ref_bary, node_values[mesh.elements[part]])
-        u_0, grad_0 = case.solution_and_gradient(pts.reshape(-1, mesh.dim))
+        u_0, grad_0 = _exact_values(case, pts.reshape(-1, mesh.dim))
         sq = (uh - u_0.reshape(uh.shape)) ** 2
         # axis by axis: squares are never -0.0, so 0 + x_0 + x_1 has the bits of np.sum(axis=-1)
         gdiff = sum((grad_h[lo:lo + len(part), None, k] - g.reshape(uh.shape)) ** 2

@@ -458,8 +458,9 @@ def test_pair_products_memory_above_node_limit(monkeypatch, dim, h, n_bar, n_q):
     """One above-limit chunk sum peaks at 32 traced bytes per (pair, slot) entry or less.
 
     A chunk has pairs * 2k such entries.  Its node-major matrix holds a value
-    and an int32 node per entry, and building it peaks at about 21 bytes per
-    entry.  The expansion across the 2k columns runs in row blocks of at most
+    and an int32 node per entry; the chunk sum peaks at 19.5 (1D) and 17.7
+    (2D) bytes per entry, 21 with a scaled pair-major copy built beside the
+    transpose.  The expansion across the 2k columns runs in row blocks of at most
     ``_PAIR_CHUNK`` values, so the bound does not grow with (2k)^2; expanding
     the whole chunk at once peaked at 69 (1D) and 93 (2D) bytes per entry.
     """
@@ -503,6 +504,37 @@ def test_pair_products_row_blocks_cannot_move_a_bit(monkeypatch, dim, h, n_bar, 
         for part in ("data", "indices", "indptr"):
             got, want = getattr(total, part), getattr(whole, part)
             assert got.dtype == want.dtype and np.array_equal(got, want), (name, part)
+
+
+@pytest.mark.parametrize("dim, h, n_bar, n_q", [(2, 1 / 16, 4, 16), (1, 1 / 512, 10, 40)],
+                         ids=["2d-baseline", "1d-ladder"])
+def test_assembly_peaks_at_the_pair_matrix_and_its_transpose(dim, h, n_bar, n_q):
+    """Assembly's traced peak is its floor, G and (c o G)^T, plus a 2 MB margin.
+
+    A chunk has at most ``_PAIR_CHUNK`` pairs of 2k terms, each an int32
+    node and a float64 value (12 bytes) in G and again in its node-major
+    transpose.  Per pair, the coefficient and G's row pointer add 8 + 4
+    bytes, and one scaling block holds ``_PAIR_CHUNK`` float64 coefficients
+    and their intp indices.  The margin covers the mesh-sized arrays: the
+    running operator, its rows and the load.  The levels are the baseline
+    2D h=1/16 and ``ladder1d``'s h=1/512; they read 34.5 and 24.9 MB.
+    Keeping a chunk's arrays alive into the next chunk and a pair-major
+    copy of the scaled values beside the transpose read 47.4 and 33.1 MB.
+    """
+    import tracemalloc
+
+    chunk, k = nlfem.assembly._PAIR_CHUNK, dim + 1
+    floor = 2 * chunk * 2 * k * 12 + chunk * (8 + 4) + chunk * (8 + 8)
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h, 2 * h))
+    case = get_case("sin1d") if dim == 1 else get_case("sin2d")
+    kernel = Kernel(KernelKind.RATIONAL, dim, 2 * h)
+    tracemalloc.start()
+    try:
+        assemble_system(mesh, kernel, n_bar, n_q, case.source, case.solution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= floor + 2e6
 
 
 # ------------------------------------------------------------------ rhs pieces

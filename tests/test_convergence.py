@@ -62,6 +62,25 @@ def test_error_norms_rejects_node_values_of_another_length(extra):
         error_norms(other, case, mesh)
 
 
+@pytest.mark.parametrize("exact, shapes", [
+    (lambda p: (np.zeros(len(p)), ()), "values of shape (32,) and gradient components of shapes []"),
+    (lambda p: (np.float64(0.0), (np.zeros(len(p)),)),
+     "values of shape () and gradient components of shapes [(32,)]"),
+], ids=["no-gradient", "scalar-value"])
+def test_error_norms_rejects_a_case_without_one_value_and_gradient_per_point(exact, shapes):
+    """A library case must give a value and ``dim`` gradient components per point.
+
+    Without the check an empty gradient silently dropped the gradient term
+    (H1 read the L2 value, 0.0 here), and a 0-d value raised numpy's raw
+    reshape error.
+    """
+    case = ManufacturedCase("c", 1, 0.0, exact)
+    mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"case 'c' gave {shapes} for 32 points; a 1D case needs 1")):
+        error_norms(np.zeros(mesh.num_nodes), case, mesh)
+
+
 def test_halving_h_quarters_l2_error():
     from nlfem import (Kernel, KernelKind, assemble_system, solve_system)
 

@@ -28,6 +28,16 @@ def _sha(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def _holding(func, n_bytes):
+    """``func``, holding ``n_bytes`` of float64 scratch through each call."""
+    def call(*args, **kwargs):
+        held = np.ones(n_bytes // 8)
+        out = func(*args, **kwargs)
+        del held
+        return out
+    return call
+
+
 def test_level_hashes_fingerprint_the_level(monkeypatch):
     tool = _load_tool()
     config = load_config(_ROOT / "configs" / "single_1d_baseline.json")
@@ -36,17 +46,40 @@ def test_level_hashes_fingerprint_the_level(monkeypatch):
     a, rhs = result.system.matrix, result.system.rhs
     system = {"data": _sha(a.data), "indices": _sha(a.indices), "indptr": _sha(a.indptr),
               "rhs": _sha(rhs)}
-    assert tool.level_hashes(config, h) == dict(
-        system, l2=repr(result.record.l2), h1=repr(result.record.h1))
+    hashes = tool.level_hashes(config, h)
+    assert hashes.pop("assembly_peak_mb") > 0
+    assert hashes == dict(system, l2=repr(result.record.l2), h1=repr(result.record.h1))
 
     def fail(_system):
         raise SolverError("synthetic breakdown")
 
     assemble = nlfem.cli.assemble_system
     monkeypatch.setattr(nlfem.cli, "solve_system", fail)
-    # a level that fails after assembly keeps the hashes of its system
-    assert tool.level_hashes(config, h) == dict(system, error="[numerical] synthetic breakdown")
+    # a level that fails after assembly keeps the hashes and peak of its system
+    hashes = tool.level_hashes(config, h)
+    assert hashes.pop("assembly_peak_mb") > 0
+    assert hashes == dict(system, error="[numerical] synthetic breakdown")
     assert nlfem.cli.assemble_system is assemble
+
+
+def test_assembly_peak_traces_the_assemble_call_alone(monkeypatch):
+    """``assembly_peak_mb`` is the traced peak of the assemble call in 10^6
+    bytes: 16 MB held through assembly add 16 to it, 32 MB held through the
+    solve add nothing, and no trace is left running."""
+    import tracemalloc
+
+    tool = _load_tool()
+    config = load_config(_ROOT / "configs" / "single_1d_baseline.json")
+    h = config.h_values[0]
+    base = tool.level_hashes(config, h)["assembly_peak_mb"]
+    assert 0 < base < 16 and not tracemalloc.is_tracing()
+
+    monkeypatch.setattr(nlfem.cli, "solve_system", _holding(nlfem.cli.solve_system, 32_000_000))
+    assert tool.level_hashes(config, h)["assembly_peak_mb"] == pytest.approx(base, abs=0.1)
+    monkeypatch.setattr(nlfem.cli, "assemble_system",
+                        _holding(nlfem.cli.assemble_system, 16_000_000))
+    assert tool.level_hashes(config, h)["assembly_peak_mb"] == pytest.approx(base + 16, abs=0.1)
+    assert not tracemalloc.is_tracing()
 
 
 def test_level_shifts_of_a_tree_against_itself_read_zero(monkeypatch):
@@ -59,6 +92,8 @@ def test_level_shifts_of_a_tree_against_itself_read_zero(monkeypatch):
             path = _ROOT / "configs" / name
             config, other = load_config(path), against_cli.load_config(path)
             shifts = tool.level_shifts(config, config.h_values[0], other)
+            peak, other_peak = shifts.pop("assembly_peak_mb"), shifts.pop("against_assembly_peak_mb")
+            assert other_peak == pytest.approx(peak, abs=0.1)
             assert shifts == {"bitwise": True, "matrix": 0.0, "l2": 0.0, "h1": 0.0}
         # the two sides are separate packages: scaling one side's matrices shows
         assemble = against_cli.assemble_system
@@ -68,6 +103,12 @@ def test_level_shifts_of_a_tree_against_itself_read_zero(monkeypatch):
             system.matrix = system.matrix * (1 + 1e-9)
             return system
 
+        # the peaks are reported, never part of bitwise
+        monkeypatch.setattr(against_cli, "assemble_system", _holding(assemble, 16_000_000))
+        shifts = tool.level_shifts(config, config.h_values[0], other)
+        assert shifts["against_assembly_peak_mb"] == pytest.approx(
+            shifts["assembly_peak_mb"] + 16, abs=0.1)
+        assert shifts["bitwise"] is True
         monkeypatch.setattr(against_cli, "assemble_system", scaled)
         shifts = tool.level_shifts(config, config.h_values[0], other)
         assert shifts["matrix"] == pytest.approx(1e-9, rel=1e-6)

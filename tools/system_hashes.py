@@ -12,17 +12,22 @@ every ``configs/*.json`` runs through ``nlfem.cli._execute``, the function
 level: the sha256 of the CSR data, indices and indptr and of the load
 vector, and ``repr`` of the L2 and H1 errors; a level that fails gives the
 message ``nlfem run`` would print instead, plus the hashes of its system if
-assembly finished.  Run it with the ``src`` of two trees and diff the output.
+assembly finished.  ``assembly_peak_mb`` is the ``tracemalloc`` peak of the
+assemble call alone, in 10^6 bytes: unlike the process's peak RSS, heap
+layout and allocation order cannot move it.  Run it with the ``src`` of two
+trees and diff the output.
 
 With ``--against OTHER`` it also imports the package in OTHER (another
 checkout's ``src``) as ``nlfem_against``, runs every level on both trees,
 and prints per level how far OTHER lies from PATH instead: ``matrix``, the
 max relative matrix difference max|A' - A| / max|A|, and ``l2``/``h1``, the
 relative error shifts |e' - e| / e, and ``bitwise``, true when both trees
-give the level the same hashes and errors, or the same failure message.  A
-level that fails on either tree gives its ``error``/``against_error``
-message and leaves out what it lacks.  Two bitwise equal trees read 0 and
-``bitwise`` true everywhere.
+give the level the same hashes and errors, or the same failure message.
+``assembly_peak_mb`` and ``against_assembly_peak_mb`` are the two trees'
+assembly peaks, which ``bitwise`` does not compare.  A level that fails on
+either tree gives its ``error``/``against_error`` message and leaves out
+what it lacks.  Two bitwise equal trees read 0 and ``bitwise`` true
+everywhere.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import importlib
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +55,8 @@ def run_level(config, h: float, package: str = "nlfem"):
     """Run one level of a ``RunConfig`` of ``package``.
 
     Returns the assembled system (None if assembly did not finish), the
-    error record (None if the level failed) and the failure message.
+    error record (None if the level failed), the failure message, and the
+    traced peak of the assemble call in MB (None if it never ran).
     """
     cli = importlib.import_module(f"{package}.cli")
     errors = importlib.import_module(f"{package}.exceptions")
@@ -57,7 +64,12 @@ def run_level(config, h: float, package: str = "nlfem"):
     assemble = cli.assemble_system
 
     def probe(*args, **kwargs):
-        captured["system"] = assemble(*args, **kwargs)
+        tracemalloc.start()
+        try:
+            captured["system"] = assemble(*args, **kwargs)
+        finally:
+            captured["peak"] = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
         return captured["system"]
 
     record = message = None
@@ -69,12 +81,16 @@ def run_level(config, h: float, package: str = "nlfem"):
         message = f"[{'config' if config_error else 'numerical'}] {exc}"
     finally:
         cli.assemble_system = assemble
-    return captured.get("system"), record, message
+    return captured.get("system"), record, message, captured.get("peak")
 
 
 def level_hashes(config, h: float) -> dict:
-    """Hashes and errors of one level of a ``nlfem.cli.RunConfig``."""
-    return _fingerprint(*run_level(config, h))
+    """Hashes, errors and assembly peak of one level of a ``nlfem.cli.RunConfig``."""
+    *level, peak = run_level(config, h)
+    out = _fingerprint(*level)
+    if peak is not None:
+        out["assembly_peak_mb"] = peak
+    return out
 
 
 def _fingerprint(system, record, message) -> dict:
@@ -94,10 +110,15 @@ def _relative(new: float, old: float) -> float:
 
 def level_shifts(config, h: float, against_config) -> dict:
     """How far one level on the ``nlfem_against`` tree lies from ``nlfem``'s."""
-    mine, theirs = run_level(config, h), run_level(against_config, h, AGAINST)
+    *mine, peak = run_level(config, h)
+    *theirs, other_peak = run_level(against_config, h, AGAINST)
     system, record, message = mine
     other, other_record, other_message = theirs
     out = {"bitwise": _fingerprint(*mine) == _fingerprint(*theirs)}
+    if peak is not None:
+        out["assembly_peak_mb"] = peak
+    if other_peak is not None:
+        out["against_assembly_peak_mb"] = other_peak
     if message is not None:
         out["error"] = message
     if other_message is not None:
