@@ -72,6 +72,7 @@ class ConvergenceReport:
 
 
 _ERROR_CHUNK = 1024  # box elements per error-norm chunk; bounds the pass's scratch
+_ERROR_AXIS_POINTS = 8  # Gauss points per axis of the error rule, so 8^d per element
 
 
 def _element_gradients(mesh: Mesh, node_values: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -113,7 +114,7 @@ def error_norms(node_values: np.ndarray, case: ManufacturedCase,
     if np.shape(node_values) != (mesh.num_nodes,):
         raise ConfigError(f"node values of shape {np.shape(node_values)} for {mesh.num_nodes} nodes")
     ids = np.flatnonzero(mesh.element_in_box)
-    n_gs = 8 ** mesh.dim
+    n_gs = _ERROR_AXIS_POINTS ** mesh.dim
     grad_h = _element_gradients(mesh, node_values, ids)  # constant per element
     l2_terms = np.empty((len(ids), n_gs))
     h1_terms = np.empty((len(ids), n_gs))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import MeshError, _integer, _real
-from .rng import Xoshiro256pp
 
 
 class BallNorm(enum.Enum):
@@ -122,8 +121,6 @@ class Mesh:
     axis_breaks: tuple[np.ndarray, ...]
     spacing: float
     is_uniform: bool
-    layer_cells: int  # cells across the constraint layer per side (= horizon / spacing)
-    inner_cells: tuple[int, ...]  # cells across the box per axis
 
     @property
     def dim(self) -> int:
@@ -230,8 +227,7 @@ def _mesh_from_breaks(domain: BoxDomain, breaks: tuple[np.ndarray, ...], m: int,
     in_box = np.repeat(((cell_idx >= m) & (cell_idx < box_end)).all(axis=0), len(simplices))
     interior = ((node_idx > m) & (node_idx < box_end)).all(axis=0)
     return Mesh(domain=domain, nodes=nodes, elements=elements, element_in_box=in_box,
-                node_is_interior=interior, axis_breaks=breaks, spacing=h, is_uniform=uniform,
-                layer_cells=m, inner_cells=inner)
+                node_is_interior=interior, axis_breaks=breaks, spacing=h, is_uniform=uniform)
 
 
 def cell_counts(h: float, domain: BoxDomain) -> tuple[int, tuple[int, ...]]:
@@ -262,6 +258,35 @@ def build_uniform_mesh(h: float, domain: BoxDomain) -> Mesh:
     return _mesh_from_breaks(domain, breaks, m, inner, h, uniform=True)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _symmetric_draws(seed: int):
+    """Uniform doubles in [-1, 1) from xoshiro256++ seeded by splitmix64 (README).
+
+    The state is splitmix64's first four outputs from ``seed``, and each
+    64-bit output ``u`` gives the draw ``2 (u >> 11) 2**-53 - 1``.
+    """
+    state = []
+    for _ in range(4):
+        seed = (seed + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        state.append(z ^ (z >> 31))
+    s0, s1, s2, s3 = state
+    while True:
+        u = (s0 + s3) & _MASK64
+        u = (((u << 23) | (u >> 41)) + s0) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        yield 2.0 * ((u >> 11) * 2.0**-53) - 1.0
+
+
 def perturb_mesh(mesh: Mesh, spec: PerturbationSpec) -> Mesh:
     """Displace grid breakpoints by factor*h*R, R uniform in [-1, 1).
 
@@ -271,20 +296,19 @@ def perturb_mesh(mesh: Mesh, spec: PerturbationSpec) -> Mesh:
     """
     if not mesh.is_uniform:
         raise MeshError("perturb_mesh requires a uniform mesh")
-    gen = Xoshiro256pp(int(spec.seed))  # numpy integers would wrap or overflow
+    draws = _symmetric_draws(int(spec.seed))  # numpy integers would wrap or overflow
     amp = spec.factor * mesh.spacing
-    m = mesh.layer_cells
+    m, inner = cell_counts(mesh.spacing, mesh.domain)
     new_breaks = []
-    for axis, b in enumerate(mesh.axis_breaks):
+    for n, b in zip(inner, mesh.axis_breaks):
         nb = b.copy()
-        anchors = {0, m, m + mesh.inner_cells[axis], len(b) - 1}
+        anchors = {0, m, m + n, len(b) - 1}
         for i in range(len(b)):
-            if i in anchors:
-                continue
-            nb[i] = b[i] + amp * gen.symmetric()
+            if i not in anchors:
+                nb[i] = b[i] + amp * next(draws)
         new_breaks.append(nb)
-    return _mesh_from_breaks(mesh.domain, tuple(new_breaks), m, mesh.inner_cells,
-                             mesh.spacing, uniform=False)
+    return _mesh_from_breaks(mesh.domain, tuple(new_breaks), m, inner, mesh.spacing,
+                             uniform=False)
 
 
 def _axis_cells(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -110,10 +110,10 @@ def naive_system(h, m, kind, extension_ratio, nbar, nq, source, boundary):
     return A, f
 
 
-def two_pass_error_norms(node_values, case, mesh):
-    """L2 and H1 errors, each from its own pass over all box elements at once."""
+def two_pass_error_norms(node_values, case, mesh, n_points):
+    """L2 and H1 errors on an n_points rule, each from its own pass over all box elements."""
     ids = np.flatnonzero(mesh.element_in_box)
-    pts, w, ref_bary = forked_outer_rules(mesh, ids, 8 ** mesh.dim)
+    pts, w, ref_bary = forked_outer_rules(mesh, ids, n_points)
     nodal = node_values[mesh.elements[ids]]
     uh = np.einsum("qk,ek->eq", ref_bary, nodal)
     u0 = case.solution(pts.reshape(-1, mesh.dim)).reshape(uh.shape)
@@ -432,4 +432,4 @@ def forked_mesh_from_breaks(domain, breaks, m, inner, h, uniform):
                 elements=np.ascontiguousarray(elements, dtype=np.int64),
                 element_in_box=in_box, node_is_interior=interior,
                 axis_breaks=tuple(np.ascontiguousarray(b) for b in breaks),
-                spacing=h, is_uniform=uniform, layer_cells=m, inner_cells=inner)
+                spacing=h, is_uniform=uniform)

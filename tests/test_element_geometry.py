@@ -23,6 +23,7 @@ from _oracles import (forked_element_gradients, forked_element_measures,
 from nlfem import (BallNorm, BoxDomain, Kernel, KernelKind, MeshError, PerturbationSpec,
                    build_uniform_mesh, locate_points, outer_rules, perturb_mesh)
 from nlfem.convergence import _element_gradients
+from nlfem.geometry import cell_counts
 from nlfem.quadrature import _ball_grid
 
 MESHES = pytest.mark.parametrize("dim, perturbed", [(1, False), (1, True), (2, False), (2, True)])
@@ -69,8 +70,8 @@ def test_mesh_builder_equals_forked_oracle(dim, h, m, extension, seed):
     mesh = build_uniform_mesh(h, BoxDomain.unit(dim, m * h, extension * m * h))
     if seed is not None:
         mesh = perturb_mesh(mesh, PerturbationSpec(0.3, seed))
-    ref = forked_mesh_from_breaks(mesh.domain, mesh.axis_breaks, m, mesh.inner_cells,
-                                  h, mesh.is_uniform)
+    _, inner = cell_counts(h, mesh.domain)
+    ref = forked_mesh_from_breaks(mesh.domain, mesh.axis_breaks, m, inner, h, mesh.is_uniform)
     for name in ("nodes", "elements", "element_in_box", "node_is_interior"):
         got, want = getattr(mesh, name), getattr(ref, name)
         assert _same_bits(got, want) and got.flags.c_contiguous, name

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from _oracles import forked_element_measures
 from nlfem import (BoxDomain, MeshError, PerturbationSpec,
                    build_uniform_mesh, locate_points, perturb_mesh)
-from nlfem.geometry import cell_counts
+from nlfem.geometry import _symmetric_draws, cell_counts
 
 
 def test_counts_1d_baseline():
@@ -91,6 +92,31 @@ def test_perturb_deterministic():
     assert np.array_equal(a.nodes, b.nodes)
     c = perturb_mesh(mesh, PerturbationSpec(0.1, seed=100))
     assert not np.array_equal(a.nodes, c.nodes)
+
+
+@pytest.mark.parametrize("seed, first_three", [
+    (0, ["-0x1.674514f5b7a70p-2", "-0x1.e2590c23c7f30p-3", "-0x1.1f8103709b2c4p-2"]),
+    (3, ["-0x1.cb5051b91b9a6p-1", "0x1.2eef64fb71834p-2", "0x1.77d28909a38f8p-1"]),
+    (2**64 - 1, ["-0x1.4998398b5b8f0p-2", "0x1.9a16210cb9696p-1", "0x1.8fa6d69204672p-1"]),
+])
+def test_perturbation_stream_is_pinned(seed, first_three):
+    """The README's xoshiro256++ stream; perturbed references and configs depend on it."""
+    draws = _symmetric_draws(seed)
+    assert [next(draws).hex() for _ in range(3)] == first_three
+
+
+def test_perturbed_breakpoints_are_pinned():
+    mesh = build_uniform_mesh(1 / 8, BoxDomain.unit(2, 1 / 4))
+    pert = perturb_mesh(mesh, PerturbationSpec(0.3, seed=7))
+    digest = hashlib.sha256(b"".join(b.tobytes() for b in pert.axis_breaks)).hexdigest()
+    assert digest == "a4c4c098d317acec4b23618201dfd717ac1ae04dbffc72a99d67fc50dbbc8338"
+
+
+def test_perturbation_draws_cover_symmetric_range():
+    draws = _symmetric_draws(7)
+    ss = [next(draws) for _ in range(2000)]
+    assert all(-1.0 <= s < 1.0 for s in ss)
+    assert min(ss) < -0.9 and max(ss) > 0.9
 
 
 def test_perturb_bound_and_ordering():
