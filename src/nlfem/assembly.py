@@ -63,6 +63,7 @@ move none.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,24 +100,31 @@ def _reference_rule(dim: int, n_points: int):
 
     In 2D the tensor rule on the unit square is collapsed onto the reference
     triangle, so ``n_points`` must be a perfect square there.  Weights sum to
-    the reference measure (1, respectively 1/2).
+    the reference measure (1, respectively 1/2).  Built once per process, shared read-only.
     """
     _integer("n_points", n_points, AssemblyError, 1)
+    return _cached_reference_rule(dim, int(n_points))
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_reference_rule(dim: int, n_points: int):
     if dim == 1:
         t, w = gauss_legendre_01(n_points)
-        bary = np.stack([1.0 - t, t], axis=1)
-        return t.reshape(-1, 1), bary, w
-    side = int(round(n_points ** 0.5))
-    if side * side != n_points:
-        raise AssemblyError(f"2D outer rule needs a square point count, got {n_points}")
-    a, wa = gauss_legendre_01(side)
-    A, Bv = np.meshgrid(a, a, indexing="ij")
-    WA, WB = np.meshgrid(wa, wa, indexing="ij")
-    u = (A * (1.0 - Bv)).ravel()  # collapsed coordinates keep weights positive
-    v = Bv.ravel()
-    w = (WA * WB * (1.0 - Bv)).ravel()
-    bary = np.stack([1.0 - u - v, u, v], axis=1)
-    return np.stack([u, v], axis=1), bary, w
+        rule = t.reshape(-1, 1), np.stack([1.0 - t, t], axis=1), w
+    else:
+        side = int(round(n_points ** 0.5))
+        if side * side != n_points:
+            raise AssemblyError(f"2D outer rule needs a square point count, got {n_points}")
+        a, wa = gauss_legendre_01(side)
+        A, Bv = np.meshgrid(a, a, indexing="ij")
+        WA, WB = np.meshgrid(wa, wa, indexing="ij")
+        u = (A * (1.0 - Bv)).ravel()  # collapsed coordinates keep weights positive
+        v = Bv.ravel()
+        w = (WA * WB * (1.0 - Bv)).ravel()
+        rule = np.stack([u, v], axis=1), np.stack([1.0 - u - v, u, v], axis=1), w
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def outer_rules(mesh: Mesh, element_ids: np.ndarray, n_points: int):
@@ -372,8 +380,9 @@ def dump_matrix_market(system: DiscreteSystem, path) -> None:
 
 
 def dump_solution_csv(mesh: Mesh, node_values: np.ndarray, path) -> None:
+    """One ``id,x[,y],u`` row per node, each float written as its ``repr``."""
+    columns = [map(str, range(mesh.num_nodes)), *(map(repr, a) for a in mesh.nodes.T.tolist()),
+               map(repr, np.asarray(node_values, dtype=float).tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("id," + ",".join("xy"[:mesh.dim]) + ",u\n")
-        for i, (x, v) in enumerate(zip(mesh.nodes, node_values)):
-            coords = ",".join(repr(float(c)) for c in x)
-            fh.write(f"{i},{coords},{float(v)!r}\n")
+        fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))

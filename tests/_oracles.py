@@ -433,3 +433,12 @@ def forked_mesh_from_breaks(domain, breaks, m, inner, h, uniform):
                 element_in_box=in_box, node_is_interior=interior,
                 axis_breaks=tuple(np.ascontiguousarray(b) for b in breaks),
                 spacing=h, is_uniform=uniform)
+
+
+def looped_solution_csv(mesh, node_values, path):
+    """``assembly.dump_solution_csv`` as one formatted write per node."""
+    with open(path, "w", newline="") as fh:
+        fh.write("id," + ",".join("xy"[:mesh.dim]) + ",u\n")
+        for i, (x, v) in enumerate(zip(mesh.nodes, node_values)):
+            coords = ",".join(repr(float(c)) for c in x)
+            fh.write(f"{i},{coords},{float(v)!r}\n")

@@ -77,6 +77,22 @@ def test_outer_rule_rejects_non_integer_counts(n_points):
     assert np.array_equal(outer_rules(mesh, [0], np.int64(2))[0], outer_rules(mesh, [0], 2)[0])
 
 
+def test_reference_rule_is_built_once_and_read_only():
+    """Every call for one rule shares its arrays, a numpy count included, so
+    none of them may be written."""
+    from nlfem.assembly import _reference_rule
+
+    for dim, n_points in ((1, 2), (2, 4)):
+        rule = _reference_rule(dim, n_points)
+        assert all(a is b for a, b in zip(_reference_rule(dim, n_points), rule))
+        assert all(a is b for a, b in zip(_reference_rule(dim, np.int64(n_points)), rule))
+        for array in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    mesh = build_uniform_mesh(0.5, BoxDomain.unit(1, 0.5))
+    assert outer_rules(mesh, [0], np.int64(2))[2] is outer_rules(mesh, [0], 2)[2]
+
+
 # ---------------------------------------------------------- naive dense oracle
 
 @pytest.mark.parametrize("h", [1 / 4, 1 / 8])
@@ -814,3 +830,24 @@ def test_assembly_solves_each_rule_and_mask_once_per_process(monkeypatch):
     assert cache.hits == hits + 1 + sum(map(len, chunk_masks))
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(first.matrix, part), getattr(second.matrix, part))
+
+
+# ---------------------------------------------------------------------- output
+
+@pytest.mark.parametrize("dim, perturbed", [(1, False), (2, True)])
+def test_solution_csv_has_the_bytes_of_a_row_loop(tmp_path, dim, perturbed):
+    """The bulk writer gives the bytes of one ``repr``-formatted row per node,
+    for a negative zero, a subnormal, a huge and an integral value too."""
+    from _oracles import looped_solution_csv
+
+    mesh = build_uniform_mesh(1 / 8, BoxDomain.unit(dim, 1 / 4))
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.3, 7))
+    values = np.random.default_rng(1).normal(size=mesh.num_nodes)
+    values[:4] = [-0.0, 5e-324, 1e300, 3.0]
+    nlfem.assembly.dump_solution_csv(mesh, values, tmp_path / "bulk.csv")
+    looped_solution_csv(mesh, values, tmp_path / "loop.csv")
+    written = (tmp_path / "bulk.csv").read_bytes()
+    assert written == (tmp_path / "loop.csv").read_bytes()
+    assert b",-0.0\n1," in written and b",5e-324\n" in written
+    assert b",1e+300\n" in written and b",3.0\n" in written

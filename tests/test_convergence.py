@@ -62,10 +62,14 @@ def test_error_norms_rejects_node_values_of_another_length(extra):
         error_norms(other, case, mesh)
 
 
+_N_ERROR_POINTS_1D = 4 * nlfem.convergence._ERROR_AXIS_POINTS  # 4 box elements at h = 0.25
+
+
 @pytest.mark.parametrize("exact, shapes", [
-    (lambda p: (np.zeros(len(p)), ()), "values of shape (32,) and gradient components of shapes []"),
+    (lambda p: (np.zeros(len(p)), ()),
+     f"values of shape ({_N_ERROR_POINTS_1D},) and gradient components of shapes []"),
     (lambda p: (np.float64(0.0), (np.zeros(len(p)),)),
-     "values of shape () and gradient components of shapes [(32,)]"),
+     f"values of shape () and gradient components of shapes [({_N_ERROR_POINTS_1D},)]"),
 ], ids=["no-gradient", "scalar-value"])
 def test_error_norms_rejects_a_case_without_one_value_and_gradient_per_point(exact, shapes):
     """A library case must give a value and ``dim`` gradient components per point.
@@ -77,7 +81,7 @@ def test_error_norms_rejects_a_case_without_one_value_and_gradient_per_point(exa
     case = ManufacturedCase("c", 1, 0.0, exact)
     mesh = build_uniform_mesh(0.25, BoxDomain.unit(1, 0.25))
     with pytest.raises(ConfigError, match=re.escape(
-            f"case 'c' gave {shapes} for 32 points; a 1D case needs 1")):
+            f"case 'c' gave {shapes} for {_N_ERROR_POINTS_1D} points; a 1D case needs 1")):
         error_norms(np.zeros(mesh.num_nodes), case, mesh)
 
 
@@ -140,6 +144,36 @@ def test_error_norms_equal_two_pass_oracle(monkeypatch, dim, perturbed, chunk):
     n_points = nlfem.convergence._ERROR_AXIS_POINTS ** dim
     assert (l2, h1) == two_pass_error_norms(u_nodes, case, mesh, n_points)
     assert (l2_error(u_nodes, case, mesh), h1_error(u_nodes, case, mesh)) == (l2, h1)
+
+
+@pytest.mark.parametrize("case_name, h, perturbed", [
+    ("sin1d", 1 / 16, False), ("sin2d", 1 / 8, False), ("sin2d", 1 / 8, True),
+    ("linear1d", 1 / 16, False)])
+def test_error_rule_reads_fe_errors_as_the_eight_point_rule(case_name, h, perturbed):
+    """The error rule reads the norms of FE solutions as an 8^d rule does.
+
+    Against an 8^d rule, smooth cases agree within 1e-9 relative: the 5^d
+    rule shifts them by at most 6.2e-10, at 2D h = 1/8 perturbed, where a
+    4^d rule shifts them by 2.3e-7.  linear1d's errors are roundoff, so its
+    norms agree within 1e-16 absolute.
+    """
+    from _oracles import two_pass_error_norms
+    from nlfem import assemble_system, solve_system
+
+    case = get_case(case_name)
+    n_q, n_bar = (40, 10) if case.dim == 1 else (16, 4)
+    mesh = build_uniform_mesh(h, BoxDomain.unit(case.dim, 2 * h, 2 * h))
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=0))
+    system = assemble_system(mesh, Kernel(KernelKind.RATIONAL, case.dim, 2 * h), n_bar, n_q,
+                             case.source, case.solution)
+    u_nodes = reconstruct(mesh, solve_system(system), case.solution)
+    got = error_norms(u_nodes, case, mesh)
+    ref = two_pass_error_norms(u_nodes, case, mesh, 8 ** case.dim)
+    if case_name == "linear1d":
+        assert got == pytest.approx(ref, rel=0, abs=1e-16)
+    else:
+        assert got == pytest.approx(ref, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("dim, h", [(1, 1 / 2048), (2, 1 / 64)])
