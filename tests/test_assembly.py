@@ -1,5 +1,9 @@
+import json
+import os
 import re
-from types import SimpleNamespace
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -641,22 +645,27 @@ def test_solver_contract_2d(perturbation, extension_ratio):
 
 
 def _system_with_spoiled_solve(monkeypatch, spoil):
-    """The 1D h=1/64 system, with ``spoil`` applied to every direct solve's answer."""
+    """The 1D h=1/64 system, with ``spoil`` applied to every PCG solve's answer."""
     mesh = _mesh_1d(1 / 64, 2)
     k = Kernel(KernelKind.RATIONAL, 1, 2 / 64)
     case = get_case("sin1d")
     system = assemble_system(mesh, k, 5, 10,
                              case.source, case.solution)
-    direct = nlfem.assembly.sparse_linalg.spsolve
-    stub = SimpleNamespace(spsolve=lambda a, f, **kw: spoil(direct(a, f, **kw)))
-    monkeypatch.setattr(nlfem.assembly, "sparse_linalg", stub)
+    pcg = nlfem.assembly._pcg
+
+    def spoiled(*args):
+        u, iterations = pcg(*args)
+        return spoil(u), iterations
+
+    monkeypatch.setattr(nlfem.assembly, "_pcg", spoiled)
     return system
 
 
 @pytest.mark.parametrize("spoil, message", [
     (lambda u: u * (1 + 1e-6), r"relative residual=1\.000e-06"),
-    # just above the 1e-12 contract, so a looser threshold lets it through
-    (lambda u: u * (1 + 2e-12), r"relative residual=2\.000e-12"),
+    # just above the 1e-12 contract, so a looser threshold lets it through; the
+    # solve's own residual (7.7e-15 here) moves the fourth digit by about 1
+    (lambda u: u * (1 + 2e-12), r"relative residual=(1\.99|2\.00)\de-12"),
     (lambda u: np.full_like(u, np.nan), "linear solve failed"),
 ])
 def test_solver_contract_miss_raises(monkeypatch, spoil, message):
@@ -671,6 +680,69 @@ def test_solver_contract_met_returns(monkeypatch):
     u = solve_system(system)
     res = np.linalg.norm(system.matrix @ u - system.rhs) / np.linalg.norm(system.rhs)
     assert 4e-13 < res <= 1e-12
+
+
+def _system_2d(h):
+    """The 2D sin2d system at baseline settings: uniform mesh, m=2, extension delta."""
+    mesh = build_uniform_mesh(h, BoxDomain.unit(2, 2 * h, 2 * h))
+    case = get_case("sin2d")
+    return assemble_system(mesh, Kernel(KernelKind.RATIONAL, 2, 2 * h), 4, 16,
+                           case.source, case.solution)
+
+
+def test_solve_refuses_a_stencil_symbol_that_is_not_positive():
+    system = _system_2d(1 / 8)
+    system.matrix = -system.matrix
+    n = round(system.matrix.shape[0] ** 0.5)
+    index = np.stack(np.divmod(np.arange(n * n), n)[::-1])
+    lowest = nlfem.assembly._stencil_symbol(system.matrix, (n, n), index).min()
+    assert lowest < 0
+    with pytest.raises(SolverError, match=re.escape(f"not positive: min {lowest:.3e}")):
+        solve_system(system)
+
+
+def test_solve_refuses_at_the_iteration_cap(monkeypatch):
+    system = _system_2d(1 / 16)
+    monkeypatch.setattr(nlfem.assembly, "_CG_MAX_ITERATIONS", 1)
+    with pytest.raises(SolverError, match="did not converge in 1 iterations"):
+        solve_system(system)
+
+
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_solve_iterations_stay_flat_under_refinement(monkeypatch, h):
+    """The stencil preconditioner leaves the count independent of h: 3-19
+    iterations on every config level, 26 on the benchmark's h=1/128 level."""
+    counts = []
+    pcg = nlfem.assembly._pcg
+
+    def counted(*args):
+        u, iterations = pcg(*args)
+        counts.append(iterations)
+        return u, iterations
+
+    monkeypatch.setattr(nlfem.assembly, "_pcg", counted)
+    solve_system(_system_2d(h))
+    assert len(counts) == 1 and 0 < counts[0] <= 40
+
+
+def test_solution_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """16,129 unknowns: BLAS dots in the solve split across threads at this
+    size and give other bits with 2 threads; at h=1/16 they do not."""
+    config = tmp_path / "perturbed.json"
+    config.write_text(json.dumps({
+        "dimension": 2, "kernel": "rational", "case": "sin2d", "m": 2, "h": [0.0078125],
+        "extension": "zero", "outer_points": 1, "points_per_radius": 2,
+        "mesh": "perturbed", "epsilon": 0.1, "seed": 3}))
+    src = str(Path(nlfem.assembly.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "nlfem.cli", "run", "--config", str(config),
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=300)
+        written.append((out / "solution_h0.0078125.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_solve_smallest_grid():

@@ -178,7 +178,7 @@ def test_error_rule_reads_fe_errors_as_the_eight_point_rule(case_name, h, pertur
 
 @pytest.mark.parametrize("dim, h", [(1, 1 / 2048), (2, 1 / 64)])
 def test_error_norms_memory_is_terms_plus_one_chunk(dim, h):
-    """The error pass peaks at its two (n_box, 8^d) term arrays plus one chunk.
+    """The error pass peaks at its two (n_box, 5^d) term arrays plus one chunk.
 
     A chunk's scratch per Gauss point is its coordinates, weight, u_h, the
     exact value and gradient columns, and their differences: at most 10 + 2d

@@ -5,9 +5,11 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import nlfem.cli
 from nlfem.cli import _execute, load_config
@@ -94,7 +96,8 @@ def test_level_shifts_of_a_tree_against_itself_read_zero(monkeypatch):
             shifts = tool.level_shifts(config, config.h_values[0], other)
             peak, other_peak = shifts.pop("assembly_peak_mb"), shifts.pop("against_assembly_peak_mb")
             assert other_peak == pytest.approx(peak, abs=0.1)
-            assert shifts == {"bitwise": True, "matrix": 0.0, "l2": 0.0, "h1": 0.0}
+            assert shifts == {"bitwise": True, "matrix": 0.0, "solution": 0.0,
+                              "l2_abs": 0.0, "l2": 0.0, "h1_abs": 0.0, "h1": 0.0}
         # the two sides are separate packages: scaling one side's matrices shows
         assemble = against_cli.assemble_system
 
@@ -117,3 +120,41 @@ def test_level_shifts_of_a_tree_against_itself_read_zero(monkeypatch):
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] == tool.AGAINST]:
             del sys.modules[name]
+
+
+def _level(u, l2, h1):
+    """A synthetic (system, result, message) of a level with solution ``u``."""
+    matrix = scipy.sparse.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])
+    system = SimpleNamespace(matrix=matrix, rhs=np.ones(2))
+    result = SimpleNamespace(record=SimpleNamespace(l2=l2, h1=h1), node_values=np.array(u))
+    return system, result, None
+
+
+def test_compare_reports_solution_and_error_shifts():
+    tool = _load_tool()
+    smooth = _level([1.0, -2.0], 1e-3, 1e-1)
+    moved = _level([1.0, -2.0 + 4e-13], 1e-3 + 1e-11, 1e-1)
+    assert tool.compare(smooth, smooth) == {"bitwise": True, "matrix": 0.0, "solution": 0.0,
+                                            "l2_abs": 0.0, "l2": 0.0, "h1_abs": 0.0, "h1": 0.0}
+    shifts = tool.compare(smooth, moved)
+    assert shifts == {"bitwise": False, "matrix": 0.0, "solution": pytest.approx(2e-13),
+                      "l2_abs": pytest.approx(1e-11), "l2": pytest.approx(1e-8),
+                      "h1_abs": 0.0, "h1": 0.0}
+
+    # an exact solution's error is roundoff: a 3e-15 move of a 6e-13 error
+    # reads 3e-15 / ERROR_FLOOR = 3e-9 relative, not 5e-3
+    exact = tool.compare(_level([1.0, 1.0], 6e-13, 2e-12), _level([1.0, 1.0], 6e-13 + 3e-15, 2e-12))
+    assert exact["l2_abs"] == pytest.approx(3e-15)
+    assert exact["l2"] == pytest.approx(3e-15 / tool.ERROR_FLOOR) and tool.ERROR_FLOOR == 1e-6
+
+    message = "[numerical] linear solve failed: relative residual=2.543e-12"
+    failed = (smooth[0], None, message)
+    assert tool.compare(failed, failed) == {"bitwise": True, "error": message,
+                                            "against_error": message, "matrix": 0.0}
+
+    largest = tool.largest_shifts({"exact": exact, "smooth": shifts, "failed": {"bitwise": True}})
+    assert largest == {"matrix": (0.0, "smooth"), "solution": (pytest.approx(2e-13), "smooth"),
+                       "l2_abs": (pytest.approx(1e-11), "smooth"),
+                       "l2": (pytest.approx(1e-8), "smooth"),
+                       "h1_abs": (0.0, "smooth"), "h1": (0.0, "smooth")}
+    assert tool.largest_shifts({})["l2"] == (0.0, "no level")

@@ -20,14 +20,17 @@ trees and diff the output.
 With ``--against OTHER`` it also imports the package in OTHER (another
 checkout's ``src``) as ``nlfem_against``, runs every level on both trees,
 and prints per level how far OTHER lies from PATH instead: ``matrix``, the
-max relative matrix difference max|A' - A| / max|A|, and ``l2``/``h1``, the
-relative error shifts |e' - e| / e, and ``bitwise``, true when both trees
-give the level the same hashes and errors, or the same failure message.
-``assembly_peak_mb`` and ``against_assembly_peak_mb`` are the two trees'
-assembly peaks, which ``bitwise`` does not compare.  A level that fails on
-either tree gives its ``error``/``against_error`` message and leaves out
-what it lacks.  Two bitwise equal trees read 0 and ``bitwise`` true
-everywhere.
+max relative matrix difference max|A' - A| / max|A|; ``solution``, the max
+relative solution difference max|u' - u| / max|u| over the mesh nodes;
+``l2_abs``/``h1_abs``, the absolute error shifts |e' - e|; ``l2``/``h1``,
+the same shifts relative to max(e, ``ERROR_FLOOR``); and ``bitwise``, true
+when both trees give the level the same hashes and errors, or the same
+failure message.  ``assembly_peak_mb`` and ``against_assembly_peak_mb`` are
+the two trees' assembly peaks, which ``bitwise`` does not compare.  A level
+that fails on either tree gives its ``error``/``against_error`` message and
+leaves out what it lacks.  Two bitwise equal trees read 0 and ``bitwise``
+true everywhere.  ``largest_shifts`` gives the worst of each shift over all
+levels, with the level that has it.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 AGAINST = "nlfem_against"
+# Relative error shifts divide by at least this.  An error near roundoff (the
+# patch test's L2 6.3e-13, the perturbed linear case's 1.6e-7 at h=1/128)
+# turns a roundoff-sized move of 3e-15 into a relative one of 5e-3 or 2e-8;
+# every error of a smooth sin case is 5.3e-6 or more, so those read unchanged.
+ERROR_FLOOR = 1e-6
+SHIFT_KEYS = ("matrix", "solution", "l2_abs", "l2", "h1_abs", "h1")
 
 
 def _sha(array: np.ndarray) -> str:
@@ -55,8 +64,8 @@ def run_level(config, h: float, package: str = "nlfem"):
     """Run one level of a ``RunConfig`` of ``package``.
 
     Returns the assembled system (None if assembly did not finish), the
-    error record (None if the level failed), the failure message, and the
-    traced peak of the assemble call in MB (None if it never ran).
+    ``cli.LevelResult`` (None if the level failed), the failure message, and
+    the traced peak of the assemble call in MB (None if it never ran).
     """
     cli = importlib.import_module(f"{package}.cli")
     errors = importlib.import_module(f"{package}.exceptions")
@@ -72,16 +81,16 @@ def run_level(config, h: float, package: str = "nlfem"):
             tracemalloc.stop()
         return captured["system"]
 
-    record = message = None
+    result = message = None
     cli.assemble_system = probe
     try:
-        record = cli._execute(config, h).record
+        result = cli._execute(config, h)
     except errors.NlfemError as exc:
         config_error = isinstance(exc, (errors.ConfigError, errors.MeshError))
         message = f"[{'config' if config_error else 'numerical'}] {exc}"
     finally:
         cli.assemble_system = assemble
-    return captured.get("system"), record, message, captured.get("peak")
+    return captured.get("system"), result, message, captured.get("peak")
 
 
 def level_hashes(config, h: float) -> dict:
@@ -93,10 +102,10 @@ def level_hashes(config, h: float) -> dict:
     return out
 
 
-def _fingerprint(system, record, message) -> dict:
+def _fingerprint(system, result, message) -> dict:
     """``level_hashes`` of what ``run_level`` returned."""
-    out = {"error": message} if record is None else {"l2": repr(record.l2),
-                                                      "h1": repr(record.h1)}
+    out = {"error": message} if result is None else {"l2": repr(result.record.l2),
+                                                      "h1": repr(result.record.h1)}
     if system is not None:
         a = system.matrix
         out.update(data=_sha(a.data), indices=_sha(a.indices), indptr=_sha(a.indptr),
@@ -104,32 +113,51 @@ def _fingerprint(system, record, message) -> dict:
     return out
 
 
-def _relative(new: float, old: float) -> float:
-    return float(abs(new - old) / abs(old)) if old else float(abs(new - old))
+def _relative(difference: float, scale: float) -> float:
+    return float(difference / scale) if scale else float(difference)
 
 
-def level_shifts(config, h: float, against_config) -> dict:
-    """How far one level on the ``nlfem_against`` tree lies from ``nlfem``'s."""
-    *mine, peak = run_level(config, h)
-    *theirs, other_peak = run_level(against_config, h, AGAINST)
-    system, record, message = mine
-    other, other_record, other_message = theirs
+def compare(mine, theirs) -> dict:
+    """How far the other tree's (system, result, message) of one level lies from this tree's."""
+    system, result, message = mine
+    other, other_result, other_message = theirs
     out = {"bitwise": _fingerprint(*mine) == _fingerprint(*theirs)}
-    if peak is not None:
-        out["assembly_peak_mb"] = peak
-    if other_peak is not None:
-        out["against_assembly_peak_mb"] = other_peak
     if message is not None:
         out["error"] = message
     if other_message is not None:
         out["against_error"] = other_message
     if system is not None and other is not None and other.matrix.shape == system.matrix.shape:
         a = system.matrix
-        out["matrix"] = float(abs(other.matrix - a).max() / abs(a).max())
-    if record is not None and other_record is not None:
-        out.update(l2=_relative(other_record.l2, record.l2),
-                   h1=_relative(other_record.h1, record.h1))
+        out["matrix"] = _relative(abs(other.matrix - a).max(), abs(a).max())
+    if result is not None and other_result is not None:
+        u, other_u = result.node_values, other_result.node_values
+        if other_u.shape == u.shape:
+            out["solution"] = _relative(np.abs(other_u - u).max(), np.abs(u).max())
+        for key in ("l2", "h1"):
+            error = getattr(result.record, key)
+            shift = abs(getattr(other_result.record, key) - error)
+            out[f"{key}_abs"] = float(shift)
+            out[key] = float(shift / max(abs(error), ERROR_FLOOR))
     return out
+
+
+def level_shifts(config, h: float, against_config) -> dict:
+    """How far one level on the ``nlfem_against`` tree lies from ``nlfem``'s."""
+    *mine, peak = run_level(config, h)
+    *theirs, other_peak = run_level(against_config, h, AGAINST)
+    out = compare(mine, theirs)
+    if peak is not None:
+        out["assembly_peak_mb"] = peak
+    if other_peak is not None:
+        out["against_assembly_peak_mb"] = other_peak
+    return out
+
+
+def largest_shifts(shifts: dict) -> dict:
+    """Each of ``SHIFT_KEYS``' largest value over the levels of ``shifts``, with its level."""
+    return {key: max(((level[key], name) for name, level in shifts.items() if key in level),
+                     default=(0.0, "no level"))
+            for key in SHIFT_KEYS}
 
 
 def _load_workloads() -> dict:
