@@ -15,8 +15,7 @@ from .geometry import (BallNorm, BoxDomain, Mesh, PerturbationSpec,
                        build_uniform_mesh, locate_points, perturb_mesh)
 from .kernels import Kernel, KernelKind
 from .problems import ManufacturedCase, get_case
-from .quadrature import (InnerQuadratureRule, RuleCache, default_cache,
-                         full_ball_rule)
+from .quadrature import InnerQuadratureRule, default_cache, full_ball_rule
 
 __version__ = "0.1.0"
 
@@ -31,5 +30,5 @@ __all__ = [
     "locate_points", "perturb_mesh",
     "Kernel", "KernelKind",
     "ManufacturedCase", "get_case",
-    "InnerQuadratureRule", "RuleCache", "default_cache", "full_ball_rule",
+    "InnerQuadratureRule", "default_cache", "full_ball_rule",
 ]

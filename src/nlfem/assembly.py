@@ -71,7 +71,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg  # noqa: F401  perfbench's tracer wraps its cg
 
 from .exceptions import AssemblyError, ConfigError, SolverError, _integer
-from .geometry import Mesh, _grid_indices, locate_points
+from .geometry import Mesh, cell_counts, locate_points
 from .kernels import Kernel
 from .quadrature import InnerQuadratureRule, full_ball_rule, solve_weights_on_subset
 
@@ -336,9 +336,8 @@ def solve_system(system: DiscreteSystem) -> np.ndarray:
     a, f = system.matrix, system.rhs
     if a.shape[0] == 0:
         return np.zeros(0)
-    index = _grid_indices([len(b) for b in system.mesh.axis_breaks])[:, system.interior_nodes]
-    index -= index.min(axis=1, keepdims=True)
-    u, _ = _pcg(a, f, tuple(index.max(axis=1) + 1), index)
+    mesh = system.mesh
+    u, _ = _pcg(a, f, tuple(n - 1 for n in cell_counts(mesh.spacing, mesh.domain)[1]))
     norm_f = np.linalg.norm(f)
     residual = np.linalg.norm(a @ u - f) / (norm_f if norm_f > 0 else 1.0)
     if not np.all(np.isfinite(u)) or residual > 1e-12:
@@ -359,29 +358,32 @@ def _dstn(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _stencil_symbol(a, lattice_shape: tuple[int, ...], lattice_index: np.ndarray) -> np.ndarray:
+def _stencil_symbol(a, shape: tuple[int, ...]) -> np.ndarray:
     """DST-I symbol sum_k a_k prod_j cos(k_j theta_j) of the centre unknown's row.
 
-    The centre is index N_j // 2 on each axis, k its columns' integer offsets
+    The unknowns are the x-fastest lattice of ``shape`` (axis 0 = x).  The
+    centre is index N_j // 2 on each axis, k its columns' integer offsets
     from it and theta_j = pi i / (N_j + 1), i = 1..N_j: the eigenvalues of
     the stencil averaged over axis reflections, which the DST-I diagonalises.
     """
-    centre = np.array([n // 2 for n in lattice_shape])[:, None]
-    dof = np.flatnonzero((lattice_index == centre).all(axis=0))[0]
+    centre = [n // 2 for n in shape]
+    dof = np.ravel_multi_index(centre[::-1], shape[::-1])
     row = slice(a.indptr[dof], a.indptr[dof + 1])
     symbol = a.data[row]
-    for j, (n, k) in enumerate(zip(lattice_shape, lattice_index[:, a.indices[row]] - centre)):
+    columns = np.unravel_index(a.indices[row], shape[::-1])[::-1]
+    for j, (n, c, k) in enumerate(zip(shape, centre, columns)):
         theta = np.pi * np.arange(1, n + 1) / (n + 1)
-        symbol = symbol[..., None] * np.expand_dims(np.cos(np.multiply.outer(k, theta)),
+        symbol = symbol[..., None] * np.expand_dims(np.cos(np.multiply.outer(k - c, theta)),
                                                    tuple(range(1, j + 1)))
     return symbol.sum(axis=0)
 
 
-def _pcg(a, f: np.ndarray, lattice_shape: tuple[int, ...], lattice_index: np.ndarray):
+def _pcg(a, f: np.ndarray, shape: tuple[int, ...]):
     """Conjugate gradients on ``a u = f`` from u = 0; returns u and the iteration count.
 
-    The unknowns sit on a tensor lattice in index space (``lattice_index``, one
-    row per axis, into ``lattice_shape``), perturbed meshes included.  The
+    The unknowns in dof order are the x-fastest lattice of ``shape`` (axis 0
+    = x), perturbed meshes included, so a vector read as an array of the
+    reversed shape and transposed is the lattice with x first.  The
     preconditioner inverts the centre unknown's row taken as a constant
     stencil on the lattice: the DST-I S diagonalises it, so
     z = S (S r / lambda) prod_j 2 / (N_j + 1) with lambda its symbol.
@@ -392,15 +394,13 @@ def _pcg(a, f: np.ndarray, lattice_shape: tuple[int, ...], lattice_index: np.nda
     sum of products, not a BLAS dot, so the bits do not depend on the BLAS
     thread count.
     """
-    symbol = _stencil_symbol(a, lattice_shape, lattice_index)
+    symbol = _stencil_symbol(a, shape)
     if not symbol.min() > 0:
         raise SolverError(f"stencil symbol of the centre row is not positive: min {symbol.min():.3e}")
-    scale = np.prod([2.0 / (n + 1) for n in lattice_shape]) / symbol
-    index, grid = tuple(lattice_index), np.zeros(lattice_shape)
+    scale = np.prod([2.0 / (n + 1) for n in shape]) / symbol
 
     def precondition(r):
-        grid[index] = r
-        return _dstn(_dstn(grid) * scale)[index]
+        return _dstn(_dstn(r.reshape(shape[::-1]).T) * scale).T.ravel()
 
     u, r = np.zeros(len(f)), f.copy()
     p = z = precondition(r)

@@ -242,17 +242,10 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
     with _writing(out_dir / "run.json") as path:
         path.write_text(json.dumps({"levels": times}, indent=1) + "\n")
     label = f"{config.kernel_kind.value}, {config.case}, m={config.m}, t_e={config.extension_mode}"
-    series = [{
-        "label": "L2, " + label,
-        "h": [r.h for r in report.records],
-        "error": [r.l2 for r in report.records],
-        "slope": report.l2_fit.slope if report.l2_fit else None,
-    }, {
-        "label": "H1, " + label,
-        "h": [r.h for r in report.records],
-        "error": [r.h1 for r in report.records],
-        "slope": report.h1_fit.slope if report.h1_fit else None,
-    }]
+    series = [{"label": f"{norm.upper()}, {label}", "h": [r.h for r in report.records],
+               "error": [getattr(r, norm) for r in report.records],
+               "slope": fit.slope if fit else None}
+              for norm, fit in (("l2", report.l2_fit), ("h1", report.h1_fit))]
     with _writing(out_dir / "convergence.svg") as path:
         write_convergence_svg(path, series, title=f"{config.case} ({config.mesh_mode})")
     for result, suffix in zip(results, suffixes):

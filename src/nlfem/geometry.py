@@ -17,6 +17,7 @@ straddle the box boundary.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,7 +109,8 @@ class Mesh:
     ``elements`` holds node indices per element (2 in 1D, 3 in 2D);
     ``element_in_box`` tags elements of the box itself (versus the
     constraint layer); ``node_is_interior`` tags unknown nodes.  Interior
-    nodes in ascending node order define the degree-of-freedom ordering.
+    nodes in ascending node order define the degree-of-freedom ordering,
+    the x-fastest lattice of ``cell_counts``' box cells less one per axis.
     Its arrays are writable, but nothing in the package writes them once the
     mesh is built; ``perturb_mesh`` returns a new mesh.
     """
@@ -301,11 +303,9 @@ def perturb_mesh(mesh: Mesh, spec: PerturbationSpec) -> Mesh:
     m, inner = cell_counts(mesh.spacing, mesh.domain)
     new_breaks = []
     for n, b in zip(inner, mesh.axis_breaks):
+        free = np.delete(np.arange(len(b)), (0, m, m + n, len(b) - 1))
         nb = b.copy()
-        anchors = {0, m, m + n, len(b) - 1}
-        for i in range(len(b)):
-            if i not in anchors:
-                nb[i] = b[i] + amp * next(draws)
+        nb[free] += amp * np.fromiter(itertools.islice(draws, len(free)), float, len(free))
         new_breaks.append(nb)
     return _mesh_from_breaks(mesh.domain, tuple(new_breaks), m, inner, mesh.spacing,
                              uniform=False)

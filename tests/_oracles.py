@@ -36,7 +36,7 @@ from scipy import sparse
 import nlfem.assembly
 from nlfem import KernelKind, NlfemError, QuadratureError, assemble_system
 from nlfem.assembly import _reference_rule, gauss_legendre_01
-from nlfem.geometry import Mesh, _axis_cells
+from nlfem.geometry import Mesh, _axis_cells, _grid_indices
 
 
 def naive_system(h, m, kind, extension_ratio, nbar, nq, source, boundary):
@@ -442,3 +442,21 @@ def looped_solution_csv(mesh, node_values, path):
         for i, (x, v) in enumerate(zip(mesh.nodes, node_values)):
             coords = ",".join(repr(float(c)) for c in x)
             fh.write(f"{i},{coords},{float(v)!r}\n")
+
+
+def indexed_stencil_symbol(a, mesh):
+    """``assembly._stencil_symbol`` on the lattice rebuilt as a (d, unknowns)
+    array of node multi-indices shifted to start at 0; returns the lattice
+    shape it reads off that array and the symbol."""
+    index = _grid_indices([len(b) for b in mesh.axis_breaks])[:, mesh.interior_nodes]
+    index -= index.min(axis=1, keepdims=True)
+    lattice_shape = tuple(int(n) for n in index.max(axis=1) + 1)
+    centre = np.array([n // 2 for n in lattice_shape])[:, None]
+    dof = np.flatnonzero((index == centre).all(axis=0))[0]
+    row = slice(a.indptr[dof], a.indptr[dof + 1])
+    symbol = a.data[row]
+    for j, (n, k) in enumerate(zip(lattice_shape, index[:, a.indices[row]] - centre)):
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        symbol = symbol[..., None] * np.expand_dims(np.cos(np.multiply.outer(k, theta)),
+                                                   tuple(range(1, j + 1)))
+    return lattice_shape, symbol.sum(axis=0)

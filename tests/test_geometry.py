@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -77,6 +78,25 @@ def test_node_classification_coordinates(dim):
     # constraint nodes inside the layer closure: outside the open box
     inside_open = np.all((outer > 1e-12) & (outer < 1 - 1e-12), axis=1)
     assert not inside_open.any()
+
+
+@pytest.mark.parametrize("hi, perturbation", [
+    ((1.0,), None), ((1.0, 1.0), None), ((1.0, 0.5), None),
+    ((0.5, 1.0), PerturbationSpec(0.3, seed=4)),
+], ids=["1d", "square", "wide", "tall-perturbed"])
+def test_interior_nodes_are_the_x_fastest_lattice(hi, perturbation):
+    """Unknowns in dof order are the box's cell counts less one per axis,
+    x fastest: the lattice the solve's preconditioner reads them as."""
+    h, dim = 1 / 8, len(hi)
+    domain = BoxDomain(dim, (0.0,) * dim, hi, 2 * h)
+    mesh = build_uniform_mesh(h, domain)
+    if perturbation is not None:
+        mesh = perturb_mesh(mesh, perturbation)
+    m, inner = cell_counts(h, domain)
+    strides = np.cumprod([1] + [n + 2 * m + 1 for n in inner[:-1]])
+    lattice = itertools.product(*(range(n - 1) for n in reversed(inner)))  # last index fastest
+    ids = [sum((m + 1 + i) * s for i, s in zip(reversed(index), strides)) for index in lattice]
+    assert mesh.interior_nodes.tolist() == ids
 
 
 def test_perturb_zero_factor_is_identity():

@@ -50,7 +50,8 @@ def test_level_hashes_fingerprint_the_level(monkeypatch):
               "rhs": _sha(rhs)}
     hashes = tool.level_hashes(config, h)
     assert hashes.pop("assembly_peak_mb") > 0
-    assert hashes == dict(system, l2=repr(result.record.l2), h1=repr(result.record.h1))
+    assert hashes == dict(system, l2=repr(result.record.l2), h1=repr(result.record.h1),
+                          solution=_sha(result.node_values))
 
     def fail(_system):
         raise SolverError("synthetic breakdown")
@@ -158,3 +159,11 @@ def test_compare_reports_solution_and_error_shifts():
                        "l2": (pytest.approx(1e-8), "smooth"),
                        "h1_abs": (0.0, "smooth"), "h1": (0.0, "smooth")}
     assert tool.largest_shifts({})["l2"] == (0.0, "no level")
+
+
+def test_bitwise_covers_the_solution():
+    """A solution moved by roundoff with unchanged system and errors is not bitwise."""
+    tool = _load_tool()
+    shifts = tool.compare(_level([1.0, -2.0], 1e-3, 1e-1), _level([1.0, -2.0 + 4e-13], 1e-3, 1e-1))
+    assert shifts["bitwise"] is False
+    assert shifts["solution"] == pytest.approx(2e-13)

@@ -9,9 +9,10 @@ checkout's ``src``).  Every level of the benchmark workloads
 (``perfbench/run.py``'s ``WORKLOADS``, ``perturbed2d`` once per seed) and of
 every ``configs/*.json`` runs through ``nlfem.cli._execute``, the function
 ``nlfem run`` calls per level.  The output is one JSON object keyed by
-level: the sha256 of the CSR data, indices and indptr and of the load
-vector, and ``repr`` of the L2 and H1 errors; a level that fails gives the
-message ``nlfem run`` would print instead, plus the hashes of its system if
+level: the sha256 of the CSR data, indices and indptr, of the load vector
+and of the solution at every mesh node, and ``repr`` of the L2 and H1
+errors; a level that fails gives the message ``nlfem run`` would print
+instead of the solution and errors, plus the hashes of its system if
 assembly finished.  ``assembly_peak_mb`` is the ``tracemalloc`` peak of the
 assemble call alone, in 10^6 bytes: unlike the process's peak RSS, heap
 layout and allocation order cannot move it.  Run it with the ``src`` of two
@@ -24,11 +25,11 @@ max relative matrix difference max|A' - A| / max|A|; ``solution``, the max
 relative solution difference max|u' - u| / max|u| over the mesh nodes;
 ``l2_abs``/``h1_abs``, the absolute error shifts |e' - e|; ``l2``/``h1``,
 the same shifts relative to max(e, ``ERROR_FLOOR``); and ``bitwise``, true
-when both trees give the level the same hashes and errors, or the same
-failure message.  ``assembly_peak_mb`` and ``against_assembly_peak_mb`` are
-the two trees' assembly peaks, which ``bitwise`` does not compare.  A level
-that fails on either tree gives its ``error``/``against_error`` message and
-leaves out what it lacks.  Two bitwise equal trees read 0 and ``bitwise``
+when both trees give the level the same hashes (the solution's included)
+and errors, or the same failure message.  ``assembly_peak_mb`` and
+``against_assembly_peak_mb`` are the two trees' assembly peaks, which
+``bitwise`` does not compare.  A level that fails on either tree gives its
+``error``/``against_error`` message and leaves out what it lacks.  Two bitwise equal trees read 0 and ``bitwise``
 true everywhere.  ``largest_shifts`` gives the worst of each shift over all
 levels, with the level that has it.
 """
@@ -105,7 +106,8 @@ def level_hashes(config, h: float) -> dict:
 def _fingerprint(system, result, message) -> dict:
     """``level_hashes`` of what ``run_level`` returned."""
     out = {"error": message} if result is None else {"l2": repr(result.record.l2),
-                                                      "h1": repr(result.record.h1)}
+                                                      "h1": repr(result.record.h1),
+                                                      "solution": _sha(result.node_values)}
     if system is not None:
         a = system.matrix
         out.update(data=_sha(a.data), indices=_sha(a.indices), indptr=_sha(a.indptr),
