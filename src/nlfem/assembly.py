@@ -68,7 +68,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg  # noqa: F401  perfbench's tracer wraps its cg
 
 from .exceptions import AssemblyError, ConfigError, SolverError, _integer
 from .geometry import Mesh, cell_counts, locate_points
@@ -78,6 +77,20 @@ from .quadrature import InnerQuadratureRule, full_ball_rule, solve_weights_on_su
 _COO_NODE_LIMIT = 3000  # above this many nodes a chunk's terms are expanded, not multiplied
 _PAIR_CHUNK = 200_000
 _CG_MAX_ITERATIONS = 500  # 11x the most any measured level took (44)
+
+
+def __getattr__(name: str):
+    """Import ``scipy.sparse.linalg`` only when ``sparse_linalg`` is read.
+
+    Nothing here calls it; perfbench's tracer reads and rebinds the name to
+    wrap its ``cg``, and a run that never reads it skips the import and the
+    LAPACK modules behind it.
+    """
+    if name == "sparse_linalg":
+        from scipy.sparse import linalg
+
+        return linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

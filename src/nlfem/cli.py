@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,6 +227,8 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
                    {"--dump-matrix": dump_matrix, "--dump-inner-rule": dump_inner_rule})
     workers = min(threads, len(levels))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute, [config] * len(levels), levels))
     else:

@@ -975,3 +975,11 @@ def test_solution_csv_has_the_bytes_of_a_row_loop(tmp_path, dim, perturbed):
     assert written == (tmp_path / "loop.csv").read_bytes()
     assert b",-0.0\n1," in written and b",5e-324\n" in written
     assert b",1e+300\n" in written and b",3.0\n" in written
+
+
+def test_sparse_linalg_is_imported_on_first_read(monkeypatch):
+    # the tracer's restore binds the name, and a bound name never reaches __getattr__
+    monkeypatch.delitem(vars(nlfem.assembly), "sparse_linalg", raising=False)
+    assert nlfem.assembly.sparse_linalg is scipy.sparse.linalg
+    with pytest.raises(AttributeError, match="module 'nlfem.assembly' has no attribute 'cg'"):
+        nlfem.assembly.cg

@@ -1,7 +1,10 @@
 import errno
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlfem.cli
 from nlfem.cli import _KEYS, RunConfig, load_config, main, run_study
 from nlfem.exceptions import ConfigError, SolverError
 from nlfem.geometry import BoxDomain, cell_counts
@@ -521,8 +525,6 @@ def test_max_norm_2d_study_converges(tmp_path):
 ])
 def test_study_pool_has_at_most_one_worker_per_level(tmp_path, monkeypatch,
                                                      threads, levels, workers):
-    from nlfem import cli
-
     created = []
 
     class InlinePool:
@@ -540,11 +542,40 @@ def test_study_pool_has_at_most_one_worker_per_level(tmp_path, monkeypatch,
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     raw = _base_config(h=[0.125, 0.0625, 0.03125][:levels])
     report = run_study(RunConfig.from_dict(raw), tmp_path, threads=threads)
     assert len(report.records) == levels
     assert created == workers
+
+
+_UNUSED_MODULES = ("scipy.sparse.linalg", "scipy.linalg", "multiprocessing",
+                   "concurrent.futures.process")
+
+_RUN_IN_A_FRESH_PROCESS = """\
+import json, sys
+from nlfem import cli
+for i, config in enumerate(sys.argv[2:]):
+    assert cli.main(["run", "--config", config, "--out", f"out{i}", "--threads", "1"]) == 0
+print(json.dumps([name for name in json.loads(sys.argv[1]) if name in sys.modules]))
+"""
+
+
+def test_a_run_loads_no_solver_or_pool_module(tmp_path):
+    """One worker solves with numpy PCG in this process, so neither scipy's
+    solvers (and the LAPACK modules behind them) nor a process pool load."""
+    configs = [
+        _write(tmp_path, _base_config(h=[0.125]), "tiny1d.json"),
+        _write(tmp_path, _base_config(dimension=2, case="sin2d", h=[0.25], outer_points=4,
+                                      points_per_radius=2), "tiny2d.json"),
+    ]
+    src = str(Path(nlfem.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _RUN_IN_A_FRESH_PROCESS,
+                           json.dumps(_UNUSED_MODULES), *map(str, configs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []  # main prints each report first
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "two"])

@@ -167,3 +167,15 @@ def test_bitwise_covers_the_solution():
     shifts = tool.compare(_level([1.0, -2.0], 1e-3, 1e-1), _level([1.0, -2.0 + 4e-13], 1e-3, 1e-1))
     assert shifts["bitwise"] is False
     assert shifts["solution"] == pytest.approx(2e-13)
+
+
+def test_criterion_10_misses_lists_moved_and_unmatched_matrices():
+    tool = _load_tool()
+    assert tool.CRITERION_10 == 1e-13
+    shifts = {"same": {"bitwise": True, "matrix": 0.0},
+              "at the bound": {"bitwise": False, "matrix": 1e-13},
+              "moved": {"bitwise": False, "matrix": 2e-13},
+              "unassembled": {"bitwise": False, "error": "[config] bad mesh"},
+              "not a number": {"bitwise": False, "matrix": float("nan")}}
+    assert tool.criterion_10_misses(shifts) == ["moved", "unassembled", "not a number"]
+    assert tool.criterion_10_misses({}) == []

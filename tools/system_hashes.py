@@ -31,7 +31,8 @@ and errors, or the same failure message.  ``assembly_peak_mb`` and
 ``bitwise`` does not compare.  A level that fails on either tree gives its
 ``error``/``against_error`` message and leaves out what it lacks.  Two bitwise equal trees read 0 and ``bitwise``
 true everywhere.  ``largest_shifts`` gives the worst of each shift over all
-levels, with the level that has it.
+levels, with the level that has it, and ``criterion_10_misses`` the levels
+whose matrix moved by more than ``CRITERION_10`` or has no shift.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ AGAINST = "nlfem_against"
 # every error of a smooth sin case is 5.3e-6 or more, so those read unchanged.
 ERROR_FLOOR = 1e-6
 SHIFT_KEYS = ("matrix", "solution", "l2_abs", "l2", "h1_abs", "h1")
+# Criterion 10: assembled matrices that agree to this, relative to max|A|, are the same.
+CRITERION_10 = 1e-13
 
 
 def _sha(array: np.ndarray) -> str:
@@ -160,6 +163,13 @@ def largest_shifts(shifts: dict) -> dict:
     return {key: max(((level[key], name) for name, level in shifts.items() if key in level),
                      default=(0.0, "no level"))
             for key in SHIFT_KEYS}
+
+
+def criterion_10_misses(shifts: dict) -> list[str]:
+    """The levels of ``shifts`` whose ``matrix`` shift exceeds ``CRITERION_10``
+    or is NaN, or that have none (one tree failed assembly, or the shapes differ)."""
+    return [name for name, level in shifts.items()
+            if not level.get("matrix", np.inf) <= CRITERION_10]
 
 
 def _load_workloads() -> dict:
