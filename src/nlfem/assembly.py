@@ -2,9 +2,10 @@
 
 The stiffness entries are triple sums: outer Gauss points per element,
 inner ball-grid points per outer point, hat-function differences at both.
-Assembly accumulates the full node-by-node operator matrix (test functions
-restricted to unknowns afterwards), because the same pass also yields the
-coupling block that turns Dirichlet layer data into the load correction.
+Assembly accumulates the full node-by-node operator A and keeps its
+unknown rows A_{I,:}: their unknown columns are the stiffness matrix, and,
+times the node-space layer data g (the Dirichlet data on the layer nodes,
+zero on the unknowns), they give the load correction, f = b_I - A_{I,:} g.
 
 Everything is vectorized over (outer point, inner point) pairs in fixed
 element chunks, so results are reproducible run to run.  Box and layer
@@ -309,26 +310,19 @@ def assemble_system(mesh: Mesh, kernel: Kernel, points_per_radius: int,
                     n_q: int, source=None, boundary=None) -> DiscreteSystem:
     """Assemble stiffness and load in one operator pass.
 
-    The load is the body force over the box, integrated with the same
-    ``n_q``-point outer rule, minus the layer-data correction.
+    The operator's unknown rows A_{I,:}, sorted once, give the matrix (their
+    unknown columns) and the load f = b_I - A_{I,:} g: b the body force over
+    the box on the same ``n_q``-point outer rule, g ``boundary`` on the layer
+    and 0 on the unknowns, whose terms add only exact zeros to each row.
     """
     operator = _assemble_operator(mesh, kernel, points_per_radius, n_q)
     interior = mesh.interior_nodes
-    constraint = mesh.constraint_nodes
     rows = operator[interior]
-    a, coupling = rows[:, interior], rows[:, constraint]
-    a.sort_indices()  # sorted rows fix the order coupling @ g_vals sums in
-    coupling.sort_indices()
-
-    g_vals = np.zeros(len(constraint))
-    if boundary is not None:
-        g_vals = _point_values("boundary", boundary, mesh.nodes[constraint])
-    f = np.zeros(len(interior))
-    if source is not None:
-        f += _body_load(mesh, source, n_q)
-    f -= coupling @ g_vals
-
-    return DiscreteSystem(matrix=a, rhs=f, interior_nodes=interior, mesh=mesh)
+    rows.sort_indices()  # sorted rows fix the order rows @ g sums in
+    g = reconstruct(mesh, np.zeros(len(interior)), boundary)
+    load = np.zeros(mesh.num_nodes) if source is None else _body_load(mesh, source, n_q)
+    return DiscreteSystem(matrix=rows[:, interior], rhs=load[interior] - rows @ g,
+                          interior_nodes=interior, mesh=mesh)
 
 
 def _body_load(mesh: Mesh, source, n_q: int) -> np.ndarray:
@@ -338,10 +332,7 @@ def _body_load(mesh: Mesh, source, n_q: int) -> np.ndarray:
     values = _point_values("source", source, pts.reshape(-1, mesh.dim)).reshape(n_el, nq)
     # f_i += sum_b basis_i(x_b) * source(x_b) * w_b, per element node
     contrib = np.einsum("eq,qk,eq->ek", values, ref_bary, wb)
-    dof = mesh.dof_of_node()[mesh.elements[ids]]
-    mask = dof >= 0
-    f = np.bincount(dof[mask], weights=contrib[mask], minlength=mesh.num_interior)
-    return f
+    return np.bincount(mesh.elements[ids].ravel(), weights=contrib.ravel(), minlength=mesh.num_nodes)
 
 
 def solve_system(system: DiscreteSystem) -> np.ndarray:

@@ -148,12 +148,6 @@ class Mesh:
     def num_interior(self) -> int:
         return int(self.node_is_interior.sum())
 
-    def dof_of_node(self) -> np.ndarray:
-        """Map node id -> dof index, -1 for constraint nodes."""
-        dof = np.full(self.num_nodes, -1, dtype=np.int64)
-        dof[self.interior_nodes] = np.arange(self.num_interior)
-        return dof
-
     def affine_maps(self, element_ids=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Affine maps x = p0 + sum_k t_k e_k from the reference simplex.
 

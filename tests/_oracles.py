@@ -460,3 +460,29 @@ def indexed_stencil_symbol(a, mesh):
         symbol = symbol[..., None] * np.expand_dims(np.cos(np.multiply.outer(k, theta)),
                                                    tuple(range(1, j + 1)))
     return lattice_shape, symbol.sum(axis=0)
+
+
+def coupling_form_load(mesh, kernel, points_per_radius, n_q, source=None, boundary=None):
+    """``assemble_system``'s load built in dof space: the body load gathered
+    through a node -> dof map, minus the sorted coupling block (unknown rows,
+    layer columns) times the layer values alone."""
+    operator = nlfem.assembly._assemble_operator(mesh, kernel, points_per_radius, n_q)
+    interior, constraint = mesh.interior_nodes, mesh.constraint_nodes
+    coupling = operator[interior][:, constraint]
+    coupling.sort_indices()
+    g_vals = np.zeros(len(constraint))
+    if boundary is not None:
+        g_vals = np.asarray(boundary(mesh.nodes[constraint]), dtype=float)
+    f = np.zeros(len(interior))
+    if source is not None:
+        ids = np.flatnonzero(mesh.element_in_box)
+        pts, wb, ref_bary = nlfem.assembly.outer_rules(mesh, ids, n_q)
+        values = np.asarray(source(pts.reshape(-1, mesh.dim)), dtype=float).reshape(wb.shape)
+        contrib = np.einsum("eq,qk,eq->ek", values, ref_bary, wb)
+        dof_of_node = np.full(mesh.num_nodes, -1)
+        dof_of_node[interior] = np.arange(len(interior))
+        dof = dof_of_node[mesh.elements[ids]]
+        mask = dof >= 0
+        f += np.bincount(dof[mask], weights=contrib[mask], minlength=len(interior))
+    f -= coupling @ g_vals
+    return f

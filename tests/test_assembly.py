@@ -593,6 +593,47 @@ def test_rhs_linear_boundary_matches_coupling_identity():
     assert np.abs(residual).max() <= 1e-10
 
 
+_LOAD_LEVELS = {"1d": (1, 1 / 32, False), "2d": (2, 1 / 8, False), "2d-perturbed": (2, 1 / 8, True)}
+
+
+def _load_level(level):
+    """Mesh (extension zero, m = 2, perturbation seed 1), kernel and sin case of a level."""
+    dim, h, perturbed = _LOAD_LEVELS[level]
+    mesh = build_uniform_mesh(h, BoxDomain.unit(dim, 2 * h))
+    if perturbed:
+        mesh = perturb_mesh(mesh, PerturbationSpec(0.1, seed=1))
+    return mesh, Kernel(KernelKind.RATIONAL, dim, 2 * h), get_case(f"sin{dim}d")
+
+
+@pytest.mark.parametrize("with_boundary", [False, True], ids=["no-boundary", "boundary"])
+@pytest.mark.parametrize("with_source", [False, True], ids=["no-source", "source"])
+@pytest.mark.parametrize("level", list(_LOAD_LEVELS))
+def test_rhs_has_the_bits_of_the_coupling_form(level, with_source, with_boundary):
+    """The node-space load b_I - A_{I,:} g equals the dof-space body load minus
+    the sorted coupling block times the layer values, byte for byte: signed
+    zeros count, so the calls without source or boundary are checked too."""
+    from _oracles import coupling_form_load
+
+    mesh, kernel, case = _load_level(level)
+    source = case.source if with_source else None
+    boundary = case.solution if with_boundary else None
+    rhs = assemble_system(mesh, kernel, 2, 4, source, boundary).rhs
+    want = coupling_form_load(mesh, kernel, 2, 4, source, boundary)
+    assert rhs.dtype == want.dtype and rhs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("level", list(_LOAD_LEVELS))
+def test_matrix_rows_store_ascending_columns(level):
+    """The solve's bits depend on storage order: ``_stencil_symbol`` sums the
+    centre row's data in it, and each CSR matvec sums a row in it.  Every row
+    of the matrix stores its columns strictly ascending."""
+    mesh, kernel, case = _load_level(level)
+    a = assemble_system(mesh, kernel, 2, 4, case.source, case.solution).matrix
+    row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    assert np.all(np.diff(row_of * a.shape[1] + a.indices) > 0)
+    assert a.has_canonical_format
+
+
 @pytest.mark.parametrize("extension_ratio", [0.0, 1.0])
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("dim", [1, 2])
