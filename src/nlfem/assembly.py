@@ -223,6 +223,9 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, points_per_radius: int,
     """
     if kernel.dim != mesh.dim:
         raise AssemblyError("kernel / mesh dimensions do not match")
+    if kernel.horizon != mesh.domain.horizon:
+        raise AssemblyError(f"kernel horizon {kernel.horizon!r} is not the mesh's layer width"
+                            f" {mesh.domain.horizon!r}")
     full = full_ball_rule(kernel, points_per_radius)
     n = mesh.num_nodes
     total = sparse.csr_matrix((n, n))

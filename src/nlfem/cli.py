@@ -1,6 +1,6 @@
 """Batch driver: a refinement study of one or more levels from a JSON config.
 
-Exit codes: 0 on success, 2 for configuration errors, output paths that
+Exit codes: 0 on success, 2 for configuration errors, outputs that
 cannot be written and levels too large for the memory, 3 for numerical
 failures.  Re-running a config with the same seed reproduces every output
 except ``run.json`` byte for byte; ``run.json`` holds each level's
@@ -212,19 +212,20 @@ def _writing(path: Path):
 
 
 def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
-              dump_matrix: Path | None = None,
-              dump_inner_rule: Path | None = None) -> ConvergenceReport:
+              dump_matrix: bool = False, dump_inner_rule: bool = False) -> ConvergenceReport:
     """Run every level of the refinement ladder and write report + plot.
 
     Levels may run in parallel, one worker per level at most; all files are
     written afterwards, in level order, so every output but ``run.json``, the
     wall-clock phase times, is identical regardless of the worker count.
+    ``dump_matrix`` and ``dump_inner_rule`` add each level's
+    ``matrix_h{h!r}.mtx`` and ``inner_rule_h{h!r}.csv`` to ``out_dir``.
     """
     levels = config.h_values
-    suffixes = [f"_h{h!r}" for h in levels] if len(levels) > 1 else [""]
     # fail before the levels run, not after they are solved, and leave nothing behind
-    _check_outputs(out_dir, levels, suffixes,
-                   {"--dump-matrix": dump_matrix, "--dump-inner-rule": dump_inner_rule})
+    existing = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(existing))
     workers = min(threads, len(levels))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -249,50 +250,17 @@ def run_study(config: RunConfig, out_dir: Path, threads: int = 1,
               for norm, fit in (("l2", report.l2_fit), ("h1", report.h1_fit))]
     with _writing(out_dir / "convergence.svg") as path:
         write_convergence_svg(path, series, title=f"{config.case} ({config.mesh_mode})")
-    for result, suffix in zip(results, suffixes):
-        with _writing(out_dir / f"solution_h{result.record.h!r}.csv") as path:
+    for result in results:
+        h = result.record.h
+        with _writing(out_dir / f"solution_h{h!r}.csv") as path:
             dump_solution_csv(result.system.mesh, result.node_values, path)
-        if dump_matrix is not None:
-            with _writing(_with_suffix(dump_matrix, suffix)) as path:
+        if dump_matrix:
+            with _writing(out_dir / f"matrix_h{h!r}.mtx") as path:
                 dump_matrix_market(result.system, path)
-        if dump_inner_rule is not None:
-            with _writing(_with_suffix(dump_inner_rule, suffix)) as path:
+        if dump_inner_rule:
+            with _writing(out_dir / f"inner_rule_h{h!r}.csv") as path:
                 full_ball_rule(result.kernel, config.points_per_radius).dump_csv(path)
     return report
-
-
-def _check_outputs(out_dir: Path, levels: list[float], suffixes: list[str],
-                   dumps: dict[str, Path | None]) -> None:
-    """Raise an OSError naming an ``out_dir`` that a file blocks, the first
-    dump path that cannot be written, or the first file that two outputs
-    would both write."""
-    existing = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(existing))
-    root = out_dir.resolve()
-    made = {root, *root.parents}  # what out_dir.mkdir may create
-    owner = {path.resolve(): "--out" for path in (
-        out_dir, out_dir / "report.csv", out_dir / "run.json", out_dir / "convergence.svg",
-        *(out_dir / f"solution_h{h!r}.csv" for h in levels))}
-    for flag, path in dumps.items():
-        if path is None:
-            continue
-        for target in (path, *(_with_suffix(path, s) for s in suffixes)):
-            if not (target.parent.is_dir() or target.parent.resolve() in made):
-                raise FileNotFoundError(errno.ENOENT, "no such directory", str(target))
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(target))
-        for target in (_with_suffix(path, s) for s in suffixes):
-            other = owner.setdefault(target.resolve(), flag)
-            if other != flag:
-                raise OSError(errno.EINVAL, f"both {other} and {flag} name this file",
-                              str(target))
-
-
-def _with_suffix(path: Path, suffix: str) -> Path:
-    if not suffix:
-        return path
-    return path.with_name(path.stem + suffix + path.suffix)
 
 
 def main(argv=None) -> int:
@@ -304,10 +272,10 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a single solve or a refinement study")
     run_p.add_argument("--config", required=True, type=Path, help="JSON run configuration")
     run_p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    run_p.add_argument("--dump-matrix", type=Path, default=None,
-                       help="write the stiffness matrix in Matrix Market format")
-    run_p.add_argument("--dump-inner-rule", type=Path, default=None,
-                       help="write the full-ball inner quadrature rule as CSV")
+    run_p.add_argument("--dump-matrix", action="store_true",
+                       help="also write each level's stiffness matrix as <out>/matrix_h<h>.mtx")
+    run_p.add_argument("--dump-inner-rule", action="store_true",
+                       help="also write each level's full-ball inner rule as <out>/inner_rule_h<h>.csv")
     run_p.add_argument("--threads", type=int, default=1,
                        help="parallel workers for study levels (at most one per level)")
     args = parser.parse_args(argv)

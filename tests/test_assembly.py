@@ -923,6 +923,17 @@ def test_dimension_mismatch_rejected():
         assemble_system(mesh, k, 2, 4)
 
 
+@pytest.mark.parametrize("horizon", [0.25, 0.0625], ids=["twice-the-layer", "half-the-layer"])
+def test_horizon_mismatch_rejected(horizon):
+    """A wider kernel used to fail as a box ball leaving the mesh; a narrower
+    one ran silently as another discretization."""
+    mesh = _mesh_1d(0.0625, 2)  # a layer of width 0.125
+    k = Kernel(KernelKind.RATIONAL, 1, horizon)
+    message = f"kernel horizon {horizon!r} is not the mesh's layer width 0.125"
+    with pytest.raises(AssemblyError, match=re.escape(message)):
+        assemble_system(mesh, k, 2, 4)
+
+
 @pytest.mark.parametrize("offsets, message", [
     ([[-0.375], [0.375]], "box ball left the meshed region"),
     # box balls stay inside; layer balls left of x = -0.05 lose their one point

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlfem.cli
+from nlfem.assembly import dump_matrix_market
 from nlfem.cli import _KEYS, RunConfig, load_config, main, run_study
 from nlfem.exceptions import ConfigError, SolverError
 from nlfem.geometry import BoxDomain, cell_counts
+from nlfem.quadrature import InnerQuadratureRule, full_ball_rule
 
 
 def _base_config(**overrides):
@@ -182,18 +184,26 @@ def test_study_rerun_byte_identical(tmp_path):
      "points_per_radius": 2, "mesh": "perturbed", "seed": 3, "extension": "zero"},
 ], ids=["1d-uniform", "2d-perturbed"])
 def test_threaded_study_matches_sequential(tmp_path, overrides):
-    """Every output but run.json, the dumps among them, is the same bytes with 1 and 2 workers."""
+    """Every output but run.json, the dumps among them, is the same bytes with
+    1 and 2 workers, and each dump is its level's matrix and full-ball rule."""
     config = RunConfig.from_dict(_base_config(**overrides))
     for name, threads in (("seq", 1), ("par", 2)):
-        out = tmp_path / name
-        run_study(config, out, threads=threads, dump_matrix=out / "A.mtx",
-                  dump_inner_rule=out / "rule.csv")
+        run_study(config, tmp_path / name, threads=threads, dump_matrix=True, dump_inner_rule=True)
     names = sorted(p.name for p in (tmp_path / "seq").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "par").iterdir())
-    assert len(names) == 3 + 3 * len(config.h_values)  # report, run.json, svg; 3 per level
+    assert names == sorted(["report.csv", "run.json", "convergence.svg", *(
+        f"{stem}_h{h!r}.{ext}" for h in config.h_values
+        for stem, ext in (("solution", "csv"), ("matrix", "mtx"), ("inner_rule", "csv")))])
     for name in names:
         if name != "run.json":
             assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+    for h in config.h_values:
+        level = nlfem.cli._execute(config, h)
+        dump_matrix_market(level.system, tmp_path / "A.mtx")
+        full_ball_rule(level.kernel, config.points_per_radius).dump_csv(tmp_path / "rule.csv")
+        for name, direct in ((f"matrix_h{h!r}.mtx", "A.mtx"),
+                             (f"inner_rule_h{h!r}.csv", "rule.csv")):
+            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / direct).read_bytes()
 
 
 def test_run_json_holds_the_level_times_in_level_order(tmp_path):
@@ -286,20 +296,15 @@ def test_main_rejects_unreadable_config(tmp_path, capsys, not_a_config, message)
 
 def test_main_dump_flags(tmp_path):
     cfg = _write(tmp_path, _base_config(h=[0.0625]))
-    mtx = tmp_path / "A.mtx"
-    rule = tmp_path / "rule.csv"
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--dump-matrix", str(mtx), "--dump-inner-rule", str(rule)])
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out),
+                 "--dump-matrix", "--dump-inner-rule"])
     assert code == 0
-    assert mtx.exists() and mtx.read_text().startswith("%%MatrixMarket")
-    assert rule.exists() and rule.read_text().startswith("offset_x,weight")
+    assert (out / "matrix_h0.0625.mtx").read_text().startswith("%%MatrixMarket")
+    assert (out / "inner_rule_h0.0625.csv").read_text().startswith("offset_x,weight")
 
 
-@pytest.mark.parametrize("flag, target", [
-    ("--dump-matrix", "missing_dir/A.mtx"),
-    ("--dump-inner-rule", "missing_dir/rule.csv"),
-    ("--out", "a_file"),
-])
+@pytest.mark.parametrize("flag, target", [("--out", "a_file")])
 def test_main_rejects_unwritable_output_path(tmp_path, capsys, monkeypatch, flag, target):
     from nlfem import cli
 
@@ -316,66 +321,23 @@ def test_main_rejects_unwritable_output_path(tmp_path, capsys, monkeypatch, flag
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json"]
 
 
-@pytest.mark.parametrize("flag", ["--dump-matrix", "--dump-inner-rule"])
-@pytest.mark.parametrize("h, directory", [
-    ([0.0625], "D"),  # single level: the path itself
-    ([0.125, 0.0625], "D"),  # several levels: the path as given
-    ([0.125, 0.0625], "D_h0.0625"),  # several levels: one level's path
-])
-def test_main_rejects_a_dump_path_that_is_a_directory(tmp_path, capsys, flag, h, directory):
-    cfg = _write(tmp_path, _base_config(h=h))
-    (tmp_path / directory).mkdir()
-    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, str(tmp_path / "D")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == f"[output] cannot write {tmp_path / directory}: Is a directory\n"
-    assert not (tmp_path / "out" / "report.csv").exists()  # refused before any level ran
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", directory])
-
-
-@pytest.mark.parametrize("h, dumps, target, flags", [
-    # two dumps, one name: one level, then several
-    ([0.0625], ("X", "X"), "X", "--dump-matrix and --dump-inner-rule"),
-    ([0.125, 0.0625], ("X", "X"), "X_h0.125", "--dump-matrix and --dump-inner-rule"),
-    # a dump that names a file --out writes: one level, then several
-    ([0.0625], ("out/report.csv", None), "out/report.csv", "--out and --dump-matrix"),
-    ([0.125, 0.0625], (None, "out/solution.csv"), "out/solution_h0.125.csv",
-     "--out and --dump-inner-rule"),
-    ([0.0625], ("out", None), "out", "--out and --dump-matrix"),
-], ids=["dumps-one-level", "dumps-several-levels", "out-file-one-level",
-        "out-file-several-levels", "out-directory"])
-def test_main_rejects_two_outputs_that_name_one_file(tmp_path, capsys, monkeypatch,
-                                                     h, dumps, target, flags):
-    monkeypatch.chdir(tmp_path)
-    _write(tmp_path, _base_config(h=h))
-    argv = ["run", "--config", "config.json", "--out", "out"]
-    for flag, path in zip(["--dump-matrix", "--dump-inner-rule"], dumps):
-        argv += [] if path is None else [flag, path]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == f"[output] cannot write {target}: both {flags} name this file\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no level ran, nothing written
-
-
 def test_main_dumps_into_the_out_directory_it_creates(tmp_path):
     cfg = _write(tmp_path, _base_config(h=[0.0625]))
     out = tmp_path / "new" / "out"
-    argv = ["run", "--config", str(cfg), "--out", str(out), "--dump-matrix", str(out / "A.mtx")]
-    assert main(argv) == 0
-    assert (out / "A.mtx").read_text().startswith("%%MatrixMarket")
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--dump-matrix"]) == 0
+    assert (out / "matrix_h0.0625.mtx").read_text().startswith("%%MatrixMarket")
 
 
 def test_main_study_dumps_one_file_per_level_and_prints_slopes(tmp_path, capsys):
     cfg = _write(tmp_path, _base_config(h=[0.25, 0.125, 0.0625]))
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                 "--dump-matrix", str(tmp_path / "A.mtx"),
-                 "--dump-inner-rule", str(tmp_path / "rule.csv")])
-    assert code == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--dump-matrix", "--dump-inner-rule"]) == 0
     suffixes = ["_h0.25", "_h0.125", "_h0.0625"]
-    assert sorted(p.name for p in tmp_path.glob("A*")) == sorted(f"A{s}.mtx" for s in suffixes)
+    assert sorted(p.name for p in out.glob("matrix*")) == sorted(f"matrix{s}.mtx" for s in suffixes)
     for suffix in suffixes:
-        assert (tmp_path / f"A{suffix}.mtx").read_text().startswith("%%MatrixMarket")
-        assert (tmp_path / f"rule{suffix}.csv").read_text().startswith("offset_x,weight")
+        assert (out / f"matrix{suffix}.mtx").read_text().startswith("%%MatrixMarket")
+        assert (out / f"inner_rule{suffix}.csv").read_text().startswith("offset_x,weight")
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 4 and re.fullmatch(r"l2 slope \d\.\d{3}, h1 slope \d\.\d{3}", out[-1])
 
@@ -412,30 +374,23 @@ def test_main_runs_a_study_with_an_exact_solution(tmp_path, monkeypatch, capsys,
     assert svg.count("<circle") == 2 * (len(hs) - 1) and "error=0.0<" not in svg
 
 
-_DEV_FULL = Path("/dev/full")
-
-
-@pytest.mark.skipif(not _DEV_FULL.exists(), reason="needs a /dev/full device")
-@pytest.mark.parametrize("flag", ["--dump-matrix", "--dump-inner-rule"])
-def test_main_reports_a_dump_that_fails_after_opening(tmp_path, capsys, flag):
-    """Opening /dev/full succeeds; the write fails with ENOSPC and no file name."""
-    cfg = _write(tmp_path, _base_config(h=[0.0625]))
-    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, str(_DEV_FULL)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == f"[output] cannot write {_DEV_FULL}: No space left on device\n"
-
-
-def test_main_reports_an_out_file_that_fails_after_opening(tmp_path, monkeypatch, capsys):
-    from nlfem import cli
-
-    def full(mesh, node_values, path):
+@pytest.mark.parametrize("owner, writer, name", [
+    (nlfem.cli, "dump_solution_csv", "solution_h0.0625.csv"),
+    (nlfem.cli, "dump_matrix_market", "matrix_h0.0625.mtx"),
+    (InnerQuadratureRule, "dump_csv", "inner_rule_h0.0625.csv"),
+], ids=["solution", "matrix", "inner-rule"])
+def test_main_reports_an_out_file_that_fails_after_opening(tmp_path, monkeypatch, capsys,
+                                                           owner, writer, name):
+    """A write that fails after its file opened raises ENOSPC with no file name."""
+    def full(*args):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(cli, "dump_solution_csv", full)
+    monkeypatch.setattr(owner, writer, full)
     cfg = _write(tmp_path, _base_config(h=[0.0625]))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    path = tmp_path / "out" / "solution_h0.0625.csv"
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+            "--dump-matrix", "--dump-inner-rule"]
+    assert main(argv) == 2
+    path = tmp_path / "out" / name
     assert capsys.readouterr().err == f"[output] cannot write {path}: No space left on device\n"
 
 
