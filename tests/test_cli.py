@@ -304,8 +304,13 @@ def test_main_dump_flags(tmp_path):
     assert (out / "inner_rule_h0.0625.csv").read_text().startswith("offset_x,weight")
 
 
-@pytest.mark.parametrize("flag, target", [("--out", "a_file")])
-def test_main_rejects_unwritable_output_path(tmp_path, capsys, monkeypatch, flag, target):
+@pytest.mark.parametrize("flag, target, switches", [
+    ("--out", "a_file", []),
+    ("--out", "a_file", ["--dump-matrix"]),
+    ("--out", "a_file", ["--dump-inner-rule"]),
+], ids=["--out-a_file", "--out-a_file---dump-matrix", "--out-a_file---dump-inner-rule"])
+def test_main_rejects_unwritable_output_path(tmp_path, capsys, monkeypatch, flag, target,
+                                             switches):
     from nlfem import cli
 
     executed = []
@@ -314,11 +319,48 @@ def test_main_rejects_unwritable_output_path(tmp_path, capsys, monkeypatch, flag
     (tmp_path / "a_file").write_text("")
     path = str(tmp_path / target)
     # a repeated --out replaces the first one
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, path]) == 2
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), flag, path, *switches]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("[output] cannot write") and path in err
     assert not executed  # refused before any level ran
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json"]
+
+
+@pytest.mark.parametrize("switches", [
+    [], ["--dump-matrix"], ["--dump-inner-rule"], ["--dump-matrix", "--dump-inner-rule"],
+], ids=["none", "matrix", "inner-rule", "both"])
+def test_main_writes_the_dumps_its_switches_ask_for(tmp_path, switches):
+    cfg = _write(tmp_path, _base_config(h=[0.125, 0.0625]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), *switches]) == 0
+    stems = [("solution", "csv")]
+    stems += [("matrix", "mtx")] if "--dump-matrix" in switches else []
+    stems += [("inner_rule", "csv")] if "--dump-inner-rule" in switches else []
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["report.csv", "run.json", "convergence.svg",
+         *(f"{stem}_h{h!r}.{ext}" for h in (0.125, 0.0625) for stem, ext in stems)])
+
+
+@pytest.mark.parametrize("name", ["matrix_h{}.mtx", "inner_rule_h{}.csv"],
+                         ids=["matrix", "inner-rule"])
+@pytest.mark.parametrize("h, blocked", [
+    ([0.0625], 0.0625),  # single level
+    ([0.125, 0.0625], 0.125),  # several levels: the first level's dump
+    ([0.125, 0.0625], 0.0625),  # several levels: the last level's dump
+], ids=["h0", "h1", "h2"])
+def test_main_reports_a_dump_name_that_is_a_directory(tmp_path, capsys, name, h, blocked):
+    """A directory in ``--out`` at a dump's name is reported once the levels ran."""
+    cfg = _write(tmp_path, _base_config(h=h))
+    out = tmp_path / "out"
+    path = out / name.format(repr(blocked))
+    path.mkdir(parents=True)
+    argv = ["run", "--config", str(cfg), "--out", str(out), "--dump-matrix", "--dump-inner-rule"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"[output] cannot write {path}: Is a directory\n"
+    assert path.is_dir() and not any(path.iterdir())
+    # outputs are written in level order, so the blocked level's solution came first
+    assert (out / f"solution_h{blocked!r}.csv").read_text().startswith("id,x,u\n")
 
 
 def test_main_dumps_into_the_out_directory_it_creates(tmp_path):
