@@ -19,13 +19,14 @@ A chunk's live scratch is at most G and (c o G)^T.  ``_chunk_pairs``
 returns only the pairs' node indices, hat values and coefficients (G); its
 weights die with its frame, and the located points before
 ``_pair_products`` runs.  There (c o G)^T is G's transpose with each
-stored term multiplied in place by its pair's coefficient, ``_PAIR_CHUNK``
-terms at a time, so beside G and its transpose only one block of
-coefficients is live.  No bit moves: each term is the same product
-fl(v c) that scaling G's rows before the transpose gave, and the stable
-transpose puts it at the same place.  The last chunk's G is dropped once
-the next chunk's points are located, which costs no peak (locating needs
-no more than the transpose), so the next G takes over its memory.
+stored term multiplied in place by its pair's coefficient,
+``_SCALE_BLOCK`` terms at a time, so beside G and its transpose only one
+small block of coefficients and their indices is live.  No bit moves:
+each term is the same product fl(v c) that scaling G's rows before the
+transpose gave, and the stable transpose puts it at the same place.  The
+last chunk's G is dropped once the next chunk's points are located, which
+costs no peak (locating needs no more than the transpose), so the next G
+takes over its memory.
 Dropped at the end of its chunk, glibc's malloc handed that memory back
 to the system and every chunk faulted it in again: 41,000 instead of
 5,000-16,000 page faults per 2D h=1/32 assembly, whose best of nine runs
@@ -35,7 +36,16 @@ order is what fixes the order in which each entry sums its terms.  scipy's
 CSR transpose is stable and its product adds (v_a c) v_b into each entry in
 (pair, a, b) order, the order in which a dense bincount over the pair blocks
 sums (``tests/_oracles.py`` keeps one), so both give bitwise the same
-matrix.  The pair node indices are built in scipy's index dtype for the node
+matrix.  The product is the numeric kernel that scipy's ``@`` runs,
+``csr_matmat``, called on the same arrays, without the symbolic pass
+``csr_matmat_maxnnz`` that ``@`` runs first only to size the output.
+An O(n) bound sizes it instead.  The kernel writes row i's nonzero sums,
+one per distinct column that the L_i terms of row i of (c o G)^T reach,
+each through a row of G with 2k entries; and every column of G is a node
+that some pair lists, that is one of the U non-empty rows of (c o G)^T.
+So row i has at most min(U, 2k L_i) entries.  The kernel checks no
+bounds, so this bound is what keeps its writes inside the buffers.
+The pair node indices are built in scipy's index dtype for the node
 count, from a connectivity cast once per level in ``_assemble_operator``,
 so no sparse constructor copies them.  Above ``_COO_NODE_LIMIT`` nodes
 no product is formed: each (pair, a) term c v_a of the node-major matrix
@@ -69,14 +79,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
-from .exceptions import AssemblyError, ConfigError, SolverError, _integer
+from .exceptions import AssemblyError, ConfigError, QuadratureError, SolverError, _integer
 from .geometry import Mesh, cell_counts, locate_points
 from .kernels import Kernel
 from .quadrature import InnerQuadratureRule, full_ball_rule, solve_weights_on_subset
 
 _COO_NODE_LIMIT = 3000  # above this many nodes a chunk's terms are expanded, not multiplied
 _PAIR_CHUNK = 200_000
+_SCALE_BLOCK = 1 << 15  # terms scaled at a time: bounds the coef block and its intp indices, moves no bit
 _CG_MAX_ITERATIONS = 500  # 11x the most any measured level took (44)
 
 
@@ -98,7 +110,7 @@ def __getattr__(name: str):
 class DiscreteSystem:
     """Assembled system on the unknown (interior) nodes."""
 
-    matrix: sparse.csr_matrix  # num_interior x num_interior, symmetric
+    matrix: sparse.csr_matrix  # num_interior x num_interior, symmetric to roundoff
     rhs: np.ndarray
     interior_nodes: np.ndarray  # dof index -> node id
     mesh: Mesh
@@ -168,16 +180,18 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
     Row p of the pairs-by-nodes G holds ``vals[p]`` at ``nodes[p]``, with
     repeated nodes left as separate entries, and its transpose is scaled in
     place into (c o G)^T, so no pair-major copy of the scaled values is
-    made.  At or below
-    ``_COO_NODE_LIMIT`` nodes the sum is (c o G)^T G, and each entry sums
-    its terms in pair order.  Above it the terms of (c o G)^T are expanded
-    across their pairs' columns in row blocks of at most ``_PAIR_CHUNK``
-    values, each added by ``sum_duplicates``, and the blocks are stacked
-    (see the module docstring).  Either way the order of the rows of
-    ``nodes`` fixes the result bit for bit.  ``nodes`` comes in scipy's
-    index dtype for n (``_assemble_operator`` casts the connectivity once
-    per level) and is used as given, so no constructor copies or converts
-    it.
+    made.  At or below ``_COO_NODE_LIMIT`` nodes the sum is (c o G)^T G,
+    and each entry sums its terms in pair order; scipy's numeric kernel
+    forms it in buffers sized by the bound sum_i min(U, width L_i), with L_i
+    the length of row i of (c o G)^T and U its count of non-empty rows,
+    which holds every row's distinct columns (module docstring).  Above it
+    the terms of (c o G)^T are expanded across their pairs' columns in row
+    blocks of at most ``_PAIR_CHUNK`` values, each added by
+    ``sum_duplicates``, and the blocks are stacked (see the module
+    docstring).  Either way the order of the rows of ``nodes`` fixes the
+    result bit for bit.  ``nodes`` comes in scipy's index dtype for n
+    (``_assemble_operator`` casts the connectivity once per level) and is
+    used as given, so no constructor copies or converts it.
     """
     width = nodes.shape[1]
     indptr = np.arange(0, nodes.size + 1, width,
@@ -185,16 +199,26 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
     g = sparse.csr_matrix((vals.ravel(), nodes.ravel(), indptr), shape=(len(nodes), n))
     # node-major: row i lists the (pair, slot) terms at node i in pair order
     ct = g.T.tocsr()
-    # (c o G)^T in place: each term times its pair's coef, _PAIR_CHUNK terms at a time
-    scale = np.empty(min(ct.nnz, _PAIR_CHUNK))
-    for lo in range(0, ct.nnz, _PAIR_CHUNK):
-        terms = ct.data[lo:lo + _PAIR_CHUNK]
+    # (c o G)^T in place: each term times its pair's coef, _SCALE_BLOCK terms at a time
+    scale = np.empty(min(ct.nnz, _SCALE_BLOCK))
+    for lo in range(0, ct.nnz, _SCALE_BLOCK):
+        terms = ct.data[lo:lo + _SCALE_BLOCK]
         # the pair indices are in range: "clip" fills out directly, "raise" buffers it
         np.take(coef, ct.indices[lo:lo + len(terms)], out=scale[:len(terms)], mode="clip")
         terms *= scale[:len(terms)]
     del scale  # before the product or the expansion allocates
     if n <= _COO_NODE_LIMIT:
-        return ct @ g
+        # scipy's ct @ g without its symbolic pass: row i has at most min(U, width L_i) entries
+        lengths = np.diff(ct.indptr).astype(np.int64)
+        bound = int(np.minimum(np.count_nonzero(lengths), width * lengths).sum())
+        arrays = ct.indptr, ct.indices, g.indptr, g.indices
+        index = sparse.get_index_dtype(arrays, maxval=bound)
+        ct_ptr, ct_cols, g_ptr, g_cols = (a.astype(index, copy=False) for a in arrays)
+        row_ptr, cols, sums = np.empty(n + 1, index), np.empty(bound, index), np.empty(bound)
+        _sparsetools.csr_matmat(n, n, ct_ptr, ct_cols, ct.data, g_ptr, g_cols, g.data,
+                                row_ptr, cols, sums)
+        nnz = row_ptr[-1]
+        return sparse.csr_matrix((sums[:nnz], cols[:nnz], row_ptr), shape=(n, n))
     # rows in blocks of at most _PAIR_CHUNK expanded values; a longer row is a block alone
     ptr, blocks, lo = ct.indptr, [], 0
     while lo < n:
@@ -242,7 +266,10 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, points_per_radius: int,
             # pairs run in (element, outer point, offset) order
             located = locate_points(mesh, pts.reshape(-1, mesh.dim), full.offsets)
             pairs = ()  # the last chunk's G dies here, and this chunk's reuses its memory
-            pairs = _chunk_pairs(full, elements, ids, wq, ref_bary, located, box)
+            try:
+                pairs = _chunk_pairs(full, elements, ids, wq, ref_bary, located, box)
+            except QuadratureError as exc:  # a masked solve failed: name the level
+                raise QuadratureError(f"{exc}, at horizon {kernel.horizon!r}") from exc
             del pts, located  # the chunk's points die before the product
             total = total + _pair_products(*pairs, n)
     return total
@@ -272,7 +299,7 @@ def _chunk_pairs(full: InnerQuadratureRule, elements: np.ndarray, ids: np.ndarra
     per_elem = per_point.reshape(wq.shape).sum(axis=1)
     nodes[:, :k] = np.repeat(elements[ids], per_elem, axis=0)
     vals[:, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
-    nodes[:, k:] = elements[in_elems]
+    nodes[:, k:] = np.take(elements, in_elems, axis=0)
     vals[:, k:] = in_bary
     return nodes, vals, coef
 

@@ -4,7 +4,8 @@ The computational region is a box ``omega`` together with the surrounding
 constraint layer of thickness ``horizon`` (where Dirichlet volume data
 lives), optionally extended by a further layer of thickness ``extension``
 that is used only while constructing inner quadrature weights.  Meshes are
-uniform tensor grids over the layered box, perturbable node-by-node.  The
+tensor grids over the layered box, uniform or with each axis's
+breakpoints perturbed, so a perturbed mesh is still a tensor grid.  The
 table ``_CELL_SIMPLICES`` splits each grid cell into simplices (in 2D, two
 triangles along the lower-left to upper-right diagonal) so the basis stays
 piecewise linear; the mesh builder and ``locate_points`` number elements
@@ -86,7 +87,7 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Random node displacement: factor times spacing, uniform in [-1, 1].
+    """Random breakpoint displacement: factor times spacing times a draw in [-1, 1).
 
     ``seed`` is the generator's 64-bit seed, an integer in [0, 2^64).
     """

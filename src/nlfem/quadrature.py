@@ -192,11 +192,21 @@ def solve_weights_on_subset(full: InnerQuadratureRule, mask: np.ndarray) -> tupl
     The constraints are the full rule's columns at ``mask``, so the key
     ``("trunc", full, mask bytes)`` holds everything the weights depend on.
     On perturbed meshes near the boundary only a small number of distinct
-    masks occur, so identical systems are never re-solved.
+    masks occur, so identical systems are never re-solved.  A failed solve
+    names how many of the full rule's points the mask kept and the d(d+1)/2
+    second moments they had to meet.
     """
     # compress returns the columns C-ordered, as np.stack builds a fresh B;
     # constraints[:, mask] is F-ordered, and B @ B.T would then take another
     # BLAS path and move the weights by roundoff
     key = ("trunc", full, mask.tobytes())
-    return _default_cache.get_or_build(key, lambda: _moment_weights(
-        full.constraints.compress(mask, axis=1), full.offsets.shape[1]))
+
+    def solve():
+        try:
+            return _moment_weights(full.constraints.compress(mask, axis=1), full.offsets.shape[1])
+        except QuadratureError as exc:
+            raise QuadratureError(f"{exc}: a truncated ball kept {np.count_nonzero(mask)} of the"
+                                  f" full rule's {full.size} points for its"
+                                  f" {len(full.constraints)} second moments") from exc
+
+    return _default_cache.get_or_build(key, solve)

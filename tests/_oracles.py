@@ -145,6 +145,21 @@ def broadcast_pair_products(nodes, vals, coef, n):
                              shape=(n, n)).tocsr()
 
 
+def matmul_pair_products(nodes, vals, coef, n):
+    """One chunk's product-branch sum through scipy's ``@``, symbolic pass included.
+
+    The earlier form of ``nlfem.assembly._pair_products`` at or below
+    ``_COO_NODE_LIMIT`` nodes: (c o G)^T G by ``ct @ g``, with the whole of
+    (c o G)^T scaled at once.
+    """
+    width = nodes.shape[1]
+    indptr = np.arange(0, nodes.size + 1, width, dtype=sparse.get_index_dtype(maxval=nodes.size))
+    g = sparse.csr_matrix((vals.ravel(), nodes.ravel(), indptr), shape=(len(nodes), n))
+    ct = g.T.tocsr()
+    ct.data *= coef[ct.indices]
+    return ct @ g
+
+
 def correctly_summed_entries(chunks, n, use_fsum=None):
     """Every operator entry's terms, summed with at most long-double roundoff.
 

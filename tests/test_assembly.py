@@ -1,19 +1,26 @@
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.sparse import _sparsetools
 
 import nlfem.assembly
 from nlfem import (AssemblyError, BoxDomain, ConfigError, Kernel, KernelKind,
                    PerturbationSpec, assemble_system, build_uniform_mesh,
                    get_case, locate_points, outer_rules, perturb_mesh,
                    reconstruct, solve_system)
+from nlfem.cli import _level_inputs
 from nlfem.convergence import _element_gradients
 from nlfem.exceptions import SolverError
 from nlfem.quadrature import default_cache, full_ball_rule
@@ -526,6 +533,104 @@ def test_pair_products_row_blocks_cannot_move_a_bit(monkeypatch, dim, h, n_bar, 
             assert got.dtype == want.dtype and np.array_equal(got, want), (name, part)
 
 
+def _product_levels():
+    """(id, config, h): each config's first level, and every benchmark level
+    with at most ``_COO_NODE_LIMIT`` nodes (``perturbed2d`` at seed 0)."""
+    spec = importlib.util.spec_from_file_location(
+        "system_hashes", Path(__file__).resolve().parents[1] / "tools" / "system_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    levels, seen = [], set()
+    for key, config, h in tool.level_configs([0]):
+        name = key.split(" h=")[0]
+        if name.startswith("configs/"):
+            if name not in seen:
+                levels.append(pytest.param(config, h, id=name))
+            seen.add(name)
+        elif build_uniform_mesh(h, _level_inputs(config, h)[0]).num_nodes \
+                <= nlfem.assembly._COO_NODE_LIMIT:
+            levels.append(pytest.param(config, h, id=key))
+    return levels
+
+
+def _guarded_matmat(patch):
+    """Make ``_pair_products``' kernel check its output buffers before it writes.
+
+    scipy's ``csr_matmat`` checks no bounds, so each call first asserts
+    room for the ``csr_matmat_maxnnz`` entries that ``@`` sizes its output
+    with.  Returns the list of (buffer length, maxnnz), one per call.
+    """
+    sizes = []
+
+    def csr_matmat(n_row, n_col, ap, aj, ax, bp, bj, bx, cp, cj, cx):
+        maxnnz = _sparsetools.csr_matmat_maxnnz(n_row, n_col, ap, aj, bp, bj)
+        sizes.append((len(cj), maxnnz))
+        assert len(cp) == n_row + 1 and len(cj) == len(cx) >= maxnnz
+        return _sparsetools.csr_matmat(n_row, n_col, ap, aj, ax, bp, bj, bx, cp, cj, cx)
+
+    patch.setattr(nlfem.assembly, "_sparsetools", SimpleNamespace(csr_matmat=csr_matmat))
+    return sizes
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+
+@pytest.mark.parametrize("config, h", _product_levels())
+def test_product_has_the_bits_of_matmul_on_every_chunk(monkeypatch, config, h):
+    """Each chunk's product equals scipy's ``ct @ g`` bit for bit, and its
+    buffers hold at least the ``csr_matmat_maxnnz`` entries that ``@`` sizes
+    its output with, on every level the benchmark and the configs send
+    through the product branch."""
+    from _oracles import matmul_pair_products
+
+    sizes = _guarded_matmat(monkeypatch)
+    pair_products, chunks = nlfem.assembly._pair_products, []
+
+    def check(nodes, vals, coef, n):
+        assert n <= nlfem.assembly._COO_NODE_LIMIT
+        total = pair_products(nodes, vals, coef, n)
+        _assert_same_csr(total, matmul_pair_products(nodes, vals, coef, n))
+        chunks.append(len(nodes))
+        return total
+
+    monkeypatch.setattr(nlfem.assembly, "_pair_products", check)
+    domain, perturbation, kernel = _level_inputs(config, h)
+    mesh = build_uniform_mesh(h, domain)
+    if perturbation is not None:
+        mesh = perturb_mesh(mesh, perturbation)
+    nlfem.assembly._assemble_operator(mesh, kernel, config.points_per_radius, config.outer_points)
+    assert len(chunks) == len(sizes) > 0
+
+
+_EXACT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -3.0]),
+                          st.floats(-4.0, 4.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 50), pairs=st.integers(1, 50),
+       width=st.sampled_from([4, 6]))
+def test_product_matches_matmul_and_broadcast_on_synthetic_chunks(data, n, pairs, width):
+    """Small chunks with repeated node ids, exact zeros and exact cancellations:
+    the product equals ``ct @ g`` bit for bit, its sorted form equals the
+    dense bincount oracle, and its buffers hold ``csr_matmat_maxnnz`` entries."""
+    from _oracles import broadcast_pair_products, matmul_pair_products
+
+    nodes = data.draw(arrays(np.int32, (pairs, width), elements=st.integers(0, n - 1)), "nodes")
+    vals = data.draw(arrays(np.float64, (pairs, width), elements=_EXACT_VALUES), "vals")
+    coef = data.draw(arrays(np.float64, pairs, elements=_EXACT_VALUES), "coef")
+    with pytest.MonkeyPatch.context() as patch:
+        sizes = _guarded_matmat(patch)
+        got = nlfem.assembly._pair_products(nodes, vals, coef, n)
+    assert len(sizes) == 1
+    _assert_same_csr(got, matmul_pair_products(nodes, vals, coef, n))
+    got.sort_indices()
+    _assert_same_csr(got, broadcast_pair_products(nodes, vals, coef, n))
+
+
 @pytest.mark.parametrize("dim, h, n_bar, n_q", [(2, 1 / 16, 4, 16), (1, 1 / 512, 10, 40)],
                          ids=["2d-baseline", "1d-ladder"])
 def test_assembly_peaks_at_the_pair_matrix_and_its_transpose(dim, h, n_bar, n_q):
@@ -534,10 +639,12 @@ def test_assembly_peaks_at_the_pair_matrix_and_its_transpose(dim, h, n_bar, n_q)
     A chunk has at most ``_PAIR_CHUNK`` pairs of 2k terms, each an int32
     node and a float64 value (12 bytes) in G and again in its node-major
     transpose.  Per pair, the coefficient and G's row pointer add 8 + 4
-    bytes, and one scaling block holds ``_PAIR_CHUNK`` float64 coefficients
-    and their intp indices.  The margin covers the mesh-sized arrays: the
-    running operator, its rows and the load.  The levels are the baseline
-    2D h=1/16 and ``ladder1d``'s h=1/512; they read 34.5 and 24.9 MB.
+    bytes, and the last term allows a scaling block of ``_PAIR_CHUNK``
+    float64 coefficients and their intp indices, although a block now
+    holds ``_SCALE_BLOCK`` terms.  The margin covers the mesh-sized arrays:
+    the running operator, its rows and the load.  The levels are the
+    baseline 2D h=1/16 and ``ladder1d``'s h=1/512; they read 34.5 and
+    22.6 MB (24.9 MB with ``_PAIR_CHUNK``-term scaling blocks).
     Keeping a chunk's arrays alive into the next chunk and a pair-major
     copy of the scaled values beside the transpose read 47.4 and 33.1 MB.
     """

@@ -1,10 +1,13 @@
+import contextlib
 import errno
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +462,44 @@ def test_main_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, _base_config(h=[0.0625]))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "numerical" in capsys.readouterr().err
+
+
+def test_main_names_the_mask_and_level_of_a_failed_masked_solve(tmp_path, capsys):
+    """With one point per radius and extension zero, a 2D layer ball keeps
+    too few of its 4 points for the 3 second moments.  The one stderr line
+    names how many it kept, the moments and the horizon m h of the level."""
+    cfg = _write(tmp_path, {"dimension": 2, "kernel": "rational", "case": "sin2d", "m": 2,
+                            "h": [0.5, 0.25], "extension": "zero", "outer_points": 1,
+                            "points_per_radius": 1})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "[numerical] inner rule constraint residual 8.165e-01 exceeds tolerance: a truncated"
+        " ball kept 1 of the full rule's 4 points for its 3 second moments, at horizon 1.0\n")
+
+
+# Each draw is one small level; 768 configs make up the whole grid.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(dimension=st.sampled_from([1, 2]), m=st.sampled_from([1, 3, 5]),
+       points_per_radius=st.sampled_from([1, 2]), outer_points=st.sampled_from([1, 4]),
+       extension=st.sampled_from(["zero", "delta"]), kernel=st.sampled_from(["constant", "rational"]),
+       ball_norm=st.sampled_from(["euclidean", "max"]), perturbed=st.booleans(),
+       h=st.sampled_from([0.5, 0.25]))
+def test_small_valid_configs_exit_cleanly(dimension, m, points_per_radius, outer_points,
+                                          extension, kernel, ball_norm, perturbed, h):
+    """A valid config either runs (exit 0, nothing on stderr) or fails its
+    numerics (exit 3, one ``[numerical]`` line), never with a traceback."""
+    raw = {"dimension": dimension, "kernel": kernel, "case": f"sin{dimension}d", "m": m,
+           "h": [h], "extension": extension, "outer_points": outer_points,
+           "points_per_radius": points_per_radius, "ball_norm": ball_norm,
+           "mesh": "perturbed" if perturbed else "uniform", "epsilon": 0.49}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        cfg = _write(Path(tmp), raw)
+        code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    lines = err.getvalue().splitlines()
+    assert (code, lines) == (0, []) or (code == 3 and len(lines) == 1
+                                        and lines[0].startswith("[numerical] "))
 
 
 @pytest.mark.parametrize("exc, message", [
