@@ -15,22 +15,26 @@ points, and box balls are where both masks hold everywhere.  Each pair adds
 one rank-one block, so a chunk's sum is (c o G)^T G for the pairs-by-nodes
 hat difference matrix G, and the operator is the running CSR sum of the
 chunks.
-A chunk's live scratch is at most G and (c o G)^T.  ``_chunk_pairs``
-returns only the pairs' node indices, hat values and coefficients (G); its
-weights die with its frame, and the located points before
-``_pair_products`` runs.  There (c o G)^T is G's transpose with each
-stored term multiplied in place by its pair's coefficient,
-``_SCALE_BLOCK`` terms at a time, so beside G and its transpose only one
-small block of coefficients and their indices is live.  No bit moves:
-each term is the same product fl(v c) that scaling G's rows before the
-transpose gave, and the stable transpose puts it at the same place.  The
-last chunk's G is dropped once the next chunk's points are located, which
-costs no peak (locating needs no more than the transpose), so the next G
-takes over its memory.
-Dropped at the end of its chunk, glibc's malloc handed that memory back
-to the system and every chunk faulted it in again: 41,000 instead of
-5,000-16,000 page faults per 2D h=1/32 assembly, whose best of nine runs
-took 0.66 s instead of 0.59 s (x86-64, glibc 2.36).
+A chunk's live scratch is at most G and (c o G)^T.  Each chunk drops the
+last chunk's G and at once allocates its own, one row per (outer point,
+ball grid point) pair (exact for box chunks, a bound for layer chunks),
+so the new G takes over the freed memory.  ``locate_points`` then writes
+the inner points' barycentrics straight into G's inner value columns,
+and ``_chunk_pairs`` fills the rest of its leading rows, one per kept
+pair, so no second copy of the barycentrics is made.  The located element
+ids die before ``_pair_products`` runs, and the coefficients, passed to it
+as a temporary, die there once (c o G)^T is scaled (on CPython 3.11 and
+later, whose calls move their arguments into the callee's frame).  There
+(c o G)^T is G's transpose with each stored term multiplied in place by
+its pair's coefficient, ``_SCALE_BLOCK`` terms at a time, so beside G and
+its transpose only one small block of coefficients and their indices is
+live.  No bit moves: each term is the same product fl(v c) that scaling
+G's rows before the transpose gave, and the stable transpose puts it at
+the same place.  Over ten 2D h=1/32 assemblies in one process this keeps
+``ru_maxrss`` at 83.7-83.8 MB, against 91.5-92.6 MB for fresh barycentrics
+copied into a G allocated after them.  The minor page faults per assembly
+spread with glibc's malloc state, 3,800-15,000 against 7,800-15,500
+(x86-64, glibc 2.36).
 A chunk lists its pairs in (element, outer point, offset) order, and that
 order is what fixes the order in which each entry sums its terms.  scipy's
 CSR transpose is stable and its product adds (v_a c) v_b into each entry in
@@ -206,7 +210,7 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
         # the pair indices are in range: "clip" fills out directly, "raise" buffers it
         np.take(coef, ct.indices[lo:lo + len(terms)], out=scale[:len(terms)], mode="clip")
         terms *= scale[:len(terms)]
-    del scale  # before the product or the expansion allocates
+    del scale, coef  # before the product or the expansion allocates
     if n <= _COO_NODE_LIMIT:
         # scipy's ct @ g without its symbolic pass: row i has at most min(U, width L_i) entries
         lengths = np.diff(ct.indptr).astype(np.int64)
@@ -219,6 +223,7 @@ def _pair_products(nodes: np.ndarray, vals: np.ndarray, coef: np.ndarray,
                                 row_ptr, cols, sums)
         nnz = row_ptr[-1]
         return sparse.csr_matrix((sums[:nnz], cols[:nnz], row_ptr), shape=(n, n))
+    del g, indptr  # the expansion reads only vals, nodes and (c o G)^T
     # rows in blocks of at most _PAIR_CHUNK expanded values; a longer row is a block alone
     ptr, blocks, lo = ct.indptr, [], 0
     while lo < n:
@@ -258,50 +263,57 @@ def _assemble_operator(mesh: Mesh, kernel: Kernel, points_per_radius: int,
     elem_ids = np.arange(mesh.num_elements)
     in_box = mesh.element_in_box
     chunk_elems = max(1, _PAIR_CHUNK // max(1, n_q * full.size))
+    k = mesh.dim + 1
 
     for part_ids, box in ((elem_ids[in_box], True), (elem_ids[~in_box], False)):
         for lo in range(0, len(part_ids), chunk_elems):
             ids = part_ids[lo:lo + chunk_elems]
             pts, wq, ref_bary = outer_rules(mesh, ids, n_q)
-            # pairs run in (element, outer point, offset) order
-            located = locate_points(mesh, pts.reshape(-1, mesh.dim), full.offsets)
-            pairs = ()  # the last chunk's G dies here, and this chunk's reuses its memory
-            try:
-                pairs = _chunk_pairs(full, elements, ids, wq, ref_bary, located, box)
+            nodes = vals = None  # the last chunk's G dies, and this chunk's takes over its memory
+            nodes = np.empty((wq.size * full.size, 2 * k), dtype=elements.dtype)
+            vals = np.empty(nodes.shape)
+            # pairs run in (element, outer point, offset) order; the inner hat values land in G
+            located = locate_points(mesh, pts.reshape(-1, mesh.dim), full.offsets, out=vals[:, k:])
+            rows = _chunk_pairs(elements, ids, ref_bary, located, box, nodes, vals)
+            in_mesh, in_ext = located[2:]
+            del pts, located  # the element ids die before the product
+            try:  # coef, a temporary argument, dies in the product once (c o G)^T is scaled
+                total = total + _pair_products(nodes[:rows], vals[:rows],
+                                               _pair_coefficients(full, wq, in_mesh, in_ext, rows), n)
             except QuadratureError as exc:  # a masked solve failed: name the level
                 raise QuadratureError(f"{exc}, at horizon {kernel.horizon!r}") from exc
-            del pts, located  # the chunk's points die before the product
-            total = total + _pair_products(*pairs, n)
     return total
 
 
-def _chunk_pairs(full: InnerQuadratureRule, elements: np.ndarray, ids: np.ndarray,
-                 wq: np.ndarray, ref_bary: np.ndarray, located: tuple, box: bool):
-    """One element chunk's ``(nodes, vals, coef)`` from its outer rule and located balls.
+def _chunk_pairs(elements: np.ndarray, ids: np.ndarray, ref_bary: np.ndarray, located: tuple,
+                 box: bool, nodes: np.ndarray, vals: np.ndarray) -> int:
+    """Fill the leading rows of one element chunk's G and return their count.
 
-    ``located`` is ``locate_points``' result on the chunk's outer points.
-    Everything else built here dies with this frame, before
-    ``_pair_products`` runs.
+    ``located`` is ``locate_points``' result on the chunk's outer points,
+    which wrote the inner points' barycentrics into the inner half of
+    ``vals``' leading rows.  This adds the inner node ids and both outer
+    halves, one row per kept pair.  Everything built here dies with this frame.
     """
-    in_elems, in_bary, in_mesh, in_ext = located
+    in_elems, _, in_mesh, _ = located
     if box and len(in_elems) < in_mesh.size:
         raise AssemblyError("a box ball left the meshed region")
     per_point = in_mesh.sum(axis=1)
     if not per_point.all():
         raise AssemblyError("a constraint-layer ball retained no quadrature points")
-    weights = truncated_weights(full, in_ext)
-    coef = full.strengths[None, :] * weights * wq.reshape(-1, 1)
+    k, rows = ref_bary.shape[1], len(in_elems)
+    per_elem = per_point.reshape(len(ids), -1).sum(axis=1)
+    nodes[:rows, :k] = np.repeat(elements[ids], per_elem, axis=0)
+    vals[:rows, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
+    nodes[:rows, k:] = np.take(elements, in_elems, axis=0)
+    return rows
+
+
+def _pair_coefficients(full: InnerQuadratureRule, wq: np.ndarray, in_mesh: np.ndarray,
+                       in_ext: np.ndarray, rows: int) -> np.ndarray:
+    """Kernel strength times inner weight times outer weight for each of the ``rows`` kept pairs."""
+    coef = full.strengths[None, :] * truncated_weights(full, in_ext) * wq.reshape(-1, 1)
     # all in the mesh: the row-major ravel is the boolean gather without its copy
-    coef = coef.ravel() if len(in_elems) == in_mesh.size else coef[in_mesh]
-    k = ref_bary.shape[1]
-    nodes = np.empty((len(coef), 2 * k), dtype=elements.dtype)
-    vals = np.empty(nodes.shape)
-    per_elem = per_point.reshape(wq.shape).sum(axis=1)
-    nodes[:, :k] = np.repeat(elements[ids], per_elem, axis=0)
-    vals[:, :k] = np.repeat(np.tile(-ref_bary, (len(ids), 1)), per_point, axis=0)
-    nodes[:, k:] = np.take(elements, in_elems, axis=0)
-    vals[:, k:] = in_bary
-    return nodes, vals, coef
+    return coef.ravel() if rows == in_mesh.size else coef[in_mesh]
 
 
 def truncated_weights(full: InnerQuadratureRule, in_ext: np.ndarray) -> np.ndarray:

@@ -313,7 +313,7 @@ def _axis_cells(breaks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(breaks) - 2)
 
 
-def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray):
+def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray, out=None):
     """Vectorized location of every (n, d) point plus every (n_off, d) offset.
 
     Returns ``(elem, bary, in_mesh, in_ext)``: (n, n_off) masks of the sums
@@ -324,7 +324,10 @@ def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray):
     element id.  Each axis is searched and compared once per point and
     distinct offset coordinate, on the same float sums as
     ``points[:, None] + offsets``.  Points or offsets without one coordinate
-    per mesh dimension raise MeshError.
+    per mesh dimension raise MeshError.  ``out``, a float array of at least
+    n * n_off rows and d + 1 columns (it may be a strided column slice),
+    receives the barycentrics in its leading rows, and ``bary`` is a view of
+    them; without it they go into a new array.
     """
     pts, offs = _coordinate_rows(mesh, points), _coordinate_rows(mesh, offsets)
     pad = mesh.domain.horizon + mesh.domain.extension
@@ -339,22 +342,35 @@ def locate_points(mesh: Mesh, points: np.ndarray, offsets: np.ndarray):
         in_mesh = _narrow(in_mesh, (x >= b[0]) & (x <= b[-1]), col)
         in_ext = _narrow(in_ext, (x >= ext_lo[k]) & (x <= ext_hi[k]), col)
         i = _axis_cells(b, x)
-        cells.append(i[:, col].ravel())
-        local.append(((x - b[i]) / (b[i + 1] - b[i]))[:, col].ravel())
+        # np.take writes the (point, offset) gather row-major, so ravel copies nothing
+        cells.append(np.take(i, col, axis=1).ravel())
+        local.append(np.take((x - b[i]) / (b[i + 1] - b[i]), col, axis=1).ravel())
     if in_mesh is not None:
-        cells, local = [c[in_mesh] for c in cells], [t[in_mesh] for t in local]
+        for k in range(mesh.dim):  # one axis at a time, so one full copy at most is live
+            cells[k], local[k] = cells[k][in_mesh], local[k][in_mesh]
 
+    # column by column into place: bitwise the np.where forms, no (P, d + 1) temporary
+    bary = np.empty((len(local[0]), mesh.dim + 1)) if out is None else out[:len(local[0])]
     if mesh.dim == 1:
-        which, bary = 0, np.stack([1.0 - local[0], local[0]], axis=1)
+        upper = 0
+        np.subtract(1.0, local[0], out=bary[:, 0])
+        bary[:, 1] = local[0]
     else:
         xi, eta = local
         lower = xi >= eta  # diagonal itself goes to the lower triangle (smaller id)
-        which = (~lower).astype(np.int64)
-        bary = np.stack([1.0 - np.where(lower, xi, eta),
-                         np.where(lower, xi - eta, xi),
-                         np.where(lower, eta, eta - xi)], axis=1)
-    cell = _linear_index(cells, [len(b) - 1 for b in mesh.axis_breaks])
-    elem = len(_CELL_SIMPLICES[mesh.dim]) * cell + which
+        upper = ~lower
+        np.subtract(1.0, np.maximum(xi, eta, out=bary[:, 0]), out=bary[:, 0])
+        np.subtract(xi, np.multiply(eta, lower, out=bary[:, 1]), out=bary[:, 1])
+        # masked, as eta - xi * [xi < eta] would give 0.0 for xi = eta = -0.0
+        bary[:, 2] = eta
+        np.subtract(eta, xi, out=bary[:, 2], where=upper)
+    # x-fastest cell ids as _linear_index forms them, then element ids, in place
+    elem = cells[-1]
+    for c, b in zip(cells[-2::-1], mesh.axis_breaks[-2::-1]):
+        elem *= len(b) - 1
+        elem += c
+    elem *= len(_CELL_SIMPLICES[mesh.dim])
+    elem += upper
     shape = (len(pts), len(offs))
     return elem, bary, *(np.broadcast_to(True, shape) if mask is None else mask.reshape(shape)
                          for mask in (in_mesh, in_ext))
@@ -375,5 +391,5 @@ def _narrow(mask: np.ndarray | None, inside: np.ndarray, col: np.ndarray) -> np.
     a mask that holds everywhere."""
     if inside.all():
         return mask
-    inside = inside[:, col].ravel()
+    inside = np.take(inside, col, axis=1).ravel()
     return inside if mask is None else mask & inside

@@ -631,6 +631,47 @@ def test_product_matches_matmul_and_broadcast_on_synthetic_chunks(data, n, pairs
     _assert_same_csr(got, broadcast_pair_products(nodes, vals, coef, n))
 
 
+def test_locating_and_filling_a_chunk_adds_little_beyond_its_pair_matrix(monkeypatch):
+    """From ``locate_points``' entry to the product's, the first 2D h=1/32
+    box chunk (baseline settings, 199,680 pairs) peaks at most 50 traced
+    bytes per pair above what was live at that entry, its G included.
+
+    G is allocated before its points are located, and ``locate_points``
+    writes the barycentrics into G's inner columns.  This reads 36.8 bytes
+    per pair, all of it location's per-axis cell ids and local coordinates;
+    the pair fill and the coefficients stay below it.  Fresh barycentrics
+    built by ``np.where`` and ``np.stack`` and copied into a G allocated
+    after them read 64.6 bytes per pair beyond G, and that location alone
+    peaked at 91.5.
+    """
+    import tracemalloc
+
+    h = 1 / 32
+    mesh = build_uniform_mesh(h, BoxDomain.unit(2, 2 * h, 2 * h))
+    kernel = Kernel(KernelKind.RATIONAL, 2, 2 * h)
+    locate, seen = nlfem.assembly.locate_points, {}
+
+    def traced_locate(*args, **kwargs):
+        seen["entry"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return locate(*args, **kwargs)
+
+    def capture(nodes, vals, coef, n):
+        seen["peak"], seen["pairs"] = tracemalloc.get_traced_memory()[1], len(coef)
+        raise _ChunkCaptured
+
+    monkeypatch.setattr(nlfem.assembly, "locate_points", traced_locate)
+    monkeypatch.setattr(nlfem.assembly, "_pair_products", capture)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_ChunkCaptured):
+            nlfem.assembly._assemble_operator(mesh, kernel, 4, 16)
+    finally:
+        tracemalloc.stop()
+    assert seen["pairs"] == 199_680
+    assert seen["peak"] - seen["entry"] <= 50 * seen["pairs"]
+
+
 @pytest.mark.parametrize("dim, h, n_bar, n_q", [(2, 1 / 16, 4, 16), (1, 1 / 512, 10, 40)],
                          ids=["2d-baseline", "1d-ladder"])
 def test_assembly_peaks_at_the_pair_matrix_and_its_transpose(dim, h, n_bar, n_q):
@@ -643,8 +684,10 @@ def test_assembly_peaks_at_the_pair_matrix_and_its_transpose(dim, h, n_bar, n_q)
     float64 coefficients and their intp indices, although a block now
     holds ``_SCALE_BLOCK`` terms.  The margin covers the mesh-sized arrays:
     the running operator, its rows and the load.  The levels are the
-    baseline 2D h=1/16 and ``ladder1d``'s h=1/512; they read 34.5 and
-    22.6 MB (24.9 MB with ``_PAIR_CHUNK``-term scaling blocks).
+    baseline 2D h=1/16 and ``ladder1d``'s h=1/512; they read 31.9 and
+    22.3 MB since the coefficients die once the transpose is scaled and
+    the barycentrics are located into G (34.5 and 22.6 MB before, 24.9 MB
+    with ``_PAIR_CHUNK``-term scaling blocks).
     Keeping a chunk's arrays alive into the next chunk and a pair-major
     copy of the scaled values beside the transpose read 47.4 and 33.1 MB.
     """

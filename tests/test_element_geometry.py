@@ -143,6 +143,53 @@ def test_locate_points_offsets_form_keeps_signed_zeros():
     assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
 
 
+def test_locate_points_keeps_signed_zeros_on_the_2d_diagonal():
+    # the mesh starts at (0, 0), so -0.0 + -0.0 on both axes gives xi = eta = -0.0,
+    # a tie on the diagonal whose third barycentric is -0.0
+    mesh = build_uniform_mesh(0.25, BoxDomain(2, (0.25, 0.25), (1.25, 1.25), 0.25))
+    centers = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.5, 0.5]])
+    offsets = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.25, 0.25]])
+    sums = (centers[:, None] + offsets).reshape(-1, 2)
+    ref_elem, ref_bary = masked_locate_points(mesh, sums)
+    assert np.signbit(ref_bary[:, 2]).sum() >= 4
+    for out in (None, np.empty((len(sums), 6))[:, 3:]):
+        elem, bary, _, _ = locate_points(mesh, centers, offsets, out=out)
+        assert _same_bits(elem, ref_elem) and _same_bits(bary, ref_bary)
+
+
+@MESHES
+@pytest.mark.parametrize("masked", [False, True], ids=["box", "masked"])
+def test_locate_points_into_a_strided_buffer_equals_the_fresh_call(dim, perturbed, masked):
+    """``out``'s leading rows get bitwise the barycentrics of the call without
+    it, and ``bary`` is a view of them; elements, masks, the rows past them
+    and the other columns of the buffer's array are left as they were.
+
+    Box calls keep every sum in the mesh; masked calls (extension zero)
+    take probes over the whole mesh, so balls leave it.  The probes hold
+    grid vertices, grid-line points and diagonal ties, and the whole-spacing
+    offsets carry them onto each other.
+    """
+    mesh = _mesh(dim, perturbed)
+    centers = _probe_points(mesh)
+    if not masked:
+        centers = centers[np.all((centers >= 0.0) & (centers <= 1.0), axis=1)]
+    steps = np.meshgrid(*[0.125 * np.arange(-2, 3)] * dim, indexing="ij")
+    offsets = np.concatenate([_square_grid(3, dim),
+                              np.stack([g.ravel() for g in steps], axis=1)])
+    want = locate_points(mesh, centers, offsets)
+    assert want[2].all() != masked
+    k = dim + 1
+    whole = np.full((len(centers) * len(offsets) + 3, 2 * k), np.nan)
+    buf = whole[:, k:]
+    got = locate_points(mesh, centers, offsets, out=buf)
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
+    elem, bary = got[:2]
+    assert bary.strides == buf.strides
+    assert bary.__array_interface__["data"][0] == buf.__array_interface__["data"][0]
+    assert np.isnan(whole[:, :k]).all() and np.isnan(buf[len(elem):]).all()
+
+
 @pytest.mark.parametrize("centers, offsets, first", [
     ([[0.5], [1.2], [1.2]], [[-0.1], [0.1], [0.2]], [1.2 + 0.1]),
     # the first outside pair leaves along y; a later one along x only
